@@ -1,158 +1,198 @@
-"""Compiled-vs-NumPy sweep for the fused decision-cycle kernels.
+"""Crossover sweep that places ``DRIVER_MAX_CELLS``.
 
-The ``numba`` backend (:mod:`repro.core.jit`) fuses the tensor
-engine's per-cycle phases into one whole-run driver that executes K
-decision cycles without returning to Python.  This benchmark times the
-*identical* periodic EDF campaign on the NumPy array path and on the
-kernel path across the S x N shape grid, records the speedup ratios,
-and asserts the crossover claim the JIT work was sized against: at
-``S=1, N=8`` — where per-cycle array-dispatch overhead dominates and
-the array path degenerates to dozens of tiny NumPy calls per cycle —
-the fused driver must win by at least 3x.  First-call compilation
-(``cache=True`` warmup) is excluded by running a throwaway campaign
-before the timed one.
+:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
+scalar whole-run driver (:func:`repro.core.jit.run_cycles`) when the
+campaign holds at most ``DRIVER_MAX_CELLS`` scenario-slots (S×N) and the
+NumPy loop above that.  This sweep times both sides on the same periodic
+feed across S×N from 4 to 64, forcing each side by pinning the constant,
+and gates two things:
 
-When numba is not installed the kernels run interpreted
-(``NumbaBackend(force_interpreted=True)``, semantically identical to
-``NUMBA_DISABLE_JIT=1``).  The small-shape assertion still holds —
-one fused Python loop beats per-cycle NumPy dispatch at S=1, N=8 —
-while large shapes legitimately favor the array path; each record's
-``mode`` metadata says which flavor produced it, so trend comparisons
-never silently mix compiled and interpreted rates.
+* at every swept shape the dispatch picks the faster side.  Shapes where
+  the two sides are within ``TIE_BAND`` of each other count as ties, so
+  either pick passes there: at S×N = 16 the driver measured 0.93–1.30×
+  the NumPy loop, and which one wins flips with host noise;
+* at S=1 N=4, Table 3's shape, the driver is at least 3× the NumPy loop
+  on the ``winner`` feed.
+
+Two feeds generalize the Table 3 configurations to N slots: ``winner``
+is max-finding (WR routing, one winner consumed per cycle) and ``block``
+is block min-first (BA routing, the whole block consumed, which makes
+the driver sort and replay the network every cycle, so its speedup is
+lower).  Each side runs ``ROUNDS`` interleaved times and the median rate
+counts.  The driver is compiled when numba is importable; the constant
+is placed from the interpreted driver, so on such hosts the sweep
+records rates and skips the placement gate.
 
 Results land in ``BENCH_JIT.json`` via the shared ``write_bench``
-envelope and fold into ``repro bench trend`` like every other bench
-artifact.
+envelope; each record's ``mode`` metadata says whether the driver was
+compiled or interpreted.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from _schema import bench_record, write_bench
+from repro.core import tensor_engine
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.backend import NumbaBackend
-from repro.core.config import ArchConfig, Routing
+from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.jit import NUMBA_AVAILABLE
-from repro.core.tensor_engine import CampaignEngine
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_JIT.json"
 
-SCENARIO_COUNTS = (1, 8, 64)
-SLOT_COUNTS = (8, 32, 128)
+#: (S, N) shapes swept, S×N from 4 to 64, on both sides of the constant.
+SHAPES = ((1, 4), (1, 8), (2, 4), (1, 16), (4, 4), (1, 32), (8, 4), (1, 64), (16, 4))
 
-#: Timed decision cycles per slot count.  Scaled down as N grows so
-#: the interpreted-mode sweep (numba absent) stays bounded — the
-#: insertion-sort cascade is O(N^2) per row per cycle in pure Python.
-#: The recorded unit is a *rate*, so shorter runs stay comparable.
-_CYCLES = {8: 300, 32: 80, 128: 12}
-_WARMUP = 8
+#: Scenario-cycles per timed run; rates are per scenario-cycle.
+SCENARIO_CYCLES = 1200
+ROUNDS = 5
 
-#: The crossover claim under test: fused driver vs array path at the
-#: smallest shape, where per-cycle dispatch overhead dominates.
-_ASSERT_SHAPE = (1, 8)
-_ASSERT_MIN_SPEEDUP = 3.0
+#: Relative rate gap below which the two sides count as tied.
+TIE_BAND = 0.15
+
+#: Table 3's shape and the driver's minimum speedup there (winner feed).
+TABLE3_SHAPE = (1, 4)
+TABLE3_MIN_SPEEDUP = 3.0
 
 _MODE = "compiled" if NUMBA_AVAILABLE else "interpreted"
+_SIDES = {"driver": 1 << 30, "numpy": 0}
 
 
-def _arch_streams(n_slots: int) -> tuple[ArchConfig, list[StreamConfig]]:
-    # Single-chip slot budget is 32; the N=128 column exercises the
-    # extended multi-chip composition (Table 3 scaling row).
+def _feed(kind: str, n: int):
+    """The ``winner`` or ``block`` periodic feed at N slots."""
+    routing, block_mode, consume = {
+        "winner": (Routing.WR, BlockMode.MAX_FIRST, "winner"),
+        "block": (Routing.BA, BlockMode.MIN_FIRST, "block"),
+    }[kind]
     arch = ArchConfig(
-        n_slots=n_slots,
-        routing=Routing.WR,
+        n_slots=n,
+        routing=routing,
+        block_mode=block_mode,
         wrap=False,
-        extended=n_slots > 32,
+        extended=n > 32,
     )
     streams = [
         StreamConfig(
-            sid=i, period=1, mode=SchedulingMode.EDF,
-            extended=n_slots > 32,
+            sid=i,
+            period=1,
+            initial_deadline=i + 1,
+            mode=SchedulingMode.EDF,
+            extended=n > 32,
         )
-        for i in range(n_slots)
+        for i in range(n)
     ]
-    return arch, streams
+    kwargs = dict(
+        offsets=np.arange(1, n + 1, dtype=np.int64),
+        step=1,
+        consume=consume,
+        count_misses=kind == "winner",
+    )
+    return arch, streams, kwargs
 
 
-def _run(backend, s_count: int, n_slots: int, cycles: int):
-    """One timed campaign run; returns (rate, per-stream win counts)."""
-    arch, streams = _arch_streams(n_slots)
-    engine = CampaignEngine(
-        arch, [list(streams) for _ in range(s_count)], engine_backend=backend
-    )
-    engine.run_periodic(_WARMUP, step=1)  # warmup: JIT compile + caches
-    engine = CampaignEngine(
-        arch, [list(streams) for _ in range(s_count)], engine_backend=backend
-    )
+def _rate(monkeypatch, side: str, kind: str, s_count: int, n: int):
+    """Scenario-cycles/s of one run on one side, and its win counts."""
+    monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", _SIDES[side])
+    arch, streams, kwargs = _feed(kind, n)
+    cycles = max(SCENARIO_CYCLES // s_count, 1)
+    engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
     start = time.perf_counter()
-    results = engine.run_periodic(cycles, step=1)
+    results = engine.run_periodic(cycles, **kwargs)
     rate = s_count * cycles / (time.perf_counter() - start)
     return rate, np.stack([r.wins for r in results])
 
 
-def test_jit_speedup_sweep(report):
-    jit_backend = (
-        NumbaBackend() if NUMBA_AVAILABLE
-        else NumbaBackend(force_interpreted=True)
-    )
+def test_driver_crossover_sweep(monkeypatch, report):
+    limit = tensor_engine.DRIVER_MAX_CELLS
+    # Warm-up: numba compiles (or loads from its cache) on first call.
+    for kind in ("winner", "block"):
+        _rate(monkeypatch, "driver", kind, 1, 4)
 
     records = []
     rows = []
-    speedups: dict[tuple[int, int], float] = {}
-    for n in SLOT_COUNTS:
-        for s in SCENARIO_COUNTS:
-            cycles = _CYCLES[n]
-            numpy_rate, numpy_wins = _run("numpy", s, n, cycles)
-            jit_rate, jit_wins = _run(jit_backend, s, n, cycles)
+    misplaced = []
+    speedups: dict[tuple[str, int, int], float] = {}
+    for kind in ("winner", "block"):
+        for s, n in SHAPES:
+            rates: dict[str, list[float]] = {side: [] for side in _SIDES}
+            wins = {}
+            for _ in range(ROUNDS):
+                for side in _SIDES:
+                    rate, wins[side] = _rate(monkeypatch, side, kind, s, n)
+                    rates[side].append(rate)
             np.testing.assert_array_equal(
-                jit_wins, numpy_wins,
-                err_msg=f"jit path diverged at S={s} N={n}",
+                wins["driver"], wins["numpy"],
+                err_msg=f"sides diverged: {kind} S={s} N={n}",
             )
-            speedup = jit_rate / numpy_rate
-            speedups[(s, n)] = speedup
-            records.append(
+            driver = statistics.median(rates["driver"])
+            numpy_ = statistics.median(rates["numpy"])
+            speedup = driver / numpy_
+            speedups[(kind, s, n)] = speedup
+            picked = "driver" if s * n <= limit else "numpy"
+            faster = "driver" if speedup > 1.0 else "numpy"
+            tied = abs(speedup - 1.0) < TIE_BAND
+            if picked != faster and not tied:
+                misplaced.append(f"{kind} S={s} N={n} ({speedup:.2f}x)")
+            meta = dict(
+                mode=_MODE, numba=NUMBA_AVAILABLE, feed=kind,
+                scenarios=s, slots=n, driver_max_cells=limit,
+                direction="higher",
+            )
+            records += [
                 bench_record(
-                    f"jit_ops.{_MODE}.s{s}n{n}",
-                    jit_rate, "scenario-cycles/s",
-                    mode=_MODE, numba=NUMBA_AVAILABLE,
-                    scenarios=s, slots=n, direction="higher",
-                )
-            )
-            records.append(
+                    f"periodic_driver.{_MODE}.{kind}.s{s}n{n}",
+                    driver, "scenario-cycles/s", **meta,
+                ),
                 bench_record(
-                    f"jit_vs_numpy.{_MODE}.s{s}n{n}",
-                    speedup, "ratio",
-                    mode=_MODE, numba=NUMBA_AVAILABLE,
-                    scenarios=s, slots=n, direction="higher",
-                )
-            )
+                    f"periodic_numpy.{kind}.s{s}n{n}",
+                    numpy_, "scenario-cycles/s", **meta,
+                ),
+                bench_record(
+                    f"driver_vs_numpy.{_MODE}.{kind}.s{s}n{n}",
+                    speedup, "ratio", **meta,
+                ),
+            ]
             rows.append(
-                f"S={s:>3} N={n:>3}  numpy {numpy_rate:>10,.0f}  "
-                f"{_MODE} {jit_rate:>10,.0f}  ({speedup:>5.2f}x)"
+                f"{kind:<6} S={s:>2} N={n:>2} S*N={s * n:>3}  "
+                f"driver {driver:>9,.0f}  numpy {numpy_:>9,.0f}  "
+                f"{speedup:>5.2f}x  dispatch={picked}"
+                + ("  (tie)" if tied else "")
             )
     rows.append(
-        f"mode: {_MODE} (numba {'installed' if NUMBA_AVAILABLE else 'absent'}"
-        "); warmup campaign excluded from every timing"
+        f"DRIVER_MAX_CELLS={limit}; driver {_MODE} "
+        f"(numba {'installed' if NUMBA_AVAILABLE else 'absent'}); "
+        f"median of {ROUNDS} interleaved runs per side"
     )
 
     write_bench(
         OUTPUT,
         "jit",
         records,
-        workload="periodic EDF feed, fused whole-run kernel driver vs "
-        "NumPy array path, per (S, N) shape",
+        workload="periodic Table 3 feeds generalized to N slots, scalar "
+        "whole-run driver vs NumPy loop, per (S, N) shape",
     )
     report(
-        f"JIT crossover ({_MODE}): scenario-cycles/s by (S, N)",
+        f"run_periodic crossover ({_MODE} driver): scenario-cycles/s",
         "\n".join(rows),
     )
 
-    s, n = _ASSERT_SHAPE
-    assert speedups[(s, n)] >= _ASSERT_MIN_SPEEDUP, (
-        f"fused driver managed only {speedups[(s, n)]:.2f}x over the "
-        f"NumPy path at S={s} N={n} (claim: >= {_ASSERT_MIN_SPEEDUP}x)"
+    if NUMBA_AVAILABLE:
+        pytest.skip(
+            "DRIVER_MAX_CELLS is placed from the interpreted driver; "
+            "rates recorded, placement gate skipped on a numba host"
+        )
+    assert not misplaced, (
+        f"DRIVER_MAX_CELLS={limit} sends these shapes to the slower side: "
+        + ", ".join(misplaced)
+    )
+    s, n = TABLE3_SHAPE
+    speedup = speedups[("winner", s, n)]
+    assert speedup >= TABLE3_MIN_SPEEDUP, (
+        f"driver managed only {speedup:.2f}x over the NumPy loop at "
+        f"S={s} N={n} (gate: >= {TABLE3_MIN_SPEEDUP}x)"
     )

@@ -257,7 +257,6 @@ def run_aggregation_bucket(
     scenarios: list[AggregationScenario],
     *,
     observers=None,
-    engine_backend: str = "numpy",
 ) -> list[dict]:
     """Replay a same-shape scenario batch on one tensorized campaign.
 
@@ -265,9 +264,7 @@ def run_aggregation_bucket(
     the same-shape bucketing contract of the campaign engine.  Rows
     whose events end early idle in lockstep while the longest row
     finishes; the summaries are byte-identical to per-scenario
-    :func:`run_aggregation` runs regardless.  ``engine_backend``
-    selects the campaign engine's array namespace (``"numba"`` routes
-    the fused compiled kernels); observables never depend on it.
+    :func:`run_aggregation` runs regardless.
     """
     if not scenarios:
         return []
@@ -283,7 +280,6 @@ def run_aggregation_bucket(
         discipline=shape[1],
         salt=shape[2],
         observers=observers,
-        engine_backend=engine_backend,
     )
 
     class _Row:

@@ -619,7 +619,6 @@ class AggregationCampaign:
         strict: bool = True,
         salt: int = 0,
         observers=None,
-        engine_backend: str = "numpy",
     ) -> None:
         from repro.core.tensor_engine import CampaignEngine
 
@@ -634,7 +633,6 @@ class AggregationCampaign:
             _tier_arch(n_aggregates),
             [_tier_streams(n_aggregates) for _ in range(n_rows)],
             observers=list(observers) if observers is not None else None,
-            engine_backend=engine_backend,
         )
         self.services: list[list[tuple[int, int, int, int]]] = [
             [] for _ in range(n_rows)

@@ -673,11 +673,6 @@ def _trace_main(argv: list[str]) -> int:
         help="fast engine under validation (default tensor)",
     )
     parser.add_argument(
-        "--engine-backend", default="numpy",
-        help="array namespace for the tensor engine "
-        "(numpy/torch/cupy/array_api_strict; see repro.core.backend)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (0 = all cores; the canonical span tree "
         "is byte-identical for any value)",
@@ -746,14 +741,12 @@ def _trace_main(argv: list[str]) -> int:
             cache_dir=None if args.no_cache else args.cache_dir,
             use_cache=not args.no_cache,
             tracer=tracer,
-            engine_backend=args.engine_backend,
         )
         records = tracer.records()
         trace_id = tracer.trace_id
         print(
             f"campaign: {result.scenarios} scenarios x {args.cycles} cycles, "
-            f"engine={args.engine} ({args.engine_backend}), "
-            f"workers={result.workers}, "
+            f"engine={args.engine}, workers={result.workers}, "
             f"cached={result.cached}, passed={result.passed}"
         )
         code = 0 if result.passed else 1

@@ -1,504 +1,28 @@
-"""Array-API-neutral dispatch layer for the tensorized engines.
+"""Which compiler, if any, runs the whole-run periodic driver.
 
-The ``(S, N)`` campaign engine (:mod:`repro.core.tensor_engine`) was
-originally welded to NumPy.  This module is the thin ``xp``-style seam
-that makes its batched kernels portable: an :class:`ArrayApiBackend`
-wraps any `array API standard`_ namespace and exposes exactly the
-primitives the engine needs — creation, ``where``/``minimum``, gathers
-(``take`` / ``take_along_axis``), a **stable** ascending ``argsort``,
-reductions and host transfers — with per-library subclasses smoothing
-over the places real libraries deviate from the standard (``dim`` vs
-``axis`` keywords in torch, CuPy's unstable device sort, NumPy < 2.0
-lacking ``np.astype``).
-
-Backends resolve *lazily* by name (:func:`resolve_backend`), so the
-optional heavy dependencies stay optional: importing this module — or
-running the default NumPy path — never imports torch/CuPy/
-array-api-strict.  A missing library fails with a message naming the
-``backends`` pip extra; :func:`available_backends` reports the same
-availability map without raising (the benchmark/CI matrix uses it to
-skip-with-reason).
-
-Determinism contract: every backend must produce **byte-identical**
-engine observables for the same workload.  The two requirements that
-carry that guarantee are (a) all engine state is integer/bool typed —
-there is no float anywhere in the kernels, so no accumulation-order
-sensitivity — and (b) :meth:`ArrayApiBackend.argsort_stable` is a
-*stable* ascending sort, which together with the engine's
-sid-uniqueness makes every rank permutation total.  The hypothesis
-suite (``tests/test_backend_equivalence.py``) and the CI backend matrix
-enforce the contract.
-
-.. _array API standard: https://data-apis.org/array-api/latest/
+The tensor engine (:mod:`repro.core.tensor_engine`) runs on NumPy.  Its
+one scalar kernel, the whole-run periodic driver
+:func:`repro.core.jit.run_cycles`, is compiled by numba when numba is
+importable and runs as plain Python otherwise; nothing selects between
+the two.  :func:`resolve_backend` reports which of the two this host
+gets, for host fingerprints.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
+from types import SimpleNamespace
 
-import numpy as np
+from repro.core.jit import NUMBA_AVAILABLE
 
-__all__ = [
-    "ArrayApiBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "TorchBackend",
-    "CupyBackend",
-    "BACKENDS",
-    "resolve_backend",
-    "available_backends",
-    "BackendUnavailable",
-]
-
-#: Installable backend names, resolution order of the benchmark sweep.
-BACKENDS = ("numpy", "numba", "torch", "cupy", "array_api_strict")
-
-#: pip extra that pins the optional backend libraries.
-_EXTRA_HINT = 'pip install -e ".[backends]"'
-
-#: pip extra that pins the numba JIT dependency.
-_JIT_HINT = 'pip install -e ".[jit]"'
+__all__ = ["resolve_backend"]
 
 
-class BackendUnavailable(ImportError):
-    """An engine backend's library is not importable on this host."""
+def resolve_backend(name: str = "numba") -> SimpleNamespace:
+    """What the ``numba`` accelerator resolves to on this host.
 
-
-class ArrayApiBackend:
-    """Generic backend over any array API standard namespace.
-
-    The base class uses only operations the 2023.12 standard
-    guarantees (plus ``take_along_axis``, emulated below when the
-    namespace predates its 2024.12 standardization), so it works
-    unmodified for ``array-api-strict`` and any other conforming
-    library.  Library-specific subclasses override individual methods
-    for speed or API deviations — never semantics.
-
-    Engine code additionally relies on the wrapped arrays supporting
-    scalar ``arr[s, i]`` reads/writes and ``int(arr[s, i])``
-    conversion (standard ``__getitem__``/``__setitem__``/``__int__``
-    behavior) for the queue-backed scalar paths.
+    The result's ``name`` is ``"numba"`` when numba is importable (the
+    periodic driver is compiled) and ``"numpy"`` otherwise.
     """
-
-    def __init__(self, namespace: Any, *, name: str = "array_api") -> None:
-        self.xp = namespace
-        self.name = name
-        self.int64 = namespace.int64
-        self.bool_ = getattr(namespace, "bool_", None) or namespace.bool
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-    # -- creation / transfer -------------------------------------------
-
-    def asarray(self, obj, dtype=None):
-        return self.xp.asarray(obj, dtype=dtype)
-
-    def from_numpy(self, arr):
-        """Adopt a host ndarray (dtype preserved)."""
-        return self.xp.asarray(arr)
-
-    def to_numpy(self, arr) -> np.ndarray:
-        """Materialize on the host as an ndarray (zero-copy if possible)."""
-        return np.asarray(arr)
-
-    def zeros(self, shape, dtype):
-        return self.xp.zeros(shape, dtype=dtype)
-
-    def ones(self, shape, dtype):
-        return self.xp.ones(shape, dtype=dtype)
-
-    def full(self, shape, fill, dtype):
-        return self.xp.full(shape, fill, dtype=dtype)
-
-    def arange(self, n: int):
-        return self.xp.arange(n, dtype=self.int64)
-
-    def copy(self, arr):
-        return self.xp.asarray(arr, copy=True)
-
-    def astype(self, arr, dtype):
-        return self.xp.astype(arr, dtype)
-
-    def broadcast_to(self, arr, shape):
-        return self.xp.broadcast_to(arr, shape)
-
-    def reshape(self, arr, shape):
-        return self.xp.reshape(arr, shape)
-
-    # -- elementwise select --------------------------------------------
-
-    def _wrap_scalar(self, value, like):
-        if hasattr(value, "dtype"):
-            return value
-        return self.xp.asarray(value, dtype=like.dtype)
-
-    def where(self, cond, a, b):
-        """``where`` tolerating Python scalars for either branch."""
-        if not hasattr(a, "dtype") and hasattr(b, "dtype"):
-            a = self._wrap_scalar(a, b)
-        elif not hasattr(b, "dtype") and hasattr(a, "dtype"):
-            b = self._wrap_scalar(b, a)
-        return self.xp.where(cond, a, b)
-
-    def minimum(self, a, b):
-        if not hasattr(b, "dtype"):
-            b = self._wrap_scalar(b, a)
-        return self.xp.minimum(a, b)
-
-    # -- gathers -------------------------------------------------------
-
-    def take(self, arr, indices, *, axis: int):
-        """Gather 1-D ``indices`` along one axis."""
-        return self.xp.take(arr, indices, axis=axis)
-
-    def take_along_last(self, arr, indices):
-        """``take_along_axis(arr, indices, axis=-1)`` for 2-D operands."""
-        xp = self.xp
-        if hasattr(xp, "take_along_axis"):
-            return xp.take_along_axis(arr, indices, axis=-1)
-        # Pre-2024.12 namespaces: emulate with a flat row-offset gather.
-        s, n = arr.shape
-        offsets = xp.reshape(xp.arange(s, dtype=indices.dtype) * n, (s, 1))
-        flat = xp.reshape(xp.take(
-            xp.reshape(arr, (-1,)),
-            xp.reshape(indices + offsets, (-1,)),
-            axis=0,
-        ), indices.shape)
-        return flat
-
-    def interleave_pairs(self, lo, hi):
-        """``(S, n/2) x 2 -> (S, n)``: lo0, hi0, lo1, hi1, ...
-
-        The perfect-shuffle exchange writeback, expressed as
-        stack+reshape so no strided ``__setitem__`` is required.
-        """
-        s, half = lo.shape
-        return self.xp.reshape(
-            self.xp.stack((lo, hi), axis=-1), (s, half * 2)
-        )
-
-    # -- sort ----------------------------------------------------------
-
-    def argsort_stable(self, arr):
-        """Stable ascending argsort along the last axis.
-
-        Stability is load-bearing: the engine's composite rank sort
-        cascades stable passes from least- to most-significant key
-        (see :func:`repro.core.tensor_engine.table2_rank_order`), so an
-        unstable sort would silently break the byte-identity contract.
-        """
-        return self.xp.argsort(arr, axis=-1, stable=True)
-
-    # -- reductions / predicates ---------------------------------------
-
-    def any(self, arr) -> bool:
-        """Host boolean: does any element hold?"""
-        return bool(self.xp.any(arr))
-
-    def any_along_last(self, arr):
-        return self.xp.any(arr, axis=-1)
-
-    def argmax_last(self, arr):
-        return self.xp.argmax(arr, axis=-1)
-
-    def flip_last(self, arr):
-        return self.xp.flip(arr, axis=-1)
-
-    def min_int(self, arr) -> int:
-        """Host integer minimum of a non-empty integer array."""
-        return int(self.xp.min(arr))
-
-
-class NumpyBackend(ArrayApiBackend):
-    """The default backend: NumPy, compatible back to the 1.x series."""
-
-    def __init__(self) -> None:
-        super().__init__(np, name="numpy")
-        self.bool_ = np.bool_
-
-    def from_numpy(self, arr):
-        return arr
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return arr
-
-    def copy(self, arr):
-        return arr.copy()
-
-    def astype(self, arr, dtype):
-        # np.astype only exists in NumPy >= 2.0.
-        return arr.astype(dtype)
-
-    def where(self, cond, a, b):
-        return np.where(cond, a, b)
-
-    def minimum(self, a, b):
-        return np.minimum(a, b)
-
-    def take_along_last(self, arr, indices):
-        return np.take_along_axis(arr, indices, axis=-1)
-
-    def argsort_stable(self, arr):
-        # kind="stable" predates the 2.0 `stable=` keyword.
-        return np.argsort(arr, axis=-1, kind="stable")
-
-
-class NumbaBackend(NumpyBackend):
-    """NumPy state + fused compiled kernels (:mod:`repro.core.jit`).
-
-    Subclasses :class:`NumpyBackend` — the ``(S, N)`` state stays plain
-    host ndarrays with identical array-op semantics — and additionally
-    carries :attr:`jit_kernels`, which the tensor engine checks to
-    route its fused entry points (rank cascade, network replay, DWCS
-    miss scatter, and the whole-run periodic driver) through the
-    ``@njit(cache=True)`` kernels instead of per-phase array dispatch.
-
-    When numba is missing the kernels would run interpreted (correct
-    but slow), so construction raises :class:`BackendUnavailable`
-    unless ``force_interpreted=True`` — the escape hatch the
-    equivalence suite and the JIT benchmark use to exercise the kernel
-    code paths on hosts without the ``jit`` extra (semantically the
-    same run numba's ``NUMBA_DISABLE_JIT=1`` produces).  The
-    :func:`resolve_backend` seam instead degrades ``"numba"`` to the
-    NumPy backend with a single warning (see :func:`_make_numba`).
-    """
-
-    def __init__(self, *, force_interpreted: bool = False) -> None:
-        from repro.core import jit
-
-        if not (jit.NUMBA_AVAILABLE or force_interpreted):
-            raise BackendUnavailable(
-                f"engine backend 'numba' needs numba ({_JIT_HINT})"
-            )
-        super().__init__()
-        self.name = "numba"
-        #: The kernel module the engine's fused entry points dispatch to.
-        self.jit_kernels = jit
-        #: True when the kernels are actually compiled (numba present).
-        self.jit_compiled = jit.NUMBA_AVAILABLE
-
-
-class TorchBackend(ArrayApiBackend):  # pragma: no cover - needs torch
-    """PyTorch backend (CPU by default; pass ``device="cuda"`` for GPU).
-
-    torch spells reduction/sort axes ``dim`` and lacks ``astype`` /
-    ``take(axis=)``, so every deviating method is overridden; semantics
-    are identical to the base class.
-    """
-
-    def __init__(self, device: str = "cpu") -> None:
-        import torch
-
-        super().__init__(torch, name="torch")
-        self.int64 = torch.int64
-        self.bool_ = torch.bool
-        self._device = torch.device(device)
-
-    def asarray(self, obj, dtype=None):
-        return self.xp.as_tensor(obj, dtype=dtype, device=self._device)
-
-    def from_numpy(self, arr):
-        return self.xp.as_tensor(arr, device=self._device)
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return arr.detach().cpu().numpy()
-
-    def zeros(self, shape, dtype):
-        return self.xp.zeros(shape, dtype=dtype, device=self._device)
-
-    def ones(self, shape, dtype):
-        return self.xp.ones(shape, dtype=dtype, device=self._device)
-
-    def full(self, shape, fill, dtype):
-        return self.xp.full(shape, fill, dtype=dtype, device=self._device)
-
-    def arange(self, n: int):
-        return self.xp.arange(n, dtype=self.int64, device=self._device)
-
-    def copy(self, arr):
-        return arr.clone()
-
-    def astype(self, arr, dtype):
-        return arr.to(dtype)
-
-    def reshape(self, arr, shape):
-        return self.xp.reshape(arr, shape)
-
-    def take(self, arr, indices, *, axis: int):
-        return self.xp.index_select(arr, axis, indices)
-
-    def take_along_last(self, arr, indices):
-        return self.xp.take_along_dim(arr, indices, dim=-1)
-
-    def interleave_pairs(self, lo, hi):
-        s, half = lo.shape
-        return self.xp.reshape(self.xp.stack((lo, hi), dim=-1), (s, half * 2))
-
-    def argsort_stable(self, arr):
-        return self.xp.argsort(arr, dim=-1, stable=True)
-
-    def any_along_last(self, arr):
-        return self.xp.any(arr, dim=-1)
-
-    def argmax_last(self, arr):
-        return self.xp.argmax(arr, dim=-1)
-
-    def flip_last(self, arr):
-        return self.xp.flip(arr, dims=(-1,))
-
-
-class CupyBackend(ArrayApiBackend):  # pragma: no cover - needs CUDA
-    """CuPy backend (CUDA GPU); NumPy-compatible API, device arrays."""
-
-    def __init__(self) -> None:
-        import cupy
-
-        super().__init__(cupy, name="cupy")
-
-    def to_numpy(self, arr) -> np.ndarray:
-        return self.xp.asnumpy(arr)
-
-    def copy(self, arr):
-        return arr.copy()
-
-    def astype(self, arr, dtype):
-        return arr.astype(dtype)
-
-    def take_along_last(self, arr, indices):
-        return self.xp.take_along_axis(arr, indices, axis=-1)
-
-    def argsort_stable(self, arr):
-        # CuPy's device sort is not guaranteed stable; widen the key
-        # with the position index so ties break by index.  Safe for
-        # every engine key: values are bounded by the 8/16-bit
-        # attribute fields plus cycle counts, far below 2**63 / n.
-        n = arr.shape[-1]
-        iota = self.xp.arange(n, dtype=arr.dtype)
-        return self.xp.argsort(arr * n + iota, axis=-1)
-
-
-def _make_numpy() -> ArrayApiBackend:
-    return NumpyBackend()
-
-
-#: One warning per process even if the backend cache is cleared.
-_numba_fallback_warned = False
-
-
-def _make_numba() -> ArrayApiBackend:
-    """Compiled backend when numba is importable, else NumPy + warning.
-
-    The degrade-don't-fail contract: ``engine_backend="numba"`` must
-    never make a host without the ``jit`` extra crash or silently run
-    the slow interpreted kernels — it falls back to the plain NumPy
-    path (byte-identical observables, just uncompiled) and says so
-    exactly once per process.
-    """
-    from repro.core import jit
-
-    if jit.NUMBA_AVAILABLE:  # pragma: no cover - needs the jit extra
-        return NumbaBackend()
-    global _numba_fallback_warned
-    if not _numba_fallback_warned:
-        _numba_fallback_warned = True
-        warnings.warn(
-            "engine backend 'numba' requested but numba is not "
-            "importable; degrading to the plain NumPy path "
-            f"({_JIT_HINT})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return resolve_backend("numpy")
-
-
-def _make_torch() -> ArrayApiBackend:
-    try:
-        return TorchBackend()
-    except ImportError as exc:
-        raise BackendUnavailable(
-            f"engine backend 'torch' needs PyTorch ({_EXTRA_HINT}): {exc}"
-        ) from exc
-
-
-def _make_cupy() -> ArrayApiBackend:
-    try:
-        return CupyBackend()
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "engine backend 'cupy' needs CuPy with a CUDA runtime "
-            f"(install cupy-cuda12x or similar): {exc}"
-        ) from exc
-
-
-def _make_array_api_strict() -> ArrayApiBackend:
-    try:
-        import array_api_strict
-    except ImportError as exc:
-        raise BackendUnavailable(
-            "engine backend 'array_api_strict' needs array-api-strict "
-            f"({_EXTRA_HINT}): {exc}"
-        ) from exc
-    return ArrayApiBackend(array_api_strict, name="array_api_strict")
-
-
-_FACTORIES = {
-    "numpy": _make_numpy,
-    "numba": _make_numba,
-    "torch": _make_torch,
-    "cupy": _make_cupy,
-    "array_api_strict": _make_array_api_strict,
-}
-
-_CACHE: dict[str, ArrayApiBackend] = {}
-
-
-def resolve_backend(backend: str | ArrayApiBackend = "numpy") -> ArrayApiBackend:
-    """Resolve a backend by name (lazily, cached) or pass one through.
-
-    Accepts an already-constructed :class:`ArrayApiBackend` unchanged,
-    so tests and power users can inject custom namespaces (e.g. the
-    generic base class wrapped around NumPy itself).  Unknown names
-    raise :class:`ValueError`; known names whose library is missing
-    raise :class:`BackendUnavailable` with the install hint.
-    """
-    if isinstance(backend, ArrayApiBackend):
-        return backend
-    if backend not in _FACTORIES:
-        raise ValueError(
-            f"unknown engine backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    cached = _CACHE.get(backend)
-    if cached is None:
-        cached = _CACHE[backend] = _FACTORIES[backend]()
-    return cached
-
-
-def available_backends() -> dict[str, str | None]:
-    """``name -> None`` (usable) or a skip reason, without raising.
-
-    The benchmark sweep and the CI matrix consult this to degrade to
-    skip-with-reason on hosts missing an optional library or GPU.
-    """
-    report: dict[str, str | None] = {}
-    for name in BACKENDS:
-        try:
-            resolved = resolve_backend(name)
-        except BackendUnavailable as exc:
-            report[name] = str(exc)
-        except Exception as exc:  # pragma: no cover - env-specific
-            report[name] = f"{type(exc).__name__}: {exc}"
-        else:
-            # A degrading resolve (numba without the jit extra) is not
-            # "usable as itself" — report the fallback so sweeps and
-            # the CI matrix skip-with-reason instead of re-measuring
-            # the NumPy path under another label.
-            report[name] = (
-                None
-                if resolved.name == name
-                else f"'{name}' degrades to {resolved.name!r} on this "
-                f"host (numba not installed; {_JIT_HINT})"
-            )
-    return report
+    if name != "numba":
+        raise ValueError(f"unknown accelerator {name!r}; only 'numba' resolves")
+    return SimpleNamespace(name="numba" if NUMBA_AVAILABLE else "numpy")

@@ -153,7 +153,6 @@ def make_scheduler(
     trace_timeline: bool = False,
     trace=None,
     observer=None,
-    engine_backend: str = "numpy",
 ):
     """Instantiate a scheduler engine by name.
 
@@ -165,18 +164,7 @@ def make_scheduler(
     same ``decision_cycle`` / ``enqueue`` / ``slot`` / ``counters``
     surface — including the ``observer`` telemetry hook — and are
     asserted behaviorally identical by :mod:`repro.core.differential`.
-
-    ``engine_backend`` selects the array namespace for the tensor
-    engine (see :mod:`repro.core.backend`) — ``"numba"`` routes whole
-    runs through the fused compiled kernels of :mod:`repro.core.jit`;
-    the reference and batch engines are NumPy-only and reject any
-    other value.
     """
-    if engine != "tensor" and engine_backend != "numpy":
-        raise ValueError(
-            f"engine_backend={engine_backend!r} requires engine='tensor' "
-            f"(the {engine!r} engine is NumPy-only)"
-        )
     if engine == "reference":
         from repro.core.scheduler import ShareStreamsScheduler
 
@@ -205,7 +193,6 @@ def make_scheduler(
             trace_timeline=trace_timeline,
             trace=trace,
             observer=observer,
-            engine_backend=engine_backend,
         )
     raise ValueError(
         f"unknown engine {engine!r} "
@@ -389,6 +376,10 @@ class BatchScheduler:
         self, sid: int, deadline: int, arrival: int, length: int = 1500
     ) -> None:
         """Deposit one packet request into a slot's pending queue."""
+        if not 0 <= sid < self._n:
+            raise ValueError(
+                f"sid {sid} out of range for {self._n}-slot scheduler"
+            )
         if self._configs[sid] is None:
             raise KeyError(f"no stream loaded in slot {sid}")
         self._queues[sid].append((deadline, arrival, length))
@@ -762,6 +753,8 @@ class BatchScheduler:
         Requires ideal arithmetic (``wrap=False``) — these runs exceed
         the 16-bit horizon by construction.
         """
+        if n_cycles < 0:
+            raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
         if self._wrap:
             raise ValueError(
                 "run_periodic requires ideal arithmetic (wrap=False)"

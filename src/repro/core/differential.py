@@ -54,7 +54,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.backend import BACKENDS
 from repro.core.batch_engine import BatchScheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.scheduler import ShareStreamsScheduler
@@ -246,21 +245,9 @@ def _arch_config(scenario: Scenario) -> ArchConfig:
     )
 
 
-def build_engine(
-    scenario: Scenario, engine: str, *, observer=None,
-    engine_backend: str = "numpy",
-):
-    """Instantiate one engine (``reference``/``batch``/``tensor``).
-
-    ``engine_backend`` selects the tensor engine's array namespace
-    (:mod:`repro.core.backend`); the reference and batch engines are
-    NumPy-only and reject any other value.
-    """
+def build_engine(scenario: Scenario, engine: str, *, observer=None):
+    """Instantiate one engine (``reference``/``batch``/``tensor``)."""
     config = _arch_config(scenario)
-    if engine != "tensor" and engine_backend != "numpy":
-        raise ValueError(
-            f"engine_backend={engine_backend!r} requires engine='tensor'"
-        )
     if engine == "reference":
         return ShareStreamsScheduler(
             config, list(scenario.streams), observer=observer
@@ -271,8 +258,7 @@ def build_engine(
         from repro.core.tensor_engine import TensorScheduler
 
         return TensorScheduler(
-            config, list(scenario.streams), observer=observer,
-            engine_backend=engine_backend,
+            config, list(scenario.streams), observer=observer
         )
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -314,14 +300,9 @@ def _cycle_record(outcome) -> CycleRecord:
     )
 
 
-def run_engine(
-    scenario: Scenario, engine: str, *, observer=None,
-    engine_backend: str = "numpy",
-) -> EngineTrace:
+def run_engine(scenario: Scenario, engine: str, *, observer=None) -> EngineTrace:
     """Execute ``scenario`` on one engine, recording every observable."""
-    sched = build_engine(
-        scenario, engine, observer=observer, engine_backend=engine_backend
-    )
+    sched = build_engine(scenario, engine, observer=observer)
     records = []
     for t, (arrivals, drop) in enumerate(_arrival_schedule(scenario)):
         for sid, deadline, arrival in arrivals:
@@ -398,25 +379,20 @@ def _compare_event_streams(
 
 
 def cross_validate(
-    scenario: Scenario, engine: str = "batch",
-    engine_backend: str = "numpy",
+    scenario: Scenario, engine: str = "batch"
 ) -> Divergence | None:
     """Run the oracle and one fast engine; return the first divergence.
 
     ``None`` means the engines agreed on every decision cycle and on
-    the final performance counters.  ``engine_backend`` selects the
-    fast engine's array namespace (tensor engine only); the reference
-    run always executes on NumPy, so a passing campaign proves the
-    alternate backend byte-identical to the oracle.
+    the final performance counters.
     """
     ref = run_engine(scenario, "reference")
-    fast = run_engine(scenario, engine, engine_backend=engine_backend)
+    fast = run_engine(scenario, engine)
     return _compare_traces(scenario, ref, fast)
 
 
 def cross_validate_traces(
-    scenario: Scenario, engine: str = "batch",
-    engine_backend: str = "numpy",
+    scenario: Scenario, engine: str = "batch"
 ) -> Divergence | None:
     """Run both engines under telemetry; compare the trace streams.
 
@@ -429,9 +405,7 @@ def cross_validate_traces(
     ref_rec = TraceRecorder()
     fast_rec = TraceRecorder()
     run_engine(scenario, "reference", observer=ref_rec)
-    run_engine(
-        scenario, engine, observer=fast_rec, engine_backend=engine_backend
-    )
+    run_engine(scenario, engine, observer=fast_rec)
     return _compare_event_streams(scenario, ref_rec, fast_rec)
 
 
@@ -464,7 +438,7 @@ def bucket_key(scenario: Scenario) -> tuple:
 
 def run_bucket(
     scenarios, *, observers=None, stats: dict | None = None,
-    tracer: SpanTracer | None = None, engine_backend: str = "numpy",
+    tracer: SpanTracer | None = None,
 ) -> list[EngineTrace]:
     """Execute a same-shape bucket as one tensorized campaign.
 
@@ -498,7 +472,6 @@ def run_bucket(
         [list(scenario.streams) for scenario in scenarios],
         observers=list(observers) if observers is not None else None,
         profile_phases=tracer is not None,
-        engine_backend=engine_backend,
     )
     schedules = [_arrival_schedule(scenario) for scenario in scenarios]
     consume = [scenario.consume for scenario in scenarios]
@@ -578,7 +551,7 @@ def run_bucket(
 
 def cross_validate_bucket(
     scenarios, mode: str = "outcome", *, stats: dict | None = None,
-    tracer: SpanTracer | None = None, engine_backend: str = "numpy",
+    tracer: SpanTracer | None = None,
 ) -> list[Divergence | None]:
     """Cross-validate a same-shape bucket: oracle vs campaign engine.
 
@@ -590,10 +563,7 @@ def cross_validate_bucket(
     scenarios = list(scenarios)
     if mode == "trace":
         recorders = [TraceRecorder() for _ in scenarios]
-        run_bucket(
-            scenarios, observers=recorders, stats=stats, tracer=tracer,
-            engine_backend=engine_backend,
-        )
+        run_bucket(scenarios, observers=recorders, stats=stats, tracer=tracer)
         results: list[Divergence | None] = []
         for scenario, recorder in zip(scenarios, recorders):
             ref_rec = TraceRecorder()
@@ -602,9 +572,7 @@ def cross_validate_bucket(
                 _compare_event_streams(scenario, ref_rec, recorder)
             )
         return results
-    tensor_traces = run_bucket(
-        scenarios, stats=stats, tracer=tracer, engine_backend=engine_backend
-    )
+    tensor_traces = run_bucket(scenarios, stats=stats, tracer=tracer)
     return [
         _compare_traces(scenario, run_engine(scenario, "reference"), trace)
         for scenario, trace in zip(scenarios, tensor_traces)
@@ -640,7 +608,7 @@ def _seed_outcome(scenario: Scenario, divergence: Divergence | None) -> SeedOutc
 
 def validate_seed(
     seed: int, n_cycles: int = 1000, mode: str = "outcome",
-    engine: str = "batch", engine_backend: str = "numpy",
+    engine: str = "batch",
 ) -> SeedOutcome:
     """Cross-validate one seed; the sharded campaign's unit of work.
 
@@ -654,16 +622,12 @@ def validate_seed(
     scenario = generate_scenario(seed, n_cycles=n_cycles)
     tracer = current_tracer()
     if tracer is None:
-        return _seed_outcome(
-            scenario, validate(scenario, engine, engine_backend)
-        )
+        return _seed_outcome(scenario, validate(scenario, engine))
     with tracer.span(
         "engine_run", kind="engine-run",
         seed=seed, engine=engine, n_cycles=n_cycles,
     ) as sp:
-        outcome = _seed_outcome(
-            scenario, validate(scenario, engine, engine_backend)
-        )
+        outcome = _seed_outcome(scenario, validate(scenario, engine))
         sp.tag(diverged=outcome.divergence is not None)
     return outcome
 
@@ -683,8 +647,7 @@ class BucketOutcome:
 
 
 def validate_bucket(
-    seeds, n_cycles: int = 1000, mode: str = "outcome",
-    engine_backend: str = "numpy",
+    seeds, n_cycles: int = 1000, mode: str = "outcome"
 ) -> BucketOutcome:
     """Cross-validate one same-shape bucket of seeds tensorized.
 
@@ -701,17 +664,14 @@ def validate_bucket(
     stats: dict = {}
     tracer = current_tracer()
     if tracer is None:
-        divergences = cross_validate_bucket(
-            scenarios, mode, stats=stats, engine_backend=engine_backend
-        )
+        divergences = cross_validate_bucket(scenarios, mode, stats=stats)
     else:
         with tracer.span(
             "engine_run", kind="engine-run",
             scenarios=len(scenarios), n_cycles=n_cycles, engine="tensor",
         ) as sp:
             divergences = cross_validate_bucket(
-                scenarios, mode, stats=stats, tracer=tracer,
-                engine_backend=engine_backend,
+                scenarios, mode, stats=stats, tracer=tracer
             )
             # Fast-forward attribution: bulk-skipped idle cycles are a
             # pure function of the workload, so they are canonical tags.
@@ -742,28 +702,21 @@ def validate_bucket(
 
 
 def _scenario_cache_payload(
-    seed: int, n_cycles: int, mode: str, engine: str = "batch",
-    engine_backend: str = "numpy",
+    seed: int, n_cycles: int, mode: str, engine: str = "batch"
 ) -> dict:
     """Canonical cache-key payload: the *resolved* scenario config.
 
     Keyed on the full derived scenario (not just the seed) plus the
-    engine pair, comparison mode and array backend, so a generator
-    change that alters what a seed means invalidates its cache entry —
-    and tensor-path results never collide with cached sequential-path
-    entries, nor one backend's passes with another's.  That includes
-    the ``numba`` backend: even though its fused kernels are proven
-    byte-identical to the NumPy path, a cached pass records *which*
-    code path validated the scenario, so compiled-kernel runs key
-    separately rather than satisfying (or being satisfied by)
-    NumPy-path lookups.  The package-version/schema token is folded in
-    by :class:`~repro.runner.cache.ResultCache`.
+    engine pair and comparison mode, so a generator change that alters
+    what a seed means invalidates its cache entry — and tensor-path
+    results never collide with cached sequential-path entries.  The
+    package-version/schema token is folded in by
+    :class:`~repro.runner.cache.ResultCache`.
     """
     scenario = generate_scenario(seed, n_cycles=n_cycles)
     return {
         "mode": mode,
         "engines": ["reference", engine],
-        "engine_backend": engine_backend,
         "scenario": {
             "seed": scenario.seed,
             "n_slots": scenario.n_slots,
@@ -907,7 +860,6 @@ def _tensor_campaign(
     cache_dir,
     use_cache: bool,
     tracer: SpanTracer | None = None,
-    engine_backend: str = "numpy",
 ) -> CampaignResult:
     """Bucketed tensor-engine campaign body (see :func:`campaign`).
 
@@ -931,10 +883,7 @@ def _tensor_campaign(
 
     def payload_key(seed: int) -> str:
         return cache.key(
-            _scenario_cache_payload(
-                seed, n_cycles, mode, engine="tensor",
-                engine_backend=engine_backend,
-            )
+            _scenario_cache_payload(seed, n_cycles, mode, engine="tensor")
         )
 
     def prepass() -> list[tuple[int, ...]]:
@@ -972,7 +921,7 @@ def _tensor_campaign(
         validate_bucket,
         items,
         workers=workers,
-        task_args=(n_cycles, mode, engine_backend),
+        task_args=(n_cycles, mode),
         tracer=tracer,
         span_name="bucket",
         span_kind="bucket",
@@ -1017,7 +966,6 @@ def campaign(
     cache_dir=None,
     use_cache: bool = True,
     tracer: SpanTracer | None = None,
-    engine_backend: str = "numpy",
     _task=None,
 ) -> CampaignResult:
     """Cross-validate one scenario per seed; aggregate coverage + failures.
@@ -1033,13 +981,6 @@ def campaign(
     ``(S, N)`` evaluation (:func:`validate_bucket`), sharding whole
     buckets across workers.  Both produce byte-identical merged
     summaries when every seed passes.
-
-    ``engine_backend`` selects the tensor engine's array namespace
-    (:mod:`repro.core.backend`: ``numpy``/``torch``/``cupy``/
-    ``array_api_strict``); every backend must reproduce the NumPy
-    reference byte-for-byte, so a passing campaign is the portability
-    proof for that backend.  Non-tensor engines reject any value other
-    than ``"numpy"``.
 
     ``workers`` shards the workload across processes
     (:func:`repro.runner.run_sharded`; ``0``/``None`` = all cores) —
@@ -1066,10 +1007,6 @@ def campaign(
         raise ValueError(f"unknown campaign mode {mode!r}")
     if engine not in ("batch", "tensor"):
         raise ValueError(f"unknown campaign engine {engine!r}")
-    if engine != "tensor" and engine_backend != "numpy":
-        raise ValueError(
-            f"engine_backend={engine_backend!r} requires engine='tensor'"
-        )
     seeds = list(seeds)
     if tracer is not None:
         with tracer.span(
@@ -1078,11 +1015,11 @@ def campaign(
         ), activate_tracer(tracer):
             return _campaign_body(
                 seeds, n_cycles, stop_on_divergence, mode, engine,
-                workers, cache_dir, use_cache, tracer, engine_backend, _task,
+                workers, cache_dir, use_cache, tracer, _task,
             )
     return _campaign_body(
         seeds, n_cycles, stop_on_divergence, mode, engine,
-        workers, cache_dir, use_cache, None, engine_backend, _task,
+        workers, cache_dir, use_cache, None, _task,
     )
 
 
@@ -1096,13 +1033,12 @@ def _campaign_body(
     cache_dir,
     use_cache: bool,
     tracer: SpanTracer | None,
-    engine_backend: str,
     _task,
 ) -> CampaignResult:
     result = CampaignResult(mode=mode, n_cycles=n_cycles, engine=engine)
     if stop_on_divergence:
         for seed in seeds:
-            outcome = validate_seed(seed, n_cycles, mode, engine, engine_backend)
+            outcome = validate_seed(seed, n_cycles, mode, engine)
             _fold_outcome(result, outcome)
             result.executed += 1
             if outcome.divergence is not None:
@@ -1111,7 +1047,7 @@ def _campaign_body(
     if engine == "tensor" and _task is None:
         return _tensor_campaign(
             seeds, result, n_cycles, mode, workers, cache_dir, use_cache,
-            tracer, engine_backend,
+            tracer,
         )
 
     from repro.runner import ResultCache, run_sharded
@@ -1486,14 +1422,6 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
         "merged summaries when every seed passes)",
     )
     parser.add_argument(
-        "--engine-backend",
-        choices=BACKENDS,
-        default="numpy",
-        help="array namespace for the tensor engine "
-        "(repro.core.backend); requires --engine tensor for any "
-        "value other than numpy",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -1531,12 +1459,10 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        engine_backend=args.engine_backend,
     )
     elapsed = time.perf_counter() - start
     print(
-        f"{mode} mode ({args.engine} engine, "
-        f"{args.engine_backend} backend): "
+        f"{mode} mode ({args.engine} engine): "
         f"{result.scenarios} scenarios, "
         f"{len(result.divergences)} divergences, "
         f"routings={sorted(r.value for r in result.routings)}, "

@@ -1,38 +1,22 @@
-"""Fused nopython kernels: the compiled fast path of the tensor engine.
+"""The whole-run periodic driver: K decision cycles in one scalar loop.
 
-The ``(S, N)`` campaign engine (:mod:`repro.core.tensor_engine`) pays
-interpreter and array-dispatch overhead on *every* decision cycle —
-dozens of small array ops whose per-call cost dominates at small S×N,
-exactly the regime the paper's single-cycle block decision targets and
-the live-service open item in ROADMAP.md cares about.  This module
-re-expresses the per-cycle phases as scalar loops that `numba`_ can
-compile to native code with ``@njit(cache=True)``:
+:func:`run_cycles` is the small-shape side of
+:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic`: K
+periodic decision cycles (rank → winner/block selection → miss
+registration → DWCS window + EDF bias updates → idle fast-forward
+detection via :func:`_next_release`) without returning to the engine,
+using scratch buffers allocated once up front and writing each cycle's
+circulated sid into a preallocated ring (``ring[s, t]``) that the engine
+drains for ``collect_winners``.  At small S×N the per-call cost of
+dozens of small array ops dominates the NumPy loop, and this scalar loop
+wins; the engine picks it by shape (``DRIVER_MAX_CELLS`` in
+:mod:`repro.core.tensor_engine`).
 
-* :func:`rank_into` — the Table 2 packed-integer-key rank cascade
-  (:func:`~repro.core.tensor_engine.table2_rank_order`) as one stable
-  insertion sort per scenario row over the composite key
-  ``(invalid, deadline, packed-window-constraint, arrival, sid)``,
-  including the 16-bit wrap rebasing;
-* :func:`emit_into` — the compare-exchange network replay over the
-  precomputed per-position partner/direction vectors (bitonic) or the
-  perfect-shuffle permutation (paper schedule);
-* :func:`register_misses_into` — the DWCS miss/loss/window-reset
-  scatter, mutating the live window counters in place;
-* :func:`run_cycles` — the **whole-run compiled driver**: K periodic
-  decision cycles (rank → winner/block selection → miss registration →
-  DWCS window + EDF bias updates → idle fast-forward detection via
-  :func:`_next_release`) without returning to Python, using scratch
-  buffers allocated once up front (no per-cycle allocation) and writing
-  each cycle's emitted decision into a preallocated ring
-  (``ring[s, t] = circulated sid``) that the Python side drains for
-  observability / ``collect_winners``.
-
-Every kernel is also a *plain Python function*: when numba is absent
-(or ``NUMBA_DISABLE_JIT=1``) the same code runs interpreted with
-identical semantics, which is what the equivalence suite exercises on
-hosts without the ``jit`` extra.  All state is int64/bool — no floats —
-so compiled, interpreted and NumPy paths are byte-identical by
-construction; :mod:`tests.test_jit_equivalence` asserts it.
+When `numba`_ is importable the driver is compiled with
+``@njit(cache=True)``; otherwise the same code runs as plain Python with
+identical semantics.  All state is int64/bool — no floats — so the
+driver and the NumPy loop are byte-identical by construction;
+``tests/test_jit_equivalence.py`` asserts it.
 
 First-call note: ``cache=True`` persists compiled machine code next to
 the source (``__pycache__``), so the one-time compile cost (~seconds)
@@ -45,24 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch_engine import (
-    _ARR_HALF,
-    _ARR_MASK,
-    _ARR_MOD,
-    _DL_HALF,
-    _DL_MASK,
-    _DL_MOD,
-    _Y_MAX,
-)
+from repro.core.batch_engine import _Y_MAX
 
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "njit",
-    "rank_into",
-    "emit_into",
-    "register_misses_into",
-    "run_cycles",
-]
+__all__ = ["NUMBA_AVAILABLE", "run_cycles"]
 
 try:
     from numba import njit
@@ -71,21 +40,14 @@ try:
 except ImportError:
     NUMBA_AVAILABLE = False
 
-    def njit(*args, **kwargs):
-        """Identity stand-in for ``numba.njit`` when numba is absent.
+    def njit(**options):
+        """Identity stand-in for ``numba.njit(**options)`` when numba is absent.
 
         The kernels below then run as ordinary Python functions with
         identical semantics (the same behavior numba's
-        ``NUMBA_DISABLE_JIT=1`` debugging switch produces), so the
-        equivalence suite can exercise them on any host.
+        ``NUMBA_DISABLE_JIT=1`` debugging switch produces).
         """
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+        return lambda fn: fn
 
 
 #: int64 sentinel beyond any release boundary (idle fast-forward scan).
@@ -140,52 +102,6 @@ def _sort_row(n, order, k_inv, k_dl, k_pk, k_arr):
 
 
 @njit(cache=True)
-def _fill_keys(
-    n, valid, attr_dl, attr_arr, x, y, now, wrap, deadline_only,
-    k_inv, k_dl, k_pk, k_arr,
-):
-    """Materialize one scenario row's rank keys (with wrap rebasing)."""
-    for i in range(n):
-        k_inv[i] = 0 if valid[i] else 1
-        dl = attr_dl[i]
-        arr = attr_arr[i]
-        if wrap:
-            dl = (dl - now) & _DL_MASK
-            if dl >= _DL_HALF:
-                dl -= _DL_MOD
-            arr = (arr - now) & _ARR_MASK
-            if arr >= _ARR_HALF:
-                arr -= _ARR_MOD
-        k_dl[i] = dl
-        k_arr[i] = arr
-        k_pk[i] = 0 if deadline_only else _packed_key(x[i], y[i])
-
-
-@njit(cache=True)
-def rank_into(
-    order, valid, attr_dl, attr_arr, x, y, now, wrap, deadline_only
-):
-    """Fused Table 2 rank cascade: fill ``order`` (S, N) per scenario.
-
-    Permutation-identical to
-    :func:`~repro.core.tensor_engine.table2_rank_order` fed the same
-    rebased keys — the sort is stable and the key cascade identical, so
-    the total (sid-tie-broken) order matches the NumPy path exactly.
-    """
-    s_count, n = order.shape
-    k_inv = np.empty(n, np.int64)
-    k_dl = np.empty(n, np.int64)
-    k_pk = np.empty(n, np.int64)
-    k_arr = np.empty(n, np.int64)
-    for s in range(s_count):
-        _fill_keys(
-            n, valid[s], attr_dl[s], attr_arr[s], x[s], y[s],
-            now, wrap, deadline_only, k_inv, k_dl, k_pk, k_arr,
-        )
-        _sort_row(n, order[s], k_inv, k_dl, k_pk, k_arr)
-
-
-@njit(cache=True)
 def _replay_row(
     state, rank, tmp, n, bitonic, partner_all, gt_all, shuffle, log2n
 ):
@@ -214,61 +130,6 @@ def _replay_row(
                 else:
                     state[2 * p] = a
                     state[2 * p + 1] = b
-
-
-@njit(cache=True)
-def emit_into(state, order, partner_all, gt_all, shuffle, log2n, bitonic):
-    """Fused compare-exchange network replay into ``state`` (S, N).
-
-    Identical to
-    :meth:`~repro.core.tensor_engine.CampaignEngine._emit_positions`:
-    bitonic passes replay through the precomputed per-position
-    partner/direction vectors; the paper schedule replays ``log2(N)``
-    perfect-shuffle + pairwise-exchange rounds.
-    """
-    s_count, n = order.shape
-    rank = np.empty(n, np.int64)
-    tmp = np.empty(n, np.int64)
-    for s in range(s_count):
-        for pos in range(n):
-            rank[order[s, pos]] = pos
-        for j in range(n):
-            state[s, j] = j
-        _replay_row(
-            state[s], rank, tmp, n, bitonic,
-            partner_all, gt_all, shuffle, log2n,
-        )
-
-
-@njit(cache=True)
-def register_misses_into(
-    late, dwcs_like, x, y, cfg_x, cfg_y, missed, violations, window_resets
-):
-    """Fused DWCS miss scatter: the loss-update path at ``late`` slots.
-
-    In-place twin of
-    :meth:`~repro.core.tensor_engine.CampaignEngine._register_misses`.
-    """
-    s_count, n = late.shape
-    for s in range(s_count):
-        for i in range(n):
-            if not late[s, i]:
-                continue
-            missed[s, i] += 1
-            if not dwcs_like[s, i]:
-                continue
-            if x[s, i] > 0:
-                x[s, i] -= 1
-                if y[s, i] > 0:
-                    y[s, i] -= 1
-                if y[s, i] == 0 or x[s, i] == y[s, i]:
-                    x[s, i] = cfg_x[s, i]
-                    y[s, i] = cfg_y[s, i]
-                    window_resets[s, i] += 1
-            else:
-                violations[s, i] += 1
-                nxt = y[s, i] + 1
-                y[s, i] = nxt if nxt < _Y_MAX else _Y_MAX
 
 
 @njit(cache=True)
@@ -303,7 +164,7 @@ def _loss_update_at(s, i, x, y, cfg_x, cfg_y, violations, window_resets):
 def _next_release(loaded, consumed, strides, n_cycles, have_streams):
     """Idle fast-forward detection: the earliest pending release.
 
-    The compiled twin of the NumPy path's
+    The scalar twin of the NumPy loop's
     ``min(where(loaded, avail, FAR_FUTURE))`` scan.
     """
     if not have_streams:
@@ -353,11 +214,11 @@ def run_cycles(
     ring,
     stats,
 ):
-    """Whole-run compiled driver: K periodic decision cycles, no Python.
+    """Whole-run driver: K periodic decision cycles in one scalar loop.
 
-    The fused twin of
-    :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic`'s
-    cycle loop.  All ``(S, N)`` state/counter arrays are mutated in
+    The small-shape side of
+    :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic`,
+    byte-identical to its NumPy loop.  All ``(S, N)`` state/counter arrays are mutated in
     place; every emitted decision lands in the preallocated ring
     (``ring[s, t] = circulated sid``, rows stay ``-1`` on idle/sat-out
     cycles) when the ring has capacity; ``stats`` returns

@@ -174,6 +174,11 @@ class ShareStreamsScheduler:
         Models the streaming unit writing a 16-bit arrival-time offset
         into the slot's card-SRAM queue.
         """
+        if not 0 <= sid < self.config.n_slots:
+            raise ValueError(
+                f"sid {sid} out of range for "
+                f"{self.config.n_slots}-slot scheduler"
+            )
         self.slot(sid).enqueue_request(deadline, arrival, length)
 
     # ------------------------------------------------------------------

@@ -34,16 +34,15 @@ cycles where a decision can actually differ from "nothing happened".
 backed by a one-row campaign, cross-validated cycle-by-cycle by
 :mod:`repro.core.differential` like every other engine.
 
-Every batched kernel dispatches through an
-:class:`~repro.core.backend.ArrayApiBackend`
-(``engine_backend="numpy"|"torch"|"cupy"|"array_api_strict"``), so the
-``(S, N)`` state can live on whichever array library/device the caller
-selects; all observables are byte-identical across backends (the
-determinism contract in :mod:`repro.core.backend`).  The Table 2 rank
-cascade runs as :func:`table2_rank_order` — a packed-integer-key stable
-composite sort, permutation-identical to the historical
-``numpy.lexsort`` formulation because the cascade's final ``sid`` key
-makes the order total.
+The Table 2 rank cascade runs as :func:`table2_rank_order`, one
+:func:`numpy.lexsort` over the ``(S, N)`` keys with the three window-
+constraint keys packed into one order-exact integer word.
+
+:meth:`CampaignEngine.run_periodic` picks its kernel by shape: at or
+below :data:`DRIVER_MAX_CELLS` scenario-slots it runs the scalar
+whole-run driver :func:`repro.core.jit.run_cycles` (compiled by numba
+when numba is importable), above it the NumPy loop.  Both sides are
+byte-identical; the constant sits at their measured crossover.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from collections import deque
 
 import numpy as np
 
+from repro.core import jit
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.backend import ArrayApiBackend, NumpyBackend, resolve_backend
 from repro.core.batch_engine import (
     _ARR_HALF,
     _ARR_MASK,
@@ -76,6 +75,7 @@ from repro.core.scheduler import DecisionOutcome
 from repro.observability.hooks import resolve_observer
 
 __all__ = [
+    "DRIVER_MAX_CELLS",
     "CampaignEngine",
     "TensorScheduler",
     "TensorSlotView",
@@ -90,16 +90,21 @@ _EDF = _MODE_CODE[SchedulingMode.EDF]
 #: every such gap past 1, making ``(x << 16) // y`` *order-exact*:
 #: floored keys compare identically to the exact rationals (and equal
 #: rationals floor to equal keys).  This replaces the float ``x / y``
-#: lexsort key with an integer one that sorts identically on every
-#: backend.
+#: lexsort key with an integer one.
 _WC_SHIFT = 16
 
 #: int64 sentinel larger than any release boundary (idle fast-forward).
 _FAR_FUTURE = 2**62
 
+#: Largest S×N (scenarios × slots) whose :meth:`CampaignEngine.run_periodic`
+#: runs the scalar whole-run driver instead of the NumPy loop.  Placed at
+#: the measured crossover of the plain-Python driver, which runs at
+#: 3.5–4.7× the NumPy loop at S×N=4, 0.93–1.30× at 16 and 0.36–0.70× at
+#: 32 (``benchmarks/test_bench_jit.py``).
+DRIVER_MAX_CELLS = 16
+
 
 def table2_rank_order(
-    bk: ArrayApiBackend,
     *,
     invalid,
     dl,
@@ -107,54 +112,35 @@ def table2_rank_order(
     x=None,
     y=None,
     deadline_only: bool = False,
-):
-    """Backend-portable Table 2 rank cascade over the last axis.
+) -> np.ndarray:
+    """Table 2 rank cascade over the last axis: one stable lexsort.
 
     Produces the exact permutation of::
 
         np.lexsort((sid, arr, num_key, den_key, wc, dl, invalid))
 
-    (or ``np.lexsort((sid, arr, dl, invalid))`` when ``deadline_only``)
-    without ``lexsort``, which has no array API equivalent.  The
-    cascade runs as stable argsort passes from least- to
-    most-significant key; the three bounded window-constraint keys
-    (ratio, denominator, numerator — 8-bit fields) pack into one
-    integer word so the full cascade costs at most three passes on top
-    of the implicit slot-order (``sid``) base case.  Because ``sid`` is
-    unique per scenario the order is total, so any correct sort yields
-    the *identical* permutation — byte-identity with the historical
-    NumPy path holds by construction and is asserted by the hypothesis
-    equivalence suite.
+    (or ``np.lexsort((sid, arr, dl, invalid))`` when ``deadline_only``),
+    where ``wc = x / y`` is the float loss-constraint ratio.  The three
+    bounded window-constraint keys (ratio, denominator, numerator —
+    8-bit fields) pack into one order-exact integer word, and the
+    ``sid`` key is implicit because ``lexsort`` is stable.
 
-    All operands are ``(S, N)`` backend arrays: ``invalid`` bool (sorts
+    All operands are ``(S, N)`` arrays: ``invalid`` bool (sorts
     loaded-and-pending slots first), ``dl``/``arr`` rebased int64
     deadline/arrival keys, ``x``/``y`` the live window-constraint
     counters (ignored when ``deadline_only``).
     """
-    # Base case: the identity order along the slot axis IS the sid key,
-    # and every later pass is stable, so ties keep ascending sid.
-    order = bk.argsort_stable(arr)
-    if not deadline_only:
-        zero_wc = (x == 0) | (y == 0)
-        wc_key = bk.where(
-            zero_wc, 0, (x << _WC_SHIFT) // bk.where(y == 0, 1, y)
-        )
-        # den key is -y for zero-ratio slots, else 0; shift by +255 so
-        # it packs as an unsigned 8-bit lane (order is translation-
-        # invariant).  num key is x for live-ratio slots, else 0.
-        den_key = bk.where(zero_wc, 255 - y, 255)
-        num_key = bk.where(zero_wc, 0, x)
-        packed = (wc_key << 16) | (den_key << 8) | num_key
-        order = bk.take_along_last(
-            order, bk.argsort_stable(bk.take_along_last(packed, order))
-        )
-    order = bk.take_along_last(
-        order, bk.argsort_stable(bk.take_along_last(dl, order))
-    )
-    inv = bk.astype(invalid, bk.int64)
-    return bk.take_along_last(
-        order, bk.argsort_stable(bk.take_along_last(inv, order))
-    )
+    if deadline_only:
+        return np.lexsort((arr, dl, invalid), axis=-1)
+    zero_wc = (x == 0) | (y == 0)
+    wc_key = np.where(zero_wc, 0, (x << _WC_SHIFT) // np.where(y == 0, 1, y))
+    # den key is -y for zero-ratio slots, else 0; shift by +255 so it
+    # packs as an unsigned 8-bit lane (order is translation-invariant).
+    # num key is x for live-ratio slots, else 0.
+    den_key = np.where(zero_wc, 255 - y, 255)
+    num_key = np.where(zero_wc, 0, x)
+    packed = (wc_key << 16) | (den_key << 8) | num_key
+    return np.lexsort((arr, packed, dl, invalid), axis=-1)
 
 
 def _per_scenario(value, n_scenarios: int, name: str) -> list:
@@ -237,13 +223,6 @@ class CampaignEngine:
         via :meth:`phase_report`.  Disabled (default) the per-cycle cost
         is a single ``is not None`` check per phase boundary, matching
         the observer-hook contract.
-    engine_backend:
-        Array library the ``(S, N)`` state and batched kernels run on —
-        a :mod:`repro.core.backend` name (``"numpy"`` default,
-        ``"torch"``, ``"cupy"``, ``"array_api_strict"``) or a
-        pre-built :class:`~repro.core.backend.ArrayApiBackend`.
-        Resolved lazily, so optional libraries stay optional; every
-        backend produces byte-identical observables.
     """
 
     def __init__(
@@ -255,7 +234,6 @@ class CampaignEngine:
         observers=None,
         trace_timeline: bool = False,
         profile_phases: bool = False,
-        engine_backend: str | ArrayApiBackend = "numpy",
     ) -> None:
         if stream_lists is None:
             if n_scenarios is None:
@@ -282,41 +260,38 @@ class CampaignEngine:
         self._n = n
         self._wrap = config.wrap
         self._deadline_only = config.deadline_only
-        bk = resolve_backend(engine_backend)
-        self._b = bk
-        self.engine_backend = bk.name
 
         shape = (s_count, n)
-        i64, boo = bk.int64, bk.bool_
+        i64 = np.int64
         # -- per-(scenario, slot) state, mirroring BatchScheduler --
         self._configs: list[list[StreamConfig | None]] = [
             [None] * n for _ in range(s_count)
         ]
-        self._loaded = bk.zeros(shape, boo)
-        self._has_head = bk.zeros(shape, boo)
-        self._attr_deadline = bk.zeros(shape, i64)
-        self._attr_arrival = bk.zeros(shape, i64)
-        self._x = bk.zeros(shape, i64)
-        self._y = bk.zeros(shape, i64)
-        self._cfg_x = bk.zeros(shape, i64)
-        self._cfg_y = bk.zeros(shape, i64)
-        self._head_deadline = bk.zeros(shape, i64)
-        self._head_arrival = bk.zeros(shape, i64)
-        self._head_length = bk.zeros(shape, i64)
-        self._edf_bias = bk.zeros(shape, i64)
-        self._period = bk.ones(shape, i64)
-        self._init_deadline = bk.zeros(shape, i64)
-        self._mode = bk.full(shape, _MODE_CODE[SchedulingMode.DWCS], i64)
-        self._dwcs_like = bk.zeros(shape, boo)
-        self._iota = bk.arange(n)
+        self._loaded = np.zeros(shape, dtype=bool)
+        self._has_head = np.zeros(shape, dtype=bool)
+        self._attr_deadline = np.zeros(shape, dtype=i64)
+        self._attr_arrival = np.zeros(shape, dtype=i64)
+        self._x = np.zeros(shape, dtype=i64)
+        self._y = np.zeros(shape, dtype=i64)
+        self._cfg_x = np.zeros(shape, dtype=i64)
+        self._cfg_y = np.zeros(shape, dtype=i64)
+        self._head_deadline = np.zeros(shape, dtype=i64)
+        self._head_arrival = np.zeros(shape, dtype=i64)
+        self._head_length = np.zeros(shape, dtype=i64)
+        self._edf_bias = np.zeros(shape, dtype=i64)
+        self._period = np.ones(shape, dtype=i64)
+        self._init_deadline = np.zeros(shape, dtype=i64)
+        self._mode = np.full(shape, _MODE_CODE[SchedulingMode.DWCS], dtype=i64)
+        self._dwcs_like = np.zeros(shape, dtype=bool)
+        self._iota = np.arange(n, dtype=i64)
 
         # -- performance counters --
-        self._wins = bk.zeros(shape, i64)
-        self._serviced = bk.zeros(shape, i64)
-        self._missed = bk.zeros(shape, i64)
-        self._violations = bk.zeros(shape, i64)
-        self._window_resets = bk.zeros(shape, i64)
-        self._loads = bk.zeros(shape, i64)
+        self._wins = np.zeros(shape, dtype=i64)
+        self._serviced = np.zeros(shape, dtype=i64)
+        self._missed = np.zeros(shape, dtype=i64)
+        self._violations = np.zeros(shape, dtype=i64)
+        self._window_resets = np.zeros(shape, dtype=i64)
+        self._loads = np.zeros(shape, dtype=i64)
         self._fast_forwarded = 0  # idle decision cycles skipped in bulk
         #: phase -> [calls, wall seconds]; None = accounting disabled.
         self._phase_profile: dict[str, list] | None = (
@@ -335,68 +310,35 @@ class CampaignEngine:
         ]
 
         # -- network geometry (memoized, shared across engines) --
-        self._shuffle = bk.from_numpy(build_shuffle_permutation(n))
+        self._shuffle = build_shuffle_permutation(n)
         self._log2n = n.bit_length() - 1
         self._bitonic_passes = build_bitonic_passes(n)
-        # Per-position replay vectors: the pass geometry re-expressed as
-        # full-width gathers (no strided/fancy writeback) so one
-        # compare-exchange pass is pure take/where on any backend.
-        # ``partner_full[j]`` is j's compare partner; ``gt_full[j]`` is
-        # True where j takes the partner's value on ``rank[j] >
-        # rank[partner]`` (ascending lane member), False where the
-        # condition is ``<`` — i.e. ``asc == (j is the pair's low
-        # index)``.
-        pass_vectors = []
-        for idx, partner, asc in self._bitonic_passes:
-            partner_full = np.empty(n, dtype=np.int64)
-            partner_full[idx] = partner
-            partner_full[partner] = idx
-            gt_full = np.empty(n, dtype=bool)
-            gt_full[idx] = asc
-            gt_full[partner] = ~asc
-            pass_vectors.append(
-                (bk.from_numpy(partner_full), bk.from_numpy(gt_full))
-            )
-        self._bitonic_pass_vectors = tuple(pass_vectors)
-
-        # -- fused compiled kernels (engine_backend="numba") --
-        # A backend carrying ``jit_kernels`` (the NumbaBackend) routes
-        # the fused entry points — rank cascade, network replay, miss
-        # scatter, whole-run periodic driver — through repro.core.jit.
-        # The pass geometry is stacked into dense (P, N) arrays so one
-        # kernel argument replays every pass without Python iteration.
-        self._jit = getattr(bk, "jit_kernels", None)
-        if self._jit is not None:
-            p_count = len(self._bitonic_passes)
-            partner_all = np.empty((p_count, n), dtype=np.int64)
-            gt_all = np.empty((p_count, n), dtype=bool)
-            for p, (partner_full, gt_full) in enumerate(
-                self._bitonic_pass_vectors
-            ):
-                partner_all[p] = partner_full
-                gt_all[p] = gt_full
-            self._jit_partner = partner_all
-            self._jit_gt = gt_all
-            self._jit_shuffle = np.ascontiguousarray(
-                np.asarray(self._shuffle, dtype=np.int64)
-            )
+        # Per-position replay vectors, one row per bitonic pass: the
+        # pass geometry re-expressed as full-width gathers.
+        # ``_pass_partner[p, j]`` is j's compare partner in pass p;
+        # ``_pass_gt[p, j]`` is True where j takes the partner's value on
+        # ``rank[j] > rank[partner]`` (ascending lane member), False
+        # where the condition is ``<`` — i.e. ``asc == (j is the pair's
+        # low index)``.  The NumPy replay walks the rows; the periodic
+        # driver takes the dense arrays whole.
+        p_count = len(self._bitonic_passes)
+        self._pass_partner = np.empty((p_count, n), dtype=i64)
+        self._pass_gt = np.empty((p_count, n), dtype=bool)
+        for p, (idx, partner, asc) in enumerate(self._bitonic_passes):
+            self._pass_partner[p, idx] = partner
+            self._pass_partner[p, partner] = idx
+            self._pass_gt[p, idx] = asc
+            self._pass_gt[p, partner] = ~asc
 
         # -- per-cycle scratch, reused across decision cycles --
-        # decision_cycle_all used to rebuild these outcome accumulators
-        # and boolean masks every cycle; hot campaigns run millions of
-        # cycles, so they are hoisted here and cleared/overwritten per
-        # call instead (NumPy-family backends only for the array
-        # scratch — array-API namespaces lack ufunc ``out=``).
+        # Hot campaigns run millions of cycles, so decision_cycle_all
+        # clears/overwrites these outcome accumulators and boolean masks
+        # per call instead of rebuilding them.
         self._cycle_dropped: list[list] = [[] for _ in range(s_count)]
         self._cycle_misses: list[list[int]] = [[] for _ in range(s_count)]
-        self._counting_cache: dict[tuple, object] = {}
-        self._np_state = isinstance(bk, NumpyBackend)
-        self._scratch_valid = (
-            np.empty(shape, dtype=bool) if self._np_state else None
-        )
-        self._scratch_late = (
-            np.empty(shape, dtype=bool) if self._np_state else None
-        )
+        self._counting_cache: dict[tuple, np.ndarray] = {}
+        self._scratch_valid = np.empty(shape, dtype=bool)
+        self._scratch_late = np.empty(shape, dtype=bool)
 
         for s, streams in enumerate(stream_lists):
             if streams:
@@ -411,7 +353,10 @@ class CampaignEngine:
     def load_stream(self, scenario: int, stream: StreamConfig) -> TensorSlotView:
         """Bind a stream's constraints to its slot in one scenario."""
         if not 0 <= scenario < self.n_scenarios:
-            raise ValueError(f"scenario {scenario} out of range")
+            raise ValueError(
+                f"scenario {scenario} out of range for "
+                f"{self.n_scenarios}-scenario campaign"
+            )
         if not 0 <= stream.sid < self._n:
             raise ValueError(
                 f"sid {stream.sid} out of range for "
@@ -455,6 +400,15 @@ class CampaignEngine:
         length: int = 1500,
     ) -> None:
         """Deposit one packet request into a scenario's slot queue."""
+        if not 0 <= scenario < self.n_scenarios:
+            raise ValueError(
+                f"scenario {scenario} out of range for "
+                f"{self.n_scenarios}-scenario campaign"
+            )
+        if not 0 <= sid < self._n:
+            raise ValueError(
+                f"sid {sid} out of range for {self._n}-slot scheduler"
+            )
         if self._configs[scenario][sid] is None:
             raise KeyError(
                 f"no stream loaded in scenario {scenario} slot {sid}"
@@ -556,32 +510,22 @@ class CampaignEngine:
     # SCHEDULE phase: rank + network emulation, batched over scenarios
     # ------------------------------------------------------------------
 
-    def _rank(self, now: int, valid, attr_dl, attr_arr, x, y):
+    def _rank(self, now: int, valid, attr_dl, attr_arr, x, y) -> np.ndarray:
         """``(S, N)`` slot orders, highest-priority-first per scenario.
 
-        One :func:`table2_rank_order` composite stable sort over the
-        Table 2 key cascade ranks *every scenario in the campaign* in a
-        single call — the keys are ``(S, N)`` and the sort runs along
-        the last axis, on whichever backend holds the state.
+        One :func:`table2_rank_order` lexsort over the Table 2 key
+        cascade ranks *every scenario in the campaign* in a single call
+        — the keys are ``(S, N)`` and the sort runs along the last axis.
         """
-        bk = self._b
-        if self._jit is not None:
-            order = np.empty(valid.shape, dtype=np.int64)
-            self._jit.rank_into(
-                order, valid, attr_dl, attr_arr, x, y,
-                now, self._wrap, self._deadline_only,
-            )
-            return order
         if self._wrap:
             dl = (attr_dl - now) & _DL_MASK
-            dl = bk.where(dl >= _DL_HALF, dl - _DL_MOD, dl)
+            dl = np.where(dl >= _DL_HALF, dl - _DL_MOD, dl)
             arr = (attr_arr - now) & _ARR_MASK
-            arr = bk.where(arr >= _ARR_HALF, arr - _ARR_MOD, arr)
+            arr = np.where(arr >= _ARR_HALF, arr - _ARR_MOD, arr)
         else:
             dl = attr_dl
             arr = attr_arr
         return table2_rank_order(
-            bk,
             invalid=~valid,
             dl=dl,
             arr=arr,
@@ -590,46 +534,37 @@ class CampaignEngine:
             deadline_only=self._deadline_only,
         )
 
-    def _emit_positions(self, order):
+    def _emit_positions(self, order: np.ndarray) -> np.ndarray:
         """``(S, N)`` slot IDs in emitted network-position order.
 
         Replays the compare-exchange network on the per-scenario rank
         arrays; each pass's per-position partner/direction geometry
         broadcasts across the scenario axis, so S networks advance per
-        array op.  Expressed entirely as gathers + ``where`` (no
-        scatter writeback), so the replay is backend-portable.
+        array op.
         """
-        bk = self._b
         s_count, n = order.shape
-        if self._jit is not None:
-            state_out = np.empty((s_count, n), dtype=np.int64)
-            self._jit.emit_into(
-                state_out, np.ascontiguousarray(order),
-                self._jit_partner, self._jit_gt, self._jit_shuffle,
-                self._log2n, self.config.schedule == "bitonic",
-            )
-            return state_out
         # order is a permutation per row, so its argsort IS the inverse
         # permutation: rank[sid] = network position of that slot.
-        rank = bk.argsort_stable(order)
-        state = bk.broadcast_to(self._iota, (s_count, n))
+        rank = np.argsort(order, axis=-1)
+        state = np.broadcast_to(self._iota, (s_count, n))
         if self.config.schedule == "bitonic":
-            for partner_full, gt_full in self._bitonic_pass_vectors:
-                st_p = bk.take(state, partner_full, axis=1)
-                r_s = bk.take_along_last(rank, state)
-                r_p = bk.take_along_last(rank, st_p)
-                take = bk.where(gt_full, r_s > r_p, r_s < r_p)
-                state = bk.where(take, st_p, state)
+            for partner, gt in zip(self._pass_partner, self._pass_gt):
+                st_p = state[:, partner]
+                r_s = np.take_along_axis(rank, state, axis=-1)
+                r_p = np.take_along_axis(rank, st_p, axis=-1)
+                take = np.where(gt, r_s > r_p, r_s < r_p)
+                state = np.where(take, st_p, state)
         else:
             for _ in range(self._log2n):
-                state = bk.take(state, self._shuffle, axis=1)
-                r = bk.take_along_last(rank, state)
+                state = state[:, self._shuffle]
+                r = np.take_along_axis(rank, state, axis=-1)
                 a = state[:, 0::2]
                 b = state[:, 1::2]
                 swap = r[:, 0::2] > r[:, 1::2]
-                lo = bk.where(swap, b, a)
-                hi = bk.where(swap, a, b)
-                state = bk.interleave_pairs(lo, hi)
+                lo = np.where(swap, b, a)
+                hi = np.where(swap, a, b)
+                # lo0, hi0, lo1, hi1, ...: the exchange writeback.
+                state = np.stack((lo, hi), axis=-1).reshape(s_count, n)
         return state
 
     @property
@@ -642,72 +577,58 @@ class CampaignEngine:
     # batched miss registration and window updates
     # ------------------------------------------------------------------
 
-    def _register_misses(self, late) -> None:
-        """Vectorized miss path over all late heads in all scenarios.
-
-        Full-array masked rebinds (no boolean-scatter writes), so the
-        kernel runs unchanged on every backend.
-        """
-        bk = self._b
-        if self._jit is not None:
-            self._jit.register_misses_into(
-                np.ascontiguousarray(late), self._dwcs_like,
-                self._x, self._y, self._cfg_x, self._cfg_y,
-                self._missed, self._violations, self._window_resets,
-            )
-            return
-        self._missed = bk.where(late, self._missed + 1, self._missed)
+    def _register_misses(self, late: np.ndarray) -> None:
+        """Vectorized miss path over all late heads in all scenarios."""
+        self._missed = np.where(late, self._missed + 1, self._missed)
         dwcs = late & self._dwcs_like
-        if not bk.any(dwcs):
+        if not dwcs.any():
             return
         x, y = self._x, self._y
         has_loss = dwcs & (x > 0)
-        x = bk.where(has_loss, x - 1, x)
-        y = bk.where(has_loss & (y > 0), y - 1, y)
+        x = np.where(has_loss, x - 1, x)
+        y = np.where(has_loss & (y > 0), y - 1, y)
         reset = has_loss & ((y == 0) | (x == y))
         violated = dwcs & ~has_loss
-        y = bk.where(violated, bk.minimum(y + 1, _Y_MAX), y)
-        self._x = bk.where(reset, self._cfg_x, x)
-        self._y = bk.where(reset, self._cfg_y, y)
-        self._window_resets = bk.where(
+        y = np.where(violated, np.minimum(y + 1, _Y_MAX), y)
+        self._x = np.where(reset, self._cfg_x, x)
+        self._y = np.where(reset, self._cfg_y, y)
+        self._window_resets = np.where(
             reset, self._window_resets + 1, self._window_resets
         )
-        self._violations = bk.where(
+        self._violations = np.where(
             violated, self._violations + 1, self._violations
         )
 
-    def _win_update_mask(self, sel) -> None:
+    def _win_update_mask(self, sel: np.ndarray) -> None:
         """Batched win update at the ``(S, N)`` mask's set positions.
 
         Callers select at most one winner per scenario row (a one-hot
         row mask), mirroring the reference engine's per-slot update.
         """
-        bk = self._b
         x, y = self._x, self._y
-        y = bk.where(sel & (y > 0), y - 1, y)
+        y = np.where(sel & (y > 0), y - 1, y)
         reset = sel & ((y == 0) | (y <= x))
-        self._x = bk.where(reset, self._cfg_x, x)
-        self._y = bk.where(reset, self._cfg_y, y)
-        self._window_resets = bk.where(
+        self._x = np.where(reset, self._cfg_x, x)
+        self._y = np.where(reset, self._cfg_y, y)
+        self._window_resets = np.where(
             reset, self._window_resets + 1, self._window_resets
         )
 
-    def _loss_update_mask(self, sel) -> None:
+    def _loss_update_mask(self, sel: np.ndarray) -> None:
         """Batched loss update at the ``(S, N)`` mask's set positions."""
-        bk = self._b
         x, y = self._x, self._y
         has_loss = sel & (x > 0)
-        nx = bk.where(has_loss, x - 1, x)
-        ny = bk.where(has_loss & (y > 0), y - 1, y)
+        nx = np.where(has_loss, x - 1, x)
+        ny = np.where(has_loss & (y > 0), y - 1, y)
         reset = has_loss & ((ny == 0) | (nx == ny))
         violated = sel & ~has_loss
-        ny = bk.where(violated, bk.minimum(ny + 1, _Y_MAX), ny)
-        self._x = bk.where(reset, self._cfg_x, nx)
-        self._y = bk.where(reset, self._cfg_y, ny)
-        self._window_resets = bk.where(
+        ny = np.where(violated, np.minimum(ny + 1, _Y_MAX), ny)
+        self._x = np.where(reset, self._cfg_x, nx)
+        self._y = np.where(reset, self._cfg_y, ny)
+        self._window_resets = np.where(
             reset, self._window_resets + 1, self._window_resets
         )
-        self._violations = bk.where(
+        self._violations = np.where(
             violated, self._violations + 1, self._violations
         )
 
@@ -774,33 +695,23 @@ class CampaignEngine:
                     )
 
         # SCHEDULE: one rank + one network replay for all scenarios.
-        bk = self._b
-        if self._scratch_valid is not None:
-            valid = np.logical_and(
-                self._has_head, self._loaded, out=self._scratch_valid
-            )
-        else:
-            valid = self._has_head & self._loaded
+        valid = np.logical_and(
+            self._has_head, self._loaded, out=self._scratch_valid
+        )
         rank_order = self._rank(
             now, valid, self._attr_deadline, self._attr_arrival,
             self._x, self._y,
         )
         if self.config.winner_only:
-            winners = bk.to_numpy(rank_order[:, 0])
-            valid_np = bk.to_numpy(valid)
             orders = [
-                [int(w)] if valid_np[s, w] else []
-                for s, w in enumerate(winners)
+                [int(w)] if valid[s, w] else []
+                for s, w in enumerate(rank_order[:, 0])
             ]
         else:
             emitted = self._emit_positions(rank_order)
-            emitted_np = np.asarray(bk.to_numpy(emitted))
-            emitted_valid_np = np.asarray(
-                bk.to_numpy(bk.take_along_last(valid, emitted))
-            )
+            emitted_valid = np.take_along_axis(valid, emitted, axis=-1)
             orders = [
-                emitted_np[s][emitted_valid_np[s]].tolist()
-                for s in range(s_count)
+                emitted[s][emitted_valid[s]].tolist() for s in range(s_count)
             ]
         passes = self._schedule_passes
         self.control.schedule(passes, detail=f"t={now}")
@@ -811,32 +722,25 @@ class CampaignEngine:
             acc[1] += _t1 - _t0
 
         # Miss registration, batched over the scenarios that count them.
-        if self._scratch_late is not None:
-            scratch = self._scratch_late
-            if self._wrap:
-                diff = (self._head_deadline - now) & _DL_MASK
-                np.greater_equal(diff, _DL_HALF, out=scratch)
-            else:
-                np.less(self._head_deadline, now, out=scratch)
-            late = np.logical_and(scratch, valid, out=scratch)
-        elif self._wrap:
+        late = self._scratch_late
+        if self._wrap:
             diff = (self._head_deadline - now) & _DL_MASK
-            late = valid & (diff >= _DL_HALF)
+            np.greater_equal(diff, _DL_HALF, out=late)
         else:
-            late = valid & (self._head_deadline < now)
+            np.less(self._head_deadline, now, out=late)
+        np.logical_and(late, valid, out=late)
         # Per-scenario count_misses policies recur across cycles, so
         # the broadcast mask is memoized instead of rebuilt per cycle.
         count_key = tuple(count_s)
         counting = self._counting_cache.get(count_key)
         if counting is None:
-            counting = self._counting_cache[count_key] = bk.asarray(
-                list(count_key), dtype=bk.bool_
+            counting = self._counting_cache[count_key] = np.asarray(
+                count_key, dtype=bool
             )
         counted_late = late & counting[:, None]
-        if bk.any(counted_late):
-            counted_np = np.asarray(bk.to_numpy(counted_late))
-            for s in np.nonzero(counted_np.any(axis=1))[0]:
-                misses[int(s)].extend(np.nonzero(counted_np[s])[0].tolist())
+        if counted_late.any():
+            for s in np.nonzero(counted_late.any(axis=1))[0]:
+                misses[int(s)].extend(np.nonzero(counted_late[s])[0].tolist())
             self._register_misses(counted_late)
 
         # PRIORITY_UPDATE: per-scenario circulate/consume (queue-backed,
@@ -976,7 +880,14 @@ class CampaignEngine:
         ``offsets``/``step``/``stride`` broadcast over ``(S, N)``.
         Returns one :class:`PeriodicRunResult` per scenario, each
         identical to the per-scenario ``BatchScheduler`` run.
+
+        Campaigns of at most :data:`DRIVER_MAX_CELLS` scenario-slots
+        run the whole K-cycle loop in the scalar driver
+        :func:`repro.core.jit.run_cycles` instead, unless
+        ``trace_timeline`` is on; both sides produce identical results.
         """
+        if n_cycles < 0:
+            raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
         if self._wrap:
             raise ValueError(
                 "run_periodic requires ideal arithmetic (wrap=False)"
@@ -988,47 +899,41 @@ class CampaignEngine:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
-        bk = self._b
         s_count, n = self.n_scenarios, self._n
         shape = (s_count, n)
         loaded = self._loaded
         if offsets is None:
-            offs = bk.where(loaded, self._init_deadline, 0)
+            offs = np.where(loaded, self._init_deadline, 0)
         else:
-            offs = bk.from_numpy(
-                np.ascontiguousarray(
-                    np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
-                )
+            offs = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
             )
         if step is None:
             steps = self._period
         else:
-            steps = bk.from_numpy(
-                np.ascontiguousarray(
-                    np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
-                )
+            steps = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
             )
         if stride is None:
             strides = None
         else:
-            strides_np = np.broadcast_to(
-                np.asarray(stride, dtype=np.int64), shape
+            strides = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(stride, dtype=np.int64), shape)
             )
-            if (strides_np < 1).any():
+            if (strides < 1).any():
                 raise ValueError("stride must be >= 1")
-            strides = bk.from_numpy(np.ascontiguousarray(strides_np))
 
-        if self._jit is not None and not self.trace_timeline:
-            # Whole-run compiled driver: the K-cycle loop runs inside
-            # one nopython kernel.  Timeline tracing needs per-cycle
-            # control-FSM entries, so traced runs keep the array path.
-            return self._run_periodic_compiled(
+        if s_count * n <= DRIVER_MAX_CELLS and not self.trace_timeline:
+            # Small shapes: the whole K-cycle loop runs in the scalar
+            # driver.  Timeline tracing needs per-cycle control-FSM
+            # entries, so traced runs keep the NumPy loop.
+            return self._run_periodic_driver(
                 n_cycles, offs, steps, strides,
                 consume=consume, count_misses=count_misses,
                 collect_winners=collect_winners, fast_forward=fast_forward,
             )
 
-        consumed = bk.zeros(shape, bk.int64)
+        consumed = np.zeros(shape, dtype=np.int64)
         edf = self._mode == _EDF
         max_first = self.config.block_mode is BlockMode.MAX_FIRST
         winner_only = self.config.winner_only
@@ -1039,21 +944,21 @@ class CampaignEngine:
         )
         update_cycles = self.config.update_cycles
         iota = self._iota
-        have_streams = bk.any(loaded)
+        have_streams = bool(loaded.any())
 
         def gather_col(array2d, cols):
             """Per-scenario column gather: ``array2d[s, cols[s]]``."""
-            return bk.take_along_last(array2d, cols[:, None])[:, 0]
+            return np.take_along_axis(array2d, cols[:, None], axis=-1)[:, 0]
 
         t = 0
         while t < n_cycles:
             avail = consumed if strides is None else consumed * strides
             valid = loaded & (avail <= t)
-            active = bk.any_along_last(valid)
-            if not bk.any(active):
+            active = valid.any(axis=-1)
+            if not active.any():
                 if fast_forward:
                     nxt = (
-                        bk.min_int(bk.where(loaded, avail, _FAR_FUTURE))
+                        int(np.where(loaded, avail, _FAR_FUTURE).min())
                         if have_streams
                         else n_cycles
                     )
@@ -1070,10 +975,10 @@ class CampaignEngine:
                     t += 1
                 continue
             real_dl = offs + consumed * steps
-            attr_dl = real_dl + bk.where(edf, self._edf_bias, 0)
+            attr_dl = real_dl + np.where(edf, self._edf_bias, 0)
             order = self._rank(t, valid, attr_dl, consumed, self._x, self._y)
             late = valid & (real_dl < t)
-            if count_misses and bk.any(late):
+            if count_misses and late.any():
                 self._register_misses(late)
             # Emitted block head / tail selection, one per scenario.
             w = order[:, 0]
@@ -1081,13 +986,12 @@ class CampaignEngine:
                 circulated = w
             else:
                 emitted = self._emit_positions(order)
-                emitted_valid = bk.take_along_last(valid, emitted)
+                emitted_valid = np.take_along_axis(valid, emitted, axis=-1)
                 # Last valid network position per scenario (block tail).
-                last = (n - 1) - bk.argmax_last(bk.flip_last(emitted_valid))
+                last = (n - 1) - np.argmax(emitted_valid[:, ::-1], axis=-1)
                 circulated = gather_col(emitted, last)
             # One-hot circulated-winner mask over active scenarios; all
-            # per-cycle updates below are full-array masked rebinds, so
-            # the loop body is pure backend ops (no scatter indexing).
+            # per-cycle updates below are full-array masked rebinds.
             onehot = iota[None, :] == circulated[:, None]
             sel = active[:, None] & onehot
             if consume == "winner":
@@ -1104,37 +1008,36 @@ class CampaignEngine:
                     win_mask = dw & ~late_c
                     loss_mask = dw & late_c
                     edf_mask = edf_c
-                if bk.any(win_mask):
+                if win_mask.any():
                     self._win_update_mask(win_mask[:, None] & onehot)
-                if loss_mask is not None and bk.any(loss_mask):
+                if loss_mask is not None and loss_mask.any():
                     self._loss_update_mask(loss_mask[:, None] & onehot)
-                if bk.any(edf_mask):
+                if edf_mask.any():
                     edf_sel = edf_mask[:, None] & onehot
-                    self._edf_bias = bk.where(
+                    self._edf_bias = np.where(
                         edf_sel, self._edf_bias + steps, self._edf_bias
                     )
-                self._serviced = bk.where(sel, self._serviced + 1, self._serviced)
-                consumed = bk.where(sel, consumed + 1, consumed)
+                self._serviced = np.where(
+                    sel, self._serviced + 1, self._serviced
+                )
+                consumed = np.where(sel, consumed + 1, consumed)
             else:  # block: every valid head consumed this cycle
                 head_sel = active[:, None] & (iota[None, :] == w[:, None])
                 dw_sel = head_sel & self._dwcs_like
-                if bk.any(dw_sel):
+                if dw_sel.any():
                     self._win_update_mask(dw_sel)
                 edf_sel = head_sel & edf
-                if bk.any(edf_sel):
-                    self._edf_bias = bk.where(
+                if edf_sel.any():
+                    self._edf_bias = np.where(
                         edf_sel, self._edf_bias + steps, self._edf_bias
                     )
-                self._serviced = bk.where(
+                self._serviced = np.where(
                     valid, self._serviced + 1, self._serviced
                 )
-                consumed = bk.where(valid, consumed + 1, consumed)
-            self._wins = bk.where(sel, self._wins + 1, self._wins)
+                consumed = np.where(valid, consumed + 1, consumed)
+            self._wins = np.where(sel, self._wins + 1, self._wins)
             if winners is not None:
-                active_np = np.asarray(bk.to_numpy(active))
-                winners[active_np, t] = np.asarray(bk.to_numpy(circulated))[
-                    active_np
-                ]
+                winners[active, t] = circulated[active]
             self.control.schedule(self._schedule_passes, detail=f"t={t}")
             self.control.priority_update(
                 update_cycles, detail="circulate=<campaign>"
@@ -1146,30 +1049,25 @@ class CampaignEngine:
         self, n_cycles: int, winners: np.ndarray | None
     ) -> list[PeriodicRunResult]:
         """Snapshot the per-scenario counters into run results."""
-        bk = self._b
-        loaded_np = np.asarray(bk.to_numpy(self._loaded))
-        wins_np = np.asarray(bk.to_numpy(self._wins))
-        missed_np = np.asarray(bk.to_numpy(self._missed))
-        serviced_np = np.asarray(bk.to_numpy(self._serviced))
         return [
             PeriodicRunResult(
-                n_streams=int(loaded_np[s].sum()),
+                n_streams=int(self._loaded[s].sum()),
                 decision_cycles=n_cycles,
-                wins=wins_np[s].copy(),
-                misses=missed_np[s].copy(),
-                serviced=serviced_np[s].copy(),
-                frames_scheduled=int(serviced_np[s].sum()),
+                wins=self._wins[s].copy(),
+                misses=self._missed[s].copy(),
+                serviced=self._serviced[s].copy(),
+                frames_scheduled=int(self._serviced[s].sum()),
                 winners=winners[s].copy() if winners is not None else None,
             )
             for s in range(self.n_scenarios)
         ]
 
-    def _run_periodic_compiled(
+    def _run_periodic_driver(
         self,
         n_cycles: int,
-        offs,
-        steps,
-        strides,
+        offs: np.ndarray,
+        steps: np.ndarray,
+        strides: np.ndarray | None,
         *,
         consume: str,
         count_misses: bool,
@@ -1178,32 +1076,30 @@ class CampaignEngine:
     ) -> list[PeriodicRunResult]:
         """Drive :func:`repro.core.jit.run_cycles` and replay accounting.
 
-        State/counter arrays are the engine's own (the NumbaBackend
-        keeps them as host ndarrays) and the kernel mutates them in
-        place; the decision ring comes back with one circulated sid per
+        The driver mutates the engine's state/counter arrays in place;
+        the decision ring comes back with one circulated sid per
         (scenario, cycle) and is drained into ``winners``.  Control
-        accounting is replayed in bulk from the kernel's cycle stats —
+        accounting is replayed in bulk from the driver's cycle stats —
         with tracing off :class:`~repro.core.control.ControlUnit` is a
         pure counter, so the bulk replay is state-identical to the
-        per-cycle calls the array path makes.
+        per-cycle calls the NumPy loop makes.
         """
         s_count = self.n_scenarios
-        shape = (s_count, self._n)
         if strides is None:
-            strides = np.ones(shape, dtype=np.int64)
+            strides = np.ones((s_count, self._n), dtype=np.int64)
         ring = np.full(
             (s_count, n_cycles if collect_winners else 0),
             -1, dtype=np.int64,
         )
         stats = np.zeros(3, dtype=np.int64)
-        self._jit.run_cycles(
+        jit.run_cycles(
             int(n_cycles),
             self._loaded,
-            np.ascontiguousarray(offs),
-            np.ascontiguousarray(steps),
-            np.ascontiguousarray(strides),
+            offs,
+            steps,
+            strides,
             self._dwcs_like,
-            np.ascontiguousarray(self._mode == _EDF),
+            self._mode == _EDF,
             self._x, self._y, self._cfg_x, self._cfg_y, self._edf_bias,
             self._wins, self._serviced, self._missed,
             self._violations, self._window_resets,
@@ -1211,12 +1107,12 @@ class CampaignEngine:
             self.config.winner_only,
             self.config.block_mode is BlockMode.MAX_FIRST,
             self.config.schedule == "bitonic",
-            self._jit_partner, self._jit_gt, self._jit_shuffle,
+            self._pass_partner, self._pass_gt, self._shuffle,
             self._log2n,
             consume == "block",
             bool(count_misses),
             bool(fast_forward),
-            bool(self._b.any(self._loaded)),
+            bool(self._loaded.any()),
             ring,
             stats,
         )
@@ -1237,7 +1133,7 @@ class CampaignEngine:
                 acc[1] += time.perf_counter() - _t0
         if nonff:
             self.control.advance_decision_cycles(
-                nonff, passes, update_cycles, detail="compiled run"
+                nonff, passes, update_cycles, detail="periodic driver"
             )
         return self._periodic_results(
             n_cycles, ring if collect_winners else None
@@ -1309,7 +1205,6 @@ class TensorScheduler:
         trace_timeline: bool = False,
         trace=None,
         observer=None,
-        engine_backend: str | ArrayApiBackend = "numpy",
     ) -> None:
         self.config = config
         self.trace = trace
@@ -1320,10 +1215,8 @@ class TensorScheduler:
             [list(streams) if streams else None],
             observers=[self.observer] if self.observer is not None else None,
             trace_timeline=trace_timeline,
-            engine_backend=engine_backend,
         )
         self.control = self._engine.control
-        self.engine_backend = self._engine.engine_backend
 
     @property
     def engine(self) -> CampaignEngine:

@@ -710,8 +710,7 @@ class PifoCampaignFrontend:
     """
 
     def __init__(
-        self, fn: RankFunction, scenarios: Sequence[PifoScenario],
-        *, engine_backend: str = "numpy",
+        self, fn: RankFunction, scenarios: Sequence[PifoScenario]
     ) -> None:
         if not scenarios:
             raise ValueError("need at least one scenario")
@@ -726,13 +725,9 @@ class PifoCampaignFrontend:
         n = self.scenarios[0].n_slots
         self._s = s_count
         self._n = n
-        # The rank/credit arrays stay NumPy (the compiled rank functions
-        # are NumPy ufunc expressions); only the slot-state engine runs
-        # on the selected backend, talking through enqueue/decision.
         self.engine = CampaignEngine(
             _pifo_arch(n),
             [_service_tag_streams(n) for _ in range(s_count)],
-            engine_backend=engine_backend,
         )
         self._rank_fn = fn.compile_tensor()
         self._finish_fn = fn.compile_finish(vectorized=True)
@@ -899,21 +894,12 @@ def run_pifo(
 
 
 def run_pifo_bucket(
-    fn: RankFunction | str, scenarios: Sequence[PifoScenario],
-    *, engine_backend: str = "numpy",
+    fn: RankFunction | str, scenarios: Sequence[PifoScenario]
 ) -> list[dict]:
-    """Tensorized bucket run: all same-shape scenarios in one engine.
-
-    ``engine_backend`` selects the campaign engine's array namespace
-    (``"numpy"``, ``"numba"`` for the fused compiled kernels, or any
-    other :mod:`repro.core.backend` name/instance); summaries are
-    byte-identical across backends.
-    """
+    """Tensorized bucket run: all same-shape scenarios in one engine."""
     if isinstance(fn, str):
         fn = rank_function(fn)
-    return PifoCampaignFrontend(
-        fn, scenarios, engine_backend=engine_backend
-    ).run()
+    return PifoCampaignFrontend(fn, scenarios).run()
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,11 @@ __all__ = ["CACHE_SCHEMA", "CacheStats", "ResultCache"]
 #: every pre-aggregation entry — which lacks those payload fields — is
 #: invalidated wholesale and a cached non-aggregated campaign result
 #: can never satisfy an aggregated lookup.
-CACHE_SCHEMA = 3
+#: 4: differential scenario keys dropped their array-backend field.  A
+#: schema-3 entry written before that field existed has exactly the
+#: payload the current code computes, so the bump keeps such entries
+#: from being served as hits.
+CACHE_SCHEMA = 4
 
 
 def _package_version() -> str:

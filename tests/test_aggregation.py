@@ -285,10 +285,10 @@ class TestDifferentialPath:
 
 
 class TestCacheSchema:
-    def test_schema_is_3(self):
+    def test_schema_is_4(self):
         from repro.runner.cache import CACHE_SCHEMA
 
-        assert CACHE_SCHEMA == 3
+        assert CACHE_SCHEMA == 4
 
     def test_schema_bump_evicts_cleanly(self, tmp_path):
         """Entries keyed under an older schema can never satisfy

@@ -1,22 +1,20 @@
-"""The backend byte-identity contract, enforced by property testing.
+"""The Table 2 rank permutation contract, enforced by property testing.
 
-Two layers of proof that the array-API refactor changed nothing:
+Two implementations rank slots by the Table 2 key cascade, and both
+must produce the *permutation-identical* order to the historical float
+ratio ``np.lexsort`` over the full cascade — including deadline/arrival
+ties, loss-constraint ratio ties (``1/2`` vs ``2/4``), zero-wildcard
+streams and invalid-slot masking:
 
-* :func:`repro.core.tensor_engine.table2_rank_order` — the packed-key
-  stable-sort cascade that replaced ``np.lexsort`` — must produce the
-  *permutation-identical* order to the original lexsort over the full
-  Table 2 key cascade, including deadline/arrival ties, loss-constraint
-  ratio ties (``1/2`` vs ``2/4``), zero-wildcard streams and
-  invalid-slot masking.  The lexsort reference is reconstructed here
-  verbatim from the pre-refactor ``_rank`` so the property pins the
-  historical behavior, not the new implementation.
+* :func:`repro.core.tensor_engine.table2_rank_order`, one ``lexsort``
+  over the ``(S, N)`` keys with the window-constraint keys packed into
+  one order-exact integer word;
+* the periodic driver's stable insertion sort
+  (:func:`repro.core.jit._sort_row` over :func:`repro.core.jit._packed_key`).
 
-* Whole-engine runs — bucketed differential scenarios and periodic
-  feeds — must yield byte-identical observables on every available
-  backend.  The generic :class:`~repro.core.backend.ArrayApiBackend`
-  wrapped around NumPy's namespace always runs (it exercises the
-  standard-only code path the optional libraries use); torch/CuPy legs
-  run when installed, otherwise skip with the availability reason.
+The lexsort reference is reconstructed here verbatim from the original
+``_rank`` so the property pins the historical behavior, not either
+implementation.
 """
 
 from __future__ import annotations
@@ -26,34 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backend import (
-    ArrayApiBackend,
-    available_backends,
-    resolve_backend,
-)
-from repro.core.differential import generate_scenario, run_bucket
-from repro.core.tensor_engine import CampaignEngine, table2_rank_order
-from tests.strategies import bucketed, random_arch_streams
-
-_AVAILABLE = available_backends()
-
-
-def _backend_params():
-    """One param per non-default backend: generic always, libs gated."""
-    params = [pytest.param("generic", id="generic-array-api")]
-    for name in ("torch", "cupy", "array_api_strict"):
-        reason = _AVAILABLE[name]
-        marks = (
-            [pytest.mark.skip(reason=reason)] if reason is not None else []
-        )
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
-
-
-def _resolve(name: str) -> ArrayApiBackend:
-    if name == "generic":
-        return ArrayApiBackend(np, name="generic")
-    return resolve_backend(name)
+from repro.core import jit
+from repro.core.tensor_engine import table2_rank_order
 
 
 def _lexsort_reference(invalid, dl, arr, x, y, *, deadline_only):
@@ -117,7 +89,7 @@ _key_arrays = st.integers(min_value=1, max_value=6).flatmap(
 
 
 class TestPackedKeyCascade:
-    """``table2_rank_order`` is permutation-identical to ``np.lexsort``."""
+    """Both rank implementations are permutation-identical to the reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(_key_arrays)
@@ -127,8 +99,7 @@ class TestPackedKeyCascade:
         x = np.asarray(keys["x"], dtype=np.int64)
         y = np.asarray(keys["y"], dtype=np.int64)
         invalid = np.asarray(keys["invalid"], dtype=bool)
-        bk = resolve_backend("numpy")
-        got = table2_rank_order(bk, invalid=invalid, dl=dl, arr=arr, x=x, y=y)
+        got = table2_rank_order(invalid=invalid, dl=dl, arr=arr, x=x, y=y)
         expected = _lexsort_reference(
             invalid, dl, arr, x, y, deadline_only=False
         )
@@ -140,84 +111,53 @@ class TestPackedKeyCascade:
         dl = np.asarray(keys["dl"], dtype=np.int64)
         arr = np.asarray(keys["arr"], dtype=np.int64)
         invalid = np.asarray(keys["invalid"], dtype=bool)
-        bk = resolve_backend("numpy")
         got = table2_rank_order(
-            bk, invalid=invalid, dl=dl, arr=arr, deadline_only=True
+            invalid=invalid, dl=dl, arr=arr, deadline_only=True
         )
         expected = _lexsort_reference(
             invalid, dl, arr, None, None, deadline_only=True
         )
         np.testing.assert_array_equal(got, expected)
 
-    @settings(max_examples=100, deadline=None)
-    @given(_key_arrays)
-    def test_generic_namespace_agrees_with_numpy(self, keys):
-        """The standard-only code path ranks identically to NumPy's."""
-        dl = np.asarray(keys["dl"], dtype=np.int64)
-        arr = np.asarray(keys["arr"], dtype=np.int64)
-        x = np.asarray(keys["x"], dtype=np.int64)
-        y = np.asarray(keys["y"], dtype=np.int64)
-        invalid = np.asarray(keys["invalid"], dtype=bool)
-        generic = ArrayApiBackend(np, name="generic")
-        got = generic.to_numpy(
-            table2_rank_order(
-                generic, invalid=invalid, dl=dl, arr=arr, x=x, y=y
-            )
-        )
-        expected = _lexsort_reference(
-            invalid, dl, arr, x, y, deadline_only=False
-        )
-        np.testing.assert_array_equal(got, expected)
-
     def test_ratio_ties_break_on_numerator(self):
         """1/2 vs 2/4: equal loss-constraint, ordered by raw numerator."""
-        bk = resolve_backend("numpy")
         shape = (1, 4)
         dl = np.zeros(shape, dtype=np.int64)
         arr = np.zeros(shape, dtype=np.int64)
         invalid = np.zeros(shape, dtype=bool)
         x = np.asarray([[2, 1, 2, 1]], dtype=np.int64)
         y = np.asarray([[4, 2, 4, 2]], dtype=np.int64)
-        got = table2_rank_order(bk, invalid=invalid, dl=dl, arr=arr, x=x, y=y)
+        got = table2_rank_order(invalid=invalid, dl=dl, arr=arr, x=x, y=y)
         expected = _lexsort_reference(
             invalid, dl, arr, x, y, deadline_only=False
         )
         np.testing.assert_array_equal(got, expected)
         assert got.tolist() == [[1, 3, 0, 2]]
 
-
-class TestCrossBackendByteIdentity:
-    """Whole-engine observables agree across every available backend."""
-
-    @pytest.mark.parametrize("backend", _backend_params())
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
-    def test_bucketed_campaign_traces_identical(self, backend, seed):
-        scenarios = [
-            generate_scenario(seed * 8 + i, n_cycles=60) for i in range(4)
-        ]
-        for bucket in bucketed(scenarios).values():
-            baseline = run_bucket(bucket)
-            alternate = run_bucket(bucket, engine_backend=_resolve(backend))
-            assert baseline == alternate
-
-    @pytest.mark.parametrize("backend", _backend_params())
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
-    def test_periodic_run_identical(self, backend, seed):
-        arch, streams = random_arch_streams(seed, 8)
-
-        def run(engine_backend):
-            engine = CampaignEngine(
-                arch, [streams], engine_backend=engine_backend
+    @pytest.mark.parametrize("deadline_only", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(keys=_key_arrays)
+    def test_driver_insertion_sort_matches_lexsort(self, keys, deadline_only):
+        """The periodic driver's packed-key insertion sort, row by row."""
+        dl = np.asarray(keys["dl"], dtype=np.int64)
+        arr = np.asarray(keys["arr"], dtype=np.int64)
+        x = np.asarray(keys["x"], dtype=np.int64)
+        y = np.asarray(keys["y"], dtype=np.int64)
+        invalid = np.asarray(keys["invalid"], dtype=bool)
+        s_count, n = dl.shape
+        got = np.empty((s_count, n), dtype=np.int64)
+        for s in range(s_count):
+            k_pk = np.asarray(
+                [
+                    0 if deadline_only else jit._packed_key(x[s, i], y[s, i])
+                    for i in range(n)
+                ],
+                dtype=np.int64,
             )
-            return engine.run_periodic(
-                120, step=2, collect_winners=True
-            )[0]
-
-        baseline = run("numpy")
-        alternate = run(_resolve(backend))
-        np.testing.assert_array_equal(baseline.wins, alternate.wins)
-        np.testing.assert_array_equal(baseline.misses, alternate.misses)
-        np.testing.assert_array_equal(baseline.serviced, alternate.serviced)
-        np.testing.assert_array_equal(baseline.winners, alternate.winners)
+            jit._sort_row(
+                n, got[s], invalid[s].astype(np.int64), dl[s], k_pk, arr[s]
+            )
+        expected = _lexsort_reference(
+            invalid, dl, arr, x, y, deadline_only=deadline_only
+        )
+        np.testing.assert_array_equal(got, expected)

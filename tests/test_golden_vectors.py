@@ -94,33 +94,20 @@ class TestTable3Traces:
         assert res.serviced.tolist() == vec["serviced"]
 
 
-class TestTable3TensorBackends:
-    """The pinned traces replay on every installable array backend.
-
-    ``REPRO_GOLDEN_BACKEND`` selects the leg (default ``numpy``, which
-    always runs and pins the tensor engine to the committed vectors);
-    the CI backend matrix exports it per job so each installable
-    backend replays the same pinned traces.  A selected backend whose
-    library is missing skips with the availability reason.
-    """
+class TestTable3TensorDispatch:
+    """The pinned traces replay through ``TensorScheduler.run_periodic``
+    on both sides of the shape dispatch: the scalar periodic driver
+    (compiled when numba is importable) and the NumPy loop."""
 
     @pytest.mark.parametrize("config", sorted(regen._TABLE3_CONFIGS))
-    def test_tensor_engine_matches_on_selected_backend(self, config):
-        import os
+    @pytest.mark.parametrize("driver_max_cells", [0, 1 << 30], ids=["numpy", "driver"])
+    def test_tensor_engine_matches(self, monkeypatch, driver_max_cells, config):
+        from repro.core import tensor_engine
 
-        from repro.core.backend import BACKENDS, available_backends
-        from repro.core.tensor_engine import TensorScheduler
-
-        backend = os.environ.get("REPRO_GOLDEN_BACKEND", "numpy")
-        assert backend in BACKENDS
-        reason = available_backends()[backend]
-        if reason is not None:
-            pytest.skip(reason)
+        monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", driver_max_cells)
         data = _load("table3_vectors.json")
         vec = data["configs"][config]
-        engine = TensorScheduler(
-            *regen.table3_arch_streams(vec), engine_backend=backend
-        )
+        engine = tensor_engine.TensorScheduler(*regen.table3_arch_streams(vec))
         res = engine.run_periodic(
             vec["n_cycles"],
             offsets=np.arange(1, 5, dtype=np.int64),

@@ -1,75 +1,44 @@
-"""Byte-identity of the fused compiled decision-cycle kernels.
+"""Byte-identity of the two ``run_periodic`` sides, and the shape dispatch.
 
-The ``numba`` backend routes the tensor engine's per-cycle phases —
-packed-key rank cascade, sorting-network replay, DWCS miss/window
-scatter — plus the whole-run :func:`repro.core.jit.run_cycles` driver
-through nopython-style kernels.  The kernels are written so they run
-unchanged *interpreted* (numba absent, or ``NUMBA_DISABLE_JIT=1``),
-which is exactly what ``NumbaBackend(force_interpreted=True)`` gives
-us here: the same code paths the JIT compiles, byte-compared against
-the NumPy array path on every workload family the engine serves —
-bucketed differential campaigns, periodic feeds over the full flag
-matrix, PIFO rank functions, and aggregation-tier churn.
-
-A second group pins the degrade contract: resolving ``"numba"`` on a
-host without numba warns exactly once, returns the NumPy backend, and
-produces identical observables.
+:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
+scalar whole-run driver :func:`repro.core.jit.run_cycles` at or below
+``DRIVER_MAX_CELLS`` scenario-slots and the NumPy loop above it.  Each
+test here forces one side by pinning the constant and byte-compares the
+two on the same inputs, over the full periodic flag matrix: winner and
+block consumption, offsets, steps, strides, miss counting, idle
+fast-forward, and the lockstep control counters.  The driver runs
+compiled when numba is importable and as plain Python otherwise; the
+suite holds either way.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.backend as backend_mod
-from repro.aggregation import (
-    generate_aggregation_scenario,
-    run_aggregation_bucket,
-)
-from repro.core import jit
-from repro.core.backend import (
-    BackendUnavailable,
-    NumbaBackend,
-    resolve_backend,
-)
-from repro.core.differential import generate_scenario, run_bucket
+from repro.core import tensor_engine
+from repro.core.batch_engine import BatchScheduler
 from repro.core.tensor_engine import CampaignEngine
-from repro.disciplines.pifo import (
-    PIFO_RANK_FUNCTIONS,
-    generate_pifo_scenario,
-    run_pifo_bucket,
-)
-from tests.strategies import bucketed, random_arch_streams
+from tests.strategies import random_arch_streams
+
+#: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
+SIDES = {"numpy": 0, "driver": 1 << 30}
 
 
-def _jit_backend() -> NumbaBackend:
-    """The kernel path, runnable whether or not numba is installed."""
-    return NumbaBackend(force_interpreted=True)
+def _forced(monkeypatch, side: str) -> None:
+    monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", SIDES[side])
 
 
 class TestKernelByteIdentity:
-    """Fused kernels == NumPy array path on every workload family."""
+    """The periodic driver == the NumPy loop over the flag matrix."""
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
-    def test_bucketed_campaigns_identical(self, seed):
-        scenarios = [
-            generate_scenario(seed * 8 + i, n_cycles=60) for i in range(4)
-        ]
-        for bucket in bucketed(scenarios).values():
-            baseline = run_bucket(bucket)
-            compiled = run_bucket(bucket, engine_backend=_jit_backend())
-            assert baseline == compiled
-
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16 - 1))
     def test_periodic_runs_identical(self, seed):
-        """The whole-run driver over the full run_periodic flag matrix."""
         rng = random.Random(seed)
         n = rng.choice([4, 8])
         arch, streams_a = random_arch_streams(seed, n)
@@ -80,126 +49,94 @@ class TestKernelByteIdentity:
         kwargs = dict(
             offsets=offsets if rng.random() < 0.5 else None,
             step=rng.choice([None, 1, 2, 3]),
-            stride=rng.choice([None, 1, 2]),
+            stride=rng.choice([None, 1, 2, 3]),
             # Block consumption requires BA routing (WR emits only the
             # winner); the drawn arch decides which policies are legal.
             consume=rng.choice(
-                ["winner", "block"]
-                if not arch.winner_only
-                else ["winner"]
+                ["winner", "block"] if not arch.winner_only else ["winner"]
             ),
             count_misses=rng.choice([True, False]),
             fast_forward=rng.choice([True, False]),
             collect_winners=True,
         )
 
-        def run(engine_backend):
-            engine = CampaignEngine(
-                arch, [streams_a, streams_b], engine_backend=engine_backend
-            )
-            results = engine.run_periodic(120, **kwargs)
+        def run(side):
+            with pytest.MonkeyPatch.context() as mp:
+                _forced(mp, side)
+                engine = CampaignEngine(arch, [streams_a, streams_b])
+                results = engine.run_periodic(120, **kwargs)
             return engine, results
 
         ref_engine, ref = run("numpy")
-        jit_engine, got = run(_jit_backend())
+        drv_engine, got = run("driver")
         assert len(ref) == len(got)
-        for r, g in zip(ref, got):
+        for s, (r, g) in enumerate(zip(ref, got)):
             np.testing.assert_array_equal(r.wins, g.wins)
             np.testing.assert_array_equal(r.misses, g.misses)
             np.testing.assert_array_equal(r.serviced, g.serviced)
             np.testing.assert_array_equal(r.winners, g.winners)
             assert r.frames_scheduled == g.frames_scheduled
-        assert ref_engine.control.hw_cycle == jit_engine.control.hw_cycle
+            assert ref_engine.counters(s) == drv_engine.counters(s)
+        for name in ("_x", "_y", "_edf_bias"):
+            np.testing.assert_array_equal(
+                getattr(ref_engine, name), getattr(drv_engine, name)
+            )
+        assert ref_engine.control.hw_cycle == drv_engine.control.hw_cycle
         assert (
             ref_engine.control.decision_cycles
-            == jit_engine.control.decision_cycles
+            == drv_engine.control.decision_cycles
         )
-        assert ref_engine.fast_forwarded == jit_engine.fast_forwarded
-
-    @pytest.mark.parametrize("name", sorted(PIFO_RANK_FUNCTIONS))
-    def test_pifo_rank_functions_identical(self, name):
-        scenarios = [
-            generate_pifo_scenario(seed, n_cycles=60) for seed in range(6)
-        ]
-        baseline = run_pifo_bucket(name, scenarios)
-        compiled = run_pifo_bucket(
-            name, scenarios, engine_backend=_jit_backend()
-        )
-        assert baseline == compiled
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16 - 1),
-        discipline=st.sampled_from(
-            ["pifo:sfq", "pifo:fcfs", "pifo:edf", "pifo:prio"]
-        ),
-    )
-    def test_aggregation_churn_identical(self, seed, discipline):
-        scenarios = [
-            generate_aggregation_scenario(
-                seed * 4 + i,
-                n_streams=24,
-                n_aggregates=4,
-                n_cycles=80,
-                discipline=discipline,
-                join_rate=0.3,
-                leave_rate=0.25,
-            )
-            for i in range(3)
-        ]
-        baseline = run_aggregation_bucket(scenarios)
-        compiled = run_aggregation_bucket(
-            scenarios, engine_backend=_jit_backend()
-        )
-        assert baseline == compiled
+        assert ref_engine.fast_forwarded == drv_engine.fast_forwarded
 
 
-class TestBackendSurface:
-    """Constructor gating and interpreted-mode bookkeeping."""
-
-    def test_interpreted_backend_flags(self):
-        bk = _jit_backend()
-        assert bk.name == "numba"
-        assert bk.jit_kernels is jit
-        assert bk.jit_compiled == jit.NUMBA_AVAILABLE
-
-    @pytest.mark.skipif(
-        jit.NUMBA_AVAILABLE, reason="numba installed on this host"
-    )
-    def test_direct_construction_requires_numba(self):
-        with pytest.raises(BackendUnavailable):
-            NumbaBackend()
-
-
-class TestNoNumbaFallback:
-    """``"numba"`` degrades to NumPy with a single warning."""
+class TestShapeDispatch:
+    """Which side runs: S×N against the constant, and tracing."""
 
     @pytest.fixture()
-    def fresh_fallback(self, monkeypatch):
-        """Un-cache the numba resolution and re-arm the warn-once flag."""
-        monkeypatch.setattr(jit, "NUMBA_AVAILABLE", False)
-        monkeypatch.setattr(backend_mod, "_numba_fallback_warned", False)
-        saved = backend_mod._CACHE.pop("numba", None)
-        yield
-        backend_mod._CACHE.pop("numba", None)
-        if saved is not None:
-            backend_mod._CACHE["numba"] = saved
+    def driver_calls(self, monkeypatch):
+        calls: list[tuple[int, int]] = []
+        real = tensor_engine.jit.run_cycles
 
-    def test_resolve_warns_once_and_degrades(self, fresh_fallback):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            bk = resolve_backend("numba")
-        assert bk.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = resolve_backend("numba")
-        assert again is bk
+        def spy(n_cycles, loaded, *args):
+            calls.append(loaded.shape)
+            return real(n_cycles, loaded, *args)
 
-    def test_fallback_results_identical(self, fresh_fallback):
-        scenarios = [generate_scenario(7 * 8 + i, n_cycles=60)
-                     for i in range(4)]
-        for bucket in bucketed(scenarios).values():
-            baseline = run_bucket(bucket)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                degraded = run_bucket(bucket, engine_backend="numba")
-            assert baseline == degraded
+        monkeypatch.setattr(tensor_engine.jit, "run_cycles", spy)
+        return calls
+
+    def _engine(self, s_count, n, **kwargs):
+        arch, streams = random_arch_streams(5, n)
+        return CampaignEngine(arch, [streams] * s_count, **kwargs)
+
+    def test_constant_splits_the_shapes(self, driver_calls):
+        limit = tensor_engine.DRIVER_MAX_CELLS
+        self._engine(1, limit).run_periodic(10)
+        self._engine(2, limit).run_periodic(10)
+        assert driver_calls == [(1, limit)]
+
+    def test_traced_runs_keep_the_numpy_loop(self, driver_calls):
+        engine = self._engine(1, 4, trace_timeline=True)
+        engine.run_periodic(10)
+        assert driver_calls == []
+        assert engine.control.timeline
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_negative_cycle_count_rejected(self, monkeypatch, side):
+        _forced(monkeypatch, side)
+        with pytest.raises(ValueError, match="n_cycles"):
+            self._engine(1, 4).run_periodic(-1)
+
+    def test_batch_engine_rejects_negative_cycle_count(self):
+        arch, streams = random_arch_streams(5, 4)
+        with pytest.raises(ValueError, match="n_cycles"):
+            BatchScheduler(arch, streams).run_periodic(-1)
+
+
+def test_resolve_backend_names_the_driver_compiler():
+    """The host-fingerprint query: numba when importable, else numpy."""
+    from repro.core.backend import resolve_backend
+
+    expected = "numba" if tensor_engine.jit.NUMBA_AVAILABLE else "numpy"
+    assert resolve_backend("numba").name == expected
+    with pytest.raises(ValueError, match="torch"):
+        resolve_backend("torch")

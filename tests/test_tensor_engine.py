@@ -21,12 +21,18 @@ Three properties are pinned here:
 
 import dataclasses
 import random
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_engine import BatchScheduler, build_bitonic_passes
+from repro.core.batch_engine import (
+    BatchScheduler,
+    build_bitonic_passes,
+    make_scheduler,
+)
 from repro.core.config import BlockMode, Routing
 from repro.core.differential import (
     campaign,
@@ -302,3 +308,23 @@ class TestTensorAdapterSurface:
         b = CampaignEngine(arch, [streams, streams])
         assert a._bitonic_passes is passes
         assert b._bitonic_passes is passes
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+@pytest.mark.parametrize("target", ["reference", "batch", "tensor", "scenario"])
+def test_out_of_range_ids_fail_loudly(target, index):
+    """A sid (or campaign scenario index) outside the engine raises
+    instead of wrapping around to the last slot or scenario."""
+    arch, streams = _random_arch_streams(3, 4)
+    if target == "scenario":
+        engine = CampaignEngine(arch, [streams] * 4)
+        message = f"scenario {index} out of range for 4-scenario campaign"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine.enqueue(index, 0, deadline=5, arrival=0)
+        assert not engine.has_pending
+    else:
+        sched = make_scheduler(arch, streams, engine=target)
+        message = f"sid {index} out of range for 4-slot scheduler"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sched.enqueue(index, deadline=5, arrival=0)
+        assert all(sched.slot(sid).head is None for sid in range(4))
