@@ -606,6 +606,11 @@ class BatchScheduler:
         """
         if consume not in ("winner", "block", "none"):
             raise ValueError(f"unknown consume policy {consume!r}")
+        if consume == "block" and self.config.routing is Routing.WR:
+            raise ValueError(
+                "block consumption requires BA routing "
+                "(WR emits only the winner)"
+            )
 
         dropped: list[tuple[int, PendingPacket]] = []
         if drop_late:
@@ -672,11 +677,6 @@ class BatchScheduler:
                         (circulated, PendingPacket(*packet))
                     )
             elif consume == "block":
-                if self.config.routing is Routing.WR:
-                    raise ValueError(
-                        "block consumption requires BA routing "
-                        "(WR emits only the winner)"
-                    )
                 consume_order = (
                     order
                     if self.config.block_mode is BlockMode.MAX_FIRST

@@ -55,21 +55,6 @@ _FAR_FUTURE = 2**62
 
 
 @njit(cache=True)
-def _packed_key(xv, yv):
-    """One int64 word ordering like the (ratio, den, num) key triple.
-
-    Mirrors :func:`~repro.core.tensor_engine.table2_rank_order`:
-    zero-wildcard slots (``x == 0 or y == 0``) carry ``wc_key = 0``,
-    ``den_key = 255 - y``, ``num_key = 0``; live-ratio slots carry the
-    order-exact fixed-point ratio ``(x << 16) // y``, ``den_key = 255``
-    and ``num_key = x``.
-    """
-    if xv == 0 or yv == 0:
-        return (255 - yv) << 8
-    return (((xv << 16) // yv) << 16) | (255 << 8) | xv
-
-
-@njit(cache=True)
 def _key_gt(a, b, k_inv, k_dl, k_pk, k_arr):
     """Strict lexicographic greater-than over the rank key cascade.
 
@@ -102,34 +87,29 @@ def _sort_row(n, order, k_inv, k_dl, k_pk, k_arr):
 
 
 @njit(cache=True)
-def _replay_row(
-    state, rank, tmp, n, bitonic, partner_all, gt_all, shuffle, log2n
-):
-    """Advance one scenario's network state through every pass."""
-    if bitonic:
-        for p in range(partner_all.shape[0]):
-            for j in range(n):
-                ss = state[j]
-                sp = state[partner_all[p, j]]
-                if gt_all[p, j]:
-                    tmp[j] = sp if rank[ss] > rank[sp] else ss
-                else:
-                    tmp[j] = sp if rank[ss] < rank[sp] else ss
-            for j in range(n):
-                state[j] = tmp[j]
-    else:
-        for _ in range(log2n):
-            for j in range(n):
-                tmp[j] = state[shuffle[j]]
-            for p in range(n // 2):
-                a = tmp[2 * p]
-                b = tmp[2 * p + 1]
-                if rank[a] > rank[b]:
-                    state[2 * p] = b
-                    state[2 * p + 1] = a
-                else:
-                    state[2 * p] = a
-                    state[2 * p + 1] = b
+def _replay_row(state, tmp, n, log2n):
+    """Replay the paper schedule on one scenario's ranks.
+
+    ``state[p]`` is the rank held at network position ``p``.  Each
+    pass's perfect shuffle pairs position ``p`` with ``p + n/2``, and
+    the compare-exchange writes the lower rank (higher priority) to the
+    even lane and the higher rank to the odd lane.  ``state`` and
+    ``tmp`` alternate as the pass buffers; returns the one holding the
+    emitted ranks.
+    """
+    half = n // 2
+    for _ in range(log2n):
+        for p in range(half):
+            a = state[p]
+            b = state[p + half]
+            if a < b:
+                tmp[2 * p] = a
+                tmp[2 * p + 1] = b
+            else:
+                tmp[2 * p] = b
+                tmp[2 * p + 1] = a
+        state, tmp = tmp, state
+    return state
 
 
 @njit(cache=True)
@@ -199,13 +179,11 @@ def run_cycles(
     missed,
     violations,
     window_resets,
+    wc_key,
     deadline_only,
     winner_only,
     max_first,
     bitonic,
-    partner_all,
-    gt_all,
-    shuffle,
     log2n,
     consume_block,
     count_misses,
@@ -218,8 +196,10 @@ def run_cycles(
 
     The small-shape side of
     :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic`,
-    byte-identical to its NumPy loop.  All ``(S, N)`` state/counter arrays are mutated in
-    place; every emitted decision lands in the preallocated ring
+    byte-identical to its NumPy loop.  All ``(S, N)`` state/counter
+    arrays are mutated in place; ``wc_key`` is the engine's packed
+    window-constraint key table, indexed ``[x', y']``.  Every emitted
+    decision lands in the preallocated ring
     (``ring[s, t] = circulated sid``, rows stay ``-1`` on idle/sat-out
     cycles) when the ring has capacity; ``stats`` returns
     ``[non-fast-forwarded cycles, fast-forwarded cycles, ff gaps]`` so
@@ -239,7 +219,6 @@ def run_cycles(
     k_arr = np.empty(n, np.int64)
     order = np.empty(n, np.int64)
     rank = np.empty(n, np.int64)
-    state = np.empty(n, np.int64)
     tmp = np.empty(n, np.int64)
     late = np.zeros(n, np.bool_)
     collect = ring.shape[1] > 0
@@ -279,41 +258,45 @@ def run_cycles(
             # SCHEDULE keys: attribute deadline = periodic release (+
             # EDF bias), arrival key = consumed count.  Computed before
             # miss registration, which mutates x/y below.
+            n_valid = 0
             for i in range(n):
-                k_inv[i] = 0 if valid[s, i] else 1
+                if valid[s, i]:
+                    k_inv[i] = 0
+                    n_valid += 1
+                else:
+                    k_inv[i] = 1
                 real_dl = offs[s, i] + consumed[s, i] * steps[s, i]
                 adl = real_dl
                 if edf[s, i]:
                     adl += edf_bias[s, i]
                 k_dl[i] = adl
                 k_arr[i] = consumed[s, i]
-                k_pk[i] = (
-                    0 if deadline_only else _packed_key(x[s, i], y[s, i])
-                )
+                k_pk[i] = 0 if deadline_only else wc_key[x[s, i], y[s, i]]
                 late[i] = valid[s, i] and real_dl < t
-            w = 0
-            for i in range(1, n):
-                if _key_gt(w, i, k_inv, k_dl, k_pk, k_arr):
-                    w = i
             if winner_only or max_first:
+                w = 0
+                for i in range(1, n):
+                    if _key_gt(w, i, k_inv, k_dl, k_pk, k_arr):
+                        w = i
                 circulated = w
             else:
-                # Block tail circulation: full sort + network replay,
-                # then the last valid emitted position.
+                # Block tail circulation: the last valid emitted
+                # position.  Valid slots hold ranks 0..n_valid-1.  A
+                # complete Batcher network sorts, so the bitonic tail
+                # is rank n_valid-1; the paper schedule is replayed on
+                # the ranks.
                 _sort_row(n, order, k_inv, k_dl, k_pk, k_arr)
-                for pos in range(n):
-                    rank[order[pos]] = pos
-                for j in range(n):
-                    state[j] = j
-                _replay_row(
-                    state, rank, tmp, n, bitonic,
-                    partner_all, gt_all, shuffle, log2n,
-                )
-                circulated = w
-                for pos in range(n - 1, -1, -1):
-                    if valid[s, state[pos]]:
-                        circulated = state[pos]
-                        break
+                w = order[0]
+                if bitonic:
+                    circulated = order[n_valid - 1]
+                else:
+                    for pos in range(n):
+                        rank[order[pos]] = pos
+                    emitted = _replay_row(rank, tmp, n, log2n)
+                    pos = n - 1
+                    while emitted[pos] >= n_valid:
+                        pos -= 1
+                    circulated = order[emitted[pos]]
             if count_misses:
                 for i in range(n):
                     if late[i]:

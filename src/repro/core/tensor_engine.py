@@ -34,15 +34,23 @@ cycles where a decision can actually differ from "nothing happened".
 backed by a one-row campaign, cross-validated cycle-by-cycle by
 :mod:`repro.core.differential` like every other engine.
 
-The Table 2 rank cascade runs as :func:`table2_rank_order`, one
-:func:`numpy.lexsort` over the ``(S, N)`` keys with the three window-
-constraint keys packed into one order-exact integer word.
+Each decision pays only for the part of the Table 2 order it uses.
+:func:`table2_rank_order` reads the packed window-constraint key from a
+256×256 table indexed by ``(x', y')``.  WR decisions (and max-first
+periodic cycles) need only each row's head: on rows shorter than
+:data:`HEAD_SCAN_MIN_SLOTS` that is column 0 of one
+:func:`numpy.lexsort`, on longer rows an O(N) masked-minimum scan.  BA
+decisions need the whole emitted block: a complete Batcher network
+sorts, so bitonic emission *is* the rank order, and the paper's
+``log2(N)`` recirculation is replayed on ranks (min/max on the pair
+lanes) with one final gather back to slot ids.
 
 :meth:`CampaignEngine.run_periodic` picks its kernel by shape: at or
 below :data:`DRIVER_MAX_CELLS` scenario-slots it runs the scalar
 whole-run driver :func:`repro.core.jit.run_cycles` (compiled by numba
 when numba is importable), above it the NumPy loop.  Both sides are
-byte-identical; the constant sits at their measured crossover.
+byte-identical; both constants sit at crossovers measured by
+``benchmarks/test_bench_jit.py``.
 """
 
 from __future__ import annotations
@@ -65,17 +73,17 @@ from repro.core.batch_engine import (
     _MODE_CODE,
     _Y_MAX,
     PeriodicRunResult,
-    build_bitonic_passes,
-    build_shuffle_permutation,
 )
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
+from repro.core.fields import LOSS_DEN_FIELD, LOSS_NUM_FIELD
 from repro.core.register_block import PendingPacket, SlotCounters
 from repro.core.scheduler import DecisionOutcome
 from repro.observability.hooks import resolve_observer
 
 __all__ = [
     "DRIVER_MAX_CELLS",
+    "HEAD_SCAN_MIN_SLOTS",
     "CampaignEngine",
     "TensorScheduler",
     "TensorSlotView",
@@ -96,12 +104,76 @@ _WC_SHIFT = 16
 #: int64 sentinel larger than any release boundary (idle fast-forward).
 _FAR_FUTURE = 2**62
 
+#: Key value of masked-out slots in the head scan.
+_INT64_MAX = np.iinfo(np.int64).max
+
 #: Largest S×N (scenarios × slots) whose :meth:`CampaignEngine.run_periodic`
 #: runs the scalar whole-run driver instead of the NumPy loop.  Placed at
 #: the measured crossover of the plain-Python driver, which runs at
-#: 3.5–4.7× the NumPy loop at S×N=4, 0.93–1.30× at 16 and 0.36–0.70× at
-#: 32 (``benchmarks/test_bench_jit.py``).
-DRIVER_MAX_CELLS = 16
+#: 1.96–2.59× the NumPy loop at S×N=4, 0.97–1.31× at 8 and 0.44–0.70× at
+#: 16 (``benchmarks/test_bench_jit.py``).
+DRIVER_MAX_CELLS = 8
+
+#: Shortest row (slot count N) on which :func:`table2_rank_order` finds
+#: each row's head with the O(N) masked-minimum scan instead of column 0
+#: of the lexsort.  The lexsort's cost follows the keys as well as the
+#: shape, so the constant is placed on head-only calls captured from
+#: the two feeds that rank heads on long or many rows
+#: (``benchmarks/test_bench_jit.py``).  On the aggregation tier's keys
+#: the scan runs at 0.71–1.17× the lexsort at N=128, 1.28–1.84× at 256
+#: and 2.9–4.2× at 1024; on the periodic EDF campaign feed, whose keys come
+#: in a few long runs of equal values, the lexsort stays faster at every
+#: swept shape (N=8 and 32, up to S×N=2048).  Row length separates the
+#: two where S×N does not.
+HEAD_SCAN_MIN_SLOTS = 256
+
+
+def _window_key(x, y):
+    """One int64 word ordering like the (ratio, den, num) key triple.
+
+    Zero-wildcard slots (``x == 0 or y == 0``) carry ``wc_key = 0``,
+    ``den_key = 255 - y`` (``-y`` shifted to an unsigned 8-bit lane;
+    order is translation-invariant) and ``num_key = 0``; live-ratio
+    slots carry the order-exact fixed-point ratio, ``den_key = 255`` and
+    ``num_key = x``.
+    """
+    zero_wc = (x == 0) | (y == 0)
+    wc_key = np.where(zero_wc, 0, (x << _WC_SHIFT) // np.where(y == 0, 1, y))
+    den_key = np.where(zero_wc, 255 - y, 255)
+    num_key = np.where(zero_wc, 0, x)
+    return (wc_key << 16) | (den_key << 8) | num_key
+
+
+def _window_key_table() -> np.ndarray:
+    """:func:`_window_key` for every 8-bit ``(x', y')`` pair.
+
+    Built one ``x'`` row at a time: the whole-array build materializes
+    several 65,536-entry temporaries and raises peak RSS by megabytes.
+    """
+    y = np.arange(LOSS_DEN_FIELD.modulus, dtype=np.int64)
+    table = np.empty((LOSS_NUM_FIELD.modulus, y.size), dtype=np.int64)
+    for x in range(LOSS_NUM_FIELD.modulus):
+        table[x] = _window_key(x, y)
+    return table
+
+
+#: Packed window-constraint key, indexed ``[x', y']``.
+_WC_KEY = _window_key_table()
+
+
+def _head_scan(invalid, keys) -> np.ndarray:
+    """Each row's first slot by ``(invalid, *keys)``, in O(N).
+
+    Narrows the valid slots to those holding the row minimum of each
+    key in turn (most significant first); the first survivor is the
+    lowest slot id, ``lexsort``'s stable tie-break.  Rows with no valid
+    slot return 0.
+    """
+    cand = ~invalid
+    for key in keys:
+        masked = np.where(cand, key, _INT64_MAX)
+        cand &= masked == masked.min(axis=-1, keepdims=True)
+    return cand.argmax(axis=-1)
 
 
 def table2_rank_order(
@@ -112,8 +184,9 @@ def table2_rank_order(
     x=None,
     y=None,
     deadline_only: bool = False,
+    head_only: bool = False,
 ) -> np.ndarray:
-    """Table 2 rank cascade over the last axis: one stable lexsort.
+    """Table 2 rank cascade over the last axis.
 
     Produces the exact permutation of::
 
@@ -122,8 +195,15 @@ def table2_rank_order(
     (or ``np.lexsort((sid, arr, dl, invalid))`` when ``deadline_only``),
     where ``wc = x / y`` is the float loss-constraint ratio.  The three
     bounded window-constraint keys (ratio, denominator, numerator —
-    8-bit fields) pack into one order-exact integer word, and the
-    ``sid`` key is implicit because ``lexsort`` is stable.
+    8-bit fields) come packed into one order-exact integer word from a
+    table, and the ``sid`` key is implicit because ``lexsort`` is
+    stable.
+
+    With ``head_only`` it returns just each row's first slot (column 0
+    of that permutation) as an ``(S,)`` array, exact on every row that
+    holds a valid slot.  On rows of at least :data:`HEAD_SCAN_MIN_SLOTS`
+    slots the head comes from an O(N) masked-minimum scan instead of
+    the sort.
 
     All operands are ``(S, N)`` arrays: ``invalid`` bool (sorts
     loaded-and-pending slots first), ``dl``/``arr`` rebased int64
@@ -131,16 +211,13 @@ def table2_rank_order(
     counters (ignored when ``deadline_only``).
     """
     if deadline_only:
-        return np.lexsort((arr, dl, invalid), axis=-1)
-    zero_wc = (x == 0) | (y == 0)
-    wc_key = np.where(zero_wc, 0, (x << _WC_SHIFT) // np.where(y == 0, 1, y))
-    # den key is -y for zero-ratio slots, else 0; shift by +255 so it
-    # packs as an unsigned 8-bit lane (order is translation-invariant).
-    # num key is x for live-ratio slots, else 0.
-    den_key = np.where(zero_wc, 255 - y, 255)
-    num_key = np.where(zero_wc, 0, x)
-    packed = (wc_key << 16) | (den_key << 8) | num_key
-    return np.lexsort((arr, packed, dl, invalid), axis=-1)
+        keys = (dl, arr)
+    else:
+        keys = (dl, _WC_KEY[x, y], arr)
+    if head_only and invalid.shape[-1] >= HEAD_SCAN_MIN_SLOTS:
+        return _head_scan(invalid, keys)
+    order = np.lexsort((*keys[::-1], invalid), axis=-1)
+    return order[..., 0] if head_only else order
 
 
 def _per_scenario(value, n_scenarios: int, name: str) -> list:
@@ -309,26 +386,11 @@ class CampaignEngine:
             [deque() for _ in range(n)] for _ in range(s_count)
         ]
 
-        # -- network geometry (memoized, shared across engines) --
-        self._shuffle = build_shuffle_permutation(n)
+        # -- network geometry --
         self._log2n = n.bit_length() - 1
-        self._bitonic_passes = build_bitonic_passes(n)
-        # Per-position replay vectors, one row per bitonic pass: the
-        # pass geometry re-expressed as full-width gathers.
-        # ``_pass_partner[p, j]`` is j's compare partner in pass p;
-        # ``_pass_gt[p, j]`` is True where j takes the partner's value on
-        # ``rank[j] > rank[partner]`` (ascending lane member), False
-        # where the condition is ``<`` — i.e. ``asc == (j is the pair's
-        # low index)``.  The NumPy replay walks the rows; the periodic
-        # driver takes the dense arrays whole.
-        p_count = len(self._bitonic_passes)
-        self._pass_partner = np.empty((p_count, n), dtype=i64)
-        self._pass_gt = np.empty((p_count, n), dtype=bool)
-        for p, (idx, partner, asc) in enumerate(self._bitonic_passes):
-            self._pass_partner[p, idx] = partner
-            self._pass_partner[p, partner] = idx
-            self._pass_gt[p, idx] = asc
-            self._pass_gt[p, partner] = ~asc
+        #: Row index for per-scenario fancy indexing: ``a[self._rows,
+        #: cols]`` gathers ``a[s, cols[s, ...]]`` row by row.
+        self._rows = np.arange(s_count)[:, None]
 
         # -- per-cycle scratch, reused across decision cycles --
         # Hot campaigns run millions of cycles, so decision_cycle_all
@@ -510,12 +572,15 @@ class CampaignEngine:
     # SCHEDULE phase: rank + network emulation, batched over scenarios
     # ------------------------------------------------------------------
 
-    def _rank(self, now: int, valid, attr_dl, attr_arr, x, y) -> np.ndarray:
+    def _rank(
+        self, now: int, valid, attr_dl, attr_arr, x, y, *, head_only=False
+    ) -> np.ndarray:
         """``(S, N)`` slot orders, highest-priority-first per scenario.
 
-        One :func:`table2_rank_order` lexsort over the Table 2 key
-        cascade ranks *every scenario in the campaign* in a single call
-        — the keys are ``(S, N)`` and the sort runs along the last axis.
+        One :func:`table2_rank_order` call over the Table 2 key cascade
+        ranks *every scenario in the campaign* — the keys are ``(S, N)``
+        and the ranking runs along the last axis.  ``head_only`` returns
+        just each scenario's head, ``(S,)``.
         """
         if self._wrap:
             dl = (attr_dl - now) & _DL_MASK
@@ -532,46 +597,35 @@ class CampaignEngine:
             x=x,
             y=y,
             deadline_only=self._deadline_only,
+            head_only=head_only,
         )
 
     def _emit_positions(self, order: np.ndarray) -> np.ndarray:
         """``(S, N)`` slot IDs in emitted network-position order.
 
-        Replays the compare-exchange network on the per-scenario rank
-        arrays; each pass's per-position partner/direction geometry
-        broadcasts across the scenario axis, so S networks advance per
-        array op.
+        A complete Batcher network sorts, so the bitonic schedule emits
+        the rank order itself.  The paper schedule is replayed on ranks:
+        each pass's perfect shuffle pairs position ``p`` with
+        ``p + N/2``, and the compare-exchange writes the pair's lower
+        rank (higher priority) to the even lane and the higher rank to
+        the odd lane.  One final gather maps ranks back to slot ids.
+        Every op broadcasts across the scenario axis.
         """
-        s_count, n = order.shape
-        # order is a permutation per row, so its argsort IS the inverse
-        # permutation: rank[sid] = network position of that slot.
-        rank = np.argsort(order, axis=-1)
-        state = np.broadcast_to(self._iota, (s_count, n))
         if self.config.schedule == "bitonic":
-            for partner, gt in zip(self._pass_partner, self._pass_gt):
-                st_p = state[:, partner]
-                r_s = np.take_along_axis(rank, state, axis=-1)
-                r_p = np.take_along_axis(rank, st_p, axis=-1)
-                take = np.where(gt, r_s > r_p, r_s < r_p)
-                state = np.where(take, st_p, state)
-        else:
-            for _ in range(self._log2n):
-                state = state[:, self._shuffle]
-                r = np.take_along_axis(rank, state, axis=-1)
-                a = state[:, 0::2]
-                b = state[:, 1::2]
-                swap = r[:, 0::2] > r[:, 1::2]
-                lo = np.where(swap, b, a)
-                hi = np.where(swap, a, b)
-                # lo0, hi0, lo1, hi1, ...: the exchange writeback.
-                state = np.stack((lo, hi), axis=-1).reshape(s_count, n)
-        return state
-
-    @property
-    def _schedule_passes(self) -> int:
-        if self.config.schedule == "bitonic" and not self.config.winner_only:
-            return len(self._bitonic_passes)
-        return self._log2n
+            return order
+        rows = self._rows
+        half = self._n // 2
+        # The network inputs hold the slots in id order, so the initial
+        # state is each slot's rank: the inverse permutation of order.
+        state = np.empty_like(order)
+        state[rows, order] = self._iota
+        nxt = np.empty_like(order)
+        for _ in range(self._log2n):
+            lo, hi = state[:, :half], state[:, half:]
+            np.minimum(lo, hi, out=nxt[:, 0::2])
+            np.maximum(lo, hi, out=nxt[:, 1::2])
+            state, nxt = nxt, state
+        return order[rows, state]
 
     # ------------------------------------------------------------------
     # batched miss registration and window updates
@@ -664,6 +718,11 @@ class CampaignEngine:
         for c in consume_s:
             if c not in ("winner", "block", "none"):
                 raise ValueError(f"unknown consume policy {c!r}")
+        if self.config.routing is Routing.WR and "block" in consume_s:
+            raise ValueError(
+                "block consumption requires BA routing "
+                "(WR emits only the winner)"
+            )
 
         # Reused per-cycle accumulators (hoisted to __init__): clearing
         # in place avoids rebuilding S lists on every decision cycle.
@@ -698,23 +757,27 @@ class CampaignEngine:
         valid = np.logical_and(
             self._has_head, self._loaded, out=self._scratch_valid
         )
-        rank_order = self._rank(
+        # WR emits only the winner, so it ranks only each row's head.
+        winner_only = self.config.winner_only
+        ranked = self._rank(
             now, valid, self._attr_deadline, self._attr_arrival,
-            self._x, self._y,
+            self._x, self._y, head_only=winner_only,
         )
-        if self.config.winner_only:
+        if winner_only:
+            head_valid = valid[self._rows[:, 0], ranked]
             orders = [
-                [int(w)] if valid[s, w] else []
-                for s, w in enumerate(rank_order[:, 0])
+                [w] if ok else []
+                for w, ok in zip(ranked.tolist(), head_valid.tolist())
             ]
         else:
-            emitted = self._emit_positions(rank_order)
-            emitted_valid = np.take_along_axis(valid, emitted, axis=-1)
+            emitted = self._emit_positions(ranked)
+            emitted_valid = valid[self._rows, emitted]
             orders = [
                 emitted[s][emitted_valid[s]].tolist() for s in range(s_count)
             ]
-        passes = self._schedule_passes
-        self.control.schedule(passes, detail=f"t={now}")
+        passes = self.config.sort_passes
+        tracing = self.control.trace
+        self.control.schedule(passes, detail=f"t={now}" if tracing else "")
         if profile is not None:
             _t1 = time.perf_counter()
             acc = profile["schedule"]
@@ -722,26 +785,29 @@ class CampaignEngine:
             acc[1] += _t1 - _t0
 
         # Miss registration, batched over the scenarios that count them.
-        late = self._scratch_late
-        if self._wrap:
-            diff = (self._head_deadline - now) & _DL_MASK
-            np.greater_equal(diff, _DL_HALF, out=late)
-        else:
-            np.less(self._head_deadline, now, out=late)
-        np.logical_and(late, valid, out=late)
-        # Per-scenario count_misses policies recur across cycles, so
-        # the broadcast mask is memoized instead of rebuilt per cycle.
-        count_key = tuple(count_s)
-        counting = self._counting_cache.get(count_key)
-        if counting is None:
-            counting = self._counting_cache[count_key] = np.asarray(
-                count_key, dtype=bool
-            )
-        counted_late = late & counting[:, None]
-        if counted_late.any():
-            for s in np.nonzero(counted_late.any(axis=1))[0]:
-                misses[int(s)].extend(np.nonzero(counted_late[s])[0].tolist())
-            self._register_misses(counted_late)
+        if any(count_s):
+            late = self._scratch_late
+            if self._wrap:
+                diff = (self._head_deadline - now) & _DL_MASK
+                np.greater_equal(diff, _DL_HALF, out=late)
+            else:
+                np.less(self._head_deadline, now, out=late)
+            np.logical_and(late, valid, out=late)
+            # Per-scenario count_misses policies recur across cycles, so
+            # the broadcast mask is memoized instead of rebuilt per cycle.
+            count_key = tuple(count_s)
+            counting = self._counting_cache.get(count_key)
+            if counting is None:
+                counting = self._counting_cache[count_key] = np.asarray(
+                    count_key, dtype=bool
+                )
+            counted_late = late & counting[:, None]
+            if counted_late.any():
+                for s in np.nonzero(counted_late.any(axis=1))[0]:
+                    misses[int(s)].extend(
+                        np.nonzero(counted_late[s])[0].tolist()
+                    )
+                self._register_misses(counted_late)
 
         # PRIORITY_UPDATE: per-scenario circulate/consume (queue-backed,
         # so the service path stays scalar like the batch engine's).
@@ -767,11 +833,6 @@ class CampaignEngine:
                     if packet is not None:
                         serviced.append((circulated, PendingPacket(*packet)))
                 elif policy == "block":
-                    if self.config.routing is Routing.WR:
-                        raise ValueError(
-                            "block consumption requires BA routing "
-                            "(WR emits only the winner)"
-                        )
                     consume_order = (
                         order if max_first else list(reversed(order))
                     )
@@ -795,7 +856,8 @@ class CampaignEngine:
                 )
             )
         self.control.priority_update(
-            update_cycles, detail=f"circulate={any_circulated}"
+            update_cycles,
+            detail=f"circulate={any_circulated}" if tracing else "",
         )
         if profile is not None:
             acc = profile["priority_update"]
@@ -813,16 +875,19 @@ class CampaignEngine:
         The campaign-level idle fast-forward: callers that *know* no
         scenario has a pending head (and no arrivals land) skip the
         rank/network/update array ops entirely and advance the lockstep
-        control accounting in O(1).
+        control accounting in O(1).  ``count`` must be non-negative; 0
+        is a no-op.
         """
-        if count <= 0:
+        if count < 0:
+            raise ValueError("cycle count must be non-negative")
+        if count == 0:
             return
         profile = self._phase_profile
         if profile is not None:
             _t0 = time.perf_counter()
         self.control.advance_decision_cycles(
             count,
-            self._schedule_passes,
+            self.config.sort_passes,
             self.config.update_cycles,
             detail="idle fast-forward",
         )
@@ -845,7 +910,7 @@ class CampaignEngine:
             circulated_sid=None,
             serviced=(),
             misses=(),
-            hw_cycles=self._schedule_passes + self.config.update_cycles,
+            hw_cycles=self.config.sort_passes + self.config.update_cycles,
             dropped=(),
         )
 
@@ -943,12 +1008,15 @@ class CampaignEngine:
             else None
         )
         update_cycles = self.config.update_cycles
+        passes = self.config.sort_passes
+        tracing = self.control.trace
         iota = self._iota
+        rows = self._rows
+        row_ids = rows[:, 0]
         have_streams = bool(loaded.any())
-
-        def gather_col(array2d, cols):
-            """Per-scenario column gather: ``array2d[s, cols[s]]``."""
-            return np.take_along_axis(array2d, cols[:, None], axis=-1)[:, 0]
+        # WR and max-first circulate the block head; only min-first BA
+        # needs the emitted block to find its tail.
+        head_only = winner_only or max_first
 
         t = 0
         while t < n_cycles:
@@ -967,37 +1035,41 @@ class CampaignEngine:
                     t = nxt
                 else:
                     self.control.schedule(
-                        self._schedule_passes, detail=f"t={t}"
+                        passes, detail=f"t={t}" if tracing else ""
                     )
                     self.control.priority_update(
-                        update_cycles, detail="circulate=None"
+                        update_cycles,
+                        detail="circulate=None" if tracing else "",
                     )
                     t += 1
                 continue
             real_dl = offs + consumed * steps
             attr_dl = real_dl + np.where(edf, self._edf_bias, 0)
-            order = self._rank(t, valid, attr_dl, consumed, self._x, self._y)
+            ranked = self._rank(
+                t, valid, attr_dl, consumed, self._x, self._y,
+                head_only=head_only,
+            )
             late = valid & (real_dl < t)
             if count_misses and late.any():
                 self._register_misses(late)
             # Emitted block head / tail selection, one per scenario.
-            w = order[:, 0]
-            if winner_only or max_first:
-                circulated = w
+            if head_only:
+                w = circulated = ranked
             else:
-                emitted = self._emit_positions(order)
-                emitted_valid = np.take_along_axis(valid, emitted, axis=-1)
+                w = ranked[:, 0]
+                emitted = self._emit_positions(ranked)
+                emitted_valid = valid[rows, emitted]
                 # Last valid network position per scenario (block tail).
                 last = (n - 1) - np.argmax(emitted_valid[:, ::-1], axis=-1)
-                circulated = gather_col(emitted, last)
+                circulated = emitted[row_ids, last]
             # One-hot circulated-winner mask over active scenarios; all
             # per-cycle updates below are full-array masked rebinds.
             onehot = iota[None, :] == circulated[:, None]
             sel = active[:, None] & onehot
             if consume == "winner":
-                late_c = gather_col(late, circulated) & active
-                dw = gather_col(self._dwcs_like, circulated) & active
-                edf_c = gather_col(edf, circulated) & active
+                late_c = late[row_ids, circulated] & active
+                dw = self._dwcs_like[row_ids, circulated] & active
+                edf_c = edf[row_ids, circulated] & active
                 if count_misses:
                     # Late winners already took the miss-path loss
                     # update; only on-time winners get the win update.
@@ -1038,9 +1110,10 @@ class CampaignEngine:
             self._wins = np.where(sel, self._wins + 1, self._wins)
             if winners is not None:
                 winners[active, t] = circulated[active]
-            self.control.schedule(self._schedule_passes, detail=f"t={t}")
+            self.control.schedule(passes, detail=f"t={t}" if tracing else "")
             self.control.priority_update(
-                update_cycles, detail="circulate=<campaign>"
+                update_cycles,
+                detail="circulate=<campaign>" if tracing else "",
             )
             t += 1
         return self._periodic_results(n_cycles, winners)
@@ -1103,11 +1176,11 @@ class CampaignEngine:
             self._x, self._y, self._cfg_x, self._cfg_y, self._edf_bias,
             self._wins, self._serviced, self._missed,
             self._violations, self._window_resets,
+            _WC_KEY,
             self._deadline_only,
             self.config.winner_only,
             self.config.block_mode is BlockMode.MAX_FIRST,
             self.config.schedule == "bitonic",
-            self._pass_partner, self._pass_gt, self._shuffle,
             self._log2n,
             consume == "block",
             bool(count_misses),
@@ -1117,7 +1190,7 @@ class CampaignEngine:
             stats,
         )
         nonff, ff_cycles, ff_gaps = (int(v) for v in stats)
-        passes = self._schedule_passes
+        passes = self.config.sort_passes
         update_cycles = self.config.update_cycles
         profile = self._phase_profile
         if ff_cycles:

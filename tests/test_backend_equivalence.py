@@ -10,21 +10,27 @@ streams and invalid-slot masking:
   over the ``(S, N)`` keys with the window-constraint keys packed into
   one order-exact integer word;
 * the periodic driver's stable insertion sort
-  (:func:`repro.core.jit._sort_row` over :func:`repro.core.jit._packed_key`).
+  (:func:`repro.core.jit._sort_row` over the same packed-key table).
 
 The lexsort reference is reconstructed here verbatim from the original
 ``_rank`` so the property pins the historical behavior, not either
-implementation.
+implementation.  The packed window-constraint key table is checked
+exhaustively over its whole 8-bit ``(x', y')`` domain, and the head-only
+ranking against column 0 of the full order on both sides of
+``HEAD_SCAN_MIN_SLOTS``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core import jit
+from repro.core import jit, tensor_engine
 from repro.core.tensor_engine import table2_rank_order
 
 
@@ -147,12 +153,10 @@ class TestPackedKeyCascade:
         s_count, n = dl.shape
         got = np.empty((s_count, n), dtype=np.int64)
         for s in range(s_count):
-            k_pk = np.asarray(
-                [
-                    0 if deadline_only else jit._packed_key(x[s, i], y[s, i])
-                    for i in range(n)
-                ],
-                dtype=np.int64,
+            k_pk = (
+                np.zeros(n, dtype=np.int64)
+                if deadline_only
+                else tensor_engine._WC_KEY[x[s], y[s]]
             )
             jit._sort_row(
                 n, got[s], invalid[s].astype(np.int64), dl[s], k_pk, arr[s]
@@ -161,3 +165,83 @@ class TestPackedKeyCascade:
             invalid, dl, arr, x, y, deadline_only=deadline_only
         )
         np.testing.assert_array_equal(got, expected)
+
+
+_ALL_X, _ALL_Y = (
+    a.ravel() for a in np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+)
+
+
+class TestWindowKeyTable:
+    """The packed window-constraint key, exhaustively over 8-bit x', y'."""
+
+    def test_table_order_is_table2_window_order(self):
+        """Sorting by the table gives the Table 2 window order with the
+        same tie classes: exact ratio, then -y' among zero-ratio slots,
+        then x' among equal live ratios."""
+
+        def tie_class(x, y):
+            if x == 0 or y == 0:
+                return (Fraction(0), -y, 0)
+            return (Fraction(x, y), 0, x)
+
+        assert tensor_engine._WC_KEY.shape == (256, 256)
+        pairs = list(zip(_ALL_X.tolist(), _ALL_Y.tolist()))
+        classes = [tie_class(x, y) for x, y in pairs]
+        keys = tensor_engine._WC_KEY[_ALL_X, _ALL_Y]
+        # Stable sorts on both sides: same class order, same ties.
+        by_key = np.argsort(keys, kind="stable").tolist()
+        by_class = sorted(range(len(pairs)), key=classes.__getitem__)
+        assert by_key == by_class
+        # Equal keys exactly where the tie classes are equal.
+        for a, b in zip(by_key, by_key[1:]):
+            assert (keys[a] == keys[b]) == (classes[a] == classes[b])
+
+
+# Wide window draws: tie-heavy small values mixed with the full 8-bit
+# range; N up to 64 so the scan sees long rows and both cascades.
+_window_values = st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=255),
+)
+_head_keys = st.tuples(
+    st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=64)
+).flatmap(
+    lambda shape: st.fixed_dictionaries(
+        {
+            "dl": hnp.arrays(np.int64, shape, elements=st.integers(-3, 3)),
+            "arr": hnp.arrays(np.int64, shape, elements=st.integers(-3, 3)),
+            "x": hnp.arrays(np.int64, shape, elements=_window_values),
+            "y": hnp.arrays(np.int64, shape, elements=_window_values),
+            "invalid": hnp.arrays(bool, shape),
+        }
+    )
+)
+
+
+class TestHeadOnlyRank:
+    """``head_only`` returns column 0 of the full order on every row
+    that holds a valid slot, whichever side of the constant runs."""
+
+    @pytest.mark.parametrize("deadline_only", [False, True])
+    @pytest.mark.parametrize("side", ["scan", "lexsort"])
+    @settings(max_examples=100, deadline=None)
+    @given(keys=_head_keys)
+    def test_head_is_first_column(self, keys, side, deadline_only):
+        dl, arr, x, y, invalid = (
+            keys[name] for name in ("dl", "arr", "x", "y", "invalid")
+        )
+        operands = dict(
+            invalid=invalid, dl=dl, arr=arr, x=x, y=y,
+            deadline_only=deadline_only,
+        )
+        # The constant counts slots per row: 0 forces the scan on every
+        # shape, a bound above the drawn row length forces the lexsort.
+        limit = 0 if side == "scan" else dl.shape[-1] + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_engine, "HEAD_SCAN_MIN_SLOTS", limit)
+            heads = table2_rank_order(head_only=True, **operands)
+        full = table2_rank_order(**operands)
+        assert heads.shape == (dl.shape[0],)
+        has_valid = ~invalid.all(axis=-1)
+        np.testing.assert_array_equal(heads[has_valid], full[has_valid, 0])

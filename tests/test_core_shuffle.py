@@ -1,7 +1,7 @@
 """Tests for the recirculating shuffle-exchange network."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import HardwareAttributes
@@ -11,6 +11,13 @@ from repro.core.shuffle import (
     is_pow2,
     perfect_shuffle,
 )
+
+
+#: Window constraints ``(x', y')`` covering every Table 2 window rule:
+#: zero ratios (``x' = 0`` or ``y' = 0``) with distinct denominators,
+#: equal ratios with distinct numerators (1/2, 2/4, 3/6) and distinct
+#: live ratios.
+_WINDOWS = ((0, 0), (0, 3), (0, 5), (2, 0), (1, 2), (2, 4), (3, 6), (1, 3), (2, 3))
 
 
 def bundles_for(deadlines, valid=None):
@@ -141,6 +148,43 @@ class TestReferenceOrder:
     def test_matches_bitonic_on_distinct_keys(self):
         net = ShuffleExchangeNetwork(8, wrap=False, schedule="bitonic")
         bundles = bundles_for([5, 3, 8, 1, 9, 0, 7, 4])
+        by_net = [b.sid for b in net.run(bundles).order]
+        by_ref = [b.sid for b in net.reference_order(bundles)]
+        assert by_net == by_ref
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bitonic_emits_reference_order_on_full_keys(self, n, data):
+        """A complete Batcher network sorts: bitonic emission is the
+        certified Table 2 order on every rule, including deadline ties,
+        zero-ratio and equal-ratio window constraints and invalid slots.
+        The array engines rely on this to emit the rank order directly
+        instead of replaying the bitonic passes."""
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 3),  # deadline
+                    st.sampled_from(_WINDOWS),
+                    st.integers(0, 3),  # arrival
+                    st.booleans(),  # valid
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        bundles = []
+        for sid, (deadline, (x, y), arrival, valid) in enumerate(rows):
+            bundle = HardwareAttributes(
+                sid=sid,
+                deadline=deadline,
+                loss_numerator=x,
+                loss_denominator=y,
+                arrival=arrival,
+            )
+            bundle.valid = valid
+            bundles.append(bundle)
+        net = ShuffleExchangeNetwork(n, wrap=False, schedule="bitonic")
         by_net = [b.sid for b in net.run(bundles).order]
         by_ref = [b.sid for b in net.reference_order(bundles)]
         assert by_net == by_ref

@@ -13,6 +13,7 @@ suite holds either way.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import tensor_engine
 from repro.core.batch_engine import BatchScheduler
+from repro.core.config import BlockMode, Routing
 from repro.core.tensor_engine import CampaignEngine
 from tests.strategies import random_arch_streams
 
@@ -87,6 +89,38 @@ class TestKernelByteIdentity:
             == drv_engine.control.decision_cycles
         )
         assert ref_engine.fast_forwarded == drv_engine.fast_forwarded
+
+
+class TestBlockTail:
+    """Min-first BA circulates the block tail, the last valid emitted
+    slot.  Neither ``run_periodic`` side replays the bitonic network
+    (the sort order is its emission) and both replay the paper schedule
+    on ranks; ``BatchScheduler`` still replays every pass, so it is the
+    reference here."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("consume", ["winner", "block"])
+    @pytest.mark.parametrize("schedule", ["paper", "bitonic"])
+    def test_min_first_tail_matches_network_replay(self, schedule, consume, seed):
+        arch, streams = random_arch_streams(seed, 8)
+        arch = dataclasses.replace(
+            arch,
+            routing=Routing.BA,
+            block_mode=BlockMode.MIN_FIRST,
+            schedule=schedule,
+        )
+        # Strides above 1 leave slots idle, so the tail is often not
+        # the last slot of the order.
+        stride = np.asarray([1 + (3 * i + seed) % 3 for i in range(8)])
+        kwargs = dict(stride=stride, consume=consume, collect_winners=True)
+        expected = BatchScheduler(arch, streams).run_periodic(150, **kwargs)
+        for side in SIDES:
+            with pytest.MonkeyPatch.context() as mp:
+                _forced(mp, side)
+                engine = CampaignEngine(arch, [streams])
+                got = engine.run_periodic(150, **kwargs)[0]
+            np.testing.assert_array_equal(got.winners, expected.winners)
+            np.testing.assert_array_equal(got.serviced, expected.serviced)
 
 
 class TestShapeDispatch:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
+from repro.core.rules import ordering_key
 from repro.core.scheduler import ShareStreamsScheduler
 
 SCALE = 400
@@ -56,11 +57,33 @@ class TestScheduleInvariance:
         assert paper[0] == bitonic[0]
 
     def test_bitonic_blocks_fully_sorted(self):
-        _, _, orders = run_block_variant(schedule="bitonic")
-        # With distinct staggered deadlines, a certified sort emits
-        # exactly the per-cycle EDF order.
-        for order in orders:
-            assert len(order) == 4
+        # A certified sort emits exactly the per-cycle EDF order: every
+        # block is the latched attributes in Table 2 key order, and the
+        # max-first block is serviced in that order.
+        arch = ArchConfig(
+            n_slots=4, routing=Routing.BA, schedule="bitonic", wrap=False
+        )
+        s = ShareStreamsScheduler(
+            arch,
+            [StreamConfig(sid=i, period=1, mode=SchedulingMode.EDF) for i in range(4)],
+        )
+        rotations = set()
+        for c in range(SCALE):
+            for sid in range(4):
+                s.enqueue(sid, deadline=(sid + 1) + c, arrival=c)
+            expected = tuple(
+                slot.config.sid
+                for slot in sorted(
+                    s.active_slots, key=lambda slot: ordering_key(slot.snapshot())
+                )
+            )
+            out = s.decision_cycle(c, consume="block", count_misses=False)
+            assert out.block == expected
+            assert tuple(sid for sid, _ in out.serviced) == expected
+            rotations.add(expected)
+        # EDF winner bias rotates the order, so more than one order
+        # is checked.
+        assert len(rotations) > 1
 
 
 class TestComputeAheadInvariance:

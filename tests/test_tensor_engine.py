@@ -33,7 +33,8 @@ from repro.core.batch_engine import (
     build_bitonic_passes,
     make_scheduler,
 )
-from repro.core.config import BlockMode, Routing
+from repro.core.attributes import StreamConfig
+from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.differential import (
     campaign,
     cross_validate,
@@ -296,18 +297,26 @@ class TestTensorAdapterSurface:
         assert tensor.cycles_per_decision == batch.cycles_per_decision
 
     def test_bitonic_pass_schedules_shared_across_engines(self):
-        """Pass schedules are memoized per slot count: every engine
-        instance of the same width shares one tuple object."""
+        """Pass schedules are memoized per slot count: every batch
+        engine instance of the same width shares one tuple object.  The
+        campaign engine emits the rank order without replaying the
+        passes, yet charges the same pass count per decision."""
         passes = build_bitonic_passes(8)
         assert build_bitonic_passes(8) is passes
         arch, streams = _random_arch_streams(
             1, 8
         )
-        arch = dataclasses.replace(arch, schedule="bitonic")
+        arch = dataclasses.replace(
+            arch, schedule="bitonic", routing=Routing.BA
+        )
         a = BatchScheduler(arch, streams)
-        b = CampaignEngine(arch, [streams, streams])
+        b = BatchScheduler(arch, streams)
         assert a._bitonic_passes is passes
         assert b._bitonic_passes is passes
+        engine = CampaignEngine(arch, [streams, streams])
+        assert engine.idle_outcome(0).hw_cycles == (
+            len(passes) + arch.update_cycles
+        )
 
 
 @pytest.mark.parametrize("index", [-1, 4])
@@ -328,3 +337,43 @@ def test_out_of_range_ids_fail_loudly(target, index):
         with pytest.raises(ValueError, match=re.escape(message)):
             sched.enqueue(index, deadline=5, arrival=0)
         assert all(sched.slot(sid).head is None for sid in range(4))
+
+
+def test_advance_idle_rejects_negative_count():
+    """A negative idle count raises like the control unit it feeds;
+    zero is a no-op."""
+    arch, streams = _random_arch_streams(3, 4)
+    engine = CampaignEngine(arch, [streams] * 2)
+    before = (engine.control.hw_cycle, engine.control.decision_cycles)
+    with pytest.raises(ValueError, match="cycle count must be non-negative"):
+        engine.advance_idle(-1)
+    engine.advance_idle(0)
+    assert (engine.control.hw_cycle, engine.control.decision_cycles) == before
+    assert engine.fast_forwarded == 0
+
+
+@pytest.mark.parametrize("target", ["reference", "batch", "tensor"])
+def test_wr_block_consume_rejected_before_state_change(target):
+    """WR emits only the winner, so block consumption is refused before
+    the SCHEDULE passes are charged or any miss is registered."""
+    arch = ArchConfig(n_slots=4, routing=Routing.WR, wrap=False)
+    streams = [
+        StreamConfig(sid=i, period=1, loss_numerator=1, loss_denominator=2)
+        for i in range(4)
+    ]
+    sched = make_scheduler(arch, streams, engine=target)
+    sched.enqueue(0, deadline=1, arrival=0)  # late at now=5
+    sched.enqueue(1, deadline=9, arrival=0)
+
+    def snapshot():
+        return (
+            sched.control.hw_cycle,
+            sched.control.decision_cycles,
+            sched.counters(),
+            [sched.slot(sid).head for sid in range(4)],
+        )
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="block consumption requires BA"):
+        sched.decision_cycle(5, consume="block", count_misses=True)
+    assert snapshot() == before
