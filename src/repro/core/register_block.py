@@ -37,13 +37,12 @@ modes nothing changes (the update cycle is bypassed, Section 4.3).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.attributes import HardwareAttributes, SchedulingMode, StreamConfig
 from repro.core.fields import (
     DEADLINE_FIELD,
     LOSS_DEN_FIELD,
-    serial_add,
     serial_lt,
 )
 

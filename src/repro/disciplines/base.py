@@ -21,7 +21,7 @@ next at a given time.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Packet", "SwStream", "Discipline", "DisciplineInfo"]
 

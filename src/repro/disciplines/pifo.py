@@ -47,8 +47,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from repro.core.attributes import SchedulingMode, StreamConfig
+from repro.core.attributes import StreamConfig
 from repro.core.batch_engine import BatchScheduler, make_scheduler
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
@@ -192,6 +192,8 @@ class EndsystemRouter:
                 "endsystem_card_queue_depth",
                 "card-side slot queue depth at last service",
             )
+            # sid -> (frames, bytes, depth) series, resolved on first service
+            self._tx_series: dict[int, tuple] = {}
         else:
             self._tx_frames = self._tx_bytes = self._card_depth = None
         self.streaming = StreamingUnit(
@@ -293,9 +295,17 @@ class EndsystemRouter:
             self.sim.schedule(1.0, self._service)
             return
         if self._tx_frames is not None:
-            self._tx_frames.inc(stream=sid)
-            self._tx_bytes.inc(frame.length_bytes, stream=sid)
-            self._card_depth.set(self.scheduler.slot(sid).backlog, stream=sid)
+            series = self._tx_series.get(sid)
+            if series is None:
+                series = self._tx_series[sid] = (
+                    self._tx_frames.labels(stream=sid),
+                    self._tx_bytes.labels(stream=sid),
+                    self._card_depth.labels(stream=sid),
+                )
+            frames, nbytes, depth = series
+            frames.inc()
+            nbytes.inc(frame.length_bytes)
+            depth.set(self.scheduler.slot(sid).backlog)
         self.sim.schedule_at(done, self._service)
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.config import Routing
 from repro.hwmodel.area import AreaBreakdown, area_model
-from repro.hwmodel.timing import clock_rate_mhz, decision_cycles
+from repro.hwmodel.timing import clock_rate_mhz
 
 __all__ = ["Figure7Point", "run_figure7", "SLOT_COUNTS"]
 

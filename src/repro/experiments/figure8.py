@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.endsystem.host import EndsystemConfig, EndsystemResult, EndsystemRouter
 from repro.metrics.bandwidth import BandwidthSeries
 from repro.traffic.specs import ratio_workload

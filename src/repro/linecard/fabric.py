@@ -16,7 +16,7 @@ arrival-time queues and the winner Stream-ID output partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.ring import ArrivalRing
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.attributes import StreamConfig
-from repro.core.config import ArchConfig, Routing
+from repro.core.config import ArchConfig
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.hwmodel.timing import clock_rate_mhz, decision_cycles
 

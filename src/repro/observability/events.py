@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "DecisionEvent",
     "TraceRecorder",
+    "event_count",
     "events_from_outcome",
     "serialize_events",
     "deserialize_events",
@@ -43,9 +43,13 @@ __all__ = [
 EVENT_KINDS = ("decide", "miss", "drop")
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionEvent:
+class DecisionEvent(NamedTuple):
     """One structured telemetry event.
+
+    An immutable, hashable named tuple: the recorders build one per
+    event on every decision cycle, and tuple construction is the
+    cheapest immutable record Python offers.  Like any named tuple it
+    also compares equal to a plain tuple of the same field values.
 
     Attributes
     ----------
@@ -116,36 +120,37 @@ def events_from_outcome(outcome, start_seq: int = 0) -> list[DecisionEvent]:
     The emission order is fixed (decide, then misses in slot order,
     then drops in shed order) — both engines report misses/drops in
     slot/shed order already, so the flattening is deterministic.
+    Events are built positionally because this runs on every decision
+    cycle a :class:`TraceRecorder` records.
     """
-    seq = start_seq
+    now = int(outcome.now)
     events = [
         DecisionEvent(
-            seq=seq,
-            now=int(outcome.now),
-            kind="decide",
-            sid=outcome.circulated_sid,
-            block=tuple(outcome.block),
-            serviced=tuple(sid for sid, _pkt in outcome.serviced),
-            hw_cycles=int(outcome.hw_cycles),
+            start_seq,
+            now,
+            "decide",
+            outcome.circulated_sid,
+            tuple(outcome.block),
+            tuple([sid for sid, _pkt in outcome.serviced]),
+            None,
+            int(outcome.hw_cycles),
         )
     ]
+    seq = start_seq
     for sid in outcome.misses:
         seq += 1
-        events.append(
-            DecisionEvent(seq=seq, now=int(outcome.now), kind="miss", sid=sid)
-        )
+        events.append(DecisionEvent(seq, now, "miss", sid))
     for sid, packet in outcome.dropped:
         seq += 1
         events.append(
-            DecisionEvent(
-                seq=seq,
-                now=int(outcome.now),
-                kind="drop",
-                sid=sid,
-                deadline=int(packet.deadline),
-            )
+            DecisionEvent(seq, now, "drop", sid, (), (), int(packet.deadline))
         )
     return events
+
+
+def event_count(outcome) -> int:
+    """Events :func:`events_from_outcome` yields for ``outcome``."""
+    return 1 + len(outcome.misses) + len(outcome.dropped)
 
 
 def serialize_events(events: Iterable[DecisionEvent]) -> bytes:
@@ -190,12 +195,16 @@ class TraceRecorder:
 
     def on_decision(self, outcome) -> None:
         """Record one decision cycle's events."""
-        for event in events_from_outcome(outcome, start_seq=self._next_seq):
-            if len(self._events) == self._events.maxlen:
-                self.evicted += 1
-            self._events.append(event)
-            self.recorded += 1
-            self._next_seq += 1
+        events = events_from_outcome(outcome, self._next_seq)
+        count = len(events)
+        ring = self._events
+        # Once the ring is full every appended event evicts one.
+        overflow = len(ring) + count - ring.maxlen
+        if overflow > 0:
+            self.evicted += overflow
+        ring.extend(events)
+        self.recorded += count
+        self._next_seq += count
 
     # -- queries -------------------------------------------------------
 

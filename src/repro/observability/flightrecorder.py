@@ -3,13 +3,16 @@
 Post-mortem debugging of a QoS violation needs the decision cycles
 *leading up to* the breach — but retaining a full event log defeats the
 O(streams) memory promise of the monitoring layer.  The flight recorder
-keeps only a small ring of the last ``capacity`` decision cycles
-(flattened to canonical :class:`~repro.observability.events.DecisionEvent`
-records, one global monotone ``seq`` across the whole run); when the
-SLO monitor emits a violation, the ring is frozen into an immutable
-:class:`FlightDump` — the serialized JSONL is the same canonical format
-as :meth:`TraceRecorder.serialize`, so a dump replays through either
-engine and compares byte-for-byte (``cross_validate_traces`` style).
+keeps only a small ring of the last ``capacity`` decision cycles, each
+stored as the engine's own immutable outcome plus the ``seq`` of its
+first event (one global monotone ``seq`` across the whole run).  When
+the SLO monitor emits a violation, the ring is flattened into canonical
+:class:`~repro.observability.events.DecisionEvent` records and frozen
+into an immutable :class:`FlightDump` — the serialized JSONL is the
+same canonical format as :meth:`TraceRecorder.serialize`, so a dump
+replays through either engine and compares byte-for-byte
+(``cross_validate_traces`` style).  Flattening only on a freeze keeps
+the always-on ring to one append per cycle.
 
 Dump cadence is debounced per rollup window: a window that breaches
 five objectives produces *one* dump (the ring contents are identical),
@@ -28,6 +31,7 @@ from typing import Any
 
 from repro.observability.events import (
     DecisionEvent,
+    event_count,
     events_from_outcome,
     serialize_events,
 )
@@ -74,11 +78,14 @@ class FlightDump:
 class FlightRecorder:
     """Always-on ring of the last K decision cycles, frozen on breach.
 
-    The ring holds whole decision cycles (each cycle is 1..N flattened
-    events), so a frozen dump always starts at a cycle boundary and the
-    canonical serialization replays cleanly.  ``seq`` numbers are
-    globally monotone across the run — two engines producing identical
-    outcomes therefore produce byte-identical dumps.
+    The ring holds whole decision cycles (each cycle flattens to 1..N
+    events on freeze), so a frozen dump always starts at a cycle
+    boundary and the canonical serialization replays cleanly.  ``seq``
+    numbers are globally monotone across the run — two engines
+    producing identical outcomes therefore produce byte-identical
+    dumps.  Outcomes are frozen records of tuples on every engine, so
+    flattening them later reads exactly what flattening them on arrival
+    would have.
 
     Parameters
     ----------
@@ -103,7 +110,8 @@ class FlightRecorder:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
-        self._ring: deque[tuple[DecisionEvent, ...]] = deque(maxlen=capacity)
+        # (seq of the cycle's first event, outcome) per decision cycle
+        self._ring: deque[tuple[int, Any]] = deque(maxlen=capacity)
         self._next_seq = 0
         self.cycles_recorded = 0
         self.dumps: deque[FlightDump] = deque(maxlen=max_dumps)
@@ -115,18 +123,15 @@ class FlightRecorder:
     # -- hook protocol -------------------------------------------------
 
     def on_decision(self, outcome) -> None:
-        """Append one decision cycle's events to the ring.
+        """Append one decision cycle to the ring.
 
         A new cycle arriving after a violation flushes the pending dump
         first, so the frozen ring never includes post-breach cycles.
         """
         if self._pending:
             self._freeze()
-        events = tuple(
-            events_from_outcome(outcome, start_seq=self._next_seq)
-        )
-        self._next_seq += len(events)
-        self._ring.append(events)
+        self._ring.append((self._next_seq, outcome))
+        self._next_seq += event_count(outcome)
         self.cycles_recorded += 1
 
     def on_violation(self, violation) -> None:
@@ -150,7 +155,11 @@ class FlightRecorder:
     # -- freezing ------------------------------------------------------
 
     def _freeze(self) -> FlightDump:
-        events = tuple(e for cycle in self._ring for e in cycle)
+        events = tuple(
+            event
+            for seq, outcome in self._ring
+            for event in events_from_outcome(outcome, seq)
+        )
         dump = FlightDump(
             index=self.dumps_written,
             trigger_window=(

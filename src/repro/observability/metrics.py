@@ -20,12 +20,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from typing import Any, Iterable, Sequence
 
 __all__ = [
     "Counter",
+    "CounterSeries",
     "Gauge",
+    "GaugeSeries",
     "Histogram",
+    "HistogramSeries",
     "MetricsRegistry",
     "merge_snapshots",
     "parse_prometheus_text",
@@ -34,11 +38,14 @@ __all__ = [
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 
-def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
+LabelKey = tuple[tuple[str, str], ...]
+
+
+def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _label_suffix(key: tuple[tuple[str, str], ...]) -> str:
+def _label_suffix(key: LabelKey) -> str:
     if not key:
         return ""
     return "{" + ",".join(f'{k}="{v}"' for k, v in key) + "}"
@@ -54,7 +61,15 @@ def _fmt(value: float) -> str:
 
 
 class _Metric:
-    """Shared name/help/type plumbing."""
+    """Shared name/help/type plumbing and the label-set -> series map.
+
+    A *series* is the metric's state for one label set.  :meth:`labels`
+    resolves a label set to its series once; the returned handle then
+    updates that series directly, without sorting and stringifying the
+    labels again (the pattern of the Prometheus client's ``labels()``).
+    The keyword update methods (``inc(**labels)``, ``observe(**labels)``
+    ...) resolve through the same :meth:`labels` on every call.
+    """
 
     kind = "untyped"
 
@@ -63,10 +78,50 @@ class _Metric:
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help
+        self._series: dict[LabelKey, Any] = {}
+
+    def _new_series(self) -> Any:
+        raise NotImplementedError
+
+    def _series_for(self, key: LabelKey) -> Any:
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = self._new_series()
+        return series
+
+    def labels(self, **labels: Any) -> Any:
+        """The series handle of one label set, created on first use.
+
+        Label values render with ``str``, so ``stream=1`` and
+        ``stream="1"`` name one series while ``stream=True`` and
+        ``stream=1.0`` name the series ``"True"`` and ``"1.0"``.  The
+        series exists (and exports, at zero) from its first resolution
+        on; every call with the same label set returns the same handle.
+        """
+        return self._series_for(_label_key(labels))
+
+    def label_sets(self) -> list[dict[str, str]]:
+        """Every label set this metric has seen."""
+        return [dict(key) for key in sorted(self._series)]
 
     def sample_lines(self) -> list[tuple[str, str, float]]:
         """``(sample_name, label_suffix, value)`` rows for export."""
         raise NotImplementedError
+
+
+class CounterSeries:
+    """One counter series: :meth:`Counter.labels` returns it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount``; anything but a number >= 0 (NaN too) raises."""
+        if not amount >= 0:
+            raise ValueError(f"counters cannot decrease (increment {amount!r})")
+        self.value += amount
 
 
 class Counter(_Metric):
@@ -74,34 +129,47 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
+    def _new_series(self) -> CounterSeries:
+        return CounterSeries()
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (must be >= 0) to the labeled series."""
-        if amount < 0:
-            raise ValueError("counters cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        if not amount >= 0:
+            # before resolving, so a rejected increment creates no series
+            raise ValueError(f"counters cannot decrease (increment {amount!r})")
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels: Any) -> float:
         """Current value of the labeled series (0 if never touched)."""
-        return self._values.get(_label_key(labels), 0.0)
-
-    def label_sets(self) -> list[dict[str, str]]:
-        """Every label set this counter has seen."""
-        return [dict(key) for key in sorted(self._values)]
+        series = self._series.get(_label_key(labels))
+        return 0.0 if series is None else series.value
 
     def total(self) -> float:
         """Sum over all label sets."""
-        return sum(self._values.values())
+        return sum(series.value for series in self._series.values())
 
     def sample_lines(self) -> list[tuple[str, str, float]]:
         return [
-            (self.name, _label_suffix(key), v)
-            for key, v in sorted(self._values.items())
+            (self.name, _label_suffix(key), self._series[key].value)
+            for key in sorted(self._series)
         ]
+
+
+class GaugeSeries:
+    """One gauge series: :meth:`Gauge.labels` returns it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def set(self, value: float) -> None:
+        """Set the series to ``value``."""
+        self.value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Adjust the series by ``amount`` (may be negative)."""
+        self.value += amount
 
 
 class Gauge(_Metric):
@@ -109,33 +177,62 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
+    def _new_series(self) -> GaugeSeries:
+        return GaugeSeries()
 
     def set(self, value: float, **labels: Any) -> None:
         """Set the labeled series to ``value``."""
-        self._values[_label_key(labels)] = float(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Adjust the labeled series by ``amount`` (may be negative)."""
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels: Any) -> float:
         """Current value of the labeled series (0 if never set)."""
-        return self._values.get(_label_key(labels), 0.0)
+        series = self._series.get(_label_key(labels))
+        return 0.0 if series is None else series.value
 
     def sample_lines(self) -> list[tuple[str, str, float]]:
         return [
-            (self.name, _label_suffix(key), v)
-            for key, v in sorted(self._values.items())
+            (self.name, _label_suffix(key), self._series[key].value)
+            for key in sorted(self._series)
         ]
 
 
 #: Default histogram buckets: powers of two, good for slack/jitter in
 #: scheduler time units.
 DEFAULT_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+
+class HistogramSeries:
+    """One histogram series: :meth:`Histogram.labels` returns it.
+
+    ``cells[i]`` counts the observations whose first covering bound is
+    ``bounds[i]``; the last cell (overflow) counts those above every
+    bound, and NaN.  The exporters cumulate the cells into Prometheus
+    buckets, so ``+Inf`` is the sum of all cells.
+    """
+
+    __slots__ = ("bounds", "cells", "sum")
+
+    def __init__(self, bounds: tuple[float, ...]) -> None:
+        self.bounds = bounds
+        self.cells = [0] * (len(bounds) + 1)
+        self.sum = 0.0
+
+    def observe(self, value: float) -> None:
+        """File one observation (one bisection)."""
+        if value != value:  # NaN is below no bound: +Inf bucket only
+            self.cells[-1] += 1
+        else:
+            self.cells[bisect_left(self.bounds, value)] += 1
+        self.sum += float(value)
+
+    @property
+    def count(self) -> int:
+        """Observations filed into the series."""
+        return sum(self.cells)
 
 
 class Histogram(_Metric):
@@ -161,65 +258,52 @@ class Histogram(_Metric):
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket")
+        if any(math.isnan(b) for b in bounds):
+            raise ValueError("histogram bucket bounds must not be NaN")
         if len(set(bounds)) != len(bounds):
             raise ValueError("duplicate bucket bounds")
         self.buckets = bounds
-        self._counts: dict[tuple[tuple[str, str], ...], list[int]] = {}
-        self._sums: dict[tuple[tuple[str, str], ...], float] = {}
-        self._totals: dict[tuple[tuple[str, str], ...], int] = {}
+
+    def _new_series(self) -> HistogramSeries:
+        return HistogramSeries(self.buckets)
 
     def observe(self, value: float, **labels: Any) -> None:
         """File one observation into the labeled series."""
-        key = _label_key(labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = [0] * len(self.buckets)
-            self._counts[key] = counts
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-        self._sums[key] = self._sums.get(key, 0.0) + float(value)
-        self._totals[key] = self._totals.get(key, 0) + 1
+        self.labels(**labels).observe(value)
 
     def count(self, **labels: Any) -> int:
         """Observations filed under the labeled series."""
-        return self._totals.get(_label_key(labels), 0)
+        series = self._series.get(_label_key(labels))
+        return 0 if series is None else series.count
 
     def total_count(self) -> int:
         """Observations filed across all label sets."""
-        return sum(self._totals.values())
-
-    def label_sets(self) -> list[dict[str, str]]:
-        """Every label set this histogram has seen."""
-        return [dict(key) for key in sorted(self._totals)]
+        return sum(series.count for series in self._series.values())
 
     def sum(self, **labels: Any) -> float:
         """Sum of observed values under the labeled series."""
-        return self._sums.get(_label_key(labels), 0.0)
+        series = self._series.get(_label_key(labels))
+        return 0.0 if series is None else series.sum
 
     def sample_lines(self) -> list[tuple[str, str, float]]:
         lines: list[tuple[str, str, float]] = []
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            for bound, c in zip(self.buckets, counts):
+        bucket = f"{self.name}_bucket"
+        for key in sorted(self._series):
+            series = self._series[key]
+            cumulative = 0
+            for bound, cell in zip(self.buckets, series.cells):
+                cumulative += cell
                 lines.append(
                     (
-                        f"{self.name}_bucket",
+                        bucket,
                         _label_suffix(key + (("le", _fmt(bound)),)),
-                        float(c),
+                        float(cumulative),
                     )
                 )
-            lines.append(
-                (
-                    f"{self.name}_bucket",
-                    _label_suffix(key + (("le", "+Inf"),)),
-                    float(self._totals[key]),
-                )
-            )
-            lines.append((f"{self.name}_sum", _label_suffix(key), self._sums[key]))
-            lines.append(
-                (f"{self.name}_count", _label_suffix(key), float(self._totals[key]))
-            )
+            total = float(cumulative + series.cells[-1])
+            lines.append((bucket, _label_suffix(key + (("le", "+Inf"),)), total))
+            lines.append((f"{self.name}_sum", _label_suffix(key), series.sum))
+            lines.append((f"{self.name}_count", _label_suffix(key), total))
         return lines
 
 
@@ -346,13 +430,13 @@ class MetricsRegistry:
         counter = self.counter(name)
         for sample_key, value in samples.items():
             _, labels = _split_sample_key(sample_key)
-            counter._values[labels] = counter._values.get(labels, 0.0) + value
+            counter._series_for(labels).value += value
 
     def _absorb_gauge(self, name: str, samples: dict[str, float]) -> None:
         gauge = self.gauge(name)
         for sample_key, value in samples.items():
             _, labels = _split_sample_key(sample_key)
-            gauge._values[labels] = float(value)
+            gauge._series_for(labels).set(value)
 
     def _absorb_histogram(self, name: str, samples: dict[str, float]) -> None:
         # Regroup the flat sample rows by label set.
@@ -397,15 +481,17 @@ class MetricsRegistry:
                 ),
             )
         for key, per_bound in buckets.items():
-            counts = hist._counts.get(key)
-            if counts is None:
-                counts = hist._counts[key] = [0] * len(hist.buckets)
+            # Un-cumulate the exported buckets back into cells; the
+            # overflow cell takes ``_count`` minus the last bucket.
+            series = hist._series_for(key)
+            cells = series.cells
+            below = 0
             for i, bound in enumerate(hist.buckets):
-                counts[i] += int(per_bound.get(_fmt(bound), 0))
-            hist._sums[key] = hist._sums.get(key, 0.0) + sums.get(key, 0.0)
-            hist._totals[key] = hist._totals.get(key, 0) + int(
-                totals.get(key, 0)
-            )
+                cumulative = int(per_bound.get(_fmt(bound), 0))
+                cells[i] += cumulative - below
+                below = cumulative
+            cells[-1] += int(totals.get(key, 0)) - below
+            series.sum += sums.get(key, 0.0)
 
 
 _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"')

@@ -34,6 +34,7 @@ the reference and batch engines agree exactly on identical workloads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -55,12 +56,12 @@ class GapSketch:
     """Fixed-bucket quantile sketch for inter-service gaps.
 
     ``observe`` files a value into the first bucket whose upper bound
-    covers it (one integer increment); ``quantile`` walks the bucket
-    counts and returns the covering bucket's upper bound — a
-    conservative (never under-reporting) estimate, exact for values on
-    the power-of-two grid.  Values beyond the last bound land in an
-    implicit overflow bucket whose quantile estimate is the true
-    maximum (tracked exactly).
+    covers it (one bisection, one integer increment); ``quantile``
+    walks the bucket counts and returns the covering bucket's upper
+    bound — a conservative (never under-reporting) estimate, exact for
+    values on the power-of-two grid.  Values beyond the last bound (and
+    NaN) land in an implicit overflow bucket whose quantile estimate is
+    the true maximum (tracked exactly).
     """
 
     __slots__ = ("bounds", "counts", "overflow", "total", "max", "sum")
@@ -69,6 +70,8 @@ class GapSketch:
         self.bounds = tuple(sorted(float(b) for b in bounds))
         if not self.bounds:
             raise ValueError("sketch needs at least one bucket")
+        if any(math.isnan(b) for b in self.bounds):
+            raise ValueError("sketch bucket bounds must not be NaN")
         self.counts = [0] * len(self.bounds)
         self.overflow = 0
         self.total = 0
@@ -76,17 +79,19 @@ class GapSketch:
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        """File one observation (O(buckets) worst case, tiny constant)."""
+        """File one observation (one bisection over the bounds)."""
         value = float(value)
         self.total += 1
         self.sum += value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
+        bounds = self.bounds
+        # NaN is covered by no bound: it goes to the overflow bucket.
+        i = bisect_left(bounds, value) if value == value else len(bounds)
+        if i < len(bounds):
+            self.counts[i] += 1
+        else:
+            self.overflow += 1
 
     def quantile(self, q: float) -> float:
         """Conservative q-quantile estimate (0 when empty)."""

@@ -18,7 +18,7 @@ overhead.  Banked layout enables the concurrency the paper exploits
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Owner", "BankStats", "SRAMBank", "BankedSRAM"]
 

@@ -1,7 +1,5 @@
 """Tests for the Register Base block (stream-slot) and DWCS updates."""
 
-import pytest
-
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.register_block import PendingPacket, RegisterBaseBlock
 

@@ -1,6 +1,5 @@
 """Tests for the window-constraint checker."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

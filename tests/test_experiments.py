@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import BlockMode, Routing
+from repro.core.config import BlockMode
 from repro.core.control import ControlState
 from repro.core.rules import Rule
 from repro.experiments.comparison import (

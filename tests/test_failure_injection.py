@@ -1,7 +1,6 @@
 """Failure-injection and stress tests across the system layers."""
 
 import numpy as np
-import pytest
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, Routing

@@ -125,7 +125,7 @@ class TestDiskDumps:
 
 class TestByteIdentityAcrossEngines:
     """Acceptance criteria: flight-recorder dumps replay byte-identically
-    through both engines — identical outcomes + global monotone seq
+    through every engine — identical outcomes + global monotone seq
     numbering make the canonical JSONL equal byte for byte."""
 
     def _run(self, scenario, engine):
@@ -152,12 +152,13 @@ class TestByteIdentityAcrossEngines:
 
         scenario = generate_scenario(seed)
         ref = self._run(scenario, "reference")
-        bat = self._run(scenario, "batch")
         assert ref.dumps, f"seed {seed}: scenario produced no dumps"
-        assert len(ref.dumps) == len(bat.dumps)
-        for a, b in zip(ref.dumps, bat.dumps):
-            assert a.serialize() == b.serialize()
-            assert a.trigger_window == b.trigger_window
+        for engine in ("batch", "tensor"):
+            other = self._run(scenario, engine)
+            assert len(ref.dumps) == len(other.dumps), engine
+            for a, b in zip(ref.dumps, other.dumps):
+                assert a.serialize() == b.serialize(), engine
+                assert a.trigger_window == b.trigger_window, engine
 
     def test_dump_round_trips_through_serialization(self):
         from repro.core.differential import generate_scenario

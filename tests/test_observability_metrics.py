@@ -54,6 +54,91 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
+    def test_rejects_nan_increment(self):
+        """NaN fails every comparison, so a plain ``amount < 0`` guard
+        let it through and the series stayed NaN for good."""
+        r = MetricsRegistry()
+        c = r.counter("x_total")
+        c.inc(2, stream=1)
+        with pytest.raises(ValueError):
+            c.inc(float("nan"), stream=1)
+        with pytest.raises(ValueError):
+            c.labels(stream=1).inc(float("nan"))
+        with pytest.raises(ValueError):
+            c.inc(float("nan"), stream=2)
+        assert c.value(stream=1) == 2
+        assert c.label_sets() == [{"stream": "1"}]  # no series for stream 2
+        assert parse_prometheus_text(r.to_prometheus_text()) == r.snapshot()
+
+
+class TestSeriesHandles:
+    """``labels()`` handles and ``**labels`` updates name series alike."""
+
+    def test_int_and_str_label_values_share_a_series(self):
+        c = MetricsRegistry().counter("x_total")
+        c.inc(stream=1)
+        c.inc(stream="1")
+        c.labels(stream=1).inc()
+        c.labels(stream="1").inc()
+        assert c.labels(stream=1) is c.labels(stream="1")
+        assert c.value(stream=1) == 4
+        assert c.label_sets() == [{"stream": "1"}]
+
+    def test_bool_and_float_label_values_stay_separate(self):
+        # True == 1 == 1.0 and they hash alike, but render differently.
+        c = MetricsRegistry().counter("x_total")
+        c.labels(stream=1).inc()
+        c.labels(stream=True).inc(2)
+        c.inc(3, stream=1.0)
+        c.inc(4, stream=True)
+        assert c.label_sets() == [
+            {"stream": "1"},
+            {"stream": "1.0"},
+            {"stream": "True"},
+        ]
+        assert c.value(stream=1) == 1
+        assert c.value(stream=1.0) == 3
+        assert c.value(stream=True) == 6
+
+    def test_handle_and_kwargs_updates_land_in_one_series(self):
+        r = MetricsRegistry()
+        c = r.counter("x_total")
+        c.labels(stream=0, kind="a").inc(2)
+        c.inc(3, kind="a", stream=0)
+        g = r.gauge("depth")
+        g.labels(stream=0).set(5)
+        g.inc(-2, stream=0)
+        g.labels(stream=0).inc(1)
+        h = r.histogram("lat", buckets=(1, 10))
+        h.labels(stream=0).observe(0.5)
+        h.observe(5, stream=0)
+        assert c.value(kind="a", stream=0) == 5
+        assert g.value(stream=0) == 4
+        assert h.count(stream=0) == 2 and h.sum(stream=0) == 5.5
+        assert r.snapshot() == {
+            "depth": {"type": "gauge", "samples": {'depth{stream="0"}': 4.0}},
+            "lat": {
+                "type": "histogram",
+                "samples": {
+                    'lat_bucket{stream="0",le="1"}': 1.0,
+                    'lat_bucket{stream="0",le="10"}': 2.0,
+                    'lat_bucket{stream="0",le="+Inf"}': 2.0,
+                    'lat_sum{stream="0"}': 5.5,
+                    'lat_count{stream="0"}': 2.0,
+                },
+            },
+            "x_total": {
+                "type": "counter",
+                "samples": {'x_total{kind="a",stream="0"}': 5.0},
+            },
+        }
+
+    def test_resolved_series_exports_at_zero(self):
+        r = MetricsRegistry()
+        r.counter("x_total").labels(stream=3)
+        assert r.snapshot()["x_total"]["samples"] == {'x_total{stream="3"}': 0.0}
+        assert parse_prometheus_text(r.to_prometheus_text()) == r.snapshot()
+
 
 class TestGauge:
     def test_set_and_inc(self):
@@ -90,6 +175,17 @@ class TestHistogram:
             r.histogram("a", buckets=())
         with pytest.raises(ValueError):
             r.histogram("b", buckets=(1, 1))
+        with pytest.raises(ValueError):
+            r.histogram("c", buckets=(1, float("nan")))
+
+    def test_nan_lands_only_in_the_inf_bucket(self):
+        h = MetricsRegistry().histogram("lat", buckets=(1, 10))
+        h.observe(0.5)
+        h.observe(float("nan"))
+        rows = {labels: value for _name, labels, value in h.sample_lines()}
+        assert rows['{le="1"}'] == 1 and rows['{le="10"}'] == 1
+        assert rows['{le="+Inf"}'] == 2 and h.count() == 2
+        assert h.sum() != h.sum()  # _sum goes NaN
 
     def test_label_sets(self):
         h = MetricsRegistry().histogram("lat", buckets=(1,))
@@ -208,6 +304,27 @@ class TestTraceRecorder:
         # Explicit opt-in still works and keeps only the tail.
         data = recorder.serialize(allow_truncated=True)
         assert len(data.splitlines()) == 4
+
+    @pytest.mark.parametrize("capacity", [1, 3, 5, 8])
+    def test_eviction_counts_multi_event_cycles(self, capacity):
+        """Cycles append all their events at once; eviction totals
+        match appending them one by one into a bounded deque."""
+        from collections import deque
+
+        from tests.test_observability_rollup import FakeOutcome
+
+        recorder = TraceRecorder(capacity=capacity)
+        ring, evicted = deque(maxlen=capacity), 0
+        for t, misses in enumerate([(0,), (), (0, 1, 2), (1,), ()]):
+            outcome = FakeOutcome(t, winner=0, serviced=(0,), misses=misses)
+            recorder.on_decision(outcome)
+            for _ in range(1 + len(misses)):
+                evicted += len(ring) == capacity
+                ring.append(t)
+        assert recorder.recorded == 10
+        assert recorder.evicted == evicted
+        assert [e.now for e in recorder] == list(ring)
+        assert [e.seq for e in recorder] == list(range(10 - len(ring), 10))
 
     def test_clear_resets_everything(self):
         recorder = TraceRecorder(capacity=2)

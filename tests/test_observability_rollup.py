@@ -72,6 +72,15 @@ class TestGapSketch:
         with pytest.raises(ValueError):
             GapSketch(bounds=())
 
+    def test_rejects_nan_bounds(self):
+        with pytest.raises(ValueError):
+            GapSketch(bounds=(1.0, float("nan")))
+
+    def test_nan_lands_in_overflow(self):
+        s = GapSketch(bounds=(1.0, 2.0))
+        s.observe(float("nan"))
+        assert s.counts == [0, 0] and s.overflow == 1 and s.total == 1
+
     def test_clear(self):
         s = GapSketch()
         s.observe(7)
@@ -197,12 +206,13 @@ class TestEngineIntegration:
         for seed in (3, 11):
             scenario = generate_scenario(seed)
             rollups = {}
-            for engine in ("reference", "batch"):
+            for engine in ("reference", "batch", "tensor"):
                 obs = RollupObserver(window_cycles=64)
                 run_engine(scenario, engine, observer=obs)
                 obs.finalize()
                 rollups[engine] = [w.to_dict() for w in obs.history]
             assert rollups["reference"] == rollups["batch"]
+            assert rollups["reference"] == rollups["tensor"]
             assert rollups["reference"]  # non-degenerate
 
     def test_memory_is_o_streams(self):

@@ -1,11 +1,10 @@
 """Cross-cutting property and invariant tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.config import ArchConfig, BlockMode, Routing
+from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 
 

@@ -1,6 +1,5 @@
 """Tests for the drop-late scheduling policy and jitter metrics."""
 
-import numpy as np
 import pytest
 
 from repro.core.attributes import SchedulingMode, StreamConfig

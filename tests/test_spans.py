@@ -6,11 +6,9 @@ import pytest
 
 from repro.aggregation import AggregationTier
 from repro.observability.spans import (
-    SpanRecord,
     SpanTracer,
     activate_tracer,
     canonical_span_bytes,
-    chrome_trace,
     critical_path,
     current_tracer,
     deterministic_span_id,

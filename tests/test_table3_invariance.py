@@ -6,8 +6,6 @@ certified max and min-first only the certified min.  These tests prove
 it at reduced scale.
 """
 
-import pytest
-
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.rules import ordering_key
