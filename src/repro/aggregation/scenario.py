@@ -24,7 +24,12 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from repro.aggregation.tier import AggregationCampaign, AggregationTier, _TierCore
+from repro.aggregation.tier import (
+    AggregationCampaign,
+    AggregationTier,
+    ServiceLog,
+    _TierCore,
+)
 
 __all__ = [
     "SERVICE_HEAD",
@@ -179,7 +184,7 @@ def generate_aggregation_scenario(
 def summarize_tier(
     scenario: AggregationScenario,
     core: _TierCore,
-    services: list[tuple[int, int, int, int]],
+    services: ServiceLog | list[tuple[int, int, int, int]],
 ) -> dict:
     """Canonical engine-independent summary of one replayed scenario.
 
@@ -191,7 +196,7 @@ def summarize_tier(
     row idling in lockstep while sibling rows drain must summarize
     identically to a standalone run that stopped earlier.
     """
-    blob = json.dumps(services, separators=(",", ":")).encode()
+    blob = json.dumps(services[:], separators=(",", ":")).encode()
     stats = core.stats()
     return {
         "format": 1,

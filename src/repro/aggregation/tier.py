@@ -42,7 +42,9 @@ the caller to pass matching weights to :meth:`AggregationTier.leave`.
 from __future__ import annotations
 
 import heapq
+import struct
 import time
+from array import array
 from dataclasses import dataclass
 
 from repro.core.attributes import SchedulingMode, StreamConfig
@@ -54,10 +56,14 @@ __all__ = [
     "AggregateStats",
     "AggregationTier",
     "AggregationCampaign",
+    "ServiceLog",
     "aggregate_share_slos",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+#: One service-log row as raw bytes in the machine order ``array("q")`` uses.
+_LOG_ROW = struct.Struct("=4q")
 
 
 def hash_bucket(sid: int, n_aggregates: int, *, salt: int = 0) -> int:
@@ -104,6 +110,72 @@ def _tier_streams(n_aggregates: int) -> list[StreamConfig]:
     ]
 
 
+class ServiceLog:
+    """Append-only log of ``(cycle, stream, aggregate, intra_rank)`` rows.
+
+    Rows are stored as int64 in one flat :class:`array.array`: about
+    32 bytes per serviced packet, where a list of tuples costs about
+    200.  The log keeps the list surface its readers use — ``len``,
+    indexing (negative indices included), slicing, iteration, ``==``,
+    :meth:`append` and :meth:`clear`.  Rows come back as tuples and a
+    slice is a list of tuples, so ``json.dumps`` of a slice writes the
+    same bytes as it would for a list.  A row that is not four int64
+    values (one outside int64, say) raises :class:`ValueError` and
+    leaves the log unchanged.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, rows=()) -> None:
+        self._flat = array("q")
+        for row in rows:
+            self.append(row)
+
+    def append(self, row: tuple[int, int, int, int]) -> None:
+        """Append one ``(cycle, stream, aggregate, intra_rank)`` row."""
+        try:
+            packed = _LOG_ROW.pack(*row)
+        except struct.error as exc:
+            raise ValueError(
+                f"a service row is four int64 values, got {row!r}"
+            ) from exc
+        self._flat.frombytes(packed)
+
+    def clear(self) -> None:
+        """Drop every row."""
+        del self._flat[:]
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __iter__(self):
+        it = iter(self._flat)
+        return zip(it, it, it, it)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step == 1:
+                it = iter(self._flat[4 * start : 4 * max(start, stop)])
+                return list(zip(it, it, it, it))
+            return [self[i] for i in range(start, stop, step)]
+        n = len(self)
+        i = key + n if key < 0 else key
+        if not 0 <= i < n:
+            raise IndexError("service log index out of range")
+        return tuple(self._flat[4 * i : 4 * i + 4])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ServiceLog):
+            return self._flat == other._flat
+        if isinstance(other, list):
+            return self[:] == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ServiceLog({self[:]!r})"
+
+
 @dataclass(frozen=True, slots=True)
 class AggregateStats:
     """Read-only snapshot of one aggregate's rollup state."""
@@ -119,9 +191,9 @@ class AggregateStats:
 class _TierCore:
     """Engine-agnostic tier state machine.
 
-    Owns everything except the scheduler engine itself: membership
-    counters, the per-aggregate PIFO heaps, the inter-aggregate
-    start-time-fair tags and the service log.  Engine wrappers
+    Owns everything except the scheduler engine itself and the service
+    log: membership counters, the per-aggregate PIFO heaps and the
+    inter-aggregate start-time-fair tags.  Engine wrappers
     (:class:`AggregationTier`, :class:`AggregationCampaign`) feed the
     returned refill operations ``(aggregate, rank, arrival, length)``
     into their engine and deliver decision outcomes back via
@@ -449,7 +521,7 @@ class AggregationTier:
             engine=engine,
             observer=observer,
         )
-        self.services: list[tuple[int, int, int, int]] = []
+        self.services = ServiceLog()
         self.now = 0
         self.tracer = tracer
         #: op kind -> [ops, wall seconds]; fixed order fixes span order.
@@ -634,9 +706,7 @@ class AggregationCampaign:
             [_tier_streams(n_aggregates) for _ in range(n_rows)],
             observers=list(observers) if observers is not None else None,
         )
-        self.services: list[list[tuple[int, int, int, int]]] = [
-            [] for _ in range(n_rows)
-        ]
+        self.services = [ServiceLog() for _ in range(n_rows)]
         self.now = 0
 
     def submit(self, row: int, sid: int, deadline: int, length: int = 1500):

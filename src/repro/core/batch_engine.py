@@ -55,7 +55,11 @@ from repro.core.fields import (
     DEADLINE_FIELD,
     LOSS_DEN_FIELD,
 )
-from repro.core.register_block import PendingPacket, SlotCounters
+from repro.core.register_block import (
+    PendingPacket,
+    SlotCounters,
+    negative_time_error,
+)
 from repro.core.scheduler import DecisionOutcome
 from repro.observability.hooks import resolve_observer
 
@@ -382,6 +386,8 @@ class BatchScheduler:
             )
         if self._configs[sid] is None:
             raise KeyError(f"no stream loaded in slot {sid}")
+        if not self._wrap and (deadline < 0 or arrival < 0):
+            raise negative_time_error(deadline, arrival)
         self._queues[sid].append((deadline, arrival, length))
         if not self._has_head[sid]:
             self._latch_next(sid)

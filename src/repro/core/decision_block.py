@@ -67,7 +67,12 @@ class DecisionBlock:
     def decide(
         self, a: HardwareAttributes, b: HardwareAttributes
     ) -> DecisionResult:
-        """Order a pair of attribute bundles in one cycle."""
+        """Order a pair of attribute bundles in one cycle.
+
+        The single-pair API (the Table 2 coverage bench uses it).  The
+        network's passes (:class:`~repro.core.shuffle.ShuffleExchangeNetwork`)
+        call the same comparator and charge these counters in place.
+        """
         result, rule = compare_with_rule(
             a, b, wrap=self.wrap, deadline_only=self.deadline_only
         )

@@ -46,7 +46,28 @@ from repro.core.fields import (
     serial_lt,
 )
 
-__all__ = ["SlotCounters", "PendingPacket", "RegisterBaseBlock"]
+__all__ = [
+    "SlotCounters",
+    "PendingPacket",
+    "RegisterBaseBlock",
+    "negative_time_error",
+]
+
+_DL_MASK = DEADLINE_FIELD.mask
+
+
+def negative_time_error(deadline: int, arrival: int) -> ValueError:
+    """The error every engine raises at enqueue for a negative time.
+
+    With ``wrap`` the 16-bit registers mask any integer.  In
+    ideal-arithmetic mode (``wrap=False``) deadline and arrival pass
+    through unmasked, so a request with a negative one is refused
+    before anything is queued.
+    """
+    return ValueError(
+        "deadline and arrival must be non-negative, got "
+        f"deadline={deadline}, arrival={arrival}"
+    )
 
 
 @dataclass(slots=True)
@@ -111,6 +132,8 @@ class RegisterBaseBlock:
 
     def enqueue(self, packet: PendingPacket) -> None:
         """Append one request to the slot's pending queue."""
+        if not self.wrap and (packet.deadline < 0 or packet.arrival < 0):
+            raise negative_time_error(packet.deadline, packet.arrival)
         self.pending.append(packet)
         if not self.attributes.valid:
             self._latch_next()
@@ -132,8 +155,8 @@ class RegisterBaseBlock:
             deadline += self._edf_bias
         if self.wrap:
             # Hardware registers hold 16-bit offsets.
-            self.attributes.deadline = deadline & DEADLINE_FIELD.mask
-            self.attributes.arrival = packet.arrival & DEADLINE_FIELD.mask
+            self.attributes.deadline = deadline & _DL_MASK
+            self.attributes.arrival = packet.arrival & _DL_MASK
         else:
             # Ideal-arithmetic mode: unbounded integers pass through.
             self.attributes.deadline = deadline
@@ -161,10 +184,7 @@ class RegisterBaseBlock:
         if self._current is None:
             return False
         if self.wrap:
-            return serial_lt(
-                self._current.deadline & DEADLINE_FIELD.mask,
-                now & DEADLINE_FIELD.mask,
-            )
+            return serial_lt(self._current.deadline & _DL_MASK, now & _DL_MASK)
         return self._current.deadline < now
 
     # ------------------------------------------------------------------

@@ -60,6 +60,10 @@ class Rule(enum.Enum):
     FCFS = "fcfs"
     STREAM_ID = "stream_id"  # deterministic final tie-break (lower sid)
 
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # per-decision rule counters off the interpreted ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class RuleEvaluation:

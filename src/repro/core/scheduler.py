@@ -6,8 +6,8 @@ blocks in the recirculating shuffle-exchange network, and the Control &
 Steering unit.  One call to :meth:`decision_cycle` performs exactly what
 the hardware does in one SCHEDULE + PRIORITY_UPDATE pair:
 
-1. drive every slot's attribute bundle onto the network and recirculate
-   ``log2(N)`` passes (SCHEDULE);
+1. drive every slot's attribute registers onto the network and
+   recirculate ``log2(N)`` passes (SCHEDULE);
 2. register missed deadlines in the per-slot performance counters;
 3. circulate the chosen stream ID back to the Register Base blocks and
    apply per-stream attribute adjustments (PRIORITY_UPDATE), consuming
@@ -120,6 +120,9 @@ class ShareStreamsScheduler:
         self.observer = resolve_observer(trace, observer)
         self.slots: list[RegisterBaseBlock | None] = [None] * config.n_slots
         self._idle_bundles = self._make_idle_bundles()
+        # (loaded slots, bundles driven onto the network), rebuilt
+        # lazily by :meth:`_wiring` after a load.
+        self._wired: tuple[tuple[RegisterBaseBlock, ...], list] | None = None
         if streams:
             for stream in streams:
                 self.load_stream(stream)
@@ -152,6 +155,7 @@ class ShareStreamsScheduler:
             raise ValueError(f"slot {stream.sid} already loaded")
         slot = RegisterBaseBlock(stream, wrap=self.config.wrap)
         self.slots[stream.sid] = slot
+        self._wired = None
         return slot
 
     def slot(self, sid: int) -> RegisterBaseBlock:
@@ -164,7 +168,7 @@ class ShareStreamsScheduler:
     @property
     def active_slots(self) -> list[RegisterBaseBlock]:
         """All populated stream-slots, in slot order."""
-        return [s for s in self.slots if s is not None]
+        return list(self._wiring()[0])
 
     def enqueue(
         self, sid: int, deadline: int, arrival: int, length: int = 1500
@@ -185,15 +189,23 @@ class ShareStreamsScheduler:
     # decision cycle (SCHEDULE + PRIORITY_UPDATE)
     # ------------------------------------------------------------------
 
-    def _gather_bundles(self):
-        bundles = []
-        for sid in range(self.config.n_slots):
-            slot = self.slots[sid]
-            if slot is None:
-                bundles.append(self._idle_bundles[sid])
-            else:
-                bundles.append(slot.snapshot())
-        return bundles
+    def _wiring(self) -> tuple[tuple[RegisterBaseBlock, ...], list]:
+        """The loaded slots (slot order) and the bundles the network reads.
+
+        Each loaded slot drives its live attribute registers onto the
+        network, an unpopulated one its invalid idle bundle.  SCHEDULE
+        only reads the registers and PRIORITY_UPDATE writes them after
+        SCHEDULE has finished, so no per-cycle copy is needed.  Built on
+        first use after :meth:`load_stream` rather than by every load,
+        which would cost O(N^2) to populate N slots.
+        """
+        if self._wired is None:
+            drive = [
+                idle if slot is None else slot.attributes
+                for slot, idle in zip(self.slots, self._idle_bundles)
+            ]
+            self._wired = (tuple(s for s in self.slots if s is not None), drive)
+        return self._wired
 
     def decision_cycle(
         self,
@@ -233,9 +245,11 @@ class ShareStreamsScheduler:
                 "(WR emits only the winner)"
             )
 
+        loaded, drive = self._wiring()
+        control = self.control
         dropped: list[tuple[int, PendingPacket]] = []
         if drop_late:
-            for slot in self.active_slots:
+            for slot in loaded:
                 while True:
                     if count_misses and slot.head_is_late(now):
                         slot.record_miss(now)
@@ -245,17 +259,18 @@ class ShareStreamsScheduler:
                     dropped.append((slot.config.sid, packet))
 
         # SCHEDULE: recirculate the attribute bundles.
-        result = self.network.run(
-            self._gather_bundles(), winner_only=self.config.winner_only
-        )
-        self.control.schedule(result.passes, detail=f"t={now}")
+        result = self.network.run(drive, winner_only=self.config.winner_only)
+        if control.trace:
+            control.schedule(result.passes, detail=f"t={now}")
+        else:
+            control.schedule(result.passes)
 
         order = [b.sid for b in result.order if b.valid]
 
         # Miss registration (performance counters, Table 3).
         misses: list[int] = []
         if count_misses:
-            for slot in self.active_slots:
+            for slot in loaded:
                 if slot.record_miss(now):
                     misses.append(slot.config.sid)
 
@@ -297,9 +312,12 @@ class ShareStreamsScheduler:
                     if packet is not None:
                         serviced.append((sid, packet))
             self.slot(circulated).record_win()
-        self.control.priority_update(
-            self.config.update_cycles, detail=f"circulate={circulated}"
-        )
+        if control.trace:
+            control.priority_update(
+                self.config.update_cycles, detail=f"circulate={circulated}"
+            )
+        else:
+            control.priority_update(self.config.update_cycles)
 
         outcome = DecisionOutcome(
             now=now,
@@ -325,4 +343,4 @@ class ShareStreamsScheduler:
 
     def counters(self) -> dict[int, "object"]:
         """Per-stream performance counters, keyed by stream ID."""
-        return {s.config.sid: s.counters for s in self.active_slots}
+        return {s.config.sid: s.counters for s in self._wiring()[0]}

@@ -27,11 +27,12 @@ See DESIGN.md ("Known interpretation points") for why both exist.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.decision_block import DecisionBlock
-from repro.core.rules import compare
+from repro.core.rules import compare, compare_with_rule
 
 __all__ = ["NetworkResult", "ShuffleExchangeNetwork", "perfect_shuffle", "is_pow2"]
 
@@ -85,6 +86,45 @@ class NetworkResult:
         return self.order[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _paper_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Paper pass table: ``(block, a, b, out)`` rows, one per block.
+
+    After the perfect shuffle, block ``j`` compares positions ``2j`` and
+    ``2j + 1`` — bundles ``j`` and ``j + N/2`` of the previous pass, read
+    off :func:`perfect_shuffle` — and drives its winner and loser ports
+    onto positions ``out = 2j`` and ``2j + 1``.
+    """
+    wires = perfect_shuffle(list(range(n)))
+    return tuple((j, wires[2 * j], wires[2 * j + 1], 2 * j) for j in range(n // 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _bitonic_stages(n: int) -> tuple[tuple[tuple[int, int, int, bool], ...], ...]:
+    """Batcher bitonic pass tables: ``(block, i, partner, ascending)`` rows.
+
+    One table per network pass.  Pair geometry follows the classic
+    network; every stage holds exactly ``N/2`` pairs, dealt to the
+    physical Decision blocks in order of their lower index.  Ascending
+    pairs put the higher-priority bundle at the lower index.
+    """
+    stages = []
+    k = 2
+    while k <= n:
+        j = k // 2
+        while j >= 1:
+            pairs = [(i, i ^ j, (i & k) == 0) for i in range(n) if (i ^ j) > i]
+            stages.append(
+                tuple(
+                    (block, i, partner, ascending)
+                    for block, (i, partner, ascending) in enumerate(pairs)
+                )
+            )
+            j //= 2
+        k *= 2
+    return tuple(stages)
+
+
 class ShuffleExchangeNetwork:
     """Single-stage recirculating network over ``n_slots`` bundles.
 
@@ -98,6 +138,11 @@ class ShuffleExchangeNetwork:
         Simple-comparator mode for fair-queuing service tags.
     schedule:
         ``"paper"`` (log2 N recirculation) or ``"bitonic"`` (full sort).
+
+    The wiring is fixed when the network is built: the paper pass reads
+    its pairs off :func:`perfect_shuffle` and the bitonic passes are
+    precomputed pair tables, so one pass is one loop over ``N/2``
+    comparator calls.
     """
 
     def __init__(
@@ -123,6 +168,8 @@ class ShuffleExchangeNetwork:
             DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
             for i in range(n_slots // 2)
         ]
+        self._paper = _paper_pairs(n_slots)
+        self._bitonic = _bitonic_stages(n_slots) if schedule == "bitonic" else ()
 
     # ------------------------------------------------------------------
 
@@ -134,25 +181,31 @@ class ShuffleExchangeNetwork:
             return k
         return k * (k + 1) // 2
 
-    def _exchange(
-        self, state: list[HardwareAttributes]
-    ) -> list[HardwareAttributes]:
-        """One pass: perfect shuffle then pairwise compare-exchange."""
-        state = perfect_shuffle(state)
-        for j, block in enumerate(self.blocks):
-            a, b = state[2 * j], state[2 * j + 1]
-            result = block.decide(a, b)
-            state[2 * j] = result.winner
-            state[2 * j + 1] = result.loser
-        return state
-
     def _run_paper(
         self, bundles: list[HardwareAttributes]
     ) -> tuple[list[HardwareAttributes], int]:
+        """``log2(N)`` passes of perfect shuffle + pairwise exchange."""
+        wrap, deadline_only = self.wrap, self.deadline_only
+        rule_counts = [block.rule_counts for block in self.blocks]
         state = list(bundles)
+        spare = [None] * self.n_slots
         passes = self.n_slots.bit_length() - 1
         for _ in range(passes):
-            state = self._exchange(state)
+            for j, a_i, b_i, w in self._paper:
+                a = state[a_i]
+                b = state[b_i]
+                result, rule = compare_with_rule(
+                    a, b, wrap=wrap, deadline_only=deadline_only
+                )
+                counts = rule_counts[j]
+                counts[rule] = counts.get(rule, 0) + 1
+                if result < 0:
+                    spare[w] = a
+                    spare[w + 1] = b
+                else:
+                    spare[w] = b
+                    spare[w + 1] = a
+            state, spare = spare, state
         return state, passes
 
     def _run_bitonic(
@@ -160,35 +213,26 @@ class ShuffleExchangeNetwork:
     ) -> tuple[list[HardwareAttributes], int]:
         """Batcher bitonic sort using the same comparator pool.
 
-        Pair geometry follows the classic network; each stage maps onto
-        one recirculation pass of the ``N/2`` physical comparators (the
-        steering muxes select the operand routing).  Ascending pairs put
-        the higher-priority bundle at the lower index.
+        Each stage maps onto one recirculation pass of the ``N/2``
+        physical comparators (the steering muxes select the operand
+        routing).
         """
+        wrap, deadline_only = self.wrap, self.deadline_only
+        rule_counts = [block.rule_counts for block in self.blocks]
         state = list(bundles)
-        n = self.n_slots
-        passes = 0
-        block_cursor = 0
-        k = 2
-        while k <= n:
-            j = k // 2
-            while j >= 1:
-                for i in range(n):
-                    partner = i ^ j
-                    if partner <= i:
-                        continue
-                    ascending = (i & k) == 0
-                    block = self.blocks[block_cursor % len(self.blocks)]
-                    block_cursor += 1
-                    result = block.decide(state[i], state[partner])
-                    if ascending:
-                        state[i], state[partner] = result.winner, result.loser
-                    else:
-                        state[i], state[partner] = result.loser, result.winner
-                passes += 1
-                j //= 2
-            k *= 2
-        return state, passes
+        for stage in self._bitonic:
+            for j, i, partner, ascending in stage:
+                a = state[i]
+                b = state[partner]
+                result, rule = compare_with_rule(
+                    a, b, wrap=wrap, deadline_only=deadline_only
+                )
+                counts = rule_counts[j]
+                counts[rule] = counts.get(rule, 0) + 1
+                if (result < 0) != ascending:
+                    state[i] = b
+                    state[partner] = a
+        return state, len(self._bitonic)
 
     # ------------------------------------------------------------------
 
@@ -203,7 +247,8 @@ class ShuffleExchangeNetwork:
         Parameters
         ----------
         bundles:
-            One attribute bundle per stream-slot, in slot order.
+            One attribute bundle per stream-slot, in slot order.  The
+            list is not modified.
         winner_only:
             Winner-only (WR / max-finding) routing: only the winner is
             emitted.  The pass count is identical (the tournament depth
@@ -214,15 +259,18 @@ class ShuffleExchangeNetwork:
             raise ValueError(
                 f"expected {self.n_slots} bundles, got {len(bundles)}"
             )
-        before = sum(b.decisions for b in self.blocks)
         if self.schedule == "bitonic" and not winner_only:
             order, passes = self._run_bitonic(bundles)
         else:
             order, passes = self._run_paper(bundles)
-        comparisons = sum(b.decisions for b in self.blocks) - before
+        # Every pass fires each of the N/2 blocks exactly once.
+        for block in self.blocks:
+            block.decisions += passes
         if winner_only:
             order = [order[0]]
-        return NetworkResult(order=order, passes=passes, comparisons=comparisons)
+        return NetworkResult(
+            order=order, passes=passes, comparisons=passes * len(self.blocks)
+        )
 
     def reference_order(
         self, bundles: list[HardwareAttributes]

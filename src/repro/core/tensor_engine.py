@@ -77,7 +77,11 @@ from repro.core.batch_engine import (
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
 from repro.core.fields import LOSS_DEN_FIELD, LOSS_NUM_FIELD
-from repro.core.register_block import PendingPacket, SlotCounters
+from repro.core.register_block import (
+    PendingPacket,
+    SlotCounters,
+    negative_time_error,
+)
 from repro.core.scheduler import DecisionOutcome
 from repro.observability.hooks import resolve_observer
 
@@ -475,6 +479,8 @@ class CampaignEngine:
             raise KeyError(
                 f"no stream loaded in scenario {scenario} slot {sid}"
             )
+        if not self._wrap and (deadline < 0 or arrival < 0):
+            raise negative_time_error(deadline, arrival)
         self._queues[scenario][sid].append((deadline, arrival, length))
         if not self._has_head[scenario, sid]:
             self._latch_next(scenario, sid)

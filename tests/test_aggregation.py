@@ -10,6 +10,8 @@ cache, the ``CACHE_SCHEMA`` bump regression, and the CLI subcommand.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation import (
     AggregationCampaign,
@@ -20,6 +22,8 @@ from repro.aggregation import (
     run_aggregation,
     run_aggregation_bucket,
 )
+from repro.aggregation.scenario import _apply_cycle, summarize_tier
+from repro.aggregation.tier import ServiceLog
 from repro.core.differential import validate_aggregation
 from repro.runner import ResultCache
 
@@ -177,6 +181,79 @@ class TestServiceFlow:
         # sids[0] refilled first (head-of-line); the remaining class-0
         # packet then beats the class-9 one (lower class serves first).
         assert order.index(sids[1]) == 2
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestServiceLog:
+    """The compact int64 log behaves like the list of tuples it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_INT64, _INT64, _INT64, _INT64), max_size=40),
+        data=st.data(),
+    )
+    def test_matches_plain_list(self, rows, data):
+        log = ServiceLog()
+        for row in rows:
+            log.append(row)
+        assert len(log) == len(rows)
+        assert list(log) == rows
+        assert log == rows and rows == log
+        assert log == ServiceLog(rows)
+        assert log != rows + [(0, 0, 0, 0)]
+        for i in range(-len(rows), len(rows)):
+            assert log[i] == rows[i]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        cut = data.draw(st.slices(len(rows) + 2))
+        assert log[cut] == rows[cut]
+        assert json.dumps(log[cut], separators=(",", ":")) == json.dumps(
+            rows[cut], separators=(",", ":")
+        )
+        log.clear()
+        assert len(log) == 0 and log == [] and list(log) == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0, 1, 2, 2**63),
+            (0, 1, -(2**63) - 1, 3),
+            (0, 1, 2**64 + 2, 3),
+            (0, 1, 2),
+            (0, 1, 2, 3, 4),
+            (0, 1, 2.0, 3),
+        ],
+    )
+    def test_bad_row_raises_and_leaves_log_unchanged(self, row):
+        """A value outside int64 raises instead of wrapping around."""
+        log = ServiceLog([(5, 6, 7, 8)])
+        with pytest.raises(ValueError, match="four int64 values"):
+            log.append(row)
+        assert log == [(5, 6, 7, 8)]
+
+    def test_summary_digest_same_as_list(self):
+        scenario = generate_aggregation_scenario(
+            3, n_streams=40, n_aggregates=8, n_cycles=80
+        )
+        tier = AggregationTier(
+            scenario.n_aggregates,
+            engine="reference",
+            discipline=scenario.discipline,
+            salt=scenario.salt,
+        )
+        for sid, weight in scenario.initial:
+            tier.join(sid, weight=weight)
+        for cycle in scenario.events:
+            _apply_cycle(tier, cycle)
+            tier.decision_cycle()
+        tier.drain()
+        assert isinstance(tier.services, ServiceLog)
+        summary = summarize_tier(scenario, tier.core, tier.services)
+        assert summary == summarize_tier(scenario, tier.core, list(tier.services))
+        assert summary == run_aggregation(scenario, engine="reference")
 
 
 class TestThreeWayIdentity:

@@ -1,6 +1,10 @@
 """Tests for the Register Base block (stream-slot) and DWCS updates."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.core.attributes import SchedulingMode, StreamConfig
+from repro.core.fields import LOSS_DEN_FIELD, LOSS_NUM_FIELD
 from repro.core.register_block import PendingPacket, RegisterBaseBlock
 
 
@@ -212,3 +216,56 @@ class TestCounters:
         assert slot.counters.serviced == 1
         assert slot.counters.wins == 1
         assert slot.counters.loads == 1
+
+
+@st.composite
+def _windows(draw):
+    y = draw(st.integers(0, LOSS_DEN_FIELD.mask))
+    return draw(st.integers(0, y)), y
+
+
+class TestWindowFieldRange:
+    """The scheduler drives the live registers onto the network, so no
+    per-cycle copy re-validates them: the update paths alone must keep
+    ``x'`` and ``y'`` inside their 8-bit fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=_windows(),
+        mode=st.sampled_from([SchedulingMode.DWCS, SchedulingMode.FAIR_SHARE]),
+        wrap=st.booleans(),
+        script=st.lists(
+            st.sampled_from(["win", "miss", "late", "block_win", "block_other"]),
+            max_size=400,
+        ),
+    )
+    # A violation run past the 8-bit ceiling (y' saturates at 255).
+    @example(
+        window=(0, 250), mode=SchedulingMode.DWCS, wrap=False, script=["miss"] * 10
+    )
+    def test_window_counters_stay_in_field(self, window, mode, wrap, script):
+        x, y = window
+        slot = RegisterBaseBlock(
+            StreamConfig(
+                sid=0, period=1, loss_numerator=x, loss_denominator=y, mode=mode
+            ),
+            wrap=wrap,
+        )
+        now = 1000
+        for step in script:
+            late = step in ("miss", "late")
+            slot.enqueue_request(deadline=now - 1 if late else now + 1, arrival=now)
+            if step == "miss":
+                assert slot.record_miss(now)
+                assert slot.drop_late_head(now) is not None
+            elif step == "block_win":
+                slot.service(now, as_winner=True)
+            elif step == "block_other":
+                slot.service(now, as_winner=False)
+            else:
+                slot.service(now)
+            attrs = slot.attributes
+            LOSS_NUM_FIELD.check(attrs.loss_numerator)
+            LOSS_DEN_FIELD.check(attrs.loss_denominator)
+            assert attrs.loss_numerator <= x
+            now += 1

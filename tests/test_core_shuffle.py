@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import HardwareAttributes
+from repro.core.decision_block import DecisionBlock
 from repro.core.rules import ordering_key
 from repro.core.shuffle import (
     ShuffleExchangeNetwork,
@@ -199,3 +200,115 @@ class TestReferenceOrder:
         net.run(bundles_for([1, 2, 3, 4]))
         net.reset_counters()
         assert all(b.decisions == 0 for b in net.blocks)
+
+
+def _per_pair_reference(blocks, bundles, schedule, winner_only):
+    """The network as one ``DecisionBlock.decide`` call per pair.
+
+    Each paper pass applies :func:`perfect_shuffle` and lets block ``j``
+    decide positions ``2j``/``2j+1``; each bitonic stage deals its pairs
+    to the blocks in order.  Returns ``(order, passes)``.
+    """
+    n = len(bundles)
+    state = list(bundles)
+    passes = 0
+    if schedule == "bitonic" and not winner_only:
+        cursor = 0
+        k = 2
+        while k <= n:
+            j = k // 2
+            while j >= 1:
+                for i in range(n):
+                    partner = i ^ j
+                    if partner <= i:
+                        continue
+                    block = blocks[cursor % len(blocks)]
+                    cursor += 1
+                    result = block.decide(state[i], state[partner])
+                    if (i & k) == 0:
+                        state[i], state[partner] = result.winner, result.loser
+                    else:
+                        state[i], state[partner] = result.loser, result.winner
+                passes += 1
+                j //= 2
+            k *= 2
+    else:
+        for _ in range(n.bit_length() - 1):
+            state = perfect_shuffle(state)
+            for j, block in enumerate(blocks):
+                result = block.decide(state[2 * j], state[2 * j + 1])
+                state[2 * j], state[2 * j + 1] = result.winner, result.loser
+            passes += 1
+    if winner_only:
+        state = state[:1]
+    return state, passes
+
+
+@st.composite
+def _bundle_rows(draw, n):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                # Small values force ties; values near 2**16 cross the
+                # 16-bit serial wrap.
+                st.one_of(st.integers(0, 3), st.integers(65533, 65535)),
+                st.sampled_from(_WINDOWS),
+                st.one_of(st.integers(0, 3), st.integers(65533, 65535)),
+                st.booleans(),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    bundles = []
+    for sid, (deadline, (x, y), arrival, valid) in enumerate(rows):
+        bundle = HardwareAttributes(
+            sid=sid, deadline=deadline, loss_numerator=x, loss_denominator=y,
+            arrival=arrival,
+        )
+        bundle.valid = valid
+        bundles.append(bundle)
+    return bundles
+
+
+class TestFusedPassesMatchPerPairNetwork:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16, 32, 64]),
+        schedule=st.sampled_from(["paper", "bitonic"]),
+        winner_only=st.booleans(),
+        wrap=st.booleans(),
+        deadline_only=st.booleans(),
+        data=st.data(),
+    )
+    def test_order_and_counters_match(
+        self, n, schedule, winner_only, wrap, deadline_only, data
+    ):
+        """The precomputed-wiring passes emit the same bundles and charge
+        the same per-block decision and rule counters as a per-pair
+        ``perfect_shuffle`` + ``DecisionBlock.decide`` loop, over
+        consecutive runs, without touching the caller's list."""
+        net = ShuffleExchangeNetwork(
+            n, wrap=wrap, deadline_only=deadline_only, schedule=schedule
+        )
+        blocks = [
+            DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
+            for i in range(n // 2)
+        ]
+        for _ in range(2):
+            bundles = data.draw(_bundle_rows(n))
+            given_list = list(bundles)
+            result = net.run(bundles, winner_only=winner_only)
+            before = sum(b.decisions for b in blocks)
+            order, passes = _per_pair_reference(
+                blocks, bundles, schedule, winner_only
+            )
+            assert [id(b) for b in result.order] == [id(b) for b in order]
+            assert result.passes == passes
+            assert result.comparisons == sum(b.decisions for b in blocks) - before
+            assert [b.decisions for b in net.blocks] == [b.decisions for b in blocks]
+            assert [b.rule_counts for b in net.blocks] == [
+                b.rule_counts for b in blocks
+            ]
+            assert all(x is y for x, y in zip(bundles, given_list))
+            assert len(bundles) == n

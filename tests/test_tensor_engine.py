@@ -377,3 +377,41 @@ def test_wr_block_consume_rejected_before_state_change(target):
     with pytest.raises(ValueError, match="block consumption requires BA"):
         sched.decision_cycle(5, consume="block", count_misses=True)
     assert snapshot() == before
+
+
+@pytest.mark.parametrize("deadline,arrival", [(-5, 3), (4, -1)])
+@pytest.mark.parametrize("target", ["reference", "batch", "tensor"])
+def test_negative_times_rejected_at_enqueue(target, deadline, arrival):
+    """In ideal arithmetic (``wrap=False``) a negative deadline or
+    arrival raises at ``enqueue`` with nothing queued, on every engine;
+    with ``wrap=True`` the 16-bit registers mask it and it is served."""
+    streams = [StreamConfig(sid=i, period=1) for i in range(4)]
+    sched = make_scheduler(
+        ArchConfig(n_slots=4, wrap=False), streams, engine=target
+    )
+    sched.enqueue(0, deadline=9, arrival=0)
+    message = (
+        "deadline and arrival must be non-negative, got "
+        f"deadline={deadline}, arrival={arrival}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sched.enqueue(0, deadline=deadline, arrival=arrival)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sched.enqueue(1, deadline=deadline, arrival=arrival)
+    assert sched.slot(0).backlog == 0
+    assert sched.slot(1).head is None
+    served = [
+        sid
+        for t in range(3)
+        for sid, _packet in sched.decision_cycle(t).serviced
+    ]
+    assert served == [0]
+
+    wrapped = make_scheduler(
+        ArchConfig(n_slots=4, wrap=True), streams, engine=target
+    )
+    wrapped.enqueue(1, deadline=deadline, arrival=arrival)
+    outcome = wrapped.decision_cycle(0)
+    assert [(sid, p.deadline, p.arrival) for sid, p in outcome.serviced] == [
+        (1, deadline, arrival)
+    ]
