@@ -8,7 +8,7 @@ top of it)::
 
     write_bench(
         OUTPUT, "campaign",
-        [bench_record("tensor_vs_batch", 26.0, "ratio",
+        [bench_record("tensor_vs_serial", 26.0, "ratio",
                       scenarios=64, slots=8, direction="higher")],
         workload="S-scenario crossover sweep",
     )

@@ -1,6 +1,6 @@
 """Million-stream aggregation tier: scale, churn latency, memory.
 
-Drives one :class:`repro.aggregation.AggregationTier` (batch engine,
+Drives one :class:`repro.aggregation.AggregationTier` (tensor engine,
 1024 aggregates, non-strict membership — the production-scale mode) to
 ``AGG_BENCH_STREAMS`` concurrent streams (default 1,000,000; CI smoke
 runs 100,000) and measures the three claims the issue pins:
@@ -72,7 +72,7 @@ def _churn_latency(tier: AggregationTier, base_sid: int, ops: int) -> float:
 
 def test_million_stream_tier(report):
     rss_start = _rss_bytes()
-    tier = AggregationTier(N_AGGREGATES, engine="batch", strict=False)
+    tier = AggregationTier(N_AGGREGATES, engine="tensor", strict=False)
 
     # -- population ----------------------------------------------------
     small_population = min(N_STREAMS, max(10_000, N_STREAMS // 10))

@@ -1,13 +1,13 @@
-"""Engine comparison: vectorized batch engine vs the object model.
+"""Engine comparison: the array engine's periodic path vs the object model.
 
 Runs the identical periodic EDF workload (the Table 3 feed generalized
 over slot count) on both engines and reports decision cycles per
 second.  The object model pays per-slot, per-pass Python costs — its
-cycle time grows like ``N log N`` function calls — while the batch
-engine's cycle is a handful of array operations, so the gap widens
-with slot count.  The asserts pin the crossover: the batch engine must
-win from 32 slots up and by at least 5x at 128 slots (the acceptance
-bar for replacing the special-cased fast paths).
+cycle time grows like ``N log N`` function calls — while
+:meth:`TensorScheduler.run_periodic` runs each cycle as a handful of
+array operations, so the gap widens with slot count.  The asserts pin
+the crossover: the array engine must win from 32 slots up and by at
+least 5x at 128 slots.
 """
 
 from __future__ import annotations
@@ -17,16 +17,16 @@ import time
 import numpy as np
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.batch_engine import BatchScheduler
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
+from repro.core.tensor_engine import TensorScheduler
 
 SLOT_COUNTS = (8, 32, 128, 512)
 
 #: Timed decision cycles per engine (reference shrinks with N to keep
 #: the harness fast; rates are compared, not wall-clock totals).
 _REFERENCE_CYCLES = {8: 400, 32: 200, 128: 60, 512: 16}
-_BATCH_CYCLES = {8: 2000, 32: 2000, 128: 1000, 512: 400}
+_ARRAY_CYCLES = {8: 2000, 32: 2000, 128: 1000, 512: 400}
 _WARMUP = 8
 
 
@@ -59,39 +59,39 @@ def _reference_rate(n_slots: int) -> float:
     return cycles / (time.perf_counter() - start)
 
 
-def _batch_rate(n_slots: int) -> float:
-    """Decision cycles/second of the batch engine on the same feed."""
+def _array_rate(n_slots: int) -> float:
+    """Decision cycles/second of ``TensorScheduler.run_periodic``."""
     offsets = np.arange(1, n_slots + 1, dtype=np.int64)
-    cycles = _BATCH_CYCLES[n_slots]
+    cycles = _ARRAY_CYCLES[n_slots]
     arch, streams = _arch_streams(n_slots)
 
-    warm = BatchScheduler(arch, streams)
+    warm = TensorScheduler(arch, streams)
     warm.run_periodic(_WARMUP, offsets=offsets, step=1)
 
-    scheduler = BatchScheduler(arch, streams)
+    scheduler = TensorScheduler(arch, streams)
     start = time.perf_counter()
     scheduler.run_periodic(cycles, offsets=offsets, step=1)
     return cycles / (time.perf_counter() - start)
 
 
-def test_batch_engine_scaling(report):
+def test_array_engine_scaling(report):
     rows = []
     speedups = {}
     for n in SLOT_COUNTS:
         ref = _reference_rate(n)
-        bat = _batch_rate(n)
-        speedups[n] = bat / ref
+        arr = _array_rate(n)
+        speedups[n] = arr / ref
         rows.append(
             f"{n:>4} slots: reference {ref:>10,.0f} cyc/s | "
-            f"batch {bat:>10,.0f} cyc/s | {bat / ref:>6.1f}x"
+            f"array {arr:>10,.0f} cyc/s | {arr / ref:>6.1f}x"
         )
     report("Engine comparison: periodic EDF feed", "\n".join(rows))
     # The object model may win at tiny N (array-op overhead dominates);
-    # from 32 slots up the batch engine must win, and by a wide margin
+    # from 32 slots up the array engine must win, and by a wide margin
     # at experiment scale.
     for n in SLOT_COUNTS:
         if n >= 32:
-            assert speedups[n] > 1.0, f"batch engine lost at {n} slots"
+            assert speedups[n] > 1.0, f"array engine lost at {n} slots"
     assert speedups[128] >= 5.0, (
-        f"batch engine only {speedups[128]:.1f}x at 128 slots (need >= 5x)"
+        f"array engine only {speedups[128]:.1f}x at 128 slots (need >= 5x)"
     )

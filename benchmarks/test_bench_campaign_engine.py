@@ -6,9 +6,9 @@ streams each — three ways and reports *scenario-cycles per second*
 
 * **reference** — the cycle-level object model, one scenario at a time
   (its rate is per-scenario, independent of S);
-* **batch** — one :class:`BatchScheduler` per scenario, run serially
-  (the pre-tensor campaign shape: fast cycles, but the Python
-  per-cycle loop is paid S times);
+* **serial** — one single-row :class:`CampaignEngine` per scenario,
+  run serially (the per-scenario campaign shape: fast cycles, but the
+  Python per-cycle loop is paid S times);
 * **tensor** — one :class:`CampaignEngine` holding all S scenarios as
   rows of its ``(S, N)`` state, so the whole campaign pays the Python
   per-cycle loop once.
@@ -16,7 +16,7 @@ streams each — three ways and reports *scenario-cycles per second*
 The crossover table lands in ``docs/ENGINES.md``; the machine-readable
 results are written to ``BENCH_CAMPAIGN.json`` at the repo root (CI
 uploads it as an artifact).  The assert pins the acceptance bar:
->= 5x over per-scenario batch execution at S=64.
+>= 5x over serial per-scenario execution at S=64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from pathlib import Path
 
 from _schema import bench_record, write_bench
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.batch_engine import BatchScheduler
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import CampaignEngine
@@ -74,15 +73,15 @@ def _reference_rate(n_slots: int) -> float:
     return cycles / (time.perf_counter() - start)
 
 
-def _batch_rate(s_count: int, n_slots: int) -> float:
-    """Scenario-cycles/second of S serial BatchScheduler runs."""
+def _serial_rate(s_count: int, n_slots: int) -> float:
+    """Scenario-cycles/second of S serial one-row CampaignEngine runs."""
     arch, streams = _arch_streams(n_slots)
     cycles = _CYCLES[n_slots]
-    BatchScheduler(arch, streams).run_periodic(_WARMUP, step=1)
-    schedulers = [BatchScheduler(arch, streams) for _ in range(s_count)]
+    CampaignEngine(arch, [list(streams)]).run_periodic(_WARMUP, step=1)
+    engines = [CampaignEngine(arch, [list(streams)]) for _ in range(s_count)]
     start = time.perf_counter()
-    for scheduler in schedulers:
-        scheduler.run_periodic(cycles, step=1)
+    for engine in engines:
+        engine.run_periodic(cycles, step=1)
     return s_count * cycles / (time.perf_counter() - start)
 
 
@@ -111,14 +110,14 @@ def test_campaign_engine_scaling(report):
             )
         )
         for s in SCENARIO_COUNTS:
-            bat = _batch_rate(s, n)
+            ser = _serial_rate(s, n)
             ten = _tensor_rate(s, n)
-            speedups[(s, n)] = ten / bat
+            speedups[(s, n)] = ten / ser
             point = {"scenarios": s, "slots": n}
             records.extend(
                 [
                     bench_record(
-                        "batch_ops", bat, "scenario-cycles/s",
+                        "serial_ops", ser, "scenario-cycles/s",
                         direction="higher", **point,
                     ),
                     bench_record(
@@ -126,19 +125,19 @@ def test_campaign_engine_scaling(report):
                         direction="higher", **point,
                     ),
                     bench_record(
-                        "tensor_vs_batch", ten / bat, "ratio",
+                        "tensor_vs_serial", ten / ser, "ratio",
                         direction="higher", **point,
                     ),
                 ]
             )
             rows.append(
                 f"S={s:>3} N={n:>3}: reference {reference[n]:>10,.0f} | "
-                f"batch {bat:>10,.0f} | tensor {ten:>10,.0f} "
-                f"scenario-cyc/s | {ten / bat:>6.1f}x"
+                f"serial {ser:>10,.0f} | tensor {ten:>10,.0f} "
+                f"scenario-cyc/s | {ten / ser:>6.1f}x"
             )
     records.append(
         bench_record(
-            "tensor_vs_batch_at_s64",
+            "tensor_vs_serial_at_s64",
             max(speedups[(64, n)] for n in SLOT_COUNTS),
             "ratio",
             direction="higher",
@@ -159,5 +158,5 @@ def test_campaign_engine_scaling(report):
     for n in SLOT_COUNTS:
         assert speedups[(64, n)] >= 5.0, (
             f"tensor engine only {speedups[(64, n)]:.1f}x over "
-            f"per-scenario batch at S=64 N={n} (need >= 5x)"
+            f"serial per-scenario runs at S=64 N={n} (need >= 5x)"
         )

@@ -8,7 +8,7 @@ cross-validated engines:
 * :func:`hash_bucket` deterministically buckets stream ids into
   aggregates (stable splitmix64 mixing — no salted process state);
 * :class:`AggregationTier` runs one aggregate per scheduler slot on
-  any of the three engines (``reference`` / ``batch`` / ``tensor``)
+  either engine (``reference`` / ``tensor``)
   with weighted start-time-fair queueing *across* aggregates and a
   registered programmable rank function (``pifo:<name>``,
   :mod:`repro.disciplines.pifo`) ordering packets *within* each
@@ -17,7 +17,7 @@ cross-validated engines:
   engine's ``(S, N)`` tensor state — membership is pure bucket
   arithmetic plus per-aggregate counters;
 * :mod:`repro.aggregation.scenario` derives seeded churn workloads and
-  replays them byte-identically on all three engines (the
+  replays them byte-identically on both engines (the
   aggregation-aware differential path,
   :func:`repro.core.differential.validate_aggregation`).
 

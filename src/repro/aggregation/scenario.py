@@ -3,7 +3,7 @@
 A scenario is a fully materialized, deterministic event script — per
 cycle: stream joins, stream leaves, packet arrivals — derived from one
 integer seed.  :func:`run_aggregation` replays it on a standalone
-:class:`~repro.aggregation.tier.AggregationTier` (reference or batch
+:class:`~repro.aggregation.tier.AggregationTier` (reference or tensor
 engine); :func:`run_aggregation_bucket` replays a same-shape batch of
 scenarios in lockstep on one tensorized
 :class:`~repro.aggregation.tier.AggregationCampaign`.  Both produce
@@ -190,7 +190,7 @@ def summarize_tier(
 
     Everything here is derived from tier-core state and the service
     event stream ``(cycle, stream, aggregate, intra_rank)`` — nothing
-    from the engine object — so reference/batch/tensor replays of the
+    from the engine object — so reference and tensor replays of the
     same scenario produce literally the same dict.  ``cycles`` is the
     last *serving* cycle + 1 (not the replay loop length): a campaign
     row idling in lockstep while sibling rows drain must summarize

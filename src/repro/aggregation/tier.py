@@ -463,10 +463,11 @@ class AggregationTier:
     n_aggregates:
         Scheduler slots (= aggregates); a power of two >= 2.
     engine:
-        ``"reference"`` / ``"batch"`` / ``"tensor"`` — built via
+        ``"reference"`` (the oracle) or ``"tensor"`` (the array
+        engine, default) — built via
         :func:`repro.core.batch_engine.make_scheduler`, so the tier
         rides the cross-validated engines rather than forking a
-        fourth.
+        third.
     discipline:
         Intra-aggregate ordering: any registered programmable rank
         function, as ``"pifo:<name>"`` (or a bare name /
@@ -495,7 +496,7 @@ class AggregationTier:
         self,
         n_aggregates: int,
         *,
-        engine: str = "batch",
+        engine: str = "tensor",
         discipline: str | RankFunction = "pifo:sfq",
         observer=None,
         strict: bool = True,

@@ -2,7 +2,7 @@
 
 Every ``benchmarks/test_bench_*.py`` writer historically hand-rolled its
 own JSON shape, so the repo accumulated ``BENCH_*.json`` files with no
-machine-checkable trend: nothing could say whether the 37x batch
+machine-checkable trend: nothing could say whether the 37x array-engine
 crossover or the O(1) churn latency still hold.  This module defines
 
 * **one record format** — ``{"name", "value", "unit", "metadata"}`` —

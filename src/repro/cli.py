@@ -467,11 +467,11 @@ def _render_value(value) -> str:
 
 
 def _cmd_pifo(args) -> None:
-    """Three-way validation of programmable PIFO rank functions.
+    """Two-way validation of programmable PIFO rank functions.
 
     Runs :func:`repro.core.differential.validate_rank_function` for the
-    selected (or every registered) rank function: reference vs batch vs
-    tensor byte-identical summaries, plus service-order equivalence
+    selected (or every registered) rank function: reference vs tensor
+    byte-identical summaries, plus service-order equivalence
     against the handwritten counterpart where one is declared.
     """
     import json
@@ -512,10 +512,10 @@ def _cmd_pifo(args) -> None:
         failed = failed or not result.passed
     print(
         render_table(
-            ["discipline", "rank", "equivalent to", "scenarios", "services", "3-way"],
+            ["discipline", "rank", "equivalent to", "scenarios", "services", "2-way"],
             rows,
             title=f"PIFO rank functions ({count} scenarios each, "
-            f"{args.cycles} cycles; reference == batch == tensor)",
+            f"{args.cycles} cycles; reference == tensor)",
         )
     )
     if args.summary_json:
@@ -539,7 +539,7 @@ def _cmd_aggregation(args) -> None:
     intra-aggregate ordering by ``--agg-discipline`` — on the selected
     engine and tabulates the per-aggregate rollups.  ``--validate``
     instead runs :func:`repro.core.differential.validate_aggregation`:
-    reference vs batch vs tensor byte-identical summaries over
+    reference vs tensor byte-identical summaries over
     ``--frames`` seeded churn scenarios.
     """
     import json
@@ -567,7 +567,7 @@ def _cmd_aggregation(args) -> None:
             print(f"DIVERGENCE {divergence}")
         print(
             render_table(
-                ["discipline", "aggregates", "scenarios", "streams", "services", "3-way"],
+                ["discipline", "aggregates", "scenarios", "streams", "services", "2-way"],
                 [
                     [
                         result.discipline,
@@ -579,7 +579,7 @@ def _cmd_aggregation(args) -> None:
                     ]
                 ],
                 title=f"Aggregation tier ({count} churn scenarios, "
-                f"{args.cycles} cycles; reference == batch == tensor)",
+                f"{args.cycles} cycles; reference == tensor)",
             )
         )
         if args.summary_json:
@@ -669,10 +669,6 @@ def _trace_main(argv: list[str]) -> int:
         help="decision cycles per scenario (default 200)",
     )
     parser.add_argument(
-        "--engine", choices=("batch", "tensor"), default="tensor",
-        help="fast engine under validation (default tensor)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes (0 = all cores; the canonical span tree "
         "is byte-identical for any value)",
@@ -736,7 +732,6 @@ def _trace_main(argv: list[str]) -> int:
         result = campaign(
             range(args.count),
             n_cycles=args.cycles,
-            engine=args.engine,
             workers=args.workers,
             cache_dir=None if args.no_cache else args.cache_dir,
             use_cache=not args.no_cache,
@@ -746,7 +741,7 @@ def _trace_main(argv: list[str]) -> int:
         trace_id = tracer.trace_id
         print(
             f"campaign: {result.scenarios} scenarios x {args.cycles} cycles, "
-            f"engine={args.engine}, workers={result.workers}, "
+            f"workers={result.workers}, "
             f"cached={result.cached}, passed={result.passed}"
         )
         code = 0 if result.passed else 1
@@ -989,16 +984,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--validate",
         action="store_true",
-        help="aggregation experiment: run the three-way differential "
+        help="aggregation experiment: run the two-way differential "
         "validation campaign instead of the demo workload",
     )
     parser.add_argument(
         "--engine",
-        choices=("reference", "batch", "tensor"),
+        choices=("reference", "tensor"),
         default="reference",
-        help="scheduler engine: cycle-level object model (oracle), the "
-        "vectorized batch engine, or the scenario-tensorized campaign "
-        "engine (both fast paths cross-validated against the oracle)",
+        help="scheduler engine: cycle-level object model (oracle) or the "
+        "scenario-tensorized array engine (cross-validated against the "
+        "oracle)",
     )
     parser.add_argument(
         "--trace",

@@ -14,13 +14,7 @@ from repro.core.attributes import (
     pack_attributes,
     unpack_attributes,
 )
-from repro.core.batch_engine import (
-    BatchScheduler,
-    BatchSlotView,
-    PeriodicRunResult,
-    build_bitonic_passes,
-    make_scheduler,
-)
+from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlState, ControlUnit, TimelineEntry
 from repro.core.decision_block import DecisionBlock, DecisionResult
@@ -48,6 +42,7 @@ from repro.core.hdl import emit_verilog
 from repro.core.tag_mapping import ServiceTagFrontend, TaggedStream
 from repro.core.tensor_engine import (
     CampaignEngine,
+    PeriodicRunResult,
     TensorScheduler,
     TensorSlotView,
 )
@@ -55,8 +50,6 @@ from repro.core.tensor_engine import (
 __all__ = [
     "ATTRIBUTE_WORD_BITS",
     "ArchConfig",
-    "BatchScheduler",
-    "BatchSlotView",
     "BlockMode",
     "CampaignEngine",
     "ControlState",
@@ -83,7 +76,6 @@ __all__ = [
     "TensorScheduler",
     "TensorSlotView",
     "TimelineEntry",
-    "build_bitonic_passes",
     "compare",
     "emit_verilog",
     "evaluate",

@@ -71,7 +71,7 @@ class ArchConfig:
     extended:
         Lift the single-chip 32-slot cap (the 5-bit stream-ID wire
         field) for ideal-arithmetic studies of multi-chip scale.  The
-        behavioral network and the batch engine both handle arbitrary
+        behavioral network and the array engine both handle arbitrary
         power-of-two widths; the wire-format constraint is still
         enforced at the pack boundary
         (:func:`repro.core.attributes.pack_attributes`).

@@ -1,12 +1,12 @@
-"""Differential cross-validation of the fast engines against the oracle.
+"""Differential cross-validation of the array engine against the oracle.
 
 The object model (:class:`~repro.core.scheduler.ShareStreamsScheduler`)
-is the trusted, cycle-level reconstruction of the hardware; the batch
-engine (:class:`~repro.core.batch_engine.BatchScheduler`) and the
-scenario-tensorized campaign engine
-(:class:`~repro.core.tensor_engine.CampaignEngine`) are the fast
-paths.  This module runs the oracle and a fast engine on the same
-seeded scenario and asserts cycle-by-cycle identical behavior:
+is the trusted, cycle-level reconstruction of the hardware; the
+scenario-tensorized array engine
+(:class:`~repro.core.tensor_engine.CampaignEngine`, and its one-row
+adapter :class:`~repro.core.tensor_engine.TensorScheduler`) is the fast
+path.  This module runs the two on the same seeded scenario and asserts
+cycle-by-cycle identical behavior:
 
 * the emitted block and circulated winner of every decision cycle,
 * the serviced-packet stream (``(sid, deadline, arrival, length)``),
@@ -16,7 +16,7 @@ seeded scenario and asserts cycle-by-cycle identical behavior:
 
 Scenarios are generated from a single integer seed, so any divergence
 is reproducible from the seed alone — the test harness prints it on
-failure.  See ``docs/ENGINES.md`` for the oracle/fast-path contract.
+failure.  See ``docs/ENGINES.md`` for the oracle/array-engine contract.
 
 A second mode turns the observability layer itself into a correctness
 oracle: :func:`cross_validate_traces` attaches a structured
@@ -30,21 +30,19 @@ Run a standalone campaign with::
     PYTHONPATH=src python -m repro.core.differential --count 200
     PYTHONPATH=src python -m repro.core.differential --count 60 --trace-equivalence
 
-Campaigns are seed-indexed and embarrassingly parallel; ``--workers N``
-shards them across cores via :mod:`repro.runner` (merged summary
-byte-identical to the sequential run) and ``--cache-dir`` memoizes
-already-validated scenarios on disk so warm re-runs skip them::
+A campaign buckets its scenarios by architecture shape
+(:func:`bucket_key`) and runs every bucket as *one* tensorized
+``(S, N)`` evaluation (:func:`run_bucket`), cross-validated per
+scenario against the oracle.  Buckets are embarrassingly parallel;
+``--workers N`` shards them across cores via :mod:`repro.runner`
+(merged summary byte-identical to the sequential run, per-bucket
+telemetry merged via
+:func:`repro.observability.metrics.merge_snapshots`) and ``--cache-dir``
+memoizes already-validated scenarios on disk so warm re-runs skip
+them::
 
     PYTHONPATH=src python -m repro.core.differential \\
         --count 200 --cycles 1000 --workers 4 --cache-dir .diffcache
-
-``--engine tensor`` validates the campaign engine instead: scenarios
-are bucketed by architecture shape (:func:`bucket_key`) and every
-bucket runs as *one* tensorized ``(S, N)`` evaluation
-(:func:`run_bucket`), cross-validated per scenario against the oracle.
-The merged summary stays byte-identical to the sequential batch-engine
-campaign, and per-bucket telemetry is merged via the
-:func:`repro.observability.metrics.merge_snapshots` machinery.
 """
 
 from __future__ import annotations
@@ -54,9 +52,8 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.batch_engine import BatchScheduler
+from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
-from repro.core.scheduler import ShareStreamsScheduler
 from repro.observability.events import TraceRecorder
 from repro.observability.spans import SpanTracer, activate_tracer, current_tracer
 
@@ -159,7 +156,7 @@ class Divergence:
     cycle: int | None  # None: counter (end-of-run) divergence
     field: str
     reference: object
-    batch: object
+    tensor: object
 
     def __str__(self) -> str:
         where = "final counters" if self.cycle is None else f"cycle {self.cycle}"
@@ -167,7 +164,7 @@ class Divergence:
             f"engines diverged at {where} on {self.field}\n"
             f"  scenario: {self.scenario.describe()}\n"
             f"  reference: {self.reference!r}\n"
-            f"  batch:     {self.batch!r}\n"
+            f"  tensor:    {self.tensor!r}\n"
             f"reproduce with: cross_validate(generate_scenario("
             f"{self.scenario.seed}))"
         )
@@ -246,21 +243,13 @@ def _arch_config(scenario: Scenario) -> ArchConfig:
 
 
 def build_engine(scenario: Scenario, engine: str, *, observer=None):
-    """Instantiate one engine (``reference``/``batch``/``tensor``)."""
-    config = _arch_config(scenario)
-    if engine == "reference":
-        return ShareStreamsScheduler(
-            config, list(scenario.streams), observer=observer
-        )
-    if engine == "batch":
-        return BatchScheduler(config, list(scenario.streams), observer=observer)
-    if engine == "tensor":
-        from repro.core.tensor_engine import TensorScheduler
-
-        return TensorScheduler(
-            config, list(scenario.streams), observer=observer
-        )
-    raise ValueError(f"unknown engine {engine!r}")
+    """Instantiate one engine (``reference`` or ``tensor``)."""
+    return make_scheduler(
+        _arch_config(scenario),
+        list(scenario.streams),
+        engine=engine,
+        observer=observer,
+    )
 
 
 def _arrival_schedule(scenario: Scenario):
@@ -378,22 +367,18 @@ def _compare_event_streams(
     return None
 
 
-def cross_validate(
-    scenario: Scenario, engine: str = "batch"
-) -> Divergence | None:
-    """Run the oracle and one fast engine; return the first divergence.
+def cross_validate(scenario: Scenario) -> Divergence | None:
+    """Run the oracle and the array engine; return the first divergence.
 
     ``None`` means the engines agreed on every decision cycle and on
     the final performance counters.
     """
     ref = run_engine(scenario, "reference")
-    fast = run_engine(scenario, engine)
+    fast = run_engine(scenario, "tensor")
     return _compare_traces(scenario, ref, fast)
 
 
-def cross_validate_traces(
-    scenario: Scenario, engine: str = "batch"
-) -> Divergence | None:
+def cross_validate_traces(scenario: Scenario) -> Divergence | None:
     """Run both engines under telemetry; compare the trace streams.
 
     Attaches a fresh :class:`~repro.observability.TraceRecorder` to
@@ -405,7 +390,7 @@ def cross_validate_traces(
     ref_rec = TraceRecorder()
     fast_rec = TraceRecorder()
     run_engine(scenario, "reference", observer=ref_rec)
-    run_engine(scenario, engine, observer=fast_rec)
+    run_engine(scenario, "tensor", observer=fast_rec)
     return _compare_event_streams(scenario, ref_rec, fast_rec)
 
 
@@ -607,36 +592,33 @@ def _seed_outcome(scenario: Scenario, divergence: Divergence | None) -> SeedOutc
 
 
 def validate_seed(
-    seed: int, n_cycles: int = 1000, mode: str = "outcome",
-    engine: str = "batch",
+    seed: int, n_cycles: int = 1000, mode: str = "outcome"
 ) -> SeedOutcome:
-    """Cross-validate one seed; the sharded campaign's unit of work.
+    """Cross-validate one seed on the single-scenario adapter.
 
-    Module-level and fully determined by its arguments, so it can run
-    in any worker process (:func:`repro.runner.run_sharded`) and its
-    result can be merged or cached independently of every other seed.
-    ``engine="tensor"`` validates the single-scenario adapter; the
-    bucketed tensor campaign uses :func:`validate_bucket` instead.
+    Fully determined by its arguments.  The ``stop_on_divergence``
+    campaign runs seeds through it one at a time; every other campaign
+    validates whole buckets with :func:`validate_bucket`.
     """
     validate = cross_validate if mode == "outcome" else cross_validate_traces
     scenario = generate_scenario(seed, n_cycles=n_cycles)
     tracer = current_tracer()
     if tracer is None:
-        return _seed_outcome(scenario, validate(scenario, engine))
+        return _seed_outcome(scenario, validate(scenario))
     with tracer.span(
         "engine_run", kind="engine-run",
-        seed=seed, engine=engine, n_cycles=n_cycles,
+        seed=seed, engine="tensor", n_cycles=n_cycles,
     ) as sp:
-        outcome = _seed_outcome(scenario, validate(scenario, engine))
+        outcome = _seed_outcome(scenario, validate(scenario))
         sp.tag(diverged=outcome.divergence is not None)
     return outcome
 
 
 @dataclass(frozen=True, slots=True)
 class BucketOutcome:
-    """One same-shape bucket's contribution to a tensor campaign.
+    """One same-shape bucket's contribution to a campaign.
 
-    Picklable unit of work for the sharded bucketed path: the per-seed
+    Picklable unit of work for the sharded campaign: the per-seed
     outcomes (in bucket order) plus the bucket's telemetry snapshot,
     merged into the campaign result via
     :func:`repro.observability.metrics.merge_snapshots`.
@@ -651,7 +633,7 @@ def validate_bucket(
 ) -> BucketOutcome:
     """Cross-validate one same-shape bucket of seeds tensorized.
 
-    The sharded tensor campaign's unit of work: regenerates the bucket's
+    The sharded campaign's unit of work: regenerates the bucket's
     scenarios from the seeds, runs them as one
     :class:`~repro.core.tensor_engine.CampaignEngine` evaluation and
     compares each row against its reference run.  Also labels the
@@ -701,22 +683,19 @@ def validate_bucket(
     )
 
 
-def _scenario_cache_payload(
-    seed: int, n_cycles: int, mode: str, engine: str = "batch"
-) -> dict:
+def _scenario_cache_payload(seed: int, n_cycles: int, mode: str) -> dict:
     """Canonical cache-key payload: the *resolved* scenario config.
 
     Keyed on the full derived scenario (not just the seed) plus the
     engine pair and comparison mode, so a generator change that alters
-    what a seed means invalidates its cache entry — and tensor-path
-    results never collide with cached sequential-path entries.  The
+    what a seed means invalidates its cache entry.  The
     package-version/schema token is folded in by
     :class:`~repro.runner.cache.ResultCache`.
     """
     scenario = generate_scenario(seed, n_cycles=n_cycles)
     return {
         "mode": mode,
-        "engines": ["reference", engine],
+        "engines": ["reference", "tensor"],
         "scenario": {
             "seed": scenario.seed,
             "n_slots": scenario.n_slots,
@@ -784,12 +763,9 @@ class CampaignResult:
     cached: int = 0
     executed: int = 0
     workers: int = 1
-    #: Fast engine the campaign validated ("batch" or "tensor").
-    engine: str = "batch"
-    #: Merged per-bucket telemetry (tensor path only).  Execution
-    #: detail — like ``workers``/``cached`` it never enters
-    #: :meth:`summary`, keeping summaries byte-identical across
-    #: engines and worker counts.
+    #: Merged per-bucket telemetry.  Execution detail — like
+    #: ``workers``/``cached`` it never enters :meth:`summary`, keeping
+    #: summaries byte-identical across worker counts and cache state.
     telemetry: dict | None = None
 
     @property
@@ -851,40 +827,105 @@ def _fold_outcome(result: CampaignResult, outcome: SeedOutcome) -> None:
         result.divergences.append(outcome.divergence)
 
 
-def _tensor_campaign(
+def campaign(
     seeds,
-    result: CampaignResult,
+    *,
+    n_cycles: int = 1000,
+    stop_on_divergence: bool = False,
+    mode: str = "outcome",
+    engine: str = "tensor",
+    workers: int | None = 1,
+    cache_dir=None,
+    use_cache: bool = True,
+    tracer: SpanTracer | None = None,
+    _task=None,
+) -> CampaignResult:
+    """Cross-validate one scenario per seed; aggregate coverage + failures.
+
+    ``mode="outcome"`` compares per-cycle :class:`CycleRecord` streams
+    and final counters (the original harness);
+    ``mode="trace"`` compares the engines' structured telemetry event
+    streams (:func:`cross_validate_traces`).  ``engine`` names the
+    array engine under test; ``"tensor"`` is the only one.
+
+    Seeds are first resolved against the on-disk scenario cache
+    (``cache_dir``; divergent seeds are never cached and always
+    revalidate; ``use_cache=False`` keeps the directory untouched).
+    The misses are bucketed by :func:`bucket_key` in first-seen order
+    and every bucket runs as one tensorized ``(S, N)`` evaluation
+    (:func:`validate_bucket`; ``_task`` replaces it in tests).
+    ``workers`` shards whole buckets across processes
+    (:func:`repro.runner.run_sharded`; ``0``/``None`` = all cores).
+    Outcomes fold back in original seed order, so the merged summary
+    is byte-identical for any worker count and cache state; per-bucket
+    telemetry merges into ``result.telemetry``.  ``stop_on_divergence``
+    instead validates seed by seed on the single-scenario adapter
+    (:func:`validate_seed`) and stops at the first divergence (early
+    exit is inherently order-dependent).
+
+    A bucket whose worker *dies* (hard crash, lost shard) is reported
+    in ``result.failures`` with its shard's seed list rather than
+    sinking the whole campaign; ``result.passed`` is then ``False``.
+
+    ``tracer`` (a :class:`~repro.observability.spans.SpanTracer`) records
+    the campaign as a hierarchical span tree — campaign → bucket
+    pre-pass → per-bucket item spans → engine runs → engine phases —
+    propagated through the worker pool and merged index-ordered, so the
+    canonical tree is byte-identical for any worker count.
+    """
+    if mode not in ("outcome", "trace"):
+        raise ValueError(f"unknown campaign mode {mode!r}")
+    if engine != "tensor":
+        raise ValueError(f"unknown campaign engine {engine!r}")
+    seeds = list(seeds)
+    if tracer is not None:
+        with tracer.span(
+            "campaign", kind="campaign",
+            mode=mode, engine=engine, n_cycles=n_cycles, seeds=len(seeds),
+        ), activate_tracer(tracer):
+            return _campaign_body(
+                seeds, n_cycles, stop_on_divergence, mode,
+                workers, cache_dir, use_cache, tracer, _task,
+            )
+    return _campaign_body(
+        seeds, n_cycles, stop_on_divergence, mode,
+        workers, cache_dir, use_cache, None, _task,
+    )
+
+
+def _campaign_body(
+    seeds: list,
     n_cycles: int,
+    stop_on_divergence: bool,
     mode: str,
     workers,
     cache_dir,
     use_cache: bool,
-    tracer: SpanTracer | None = None,
+    tracer: SpanTracer | None,
+    _task,
 ) -> CampaignResult:
-    """Bucketed tensor-engine campaign body (see :func:`campaign`).
-
-    Seeds are first resolved against the per-seed scenario cache (the
-    tensor path has its own namespace so entries never collide with the
-    sequential path), the misses are bucketed by
-    :func:`bucket_key` in first-seen order, and the buckets shard
-    across workers as whole units.  Outcomes fold back in original seed
-    order, so the merged summary stays byte-identical to the
-    sequential batch-engine campaign; per-bucket telemetry merges into
-    ``result.telemetry``.
-    """
+    """The campaign after argument checks (see :func:`campaign`)."""
     from dataclasses import replace
 
     from repro.observability.metrics import merge_snapshots
     from repro.runner import ResultCache, run_sharded
+
+    result = CampaignResult(mode=mode, n_cycles=n_cycles)
+    if stop_on_divergence:
+        for seed in seeds:
+            outcome = validate_seed(seed, n_cycles, mode)
+            _fold_outcome(result, outcome)
+            result.executed += 1
+            if outcome.divergence is not None:
+                break
+        return result
 
     cache = None
     if cache_dir is not None and use_cache:
         cache = ResultCache(cache_dir, namespace=f"differential-{mode}-tensor")
 
     def payload_key(seed: int) -> str:
-        return cache.key(
-            _scenario_cache_payload(seed, n_cycles, mode, engine="tensor")
-        )
+        return cache.key(_scenario_cache_payload(seed, n_cycles, mode))
 
     def prepass() -> list[tuple[int, ...]]:
         """Resolve cache hits, bucket the misses by shape (first-seen
@@ -918,7 +959,7 @@ def _tensor_campaign(
             )
 
     pool = run_sharded(
-        validate_bucket,
+        _task if _task is not None else validate_bucket,
         items,
         workers=workers,
         task_args=(n_cycles, mode),
@@ -937,7 +978,7 @@ def _tensor_campaign(
             if cache is not None and outcome.divergence is None:
                 cache.put(payload_key(outcome.seed), _encode_outcome(outcome))
     # A dead shard loses whole buckets; report the seeds, not the
-    # bucket tuples, so summaries match the per-seed path's shape.
+    # bucket tuples.
     result.failures = [
         replace(
             failure,
@@ -955,137 +996,9 @@ def _tensor_campaign(
     return result
 
 
-def campaign(
-    seeds,
-    *,
-    n_cycles: int = 1000,
-    stop_on_divergence: bool = False,
-    mode: str = "outcome",
-    engine: str = "batch",
-    workers: int | None = 1,
-    cache_dir=None,
-    use_cache: bool = True,
-    tracer: SpanTracer | None = None,
-    _task=None,
-) -> CampaignResult:
-    """Cross-validate one scenario per seed; aggregate coverage + failures.
-
-    ``mode="outcome"`` compares per-cycle :class:`CycleRecord` streams
-    and final counters (the original harness);
-    ``mode="trace"`` compares the engines' structured telemetry event
-    streams (:func:`cross_validate_traces`).
-
-    ``engine`` selects the fast path under test: ``"batch"`` (default)
-    validates seeds one at a time; ``"tensor"`` buckets the campaign by
-    architecture shape and runs each bucket as one tensorized
-    ``(S, N)`` evaluation (:func:`validate_bucket`), sharding whole
-    buckets across workers.  Both produce byte-identical merged
-    summaries when every seed passes.
-
-    ``workers`` shards the workload across processes
-    (:func:`repro.runner.run_sharded`; ``0``/``None`` = all cores) —
-    outcomes fold into the result in input order regardless of worker
-    count, so the merged summary is byte-identical to a sequential
-    run.  ``cache_dir`` enables the on-disk scenario cache (divergent
-    seeds are never cached and always revalidate; the tensor path uses
-    its own namespace so entries never collide); ``use_cache=False``
-    keeps the directory untouched.  ``stop_on_divergence`` forces the
-    sequential path (early exit is inherently order-dependent).
-
-    A seed whose worker *dies* (hard crash, lost shard) is reported in
-    ``result.failures`` with its shard's seed list rather than sinking
-    the whole campaign; ``result.passed`` is then ``False``.
-
-    ``tracer`` (a :class:`~repro.observability.spans.SpanTracer`) records
-    the campaign as a hierarchical span tree — campaign → bucket
-    pre-pass → per-seed/per-bucket item spans (with cache hit/miss tags)
-    → engine runs → engine phases — propagated through the worker pool
-    and merged index-ordered, so the canonical tree is byte-identical
-    for any worker count.
-    """
-    if mode not in ("outcome", "trace"):
-        raise ValueError(f"unknown campaign mode {mode!r}")
-    if engine not in ("batch", "tensor"):
-        raise ValueError(f"unknown campaign engine {engine!r}")
-    seeds = list(seeds)
-    if tracer is not None:
-        with tracer.span(
-            "campaign", kind="campaign",
-            mode=mode, engine=engine, n_cycles=n_cycles, seeds=len(seeds),
-        ), activate_tracer(tracer):
-            return _campaign_body(
-                seeds, n_cycles, stop_on_divergence, mode, engine,
-                workers, cache_dir, use_cache, tracer, _task,
-            )
-    return _campaign_body(
-        seeds, n_cycles, stop_on_divergence, mode, engine,
-        workers, cache_dir, use_cache, None, _task,
-    )
-
-
-def _campaign_body(
-    seeds: list,
-    n_cycles: int,
-    stop_on_divergence: bool,
-    mode: str,
-    engine: str,
-    workers,
-    cache_dir,
-    use_cache: bool,
-    tracer: SpanTracer | None,
-    _task,
-) -> CampaignResult:
-    result = CampaignResult(mode=mode, n_cycles=n_cycles, engine=engine)
-    if stop_on_divergence:
-        for seed in seeds:
-            outcome = validate_seed(seed, n_cycles, mode, engine)
-            _fold_outcome(result, outcome)
-            result.executed += 1
-            if outcome.divergence is not None:
-                break
-        return result
-    if engine == "tensor" and _task is None:
-        return _tensor_campaign(
-            seeds, result, n_cycles, mode, workers, cache_dir, use_cache,
-            tracer,
-        )
-
-    from repro.runner import ResultCache, run_sharded
-
-    cache = None
-    if cache_dir is not None and use_cache:
-        cache = ResultCache(cache_dir, namespace=f"differential-{mode}")
-    pool = run_sharded(
-        _task if _task is not None else validate_seed,
-        seeds,
-        workers=workers,
-        task_args=(n_cycles, mode),
-        cache=cache,
-        cache_key=(
-            (lambda seed: _scenario_cache_payload(seed, n_cycles, mode))
-            if cache is not None
-            else None
-        ),
-        cache_encode=_encode_outcome,
-        cache_decode=_decode_outcome,
-        cache_if=lambda seed, outcome: outcome.divergence is None,
-        tracer=tracer,
-        span_name="seed",
-        span_kind="seed",
-    )
-    for outcome in pool.results:
-        if outcome is not None:
-            _fold_outcome(result, outcome)
-    result.failures = list(pool.failures)
-    result.cached = pool.cached
-    result.executed = pool.executed
-    result.workers = pool.workers
-    return result
-
-
 @dataclass
 class RankValidation:
-    """Outcome of a three-way rank-function validation campaign."""
+    """Outcome of a two-way rank-function validation campaign."""
 
     name: str
     scenarios: int = 0
@@ -1115,6 +1028,11 @@ class RankValidation:
 
     def summary_json(self) -> str:
         return json.dumps(self.summary(), sort_keys=True, indent=1) + "\n"
+
+
+def _summary_blob(summary: dict) -> str:
+    """Canonical JSON bytes two engine summaries are compared on."""
+    return json.dumps(summary, sort_keys=True, indent=1) + "\n"
 
 
 def _software_service_order(fn, scenario) -> list[tuple[int, int]]:
@@ -1175,14 +1093,13 @@ def validate_rank_function(
     n_slots: int = 8,
     check_equivalent: bool = True,
 ) -> RankValidation:
-    """Three-way cross-validation of one PIFO rank function.
+    """Two-way cross-validation of one PIFO rank function.
 
     For every seed the same workload
     (:func:`repro.disciplines.pifo.generate_pifo_scenario`) runs
-    through the interpreted reference frontend, the vectorized batch
-    frontend and one tensorized campaign covering *all* the seeds at
-    once; the canonical run summaries must be byte-identical across
-    the three.  When the rank function declares ``equivalent_to``, the
+    through the interpreted reference frontend and one tensorized
+    campaign covering *all* the seeds at once; the canonical run
+    summaries must be byte-identical.  When the rank function declares ``equivalent_to``, the
     handwritten discipline replays the same arrivals and its service
     order must match packet-for-packet.
 
@@ -1218,24 +1135,10 @@ def validate_rank_function(
     tensor_summaries = run_pifo_bucket(fn, scenarios)
     for scenario, tensor_summary in zip(scenarios, tensor_summaries):
         reference = run_pifo(fn, scenario, engine="reference")
-        batch = run_pifo(fn, scenario, engine="batch")
-        blobs = {
-            engine: json.dumps(summary, sort_keys=True, indent=1) + "\n"
-            for engine, summary in (
-                ("reference", reference),
-                ("batch", batch),
-                ("tensor", tensor_summary),
-            )
-        }
-        if len(set(blobs.values())) != 1:
-            pairs = [
-                f"{a} != {b}"
-                for a, b in (("reference", "batch"), ("reference", "tensor"))
-                if blobs[a] != blobs[b]
-            ]
+        if _summary_blob(reference) != _summary_blob(tensor_summary):
             result.divergences.append(
                 f"pifo:{fn.name} seed={scenario.seed}: "
-                f"engine summaries differ ({', '.join(pairs)})"
+                "engine summaries differ (reference != tensor)"
             )
             continue
         result.services += len(reference["services"])
@@ -1271,7 +1174,7 @@ def validate_rank_function(
 
 @dataclass
 class AggregationValidation:
-    """Outcome of a three-way aggregation-tier validation campaign."""
+    """Outcome of a two-way aggregation-tier validation campaign."""
 
     discipline: str
     n_aggregates: int = 0
@@ -1313,17 +1216,17 @@ def validate_aggregation(
     salt: int = 0,
     cache=None,
 ) -> AggregationValidation:
-    """Three-way cross-validation of the hierarchical aggregation tier.
+    """Two-way cross-validation of the hierarchical aggregation tier.
 
     Every seed derives one churn workload
     (:func:`repro.aggregation.generate_aggregation_scenario` — stream
     joins/leaves interleaved with arrivals) and replays it through the
-    standalone tier on the reference and batch engines plus one
-    tensorized campaign covering *all* the seeds at once
+    standalone tier on the reference engine and through one tensorized
+    campaign covering *all* the seeds at once
     (:func:`repro.aggregation.run_aggregation_bucket`); the canonical
     summaries — membership rollups, per-aggregate service counts, the
     sha256 digest of the full service event stream — must be
-    byte-identical across the three.
+    byte-identical.
 
     ``cache`` is an optional :class:`repro.runner.ResultCache`;
     already-validated scenarios are keyed on the *aggregate topology*
@@ -1369,25 +1272,11 @@ def validate_aggregation(
     for scenario in scenarios:
         tensor_summary = tensor_by_seed[scenario.seed]
         reference = run_aggregation(scenario, engine="reference")
-        batch = run_aggregation(scenario, engine="batch")
-        blobs = {
-            engine: json.dumps(summary, sort_keys=True, indent=1) + "\n"
-            for engine, summary in (
-                ("reference", reference),
-                ("batch", batch),
-                ("tensor", tensor_summary),
-            )
-        }
-        if len(set(blobs.values())) != 1:
-            pairs = [
-                f"{a} != {b}"
-                for a, b in (("reference", "batch"), ("reference", "tensor"))
-                if blobs[a] != blobs[b]
-            ]
+        if _summary_blob(reference) != _summary_blob(tensor_summary):
             result.divergences.append(
                 f"aggregation seed={scenario.seed} "
                 f"({discipline}, {n_aggregates} aggregates): "
-                f"engine summaries differ ({', '.join(pairs)})"
+                "engine summaries differ (reference != tensor)"
             )
             continue
         result.streams += reference["streams_joined"]
@@ -1412,14 +1301,6 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
         action="store_true",
         help="compare structured telemetry event streams instead of "
         "cycle outcomes (observability as a correctness oracle)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("batch", "tensor"),
-        default="batch",
-        help="fast engine under test: per-seed batch validation or the "
-        "bucketed scenario-tensorized campaign engine (identical "
-        "merged summaries when every seed passes)",
     )
     parser.add_argument(
         "--workers",
@@ -1455,14 +1336,13 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
         range(args.base_seed, args.base_seed + args.count),
         n_cycles=args.cycles,
         mode=mode,
-        engine=args.engine,
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
     elapsed = time.perf_counter() - start
     print(
-        f"{mode} mode ({args.engine} engine): "
+        f"{mode} mode: "
         f"{result.scenarios} scenarios, "
         f"{len(result.divergences)} divergences, "
         f"routings={sorted(r.value for r in result.routings)}, "

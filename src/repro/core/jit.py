@@ -29,9 +29,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch_engine import _Y_MAX
+from repro.core.fields import LOSS_DEN_FIELD
 
 __all__ = ["NUMBA_AVAILABLE", "run_cycles"]
+
+#: Saturation ceiling of the DWCS window denominator ``y'`` (a module
+#: constant so the compiled driver folds it in).
+_Y_MAX = LOSS_DEN_FIELD.mask
 
 try:
     from numba import njit

@@ -1,25 +1,47 @@
-"""Scenario-tensorized campaign engine (the NumPy fastest path).
+"""The array engine: scenario-tensorized, NumPy-backed.
 
-:class:`CampaignEngine` generalizes the slot-vectorized
-:class:`~repro.core.batch_engine.BatchScheduler` by one axis: given S
+:class:`CampaignEngine` holds every per-slot attribute of S
 *same-shape* scenarios — identical architecture configuration (slot
 count, routing, block mode, sorting schedule, wrap/extended arithmetic)
-but independent stream constraint sets and workloads — it holds every
-per-slot attribute as an ``(S, N)`` array and executes rank
-computation, the compare-exchange network replay, miss registration and
-the DWCS window updates as batched array ops across the *whole
-campaign* at once.  Per-cycle Python overhead is amortized over S
-scenarios instead of paid S times, which composes multiplicatively with
-the process-level sharding in :mod:`repro.runner`.
+but independent stream constraint sets and workloads — as ``(S, N)``
+arrays: latched deadlines/arrivals, DWCS window counters ``(x', y')``,
+EDF winner bias and performance counters.  A whole SCHEDULE +
+PRIORITY_UPDATE pair runs as a handful of batched array ops across the
+*whole campaign* at once:
 
-The same-shape bucketing contract (see ``docs/ENGINES.md``) is what
-makes the leading axis sound: every scenario in a bucket shares one
-``ArchConfig``, so the sort-key cascade, the network pass geometry and
-the wrap rebasing are common subexpressions; per-stream attributes
-(periods, window constraints, disciplines, deadlines) vary freely along
-``(S, N)``.  Mixed campaigns are bucketed by
+1. **Rank** — the Table 2 key cascade (validity, deadline,
+   window-constraint class/ratio, denominator, numerator, arrival,
+   stream ID) yields a total-order rank per slot.  The pairwise
+   Decision-block comparator is consistent with this linear order (the
+   documented :func:`repro.core.rules.ordering_key` equivalence), so
+   any compare-exchange outcome equals a rank comparison.
+2. **Network emulation** — the emitted block, including the partial
+   order the paper's ``log2(N)`` recirculation leaves below the
+   certified maximum, is reproduced from the ranks.
+3. **PRIORITY_UPDATE** — miss registration and the DWCS loser window
+   adjustments run vectorized over all slots; the circulated winner's
+   consume/adjust path mirrors the Register Base block update rules.
+
+Per-cycle Python overhead is amortized over S scenarios instead of
+paid S times, which composes multiplicatively with the process-level
+sharding in :mod:`repro.runner`.  The object model remains the trusted
+oracle: every behavior here is cross-validated cycle-by-cycle in
+:mod:`repro.core.differential` (see ``docs/ENGINES.md`` for the
+oracle/array-engine contract).
+
+The same-shape bucketing contract is what makes the leading axis
+sound: every scenario in a bucket shares one ``ArchConfig``, so the
+sort-key cascade, the network pass geometry and the wrap rebasing are
+common subexpressions; per-stream attributes (periods, window
+constraints, disciplines, deadlines) vary freely along ``(S, N)``.
+Mixed campaigns are bucketed by
 :func:`repro.core.differential.bucket_key` before they reach this
 module.
+
+Wrapped (16-bit serial) arithmetic is supported by rebasing serials
+around ``now`` — exact under the serial-number contract the hardware
+already requires (live deadlines/arrivals within half the 16-bit
+horizon of each other).
 
 Idle-cycle fast-forward: when *no* scenario in the campaign has a
 pending head, :meth:`CampaignEngine.run_periodic` jumps ``now``
@@ -29,10 +51,10 @@ isolation experiments are mostly idle) cost array ops only on the
 cycles where a decision can actually differ from "nothing happened".
 
 :class:`TensorScheduler` is the S=1 adapter: a drop-in for
-:class:`~repro.core.scheduler.ShareStreamsScheduler` /
-:class:`BatchScheduler` (``make_scheduler(..., engine="tensor")``)
-backed by a one-row campaign, cross-validated cycle-by-cycle by
-:mod:`repro.core.differential` like every other engine.
+:class:`~repro.core.scheduler.ShareStreamsScheduler`
+(``make_scheduler(..., engine="tensor")``) backed by a one-row
+campaign, cross-validated cycle-by-cycle by
+:mod:`repro.core.differential`.
 
 Each decision pays only for the part of the Table 2 order it uses.
 :func:`table2_rank_order` reads the packed window-constraint key from a
@@ -57,26 +79,20 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import jit
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.batch_engine import (
-    _ARR_HALF,
-    _ARR_MASK,
-    _ARR_MOD,
-    _DL_HALF,
-    _DL_MASK,
-    _DL_MOD,
-    _DWCS_LIKE,
-    _MODE_CODE,
-    _Y_MAX,
-    PeriodicRunResult,
-)
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
-from repro.core.fields import LOSS_DEN_FIELD, LOSS_NUM_FIELD
+from repro.core.fields import (
+    ARRIVAL_FIELD,
+    DEADLINE_FIELD,
+    LOSS_DEN_FIELD,
+    LOSS_NUM_FIELD,
+)
 from repro.core.register_block import (
     PendingPacket,
     SlotCounters,
@@ -89,12 +105,30 @@ __all__ = [
     "DRIVER_MAX_CELLS",
     "HEAD_SCAN_MIN_SLOTS",
     "CampaignEngine",
+    "PeriodicRunResult",
     "TensorScheduler",
     "TensorSlotView",
     "table2_rank_order",
 ]
 
+# SchedulingMode -> small integer codes for vectorized masking.
+_MODE_CODE = {
+    SchedulingMode.DWCS: 0,
+    SchedulingMode.EDF: 1,
+    SchedulingMode.STATIC_PRIORITY: 2,
+    SchedulingMode.FAIR_SHARE: 3,
+    SchedulingMode.SERVICE_TAG: 4,
+}
+_DWCS_LIKE = (0, 3)  # DWCS + FAIR_SHARE share the window-update path
 _EDF = _MODE_CODE[SchedulingMode.EDF]
+
+_DL_MASK = DEADLINE_FIELD.mask
+_DL_MOD = DEADLINE_FIELD.modulus
+_DL_HALF = DEADLINE_FIELD.half
+_ARR_MASK = ARRIVAL_FIELD.mask
+_ARR_MOD = ARRIVAL_FIELD.modulus
+_ARR_HALF = ARRIVAL_FIELD.half
+_Y_MAX = LOSS_DEN_FIELD.mask
 
 #: Fixed-point scale for the window-constraint ratio key.  ``x`` and
 #: ``y`` are 8-bit fields, so two distinct ratios differ by at least
@@ -130,6 +164,19 @@ DRIVER_MAX_CELLS = 8
 #: swept shape (N=8 and 32, up to S×N=2048).  Row length separates the
 #: two where S×N does not.
 HEAD_SCAN_MIN_SLOTS = 256
+
+
+@dataclass(frozen=True, slots=True)
+class PeriodicRunResult:
+    """One scenario's outcome of a :meth:`CampaignEngine.run_periodic` run."""
+
+    n_streams: int
+    decision_cycles: int
+    wins: np.ndarray  # per-stream circulated-winner counts
+    misses: np.ndarray  # per-stream missed-deadline registrations
+    serviced: np.ndarray  # per-stream consumed-packet counts
+    frames_scheduled: int
+    winners: np.ndarray | None = None  # circulated sid per cycle (-1: idle)
 
 
 def _window_key(x, y):
@@ -344,7 +391,7 @@ class CampaignEngine:
 
         shape = (s_count, n)
         i64 = np.int64
-        # -- per-(scenario, slot) state, mirroring BatchScheduler --
+        # -- per-(scenario, slot) state (idle bundles: valid=False) --
         self._configs: list[list[StreamConfig | None]] = [
             [None] * n for _ in range(s_count)
         ]
@@ -816,7 +863,7 @@ class CampaignEngine:
                 self._register_misses(counted_late)
 
         # PRIORITY_UPDATE: per-scenario circulate/consume (queue-backed,
-        # so the service path stays scalar like the batch engine's).
+        # so the service path stays scalar).
         update_cycles = self.config.update_cycles
         max_first = self.config.block_mode is BlockMode.MAX_FIRST
         outcomes: list[DecisionOutcome] = []
@@ -938,19 +985,39 @@ class CampaignEngine:
     ) -> list[PeriodicRunResult]:
         """Run a periodic feed through *every* scenario in lockstep.
 
-        The tensorized twin of
-        :meth:`~repro.core.batch_engine.BatchScheduler.run_periodic`:
-        per decision cycle, ranking, the winner selection, miss
-        registration and the DWCS window updates each run as one
+        Each loaded slot ``i`` emits one request per release interval:
+        request ``k`` becomes available at cycle ``k * stride[i]`` (the
+        default stride of 1 is the dense one-request-per-cycle feed)
+        with deadline ``offsets[i] + k * step[i]`` and arrival-time key
+        ``k`` — the Table 3 workload family, generalized over slot
+        count, offsets, steps, release strides, routing, block mode and
+        discipline.  ``offsets`` defaults to each stream's initial
+        deadline and ``step`` to its period; ``offsets``/``step``/
+        ``stride`` broadcast over ``(S, N)``.  Heads never touch the
+        Python pending queues: availability is
+        ``consumed * stride <= t`` and consumption is counter
+        arithmetic.  Per decision cycle, ranking, the winner selection,
+        miss registration and the DWCS window updates each run as one
         ``(S, N)`` array op, so the whole campaign advances per cycle
-        at (amortized) the Python cost of a single scenario.  Scenarios
-        whose slots are all idle at ``t`` simply sit out that cycle;
-        when the *entire campaign* is idle, ``now`` fast-forwards to
-        the next release boundary with bulk control accounting.
+        at (amortized) the Python cost of a single scenario.  Requires
+        ideal arithmetic (``wrap=False``) — these runs exceed the
+        16-bit horizon by construction — so negative offsets and steps
+        are rejected like negative deadlines at ``enqueue``.
 
-        ``offsets``/``step``/``stride`` broadcast over ``(S, N)``.
-        Returns one :class:`PeriodicRunResult` per scenario, each
-        identical to the per-scenario ``BatchScheduler`` run.
+        Scenarios whose slots are all idle at ``t`` sit out that cycle;
+        when the *entire campaign* is idle, ``now`` jumps to the next
+        release boundary and the skipped SCHEDULE/PRIORITY_UPDATE pairs
+        are accounted in bulk.  ``fast_forward=False`` keeps the
+        cycle-by-cycle idle path; both produce identical results.
+
+        Returns one :class:`PeriodicRunResult` per scenario.  Each
+        equals the per-cycle loop that enqueues request ``k`` of slot
+        ``i`` at cycle ``k * stride[i]`` and runs one
+        :meth:`decision_cycle_all` per cycle *when every EDF stream's
+        ``step`` equals its ``period``*: this path advances a winner's
+        EDF bias by ``step``, the per-cycle path by the stream's
+        ``period``.  The default ``step`` (the period) always meets
+        that condition.
 
         Campaigns of at most :data:`DRIVER_MAX_CELLS` scenario-slots
         run the whole K-cycle loop in the scalar driver
@@ -985,6 +1052,10 @@ class CampaignEngine:
             steps = np.ascontiguousarray(
                 np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
             )
+        if (offs < 0).any():
+            raise ValueError("offsets must be >= 0 (wrap=False)")
+        if (steps < 0).any():
+            raise ValueError("step must be >= 0 (wrap=False)")
         if stride is None:
             strides = None
         else:
@@ -1268,7 +1339,7 @@ class CampaignEngine:
 class TensorScheduler:
     """Single-scenario adapter over :class:`CampaignEngine`.
 
-    Drop-in for the reference and batch engines
+    Drop-in for the reference engine
     (``make_scheduler(..., engine="tensor")``): the full scheduler
     surface — ``load_stream`` / ``enqueue`` / ``decision_cycle`` /
     ``slot`` / ``counters`` / ``run_periodic`` / ``control`` /

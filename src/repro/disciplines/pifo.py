@@ -6,13 +6,11 @@ decomposes into "compute a rank at enqueue, insert into a Push-In
 First-Out queue".  The ShareStreams core has exactly the dual shape:
 decide a winner per cycle from per-stream attributes.  This module is
 the bridge: a :class:`RankFunction` is a small integer expression over
-packet/stream attributes which is *compiled three ways* —
+packet/stream attributes which is *compiled two ways* —
 
 * an interpreted reference evaluator (plain Python ints) driving the
-  cycle-level :class:`~repro.core.scheduler.ShareStreamsScheduler`,
-* a vectorized ``(N,)`` NumPy evaluator driving
-  :class:`~repro.core.batch_engine.BatchScheduler`, and
-* a tensorized ``(S, N)`` evaluator driving
+  cycle-level :class:`~repro.core.scheduler.ShareStreamsScheduler`, and
+* a tensorized ``(S, N)`` NumPy evaluator driving
   :class:`~repro.core.tensor_engine.CampaignEngine` across whole
   scenario buckets at once —
 
@@ -37,7 +35,7 @@ workload contract enforced by :func:`generate_pifo_scenario`
 
 Expressions use only integer arithmetic (``+ - * //``, ``emax``,
 ``emin``): Python ints and ``np.int64`` implement identical floored
-division, so the three evaluators are bit-equivalent by construction
+division, so the two evaluators are bit-equivalent by construction
 and :func:`repro.core.differential.validate_rank_function` checks the
 resulting run summaries byte-for-byte.
 """
@@ -311,24 +309,12 @@ class RankFunction:
                     f"unknown finish attributes: {sorted(bad)}"
                 )
 
-    # -- the three compilers -------------------------------------------
+    # -- the compilers -------------------------------------------------
 
     def compile_reference(self) -> Callable[[dict[str, int]], int]:
         """Interpreted scalar evaluator: dict of Python ints -> int."""
         fn = _compile_expr(self.rank, vectorized=False)
         return lambda env: int(fn(env))
-
-    def compile_batch(self):
-        """Vectorized evaluator: dict of ``(N,)`` int64 arrays -> array."""
-        fn = _compile_expr(self.rank, vectorized=True)
-
-        def evaluate(env: dict[str, np.ndarray]) -> np.ndarray:
-            out = np.asarray(fn(env), dtype=np.int64)
-            if out.ndim != 1:
-                raise ValueError("batch evaluator expects (N,) inputs")
-            return out
-
-        return evaluate
 
     def compile_tensor(self):
         """Tensorized evaluator: dict of ``(S, N)`` int64 arrays -> array."""
@@ -546,7 +532,7 @@ def _service_tag_streams(n_slots: int) -> list[StreamConfig]:
 
 
 class _StreamTable:
-    """Mutable per-stream rank state shared by all frontends."""
+    """Mutable per-stream rank state of the reference frontend."""
 
     __slots__ = ("weight", "priority", "finish", "credits", "vtime")
 
@@ -564,44 +550,24 @@ class _StreamTable:
 
 
 class PifoFrontend:
-    """Rank-function frontend for the reference and batch engines.
+    """Rank-function frontend for the reference engine.
 
     The engine runs the ``deadline_only`` simple-comparator
-    configuration; this frontend computes ranks (interpreted per packet
-    for ``engine="reference"``, one vectorized ``(N,)`` evaluation per
-    cycle for ``engine="batch"``), deposits them into the deadline
-    field, and applies the virtual-clock/credit updates on service.
+    configuration; this frontend computes ranks (interpreted per
+    packet), deposits them into the deadline field, and applies the
+    virtual-clock/credit updates on service.
     """
 
-    def __init__(
-        self,
-        fn: RankFunction,
-        scenario: PifoScenario,
-        *,
-        engine: str = "reference",
-    ) -> None:
-        if engine not in ("reference", "batch"):
-            raise ValueError(f"unknown pifo engine {engine!r}")
+    def __init__(self, fn: RankFunction, scenario: PifoScenario) -> None:
         self.fn = fn
         self.scenario = scenario
-        self.engine = engine
         n = scenario.n_slots
-        config = _pifo_arch(n)
-        streams = _service_tag_streams(n)
-        if engine == "reference":
-            self.scheduler = ShareStreamsScheduler(config, streams)
-        else:
-            from repro.core.batch_engine import BatchScheduler
-
-            self.scheduler = BatchScheduler(config, streams)
+        self.scheduler = ShareStreamsScheduler(
+            _pifo_arch(n), _service_tag_streams(n)
+        )
         self.table = _StreamTable(scenario.streams, n)
-        self._sid_axis = np.arange(n, dtype=np.int64)
-        if engine == "reference":
-            self._rank_fn = fn.compile_reference()
-            self._finish_fn = fn.compile_finish(vectorized=False)
-        else:
-            self._rank_fn = fn.compile_batch()
-            self._finish_fn = fn.compile_finish(vectorized=True)
+        self._rank_fn = fn.compile_reference()
+        self._finish_fn = fn.compile_finish(vectorized=False)
         self.services: list[tuple[int, int, int, int]] = []
         self.enqueued = 0
 
@@ -631,47 +597,12 @@ class PifoFrontend:
             ranks.append(rank)
         return ranks
 
-    def _rank_cycle_batch(
-        self, cycle: Sequence[tuple[int, int, int, int]]
-    ) -> list[int]:
-        table = self.table
-        n = self.scenario.n_slots
-        deadline = np.zeros(n, dtype=np.int64)
-        arrival = np.zeros(n, dtype=np.int64)
-        length = np.ones(n, dtype=np.int64)
-        mask = np.zeros(n, dtype=bool)
-        for sid, seq, dl, ln in cycle:
-            mask[sid] = True
-            deadline[sid] = dl
-            arrival[sid] = seq
-            length[sid] = ln
-        env = {
-            "deadline": deadline,
-            "arrival": arrival,
-            "length": length,
-            "sid": self._sid_axis,
-            "weight": table.weight,
-            "priority": table.priority,
-            "finish": table.finish,
-            "credits": table.credits,
-            "vtime": np.full(n, table.vtime, dtype=np.int64),
-        }
-        ranks = self._rank_fn(env)
-        if self._finish_fn is not None:
-            env["rank"] = ranks
-            updated = np.asarray(self._finish_fn(env), dtype=np.int64)
-            table.finish = np.where(mask, updated, table.finish)
-        return [int(ranks[sid]) for sid, _seq, _dl, _ln in cycle]
-
     # -- one decision cycle --------------------------------------------
 
     def step(self, t: int, cycle: Sequence[tuple[int, int, int, int]]) -> None:
         """Enqueue the cycle's arrivals, then run one decision."""
         if cycle:
-            if self.engine == "reference":
-                ranks = self._rank_cycle_reference(cycle)
-            else:
-                ranks = self._rank_cycle_batch(cycle)
+            ranks = self._rank_cycle_reference(cycle)
             for (sid, seq, _deadline, length), rank in zip(cycle, ranks):
                 self.scheduler.enqueue(
                     sid, deadline=rank, arrival=seq, length=length
@@ -882,12 +813,12 @@ def run_pifo(
     """Run one rank function over one scenario on one engine.
 
     Returns the canonical summary dict; byte-identical across the
-    three engines for any well-formed rank function.
+    two engines for any well-formed rank function.
     """
     if isinstance(fn, str):
         fn = rank_function(fn)
-    if engine in ("reference", "batch"):
-        return PifoFrontend(fn, scenario, engine=engine).run()
+    if engine == "reference":
+        return PifoFrontend(fn, scenario).run()
     if engine == "tensor":
         return PifoCampaignFrontend(fn, [scenario]).run()[0]
     raise ValueError(f"unknown pifo engine {engine!r}")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from repro.core.attributes import StreamConfig
-from repro.core.batch_engine import BatchScheduler, make_scheduler
+from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import TensorScheduler
@@ -65,11 +65,9 @@ class EndsystemConfig:
     directly with the FPGA card).
 
     ``engine`` selects the scheduler implementation: ``"reference"``
-    (the cycle-level object model, the oracle), ``"batch"`` (the
-    vectorized engine) or ``"tensor"`` (the scenario-tensorized
-    campaign engine's single-scenario adapter) — both fast paths are
-    behaviorally identical, cross-validated by
-    :mod:`repro.core.differential`.
+    (the cycle-level object model, the oracle) or ``"tensor"`` (the
+    array engine's single-scenario adapter) — behaviorally identical,
+    cross-validated by :mod:`repro.core.differential`.
     """
 
     link: Link = PLAYOUT_LINK_128M
@@ -104,7 +102,7 @@ class EndsystemResult:
     te: TransmissionEngine
     pci: PCIBus
     sram: BankedSRAM
-    scheduler: ShareStreamsScheduler | BatchScheduler | TensorScheduler
+    scheduler: ShareStreamsScheduler | TensorScheduler
 
     @property
     def throughput_pps(self) -> float:

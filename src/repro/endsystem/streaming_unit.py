@@ -16,7 +16,6 @@ encoding), and accounts the PCI cost of each batch on the
 
 from __future__ import annotations
 
-from repro.core.batch_engine import BatchScheduler
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import TensorScheduler
 from repro.endsystem.queue_manager import QueueManager
@@ -33,7 +32,7 @@ class StreamingUnit:
     ----------
     qm, scheduler:
         The host-side queues and the card-side scheduler (either
-        engine: the object model or the vectorized batch engine).
+        engine: the object model or the array engine's adapter).
     periods:
         Per-stream virtual request periods (deadline spacing); derived
         from shares by the host setup.
@@ -51,7 +50,7 @@ class StreamingUnit:
     def __init__(
         self,
         qm: QueueManager,
-        scheduler: ShareStreamsScheduler | BatchScheduler | TensorScheduler,
+        scheduler: ShareStreamsScheduler | TensorScheduler,
         periods: dict[int, int],
         *,
         pci: PCIBus | None = None,

@@ -300,7 +300,7 @@ def run_isolation(
     """Run all three systems on the same workload.
 
     ``engine`` selects the ShareStreams scheduler implementation
-    (``"reference"`` object model or ``"batch"`` vectorized engine);
+    (``"reference"`` object model or ``"tensor"`` array engine);
     the peer systems are unaffected.  ``observer`` is the telemetry
     hook, attached to the ShareStreams scheduler only.
     """

@@ -20,9 +20,9 @@ byte-identical for ``workers=1`` and ``workers=N``.  With a
 cache (see ``docs/RUNNER.md``) keyed on the canonical
 (experiment, parameters, engine, package-version) hash.
 
-Every sweep accepts ``engine="reference"``, ``"batch"`` or
-``"tensor"`` (the engine name rides the cache key, so switching
-engines never serves a stale point); the figure drivers forward it to
+Every sweep accepts ``engine="reference"`` or ``"tensor"`` (the engine
+name rides the cache key, so switching engines never serves a stale
+point); the figure drivers forward it to
 :func:`repro.core.batch_engine.make_scheduler` unchanged.
 
 CLI::

@@ -117,9 +117,9 @@ def run_max_finding(
     per cycle.  Runs for ``4 * frames_per_stream`` cycles so 64000
     frames get scheduled at the paper's full scale.
 
-    ``engine="batch"`` executes the identical workload on the
-    vectorized engine's self-advancing periodic path (bit-identical
-    counters, cross-validated in the test suite).
+    ``engine="tensor"`` executes the identical workload on the array
+    engine's self-advancing periodic path (bit-identical counters,
+    cross-validated in the test suite).
     """
     scheduler = _make_scheduler(Routing.WR, BlockMode.MAX_FIRST, engine, observer)
     n_cycles = N_STREAMS * frames_per_stream

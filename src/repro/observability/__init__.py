@@ -194,7 +194,7 @@ class Observability:
     def on_run_summary(self, result) -> None:
         """Fold a whole-run summary (``PeriodicRunResult``) into metrics.
 
-        The batch engine's vectorized ``run_periodic`` path does not
+        The array engine's vectorized ``run_periodic`` path does not
         emit per-cycle events (that would reintroduce the Python loop
         it exists to avoid); instead it reports its final per-stream
         counters here as gauges.

@@ -2,7 +2,7 @@
 
 Every decision cycle of either engine —
 :class:`~repro.core.scheduler.ShareStreamsScheduler` or
-:class:`~repro.core.batch_engine.BatchScheduler` — produces one
+:class:`~repro.core.tensor_engine.TensorScheduler` — produces one
 :class:`~repro.core.scheduler.DecisionOutcome`.  The recorder flattens
 each outcome into a canonical sequence of :class:`DecisionEvent`
 records:

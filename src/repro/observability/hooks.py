@@ -1,7 +1,7 @@
 """The engine hook protocol and the standard observers.
 
 Both engines (:class:`~repro.core.scheduler.ShareStreamsScheduler` and
-:class:`~repro.core.batch_engine.BatchScheduler`) expose one hook: an
+:class:`~repro.core.tensor_engine.TensorScheduler`) expose one hook: an
 optional ``observer`` whose :meth:`~DecisionObserver.on_decision` is
 called with the finished
 :class:`~repro.core.scheduler.DecisionOutcome` of every decision

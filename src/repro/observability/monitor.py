@@ -27,7 +27,7 @@ exposed as a ``*_slo_burn_rate`` gauge for the ``/metrics`` endpoint.
 :class:`ConformanceMonitor` bundles rollup + SLO evaluation + flight
 recorder behind the single engine hook (``on_decision`` /
 ``on_run_summary``), so one instance attaches to either engine, the
-endsystem router, the line-card or any experiment driver; the batch
+endsystem router, the line-card or any experiment driver; the array
 engine's vectorized ``run_periodic`` path (no per-cycle events) is
 covered by whole-run conformance evaluation in ``on_run_summary``.
 """
@@ -289,7 +289,7 @@ class SloMonitor:
     ) -> list[SloViolation]:
         """Whole-run conformance over a ``PeriodicRunResult``.
 
-        The batch engine's vectorized path reports final per-stream
+        The array engine's vectorized path reports final per-stream
         counters instead of per-cycle events; miss budgets are rescaled
         to the run length (``budget * ceil(cycles / window)``) and the
         share band is evaluated over whole-run serviced fractions.

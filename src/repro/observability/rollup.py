@@ -28,7 +28,7 @@ for the dashboard.
 
 Windows are measured in *decision cycles* — the scheduler's own time
 unit, identical across both engines by construction — so rollups from
-the reference and batch engines agree exactly on identical workloads.
+the reference and array engines agree exactly on identical workloads.
 """
 
 from __future__ import annotations

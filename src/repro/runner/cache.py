@@ -42,7 +42,7 @@ __all__ = ["CACHE_SCHEMA", "CacheStats", "ResultCache"]
 #: Bump when the cached-entry layout or the summary semantics change.
 #: 2: tensor-engine campaign paths landed; pre-tensor entries (which
 #: predate the per-engine key payloads) are invalidated wholesale so
-#: batch- and tensor-path results can never be conflated.
+#: results from different engine pairs can never be conflated.
 #: 3: aggregation-tier runs landed; keys must carry the aggregate
 #: topology (aggregate count, bucketing salt, intra discipline), so
 #: every pre-aggregation entry — which lacks those payload fields — is

@@ -34,14 +34,14 @@ Vector files
 ``pifo_vectors.json``
     Canonical run summaries of every registered programmable PIFO rank
     function (``repro.disciplines.pifo``) on seeded workloads — the
-    replay test reruns them on all three engines, so rank compilation
+    replay test reruns them on both engines, so rank compilation
     is pinned exactly like the handwritten disciplines.
 ``aggregation_vectors.json``
     The hierarchical aggregation tier (``repro.aggregation``) on a
     fixed 10k-stream / 16-aggregate scenario with scripted churn
     (seeded joins/leaves interleaved with arrivals): the canonical run
     summary, including the sha256 digest of the full service stream —
-    replayed on all three engines, so a refactor of the hash-bucketing
+    replayed on both engines, so a refactor of the hash-bucketing
     or the fair-tag arithmetic cannot silently shift emissions.
 """
 
@@ -390,7 +390,7 @@ def build_pifo_vectors(
 
     Pins each rank-expressed discipline's full service order exactly
     like the handwritten disciplines' traces above; the replay test
-    reruns the batch and tensor frontends against the committed
+    reruns the tensor frontend against the committed
     summaries, so PIFO compilation cannot drift on any engine.
     """
     from repro.disciplines.pifo import (
@@ -452,7 +452,7 @@ def build_aggregation_vectors() -> dict:
     The summary's ``service_digest`` covers every service event, so
     the committed vector pins the full emission order at 10k-stream
     scale without storing it; the replay test reruns the scenario on
-    all three engines against the same digest.
+    both engines against the same digest.
     """
     from repro.aggregation import run_aggregation
 

@@ -6,7 +6,8 @@ PIFO property suites previously duplicated ad hoc:
 * seed-indexed :func:`repro.core.differential.generate_scenario`
   workloads (and same-shape buckets of them),
 * randomized ideal-arithmetic ``(ArchConfig, [StreamConfig])`` pairs
-  for periodic runs,
+  for periodic runs, and the oracle replay of a periodic run
+  (:func:`oracle_periodic`),
 * PIFO rank-function workloads
   (:func:`repro.disciplines.pifo.generate_pifo_scenario`),
 * the observable-extraction helpers the suites compare with.
@@ -17,13 +18,16 @@ example is reproducible from the values Hypothesis prints.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.differential import bucket_key, generate_scenario
+from repro.core.scheduler import ShareStreamsScheduler
 from repro.disciplines.pifo import generate_pifo_scenario
 
 #: Scheduling modes the randomized configurations draw from.
@@ -75,6 +79,78 @@ def random_arch_streams(seed: int, n_slots: int):
             )
         )
     return arch, streams
+
+
+def oracle_periodic(
+    arch,
+    streams,
+    n_cycles,
+    *,
+    offsets=None,
+    step=None,
+    stride=None,
+    consume="winner",
+    count_misses=True,
+):
+    """The oracle's per-cycle replay of a ``run_periodic`` feed.
+
+    Enqueues request ``k`` of slot ``i`` at cycle ``k * stride[i]``
+    with deadline ``offsets[i] + k * step[i]`` and arrival ``k``, then
+    runs one ``decision_cycle`` per cycle on a
+    :class:`~repro.core.scheduler.ShareStreamsScheduler` whose streams
+    have ``period = step``.  Defaults follow ``run_periodic``: offsets
+    are the initial deadlines, steps the periods, strides 1.  Returns
+    per-slot ``wins``/``misses``/``serviced``/``violations``/
+    ``window_resets`` lists plus the per-cycle ``winners`` (-1 when
+    idle).
+    """
+    n = arch.n_slots
+    by_sid = {s.sid: s for s in streams}
+
+    def per_slot(value, default):
+        if value is None:
+            return [default(i) for i in range(n)]
+        return np.broadcast_to(np.asarray(value, dtype=np.int64), (n,)).tolist()
+
+    offs = per_slot(
+        offsets, lambda i: by_sid[i].initial_deadline if i in by_sid else 0
+    )
+    steps = per_slot(step, lambda i: by_sid[i].period if i in by_sid else 1)
+    strides = per_slot(stride, lambda i: 1)
+    oracle = ShareStreamsScheduler(
+        arch,
+        [dataclasses.replace(s, period=steps[s.sid]) for s in streams],
+    )
+    issued = dict.fromkeys(by_sid, 0)
+    winners = []
+    for t in range(n_cycles):
+        for sid in by_sid:
+            k = issued[sid]
+            if k * strides[sid] == t:
+                oracle.enqueue(sid, deadline=offs[sid] + k * steps[sid], arrival=k)
+                issued[sid] = k + 1
+        outcome = oracle.decision_cycle(
+            t, consume=consume, count_misses=count_misses
+        )
+        winners.append(
+            -1 if outcome.circulated_sid is None else outcome.circulated_sid
+        )
+    counters = oracle.counters()
+
+    def column(field):
+        return [
+            getattr(counters[i], field) if i in counters else 0
+            for i in range(n)
+        ]
+
+    return {
+        "winners": winners,
+        "wins": column("wins"),
+        "misses": column("missed_deadlines"),
+        "serviced": column("serviced"),
+        "violations": column("violations"),
+        "window_resets": column("window_resets"),
+    }
 
 
 def periodic_observables(scheduler, result):

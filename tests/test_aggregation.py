@@ -1,7 +1,7 @@
 """Unit tests for the hierarchical million-stream aggregation tier.
 
 Covers the tier mechanics (bucketing, O(1) churn, refill/service flow,
-hot-path memory eviction), the three-engine byte-identity contract,
+hot-path memory eviction), the three-way byte-identity contract,
 per-aggregate SLO rollups through the ``observer=`` hook, the
 aggregation-aware differential path with its topology-keyed result
 cache, the ``CACHE_SCHEMA`` bump regression, and the CLI subcommand.
@@ -92,7 +92,7 @@ class TestMembership:
 
     def test_churn_never_touches_engine_state(self):
         """join/leave are pure bucket arithmetic — zero engine calls."""
-        tier = AggregationTier(8, engine="batch")
+        tier = AggregationTier(8, engine="tensor")
         calls = []
         tier.scheduler.enqueue = lambda *a, **k: calls.append(a)
         for sid in range(500):
@@ -137,7 +137,7 @@ class TestServiceFlow:
 
     def test_per_stream_state_evicted_on_drain(self):
         """Hot-path memory is O(aggregates + backlog), not O(streams)."""
-        tier = AggregationTier(8, engine="batch")
+        tier = AggregationTier(8, engine="tensor")
         for sid in range(200):
             tier.join(sid)
             tier.submit(sid, deadline=50)
@@ -149,7 +149,7 @@ class TestServiceFlow:
 
     def test_weighted_shares_follow_aggregate_weights(self):
         """Backlogged aggregates share service ∝ member-weight sums."""
-        tier = AggregationTier(2, engine="batch", salt=3)
+        tier = AggregationTier(2, engine="tensor", salt=3)
         heavy = [sid for sid in range(40) if hash_bucket(sid, 2, salt=3) == 0]
         light = [sid for sid in range(40) if hash_bucket(sid, 2, salt=3) == 1]
         for sid in heavy[:4]:
@@ -257,7 +257,9 @@ class TestServiceLog:
 
 
 class TestThreeWayIdentity:
-    def test_reference_batch_tensor_byte_identical(self):
+    def test_reference_tensor_campaign_byte_identical(self):
+        """Standalone tiers on the oracle and on the tensor adapter and
+        one tensorized campaign emit byte-identical summaries."""
         scenarios = [
             generate_aggregation_scenario(
                 seed, n_streams=30, n_aggregates=8, n_cycles=90
@@ -267,8 +269,8 @@ class TestThreeWayIdentity:
         tensor = run_aggregation_bucket(scenarios)
         for scenario, tsum in zip(scenarios, tensor):
             ref = run_aggregation(scenario, engine="reference")
-            bat = run_aggregation(scenario, engine="batch")
-            assert _blob(ref) == _blob(bat) == _blob(tsum)
+            single = run_aggregation(scenario, engine="tensor")
+            assert _blob(ref) == _blob(single) == _blob(tsum)
 
     def test_campaign_rows_match_standalone(self):
         scenarios = [
@@ -301,13 +303,13 @@ class TestSloRollups:
     def test_per_aggregate_rollups_via_observer(self):
         from repro.observability import ConformanceMonitor
 
-        probe = AggregationTier(4, engine="batch")
+        probe = AggregationTier(4, engine="tensor")
         for sid in range(16):
             probe.join(sid, weight=1 + sid % 2)
         slos = aggregate_share_slos(probe, tolerance=0.9)
         assert {slo.sid for slo in slos} <= set(range(4))
         monitor = ConformanceMonitor(slos, window_cycles=64)
-        tier = AggregationTier(4, engine="batch", observer=monitor)
+        tier = AggregationTier(4, engine="tensor", observer=monitor)
         for sid in range(16):
             tier.join(sid, weight=1 + sid % 2)
         for _ in range(20):

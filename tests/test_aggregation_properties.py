@@ -11,9 +11,10 @@ interleavings:
   within the Figure-8 tolerance band (the
   ``slos_from_shares(tolerance=0.25)`` contract), even after leaves
   rebalance the weights.
-* **Three-way byte identity** — reference, batch and tensorized
-  campaign replays of the same churn scenario produce byte-identical
-  canonical summaries (the ``validate_aggregation`` contract).
+* **Three-way byte identity** — standalone reference and tensor-adapter
+  tiers and the tensorized campaign replay of the same churn scenario
+  produce byte-identical canonical summaries (the
+  ``validate_aggregation`` contract).
 * **Membership isolation** — join/leave interleavings touch only O(1)
   per-aggregate counters: the engine receives no calls and per-stream
   rank state stays empty.
@@ -44,7 +45,7 @@ class TestWorkConservation:
     @given(scenario=aggregation_scenarios())
     @settings(max_examples=12, deadline=None, print_blob=True)
     def test_every_packet_serviced_one_per_busy_cycle(self, scenario):
-        tier = AggregationTier(scenario.n_aggregates, engine="batch",
+        tier = AggregationTier(scenario.n_aggregates, engine="tensor",
                                discipline=scenario.discipline,
                                salt=scenario.salt)
         for sid, weight in scenario.initial:
@@ -71,7 +72,7 @@ class TestWorkConservation:
     @given(scenario=aggregation_scenarios())
     @settings(max_examples=8, deadline=None, print_blob=True)
     def test_per_aggregate_counts_balance(self, scenario):
-        summary = run_aggregation(scenario, engine="batch")
+        summary = run_aggregation(scenario, engine="tensor")
         per = summary["per_aggregate"]
         assert sum(per["enqueued"]) == summary["enqueued"]
         assert sum(per["serviced"]) == summary["serviced"]
@@ -88,7 +89,7 @@ class TestWeightShareBand:
         """After an arbitrary legal churn prefix, saturate every member
         and check service shares against the Figure-8 band around the
         aggregate weight shares (tolerance 0.25 + quantization slack)."""
-        tier = AggregationTier(4, engine="batch")
+        tier = AggregationTier(4, engine="tensor")
         members: dict[int, int] = {}
         for op in ops:
             if op[0] == "join":
@@ -128,12 +129,12 @@ class TestWeightShareBand:
 class TestThreeWayByteIdentity:
     @given(bucket=aggregation_buckets())
     @settings(max_examples=8, deadline=None, print_blob=True)
-    def test_reference_batch_tensor_identical(self, bucket):
+    def test_reference_tensor_campaign_identical(self, bucket):
         tensor = run_aggregation_bucket(bucket)
         for scenario, tsum in zip(bucket, tensor):
             ref = run_aggregation(scenario, engine="reference")
-            bat = run_aggregation(scenario, engine="batch")
-            assert _blob(ref) == _blob(bat), f"seed {scenario.seed}"
+            single = run_aggregation(scenario, engine="tensor")
+            assert _blob(ref) == _blob(single), f"seed {scenario.seed}"
             assert _blob(ref) == _blob(tsum), f"seed {scenario.seed}"
 
 
@@ -141,7 +142,7 @@ class TestMembershipIsolation:
     @given(ops=membership_interleavings())
     @settings(max_examples=15, deadline=None, print_blob=True)
     def test_churn_is_pure_counter_arithmetic(self, ops):
-        tier = AggregationTier(8, engine="batch")
+        tier = AggregationTier(8, engine="tensor")
         engine_calls = []
         tier.scheduler.enqueue = lambda *a, **k: engine_calls.append(a)
         expected: dict[int, int] = {}

@@ -43,7 +43,7 @@ def _rss_bytes() -> int:
 
 @pytest.mark.soak
 def test_million_stream_churn_soak():
-    tier = AggregationTier(1024, engine="batch", strict=False)
+    tier = AggregationTier(1024, engine="tensor", strict=False)
     for sid in range(SOAK_STREAMS):
         tier.join(sid)
     rss_start = _rss_bytes()

@@ -102,9 +102,9 @@ class TestCLITelemetry:
         assert "decide" in out
         assert "sharestreams_decisions_total" in out
 
-    def test_trace_on_batch_engine(self, capsys):
+    def test_trace_on_tensor_engine(self, capsys):
         assert main(
-            ["figure8", "--frames", "400", "--engine", "batch", "--trace"]
+            ["figure8", "--frames", "400", "--engine", "tensor", "--trace"]
         ) == 0
         assert "endsystem.decide" in capsys.readouterr().out
 

@@ -1,8 +1,9 @@
-"""Property-based differential tests: BatchScheduler vs the oracle.
+"""Property-based differential tests: the tensor adapter vs the oracle.
 
-The batch engine must be winner-for-winner, miss-for-miss and
-packet-for-packet identical to the cycle-level object model on any
-scenario.  Scenarios are derived from integer seeds by
+The array engine's single-scenario adapter
+(:class:`~repro.core.tensor_engine.TensorScheduler`) must be
+winner-for-winner, miss-for-miss and packet-for-packet identical to the
+cycle-level object model on any scenario.  Scenarios are derived from integer seeds by
 :func:`repro.core.differential.generate_scenario`; a failing test
 prints the seed, and ``cross_validate(generate_scenario(seed))``
 reproduces the divergence exactly.
@@ -98,7 +99,7 @@ class TestScenarioGenerator:
 
     def test_traces_are_reproducible(self):
         scenario = generate_scenario(7, n_cycles=100)
-        assert run_engine(scenario, "batch") == run_engine(scenario, "batch")
+        assert run_engine(scenario, "tensor") == run_engine(scenario, "tensor")
 
     def test_coverage_of_design_space(self):
         """200 seeds cover both routings, both block modes, both

@@ -1,6 +1,6 @@
 """Engine switch parity: experiment drivers give bit-identical results.
 
-Every experiment driver that accepts ``engine="batch"`` must reproduce
+Every experiment driver that accepts ``engine="tensor"`` must reproduce
 the reference engine's outputs exactly — not approximately — at
 reduced scale (the full-scale runs only differ in the workload-size
 parameter, which both engines receive identically).
@@ -20,45 +20,45 @@ SCALE = 400  # frames per stream for the paired runs
 class TestTable3Parity:
     def test_all_three_configurations_bit_identical(self):
         reference = run_table3(SCALE)
-        batch = run_table3(SCALE, engine="batch")
-        assert reference == batch
+        tensor = run_table3(SCALE, engine="tensor")
+        assert reference == tensor
 
 
 class TestEndsystemParity:
     def test_figure8_bit_identical(self):
         reference = run_figure8(SCALE)
-        batch = run_figure8(SCALE, engine="batch")
-        assert reference.run.elapsed_us == batch.run.elapsed_us
-        assert reference.run.frames_sent == batch.run.frames_sent
-        assert reference.run.bytes_sent == batch.run.bytes_sent
-        assert reference.steady_mbps == batch.steady_mbps
+        tensor = run_figure8(SCALE, engine="tensor")
+        assert reference.run.elapsed_us == tensor.run.elapsed_us
+        assert reference.run.frames_sent == tensor.run.frames_sent
+        assert reference.run.bytes_sent == tensor.run.bytes_sent
+        assert reference.steady_mbps == tensor.steady_mbps
         for sid in reference.series:
             np.testing.assert_array_equal(
-                reference.series[sid].mbps, batch.series[sid].mbps
+                reference.series[sid].mbps, tensor.series[sid].mbps
             )
 
     def test_figure9_bit_identical(self):
         reference = run_figure9(n_bursts=2, burst_size=300)
-        batch = run_figure9(n_bursts=2, burst_size=300, engine="batch")
-        assert reference.run.elapsed_us == batch.run.elapsed_us
-        assert reference.run.frames_sent == batch.run.frames_sent
-        assert reference.mean_delays_us() == batch.mean_delays_us()
+        tensor = run_figure9(n_bursts=2, burst_size=300, engine="tensor")
+        assert reference.run.elapsed_us == tensor.run.elapsed_us
+        assert reference.run.frames_sent == tensor.run.frames_sent
+        assert reference.mean_delays_us() == tensor.mean_delays_us()
         for sid in reference.series:
             np.testing.assert_array_equal(
-                reference.series[sid].delays_us, batch.series[sid].delays_us
+                reference.series[sid].delays_us, tensor.series[sid].delays_us
             )
 
     def test_figure10_bit_identical(self):
         reference = run_figure10(SCALE, streamlets_per_slot=10)
-        batch = run_figure10(SCALE, streamlets_per_slot=10, engine="batch")
-        assert reference.run.elapsed_us == batch.run.elapsed_us
-        assert reference.run.frames_sent == batch.run.frames_sent
-        assert reference.streamlet_mbps() == batch.streamlet_mbps()
+        tensor = run_figure10(SCALE, streamlets_per_slot=10, engine="tensor")
+        assert reference.run.elapsed_us == tensor.run.elapsed_us
+        assert reference.run.frames_sent == tensor.run.frames_sent
+        assert reference.streamlet_mbps() == tensor.streamlet_mbps()
 
 
 class TestIsolationParity:
     def test_sharestreams_row_bit_identical(self):
         reference = run_isolation(horizon=1200)
-        batch = run_isolation(horizon=1200, engine="batch")
-        assert reference[0] == batch[0]  # the ShareStreams system row
-        assert reference[1:] == batch[1:]  # peers untouched by the switch
+        tensor = run_isolation(horizon=1200, engine="tensor")
+        assert reference[0] == tensor[0]  # the ShareStreams system row
+        assert reference[1:] == tensor[1:]  # peers untouched by the switch

@@ -3,8 +3,8 @@
 The vectors under ``tests/golden/`` were generated from the reference
 engine by ``tests/golden/regen.py`` and are committed; these tests
 replay them against the reference engine (regression pin: behaviour
-cannot drift silently) *and* the vectorized batch engine (conformance:
-the fast path reproduces the pinned traces exactly).  After an
+cannot drift silently) *and* the tensor array engine (conformance: the
+fast path reproduces the pinned traces exactly).  After an
 intentional behaviour change, regenerate with::
 
     PYTHONPATH=src python tests/golden/regen.py
@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.batch_engine import BatchScheduler
 from repro.core.rules import Rule, compare_with_rule
+from repro.core.tensor_engine import TensorScheduler
 from tests.golden import regen
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -72,27 +72,6 @@ class TestTable3Traces:
         rebuilt = regen.build_table3_vectors(data["frames_per_stream"])
         assert rebuilt["configs"][config] == data["configs"][config]
 
-    @pytest.mark.parametrize(
-        "config", sorted(regen._TABLE3_CONFIGS)
-    )
-    def test_batch_engine_matches(self, config):
-        data = _load("table3_vectors.json")
-        vec = data["configs"][config]
-        engine = BatchScheduler(*regen.table3_arch_streams(vec))
-        res = engine.run_periodic(
-            vec["n_cycles"],
-            offsets=np.arange(1, 5, dtype=np.int64),
-            step=1,
-            consume=vec["consume"],
-            count_misses=vec["count_misses"],
-            collect_winners=True,
-        )
-        assert res.winners is not None
-        assert res.winners.tolist() == vec["winners"]
-        assert res.wins.tolist() == vec["wins"]
-        assert res.misses.tolist() == vec["missed"]
-        assert res.serviced.tolist() == vec["serviced"]
-
 
 class TestTable3TensorDispatch:
     """The pinned traces replay through ``TensorScheduler.run_periodic``
@@ -107,7 +86,7 @@ class TestTable3TensorDispatch:
         monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", driver_max_cells)
         data = _load("table3_vectors.json")
         vec = data["configs"][config]
-        engine = tensor_engine.TensorScheduler(*regen.table3_arch_streams(vec))
+        engine = TensorScheduler(*regen.table3_arch_streams(vec))
         res = engine.run_periodic(
             vec["n_cycles"],
             offsets=np.arange(1, 5, dtype=np.int64),
@@ -126,9 +105,7 @@ class TestTable3TensorDispatch:
 class TestPifoVectors:
     """Committed PIFO rank-function summaries replay on every engine."""
 
-    @pytest.mark.parametrize(
-        "engine", ["reference", "batch", "tensor"]
-    )
+    @pytest.mark.parametrize("engine", ["reference", "tensor"])
     def test_all_rank_functions_match(self, engine):
         from repro.disciplines.pifo import generate_pifo_scenario, run_pifo
 
@@ -156,7 +133,7 @@ class TestPifoVectors:
 class TestAggregationVectors:
     """The committed 10k-stream churn summary replays on every engine."""
 
-    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    @pytest.mark.parametrize("engine", ["reference", "tensor"])
     def test_standalone_engines_match(self, engine):
         from repro.aggregation import run_aggregation
 
@@ -211,6 +188,6 @@ class TestDWCSTrace:
         data = _load("dwcs_trace.json")
         self._replay(regen._dwcs_scheduler(), data)
 
-    def test_batch_engine_matches(self):
+    def test_tensor_engine_matches(self):
         data = _load("dwcs_trace.json")
-        self._replay(BatchScheduler(*regen.dwcs_arch_streams()), data)
+        self._replay(TensorScheduler(*regen.dwcs_arch_streams()), data)

@@ -6,9 +6,11 @@ scalar whole-run driver :func:`repro.core.jit.run_cycles` at or below
 test here forces one side by pinning the constant and byte-compares the
 two on the same inputs, over the full periodic flag matrix: winner and
 block consumption, offsets, steps, strides, miss counting, idle
-fast-forward, and the lockstep control counters.  The driver runs
-compiled when numba is importable and as plain Python otherwise; the
-suite holds either way.
+fast-forward, and the lockstep control counters.  Both sides are also
+checked against the oracle's per-cycle replay of the same feed
+(:func:`tests.strategies.oracle_periodic`).  The driver runs compiled
+when numba is importable and as plain Python otherwise; the suite holds
+either way.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tensor_engine
-from repro.core.batch_engine import BatchScheduler
 from repro.core.config import BlockMode, Routing
 from repro.core.tensor_engine import CampaignEngine
-from tests.strategies import random_arch_streams
+from tests.strategies import oracle_periodic, random_arch_streams
 
 #: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
 SIDES = {"numpy": 0, "driver": 1 << 30}
@@ -91,12 +92,77 @@ class TestKernelByteIdentity:
         assert ref_engine.fast_forwarded == drv_engine.fast_forwarded
 
 
+def _periodic_against_oracle(
+    arch, streams, n_cycles, side, fast_forward=True, **kwargs
+):
+    """``run_periodic`` on one forced side vs :func:`oracle_periodic`."""
+    with pytest.MonkeyPatch.context() as mp:
+        _forced(mp, side)
+        engine = CampaignEngine(arch, [streams])
+        result = engine.run_periodic(
+            n_cycles, collect_winners=True, fast_forward=fast_forward, **kwargs
+        )[0]
+    counters = engine.counters(0)
+    n = arch.n_slots
+    got = {
+        "winners": result.winners.tolist(),
+        "wins": result.wins.tolist(),
+        "misses": result.misses.tolist(),
+        "serviced": result.serviced.tolist(),
+        "violations": [counters[i].violations for i in range(n)],
+        "window_resets": [counters[i].window_resets for i in range(n)],
+    }
+    return got, oracle_periodic(arch, streams, n_cycles, **kwargs)
+
+
+class TestOraclePeriodic:
+    """Both ``run_periodic`` sides equal the oracle's per-cycle loop
+    over the periodic flag matrix, on shapes either side of
+    ``DRIVER_MAX_CELLS``.  Steps equal the streams' periods: the
+    condition under which the periodic path and the per-cycle loop
+    advance the EDF winner bias alike."""
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16 - 1),
+        n=st.sampled_from([2, 4, 8, 16]),
+    )
+    def test_periodic_flag_matrix_matches_oracle(self, side, seed, n):
+        rng = random.Random(seed)
+        arch, streams = random_arch_streams(seed, n)
+        kwargs = dict(
+            offsets=(
+                np.asarray([rng.randint(0, 6) for _ in range(n)])
+                if rng.random() < 0.5
+                else None
+            ),
+            step=(
+                np.asarray([s.period for s in streams])
+                if rng.random() < 0.5
+                else None
+            ),
+            stride=rng.choice(
+                [None, 1, 2, np.asarray([rng.randint(1, 4) for _ in range(n)])]
+            ),
+            consume=rng.choice(
+                ["winner"] if arch.winner_only else ["winner", "block"]
+            ),
+            count_misses=rng.choice([True, False]),
+        )
+        got, expected = _periodic_against_oracle(
+            arch, streams, 120, side,
+            fast_forward=rng.choice([True, False]), **kwargs
+        )
+        assert got == expected
+
+
 class TestBlockTail:
     """Min-first BA circulates the block tail, the last valid emitted
     slot.  Neither ``run_periodic`` side replays the bitonic network
     (the sort order is its emission) and both replay the paper schedule
-    on ranks; ``BatchScheduler`` still replays every pass, so it is the
-    reference here."""
+    on ranks; the oracle runs every compare-exchange pass of the
+    network, so it is the reference here."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("consume", ["winner", "block"])
@@ -112,15 +178,12 @@ class TestBlockTail:
         # Strides above 1 leave slots idle, so the tail is often not
         # the last slot of the order.
         stride = np.asarray([1 + (3 * i + seed) % 3 for i in range(8)])
-        kwargs = dict(stride=stride, consume=consume, collect_winners=True)
-        expected = BatchScheduler(arch, streams).run_periodic(150, **kwargs)
         for side in SIDES:
-            with pytest.MonkeyPatch.context() as mp:
-                _forced(mp, side)
-                engine = CampaignEngine(arch, [streams])
-                got = engine.run_periodic(150, **kwargs)[0]
-            np.testing.assert_array_equal(got.winners, expected.winners)
-            np.testing.assert_array_equal(got.serviced, expected.serviced)
+            got, expected = _periodic_against_oracle(
+                arch, streams, 150, side, stride=stride, consume=consume
+            )
+            assert got["winners"] == expected["winners"]
+            assert got["serviced"] == expected["serviced"]
 
 
 class TestShapeDispatch:
@@ -160,10 +223,28 @@ class TestShapeDispatch:
         with pytest.raises(ValueError, match="n_cycles"):
             self._engine(1, 4).run_periodic(-1)
 
-    def test_batch_engine_rejects_negative_cycle_count(self):
-        arch, streams = random_arch_streams(5, 4)
-        with pytest.raises(ValueError, match="n_cycles"):
-            BatchScheduler(arch, streams).run_periodic(-1)
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(offsets=[-5, 0, 0, 0]), "offsets must be >= 0"),
+            (dict(step=-3), "step must be >= 0"),
+        ],
+        ids=["offsets", "step"],
+    )
+    def test_negative_offsets_and_steps_rejected(
+        self, monkeypatch, side, kwargs, message
+    ):
+        """Ideal arithmetic has no negative deadlines: ``enqueue``
+        rejects them, and so does the periodic feed, before any state
+        changes."""
+        _forced(monkeypatch, side)
+        engine = self._engine(1, 4)
+        before = engine.counters(0)
+        with pytest.raises(ValueError, match=message):
+            engine.run_periodic(10, **kwargs)
+        assert engine.counters(0) == before
+        assert engine.control.decision_cycles == 0
 
 
 def test_resolve_backend_names_the_driver_compiler():

@@ -39,7 +39,7 @@ from repro.observability.metrics import _fmt, _label_suffix
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 #: Every engine that drives ``decision_cycle`` per cycle through
 #: ``differential.run_engine``.
-ENGINES = st.sampled_from(["reference", "batch", "tensor"])
+ENGINES = st.sampled_from(["reference", "tensor"])
 
 
 def _scenario(seed: int):
@@ -113,7 +113,7 @@ class TestAccountingIdentities:
 
 class TestTelemetryIsPassive:
     @settings(max_examples=25, deadline=None)
-    @given(seed=SEEDS, engine=st.sampled_from(["reference", "batch"]))
+    @given(seed=SEEDS, engine=ENGINES)
     def test_observer_never_changes_outcomes(self, seed, engine):
         scenario = _scenario(seed)
         plain = run_engine(scenario, engine)
@@ -122,7 +122,7 @@ class TestTelemetryIsPassive:
         assert plain.counters == observed.counters
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=SEEDS, engine=st.sampled_from(["reference", "batch"]))
+    @given(seed=SEEDS, engine=ENGINES)
     def test_disabled_run_records_nothing(self, seed, engine):
         # The engine saw observer=None; a bystander Observability must
         # stay empty (telemetry state is per-instance, never global).

@@ -1,6 +1,6 @@
 """Property tests locking down the programmable PIFO layer.
 
-Three properties from the issue's acceptance criteria:
+Three properties pinned here:
 
 * **Work conservation** — whenever any packet is backlogged, exactly
   one is serviced that cycle; the set of service cycles is exactly the
@@ -10,9 +10,10 @@ Three properties from the issue's acceptance criteria:
   the service sequence exactly (arrival sequence numbers are globally
   unique, so the lexsort never reaches its final sid tie-break).
 * **Three-way byte identity** — the interpreted reference evaluator,
-  the vectorized batch evaluator and the tensorized campaign evaluator
-  produce byte-identical canonical summaries on 200+ randomized
-  scenarios (the ``validate_rank_function`` contract).
+  the tensorized evaluator on a single-row campaign and on whole
+  same-shape buckets produce byte-identical canonical summaries on
+  200+ randomized scenarios (the ``validate_rank_function``
+  contract).
 
 Plus the boundary validations the PIFO layer's tie-break rules must
 reproduce: the RED min==max threshold and HFSC zero-curve leaves both
@@ -60,7 +61,7 @@ def _canonical(summary: dict) -> str:
 
 class TestWorkConservation:
     @pytest.mark.parametrize("name", sorted(PIFO_RANK_FUNCTIONS))
-    @pytest.mark.parametrize("engine", ["reference", "batch", "tensor"])
+    @pytest.mark.parametrize("engine", ["reference", "tensor"])
     def test_busy_cycles_exactly_serviced(self, name, engine):
         scenario = generate_pifo_scenario(5, n_cycles=80)
         summary = run_pifo(name, scenario, engine=engine)
@@ -82,7 +83,7 @@ class TestWorkConservation:
     @given(scenario=pifo_scenarios(n_cycles=60))
     @settings(max_examples=10, deadline=None, print_blob=True)
     def test_every_packet_serviced_once(self, scenario):
-        summary = run_pifo("prio_edf", scenario, engine="batch")
+        summary = run_pifo("prio_edf", scenario, engine="tensor")
         seqs = sorted(evt[2] for evt in summary["services"])
         assert seqs == list(range(1, scenario.total_arrivals + 1))
 
@@ -116,8 +117,8 @@ class TestSidPermutationStability:
         n = scenario.n_slots
         perm = {sid: (sid * 3 + 1) % n for sid in range(n)}
         assert sorted(perm.values()) == list(range(n))
-        base = run_pifo(name, scenario, engine="batch")
-        permuted = run_pifo(name, _permute(scenario, perm), engine="batch")
+        base = run_pifo(name, scenario, engine="tensor")
+        permuted = run_pifo(name, _permute(scenario, perm), engine="tensor")
         expected = [
             [t, perm[sid], seq, rank]
             for t, sid, seq, rank in base["services"]
@@ -146,8 +147,9 @@ class TestSidPermutationStability:
 class TestThreeWayByteIdentity:
     def test_two_hundred_scenarios_all_evaluators(self):
         """The acceptance campaign: >= 200 randomized scenarios, every
-        registered rank function, reference == batch == tensor
-        byte-for-byte (the tensor leg runs whole same-shape buckets)."""
+        registered rank function, reference == single-row tensor ==
+        tensor bucket row byte-for-byte (the bucket leg runs whole
+        same-shape buckets)."""
         names = sorted(PIFO_RANK_FUNCTIONS)
         seeds_per_fn = 42
         checked = 0
@@ -159,9 +161,9 @@ class TestThreeWayByteIdentity:
             tensor_summaries = run_pifo_bucket(name, scenarios)
             for scenario, tensor in zip(scenarios, tensor_summaries):
                 reference = run_pifo(name, scenario, engine="reference")
-                batch = run_pifo(name, scenario, engine="batch")
+                single = run_pifo(name, scenario, engine="tensor")
                 context = f"pifo:{name} seed={scenario.seed}"
-                assert _canonical(reference) == _canonical(batch), context
+                assert _canonical(reference) == _canonical(single), context
                 assert _canonical(reference) == _canonical(tensor), context
                 checked += 1
         assert checked == len(names) * seeds_per_fn >= 200
@@ -186,7 +188,7 @@ class TestThreeWayByteIdentity:
 class TestUserDefinedRankFunction:
     def test_new_discipline_in_pifo_api_only(self):
         """The issue's headline claim: a brand-new discipline built
-        from nothing but the PIFO expression API passes the three-way
+        from nothing but the PIFO expression API passes the two-way
         differential campaign.  Credit-based fair sharing: streams
         that have consumed more weighted service rank later."""
         credit_fair = RankFunction(
@@ -271,7 +273,7 @@ class TestBoundaryValidation:
             streams=(PifoStream(sid=0, weight=0),) + scenario.streams[1:],
         )
         with pytest.raises(ValueError, match="positive integer"):
-            run_pifo("sfq", broken, engine="batch")
+            run_pifo("sfq", broken, engine="tensor")
 
     def test_pifo_discipline_fractional_weight_rejected(self):
         discipline = create("pifo:sfq")

@@ -15,6 +15,7 @@ from repro.core.differential import (
     CampaignResult,
     SeedOutcome,
     campaign,
+    validate_bucket,
     validate_seed,
 )
 from repro.experiments.sweeps import sweep_figures, sweep_isolation
@@ -25,11 +26,11 @@ CYCLES = 80
 SEEDS = range(12)
 
 
-def crash_on_seed_5(seed, n_cycles, mode):
-    """Drop-in for ``validate_seed`` that hard-kills seed 5's shard."""
-    if seed == 5:
+def crash_on_seed_5(seeds, n_cycles, mode):
+    """Drop-in for ``validate_bucket`` that hard-kills seed 5's shard."""
+    if 5 in seeds:
         os._exit(9)
-    return validate_seed(seed, n_cycles, mode)
+    return validate_bucket(seeds, n_cycles, mode)
 
 
 class TestCampaignParallelEquality:
@@ -107,7 +108,8 @@ class TestCampaignFailureIsolation:
         (failure,) = result.failures
         assert 5 in failure.items
         assert failure.exitcode == 9
-        # Round-robin over 12 items / 4 shards: seed 5 rode shard 1
+        # Every seed is its own bucket at this cycle count, so
+        # round-robin over 12 buckets / 4 shards: seed 5 rode shard 1
         # with seeds 1 and 9; everything else still validated.
         assert set(failure.items) == {1, 5, 9}
         assert result.scenarios == len(list(SEEDS)) - len(failure.items)
@@ -132,10 +134,10 @@ class TestTable3Parallel:
         sharded = run_table3(frames, workers=3)
         assert sharded == sequential
 
-    def test_batch_engine_parallel(self):
+    def test_tensor_engine_parallel(self):
         frames = 200
-        assert run_table3(frames, engine="batch", workers=3) == run_table3(
-            frames, engine="batch", workers=1
+        assert run_table3(frames, engine="tensor", workers=3) == run_table3(
+            frames, engine="tensor", workers=1
         )
 
     def test_parallel_telemetry_is_merged(self):

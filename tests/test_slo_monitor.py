@@ -170,7 +170,7 @@ class TestSloMonitorEvaluation:
 
 
 class TestRunSummaryEvaluation:
-    """The batch engine's vectorized run_periodic path reports no
+    """The array engine's vectorized run_periodic path reports no
     per-cycle events; conformance is evaluated on the final counters
     with budgets rescaled to the run length."""
 
@@ -201,9 +201,9 @@ class TestRunSummaryEvaluation:
         [v] = m.evaluate_run_summary(Result())
         assert v.objective == "share_band" and v.observed == pytest.approx(0.1)
 
-    def test_batch_table3_overload_is_flagged(self):
+    def test_tensor_table3_overload_is_flagged(self):
         """End to end: the paper's own overload case (Table 3
-        max-finding) on the batch engine's summary path."""
+        max-finding) on the array engine's summary path."""
         from repro.experiments.table3 import run_max_finding
         from repro.observability import Observability
 
@@ -213,7 +213,7 @@ class TestRunSummaryEvaluation:
             flight_recorder=False,
         )
         obs = Observability(trace=False, profile=False, monitor=monitor)
-        run_max_finding(400, engine="batch", observer=obs)
+        run_max_finding(400, engine="tensor", observer=obs)
         assert len(monitor.violations) == 4  # every stream overloads
         assert all(v.objective == "miss_budget" for v in monitor.violations)
 
@@ -311,7 +311,7 @@ class TestZeroFalsePositives:
         probe = RollupObserver(window_cycles=self.WINDOW)
         from repro.core.differential import run_engine
 
-        run_engine(scenario, "batch", observer=probe)
+        run_engine(scenario, "tensor", observer=probe)
         probe.finalize()
         sids = sorted({sid for w in probe.history for sid in w.streams})
         slos = []

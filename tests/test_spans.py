@@ -234,7 +234,7 @@ class TestExportsAndReports:
 class TestAggregationTierSpans:
     def test_flush_spans_rolls_up_churn_ops(self):
         tracer = make_tracer()
-        tier = AggregationTier(4, engine="batch", strict=False, tracer=tracer)
+        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
         for sid in range(6):
             tier.join(sid)
         tier.leave(5, weight=1)
@@ -252,7 +252,7 @@ class TestAggregationTierSpans:
 
     def test_flush_resets_accumulators(self):
         tracer = make_tracer()
-        tier = AggregationTier(4, engine="batch", strict=False, tracer=tracer)
+        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
         tier.join(0)
         tier.flush_spans()
         n = len(tracer.records())
@@ -260,14 +260,14 @@ class TestAggregationTierSpans:
         assert len(tracer.records()) == n  # nothing new accumulated
 
     def test_untraced_tier_keeps_fast_path(self):
-        tier = AggregationTier(4, engine="batch", strict=False)
+        tier = AggregationTier(4, engine="tensor", strict=False)
         assert tier.tracer is None
         tier.join(0)
         tier.flush_spans()  # no-op, must not raise
 
     def test_flush_requires_no_pending_ops(self):
         tracer = make_tracer()
-        tier = AggregationTier(4, engine="batch", strict=False, tracer=tracer)
+        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
         tier.flush_spans()
         assert tracer.records() == []
 

@@ -31,12 +31,11 @@ relaxed = settings(
 )
 
 
-def _traced_campaign(seeds, workers, engine):
+def _traced_campaign(seeds, workers):
     tracer = SpanTracer("merge-test")
     result = campaign(
         seeds,
         n_cycles=40,
-        engine=engine,
         workers=workers,
         use_cache=False,
         tracer=tracer,
@@ -50,7 +49,7 @@ def test_tensor_campaign_span_tree_worker_invariant(seeds):
     trees = {}
     summaries = {}
     for workers in WORKER_COUNTS:
-        result, tracer = _traced_campaign(seeds, workers, "tensor")
+        result, tracer = _traced_campaign(seeds, workers)
         assert result.passed
         trees[workers] = tracer.canonical_bytes()
         summaries[workers] = result.summary_json()
@@ -59,19 +58,10 @@ def test_tensor_campaign_span_tree_worker_invariant(seeds):
     assert trees[1]  # non-empty: the campaign really was traced
 
 
-@relaxed
-@given(seeds=seed_lists)
-def test_batch_campaign_span_tree_worker_invariant(seeds):
-    trees = [
-        _traced_campaign(seeds, workers, "batch")[1].canonical_bytes()
-        for workers in WORKER_COUNTS
-    ]
-    assert trees[0] == trees[1] == trees[2]
-
-
 def test_cache_hits_keep_span_tree_invariant(tmp_path):
-    """Warm-cache runs record parent-side cache-hit spans at the items'
-    original ordinals, so cached and executed runs agree on paths."""
+    """Warm-cache runs resolve every seed in the bucket pre-pass, whose
+    span reports the hits, so cached and executed runs agree on the
+    spans they share and warm trees are worker invariant."""
     seeds = [3, 7, 11, 19]
     cache_dir = tmp_path / "cache"
 
@@ -80,7 +70,6 @@ def test_cache_hits_keep_span_tree_invariant(tmp_path):
         result = campaign(
             seeds,
             n_cycles=40,
-            engine="batch",
             workers=workers,
             cache_dir=cache_dir,
             tracer=tracer,
@@ -93,29 +82,32 @@ def test_cache_hits_keep_span_tree_invariant(tmp_path):
     warm4, warm4_tracer = run(4)
     assert warm1.cached == len(seeds) == warm4.cached
     assert warm1_tracer.canonical_bytes() == warm4_tracer.canonical_bytes()
-    hits = [
-        r for r in warm1_tracer.records() if r.tags.get("cache") == "hit"
-    ]
-    assert len(hits) == len(seeds)
-    # Cache state changes execution depth (hits skip the engine-run
-    # subtree), not identity: the seed-item spans themselves keep the
+
+    def named(tracer, name):
+        return [r for r in tracer.records() if r.canonical and r.name == name]
+
+    (prepass,) = named(warm1_tracer, "bucket_prepass")
+    assert prepass.tags["cached"] == len(seeds)
+    assert prepass.tags["pending"] == prepass.tags["buckets"] == 0
+    # Cache state changes execution depth (hits skip the bucket
+    # subtree), not identity: the campaign and pre-pass spans keep the
     # same paths and span ids across cold and warm runs.
-    def seed_spans(tracer):
+    assert named(cold_tracer, "bucket") and not named(warm1_tracer, "bucket")
+
+    def shared_spans(tracer):
         return {
             r.path: r.span_id
             for r in tracer.records()
-            if r.canonical and r.name == "seed"
+            if r.canonical and r.name in ("campaign", "bucket_prepass")
         }
 
-    assert seed_spans(cold_tracer) == seed_spans(warm1_tracer)
+    assert shared_spans(cold_tracer) == shared_spans(warm1_tracer)
 
 
 def test_disabled_tracer_leaves_campaign_summary_untouched():
     """tracer=None (the seed baseline) and a traced run produce
     byte-identical campaign summaries."""
     seeds = range(6)
-    baseline = campaign(
-        seeds, n_cycles=40, engine="tensor", workers=2, use_cache=False
-    )
-    traced, _ = _traced_campaign(seeds, 2, "tensor")
+    baseline = campaign(seeds, n_cycles=40, workers=2, use_cache=False)
+    traced, _ = _traced_campaign(seeds, 2)
     assert baseline.summary_json() == traced.summary_json()

@@ -2,11 +2,11 @@
 
 Three properties are pinned here:
 
-* **Three-way agreement** — reference (object model), batch
-  (single-scenario vectorized) and tensor (scenario-batched campaign
-  engine) produce identical cycle records and final counters on >= 100
-  randomized scenarios grouped into same-shape buckets (the bucketing
-  contract in ``docs/ENGINES.md``).
+* **Three-way agreement** — reference (object model), the
+  single-scenario tensor adapter and bucketed campaign rows produce
+  identical cycle records and final counters on >= 100 randomized
+  scenarios grouped into same-shape buckets (the bucketing contract in
+  ``docs/ENGINES.md``).
 * **Idle-cycle fast-forward is invisible** — skipping globally-idle
   decision cycles in bulk never changes any observable: periodic runs
   with ``fast_forward`` on and off match array-for-array (including
@@ -14,9 +14,10 @@ Three properties are pinned here:
   workloads still match the per-cycle oracle record-for-record.
   (The golden decision trace in ``tests/test_trace_replay.py`` is
   replayed through the tensor adapter there, byte-for-byte.)
-* **Campaign plumbing** — ``campaign(engine="tensor")`` serializes
-  byte-identically to the sequential path, under any worker count,
-  with its own result-cache namespace and merged telemetry.
+* **Campaign plumbing** — the bucketed ``campaign()`` serializes
+  byte-identically to the sequential seed-by-seed path, under any
+  worker count, with a pinned result-cache namespace and merged
+  telemetry.
 """
 
 import dataclasses
@@ -28,14 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_engine import (
-    BatchScheduler,
-    build_bitonic_passes,
-    make_scheduler,
-)
 from repro.core.attributes import StreamConfig
+from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.differential import (
+    _scenario_cache_payload,
     campaign,
     cross_validate,
     cross_validate_bucket,
@@ -43,9 +41,12 @@ from repro.core.differential import (
     run_bucket,
     run_engine,
 )
+from repro.core.scheduler import ShareStreamsScheduler
+from repro.core.shuffle import _bitonic_stages
 from repro.core.tensor_engine import CampaignEngine, TensorScheduler
 from tests.strategies import (
     bucketed as _bucketed,
+    oracle_periodic as _oracle_periodic,
     periodic_observables as _periodic_observables,
     random_arch_streams as _random_arch_streams,
 )
@@ -56,9 +57,9 @@ from tests.strategies import (
 class TestThreeWayDifferential:
     def test_hundred_randomized_bucketed_scenarios(self):
         """The tensor acceptance campaign: >= 100 seeded scenarios,
-        bucketed by shape, each compared cycle-for-cycle and
+        bucketed by shape, each bucket row compared cycle-for-cycle and
         counter-for-counter against BOTH the object model and the
-        batch engine."""
+        scenario's own single-row tensor adapter run."""
         scenarios = [
             generate_scenario(seed, n_cycles=150) for seed in range(110)
         ]
@@ -74,11 +75,11 @@ class TestThreeWayDifferential:
             tensor_traces = run_bucket(members)
             for scenario, tensor in zip(members, tensor_traces):
                 ref = run_engine(scenario, "reference")
-                bat = run_engine(scenario, "batch")
+                single = run_engine(scenario, "tensor")
                 context = f"\nreproduce with seed {scenario.seed}"
-                assert bat.records == ref.records, context
+                assert single.records == ref.records, context
                 assert tensor.records == ref.records, context
-                assert bat.counters == ref.counters, context
+                assert single.counters == ref.counters, context
                 assert tensor.counters == ref.counters, context
 
     def test_trace_mode_buckets_byte_identical_telemetry(self):
@@ -125,7 +126,7 @@ class TestIdleFastForward:
         arch, streams = _random_arch_streams(seed, n_slots)
         observed = {}
         for fast_forward in (True, False):
-            scheduler = BatchScheduler(arch, streams, trace_timeline=True)
+            scheduler = TensorScheduler(arch, streams, trace_timeline=True)
             result = scheduler.run_periodic(
                 60,
                 stride=stride,
@@ -171,9 +172,10 @@ class TestIdleFastForward:
         assert stats["fast_forwarded"] > 0
         assert stats["cycles"] == 3 * 200
 
-    def test_tensor_run_periodic_matches_batch_per_scenario(self):
+    def test_tensor_run_periodic_matches_oracle_per_scenario(self):
         """The tensorized periodic path (with fast-forward) equals S
-        independent batch-engine runs, winners array included."""
+        independent per-cycle oracle runs of the same feeds, winners
+        array included."""
         for case in range(10):
             rng = random.Random(9000 + case)
             n_slots = rng.choice((2, 4, 8))
@@ -197,57 +199,60 @@ class TestIdleFastForward:
                 80, stride=stride, consume=consume, collect_winners=True
             )
             for s in range(s_count):
-                scheduler = BatchScheduler(arch, stream_lists[s])
-                expected = scheduler.run_periodic(
-                    80,
-                    stride=stride[s],
-                    consume=consume,
-                    collect_winners=True,
+                expected = _oracle_periodic(
+                    arch, stream_lists[s], 80, stride=stride[s], consume=consume
                 )
                 got = tensor_results[s]
+                counters = engine.counters(s)
                 context = f"case {case} scenario {s}"
-                assert got.wins.tolist() == expected.wins.tolist(), context
-                assert got.misses.tolist() == expected.misses.tolist(), context
-                assert (
-                    got.serviced.tolist() == expected.serviced.tolist()
-                ), context
-                assert (
-                    got.winners.tolist() == expected.winners.tolist()
-                ), context
-                assert got.frames_scheduled == expected.frames_scheduled
+                assert got.wins.tolist() == expected["wins"], context
+                assert got.misses.tolist() == expected["misses"], context
+                assert got.serviced.tolist() == expected["serviced"], context
+                assert got.winners.tolist() == expected["winners"], context
+                assert got.frames_scheduled == sum(expected["serviced"])
+                assert [
+                    counters[i].window_resets for i in range(n_slots)
+                ] == expected["window_resets"], context
 
 
 class TestCampaignTensorPath:
     def test_summary_byte_identical_to_sequential(self):
-        sequential = campaign(range(40), n_cycles=120)
-        tensor = campaign(range(40), n_cycles=120, engine="tensor")
+        """Bucketed rows and the seed-by-seed single-row adapter path
+        (``stop_on_divergence``) fold to the same summary bytes."""
+        sequential = campaign(range(40), n_cycles=120, stop_on_divergence=True)
+        tensor = campaign(range(40), n_cycles=120)
         assert tensor.passed
         assert tensor.summary_json() == sequential.summary_json()
 
     def test_worker_count_invisible(self):
-        solo = campaign(range(30), n_cycles=100, engine="tensor")
-        pooled = campaign(range(30), n_cycles=100, engine="tensor", workers=3)
+        solo = campaign(range(30), n_cycles=100)
+        pooled = campaign(range(30), n_cycles=100, workers=3)
         assert pooled.summary_json() == solo.summary_json()
 
-    def test_cache_namespace_disjoint_from_batch(self, tmp_path):
-        """Tensor-path results never collide with cached batch-path
-        entries: a warm batch cache yields zero tensor hits, and a
-        second tensor run is served entirely from cache."""
+    def test_cache_namespace_and_payload_pinned(self, tmp_path):
+        """Warm caches written before the campaign had one engine stay
+        valid: entries live in the ``differential-<mode>-tensor``
+        namespace and the key payload names the reference/tensor pair.
+        A second run is served entirely from cache."""
         seeds = range(20)
-        campaign(seeds, n_cycles=100, cache_dir=tmp_path)
-        cold = campaign(
-            seeds, n_cycles=100, engine="tensor", cache_dir=tmp_path
-        )
+        cold = campaign(seeds, n_cycles=100, cache_dir=tmp_path)
         assert cold.cached == 0 and cold.executed == 20
-        warm = campaign(
-            seeds, n_cycles=100, engine="tensor", cache_dir=tmp_path
-        )
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "differential-outcome-tensor"
+        ]
+        payload = _scenario_cache_payload(3, 100, "outcome")
+        assert payload["engines"] == ["reference", "tensor"]
+        assert payload["mode"] == "outcome"
+        warm = campaign(seeds, n_cycles=100, cache_dir=tmp_path)
         assert warm.cached == 20 and warm.executed == 0
         assert warm.summary_json() == cold.summary_json()
 
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown campaign engine"):
+            campaign(range(2), n_cycles=20, engine="reference")
+
     def test_telemetry_merged_across_buckets(self):
-        result = campaign(range(25), n_cycles=100, engine="tensor")
-        assert result.engine == "tensor"
+        result = campaign(range(25), n_cycles=100)
         assert result.telemetry is not None
         samples = result.telemetry["differential_bucket_scenarios_total"][
             "samples"
@@ -261,66 +266,59 @@ class TestCampaignTensorPath:
     def test_single_seed_validator_tensor_engine(self):
         for seed in range(12):
             scenario = generate_scenario(seed, n_cycles=150)
-            divergence = cross_validate(scenario, engine="tensor")
+            divergence = cross_validate(scenario)
             assert divergence is None, f"\n{divergence}"
 
 
 class TestTensorAdapterSurface:
-    def test_single_scenario_adapter_matches_batch(self):
+    def test_single_scenario_adapter_matches_reference(self):
         """TensorScheduler (S=1 slice) walks the same interactive
-        surface as BatchScheduler with identical outcomes."""
+        surface as the object model with identical outcomes."""
         arch, streams = _random_arch_streams(42, 4)
         tensor = TensorScheduler(arch, streams)
-        batch = BatchScheduler(arch, streams)
+        oracle = ShareStreamsScheduler(arch, streams)
         for t in range(50):
             for sid in range(4):
                 if (t + sid) % 3 == 0:
                     tensor.enqueue(sid, deadline=t + sid + 1, arrival=t)
-                    batch.enqueue(sid, deadline=t + sid + 1, arrival=t)
+                    oracle.enqueue(sid, deadline=t + sid + 1, arrival=t)
             a = tensor.decision_cycle(t, consume="winner", count_misses=True)
-            b = batch.decision_cycle(t, consume="winner", count_misses=True)
+            b = oracle.decision_cycle(t, consume="winner", count_misses=True)
             assert a.circulated_sid == b.circulated_sid
             assert a.block == b.block
             assert a.misses == b.misses
             assert a.hw_cycles == b.hw_cycles
         for sid in range(4):
-            ts, bs = tensor.slot(sid), batch.slot(sid)
-            assert ts.backlog == bs.backlog
-            assert (ts.head is None) == (bs.head is None)
-        assert {
-            sid: (c.wins, c.serviced, c.missed_deadlines)
-            for sid, c in tensor.counters().items()
-        } == {
-            sid: (c.wins, c.serviced, c.missed_deadlines)
-            for sid, c in batch.counters().items()
-        }
-        assert tensor.cycles_per_decision == batch.cycles_per_decision
+            ts, rs = tensor.slot(sid), oracle.slot(sid)
+            assert ts.backlog == rs.backlog
+            assert (ts.head is None) == (rs.head is None)
+        assert tensor.counters() == oracle.counters()
+        assert tensor.cycles_per_decision == oracle.cycles_per_decision
 
     def test_bitonic_pass_schedules_shared_across_engines(self):
-        """Pass schedules are memoized per slot count: every batch
-        engine instance of the same width shares one tuple object.  The
+        """The oracle's bitonic pass tables are memoized per slot count:
+        every network of the same width shares one tuple object.  The
         campaign engine emits the rank order without replaying the
         passes, yet charges the same pass count per decision."""
-        passes = build_bitonic_passes(8)
-        assert build_bitonic_passes(8) is passes
-        arch, streams = _random_arch_streams(
-            1, 8
-        )
+        passes = _bitonic_stages(8)
+        assert _bitonic_stages(8) is passes
+        arch, streams = _random_arch_streams(1, 8)
         arch = dataclasses.replace(
             arch, schedule="bitonic", routing=Routing.BA
         )
-        a = BatchScheduler(arch, streams)
-        b = BatchScheduler(arch, streams)
-        assert a._bitonic_passes is passes
-        assert b._bitonic_passes is passes
+        a = ShareStreamsScheduler(arch, streams)
+        b = ShareStreamsScheduler(arch, streams)
+        assert a.network._bitonic is passes
+        assert b.network._bitonic is passes
         engine = CampaignEngine(arch, [streams, streams])
         assert engine.idle_outcome(0).hw_cycles == (
             len(passes) + arch.update_cycles
         )
+        assert a.decision_cycle(0).hw_cycles == engine.idle_outcome(0).hw_cycles
 
 
 @pytest.mark.parametrize("index", [-1, 4])
-@pytest.mark.parametrize("target", ["reference", "batch", "tensor", "scenario"])
+@pytest.mark.parametrize("target", ["reference", "tensor", "scenario"])
 def test_out_of_range_ids_fail_loudly(target, index):
     """A sid (or campaign scenario index) outside the engine raises
     instead of wrapping around to the last slot or scenario."""
@@ -352,7 +350,7 @@ def test_advance_idle_rejects_negative_count():
     assert engine.fast_forwarded == 0
 
 
-@pytest.mark.parametrize("target", ["reference", "batch", "tensor"])
+@pytest.mark.parametrize("target", ["reference", "tensor"])
 def test_wr_block_consume_rejected_before_state_change(target):
     """WR emits only the winner, so block consumption is refused before
     the SCHEDULE passes are charged or any miss is registered."""
@@ -380,7 +378,7 @@ def test_wr_block_consume_rejected_before_state_change(target):
 
 
 @pytest.mark.parametrize("deadline,arrival", [(-5, 3), (4, -1)])
-@pytest.mark.parametrize("target", ["reference", "batch", "tensor"])
+@pytest.mark.parametrize("target", ["reference", "tensor"])
 def test_negative_times_rejected_at_enqueue(target, deadline, arrival):
     """In ideal arithmetic (``wrap=False``) a negative deadline or
     arrival raises at ``enqueue`` with nothing queued, on every engine;
