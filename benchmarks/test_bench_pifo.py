@@ -11,9 +11,10 @@ per-packet terms:
   (``(1, N)``) and over a whole campaign (``(S, N)``), amortized per
   rank.
 
-The acceptance bar: the vectorized and tensorized evaluators must land
-within 2x of the handwritten per-packet tag computation (in practice
-they are far faster — one array expression ranks a whole slot vector).
+The acceptance bar: the one-row and whole-campaign evaluations must
+land within 2x of the handwritten per-packet tag computation (in
+practice they are far faster — one array expression ranks a whole slot
+vector).
 Machine-readable results land in ``BENCH_PIFO.json`` at the repo root
 (``benchmarks/_schema.py`` record format).
 """
@@ -89,7 +90,7 @@ def test_rank_evaluators_within_2x_of_handwritten(report):
     fn = rank_function("sfq")
     handwritten = _discipline_rate(SFQ())
     interpreted = _discipline_rate(PifoDiscipline(fn))
-    vector_eval = _evaluator_rate(fn.compile_tensor(), (1, _N))
+    row_eval = _evaluator_rate(fn.compile_tensor(), (1, _N))
     tensor_eval = _evaluator_rate(fn.compile_tensor(), (_S, _N))
     write_bench(
         OUTPUT,
@@ -102,7 +103,7 @@ def test_rank_evaluators_within_2x_of_handwritten(report):
                 "interpreted_pifo", interpreted, "pkt/s", direction="higher"
             ),
             bench_record(
-                "vectorized_eval", vector_eval, "rank/s",
+                "row_eval", row_eval, "rank/s",
                 direction="higher", slots=_N,
             ),
             bench_record(
@@ -110,7 +111,7 @@ def test_rank_evaluators_within_2x_of_handwritten(report):
                 direction="higher", scenarios=_S, slots=_N,
             ),
             bench_record(
-                "vectorized_vs_handwritten", vector_eval / handwritten,
+                "row_vs_handwritten", row_eval / handwritten,
                 "ratio", direction="higher", bound=0.5,
             ),
             bench_record(
@@ -128,8 +129,8 @@ def test_rank_evaluators_within_2x_of_handwritten(report):
                 f"handwritten SFQ     {handwritten:>12,.0f} pkt/s",
                 f"interpreted pifo    {interpreted:>12,.0f} pkt/s "
                 f"({interpreted / handwritten:.2f}x)",
-                f"vectorized (N={_N}) {vector_eval:>12,.0f} rank/s "
-                f"({vector_eval / handwritten:.2f}x)",
+                f"one row (1x{_N})    {row_eval:>12,.0f} rank/s "
+                f"({row_eval / handwritten:.2f}x)",
                 f"tensorized ({_S}x{_N}) {tensor_eval:>12,.0f} rank/s "
                 f"({tensor_eval / handwritten:.2f}x)",
             ]
@@ -137,8 +138,8 @@ def test_rank_evaluators_within_2x_of_handwritten(report):
     )
     # Acceptance bar: compiled evaluators within 2x of the handwritten
     # hot path; amortized over a slot vector they should beat it.
-    assert vector_eval >= handwritten / 2, (
-        f"vectorized evaluator {vector_eval:,.0f} rank/s vs "
+    assert row_eval >= handwritten / 2, (
+        f"one-row evaluator {row_eval:,.0f} rank/s vs "
         f"handwritten {handwritten:,.0f} pkt/s"
     )
     assert tensor_eval >= handwritten / 2, (

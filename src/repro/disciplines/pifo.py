@@ -531,24 +531,6 @@ def _service_tag_streams(n_slots: int) -> list[StreamConfig]:
     ]
 
 
-class _StreamTable:
-    """Mutable per-stream rank state of the reference frontend."""
-
-    __slots__ = ("weight", "priority", "finish", "credits", "vtime")
-
-    def __init__(self, streams: Sequence[PifoStream], n_slots: int) -> None:
-        self.weight = np.ones(n_slots, dtype=np.int64)
-        self.priority = np.zeros(n_slots, dtype=np.int64)
-        for s in streams:
-            if s.weight <= 0 or s.weight != int(s.weight):
-                raise ValueError("weight must be a positive integer")
-            self.weight[s.sid] = s.weight
-            self.priority[s.sid] = s.priority
-        self.finish = np.zeros(n_slots, dtype=np.int64)
-        self.credits = np.zeros(n_slots, dtype=np.int64)
-        self.vtime = 0
-
-
 class PifoFrontend:
     """Rank-function frontend for the reference engine.
 
@@ -565,7 +547,16 @@ class PifoFrontend:
         self.scheduler = ShareStreamsScheduler(
             _pifo_arch(n), _service_tag_streams(n)
         )
-        self.table = _StreamTable(scenario.streams, n)
+        self._weight = [1] * n
+        self._priority = [0] * n
+        for stream in scenario.streams:
+            if stream.weight <= 0 or stream.weight != int(stream.weight):
+                raise ValueError("weight must be a positive integer")
+            self._weight[stream.sid] = stream.weight
+            self._priority[stream.sid] = stream.priority
+        self._finish = [0] * n
+        self._credits = [0] * n
+        self.vtime = 0
         self._rank_fn = fn.compile_reference()
         self._finish_fn = fn.compile_finish(vectorized=False)
         self.services: list[tuple[int, int, int, int]] = []
@@ -576,7 +567,6 @@ class PifoFrontend:
     def _rank_cycle_reference(
         self, cycle: Sequence[tuple[int, int, int, int]]
     ) -> list[int]:
-        table = self.table
         ranks: list[int] = []
         for sid, seq, deadline, length in cycle:
             env = {
@@ -584,16 +574,16 @@ class PifoFrontend:
                 "arrival": seq,
                 "length": length,
                 "sid": sid,
-                "weight": int(table.weight[sid]),
-                "priority": int(table.priority[sid]),
-                "finish": int(table.finish[sid]),
-                "credits": int(table.credits[sid]),
-                "vtime": table.vtime,
+                "weight": self._weight[sid],
+                "priority": self._priority[sid],
+                "finish": self._finish[sid],
+                "credits": self._credits[sid],
+                "vtime": self.vtime,
             }
             rank = self._rank_fn(env)
             if self._finish_fn is not None:
                 env["rank"] = rank
-                table.finish[sid] = int(self._finish_fn(env))
+                self._finish[sid] = self._finish_fn(env)
             ranks.append(rank)
         return ranks
 
@@ -615,9 +605,12 @@ class PifoFrontend:
             sid = outcome.circulated_sid
             _, packet = outcome.serviced[0]
             self.services.append((t, sid, packet.arrival, packet.deadline))
-            self.table.credits[sid] += 1
+            self._credits[sid] += 1
             if self.fn.vclock == "served_rank":
-                self.table.vtime = max(self.table.vtime, packet.deadline)
+                self.vtime = max(self.vtime, packet.deadline)
+
+    def counters(self):
+        return self.scheduler.counters()
 
     def run(self) -> dict:
         """Play the whole scenario (arrival phase + drain) and summarize."""
@@ -780,12 +773,7 @@ class _CampaignView:
 
 def _summarize(fn: RankFunction, scenario: PifoScenario, state) -> dict:
     """Canonical engine-independent run summary (byte-compared)."""
-    if isinstance(state, PifoFrontend):
-        counters = state.scheduler.counters()
-        vtime = state.table.vtime
-    else:
-        counters = state.counters()
-        vtime = state.vtime
+    counters = state.counters()
     per_stream: dict[str, int] = {}
     for _t, sid, _seq, _rank in state.services:
         key = str(sid)
@@ -799,7 +787,7 @@ def _summarize(fn: RankFunction, scenario: PifoScenario, state) -> dict:
         "enqueued": state.enqueued,
         "services": [list(evt) for evt in state.services],
         "per_stream": per_stream,
-        "final_vtime": int(vtime),
+        "final_vtime": int(state.vtime),
         "wins": [counters[sid].wins for sid in range(scenario.n_slots)],
         "serviced": [
             counters[sid].serviced for sid in range(scenario.n_slots)
