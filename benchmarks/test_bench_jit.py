@@ -1,12 +1,19 @@
 """Crossover sweeps that place the tensor engine's two shape constants.
 
-``DRIVER_MAX_CELLS``:
-:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
-scalar whole-run driver (:func:`repro.core.jit.run_cycles`) when the
-campaign holds at most ``DRIVER_MAX_CELLS`` scenario-slots (S×N) and the
-NumPy loop above that.  The driver sweep times both sides on the same
-periodic feed across S×N from 4 to 64, forcing each side by pinning the
-constant.
+``DRIVER_MAX_CELLS`` is one shape rule for both array-engine entry
+points, checked by two sweeps over S×N from 4 to 64, each forcing a
+side by pinning the constant:
+
+* :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
+  scalar whole-run driver (:func:`repro.core.jit.run_cycles`) when the
+  campaign holds at most ``DRIVER_MAX_CELLS`` scenario-slots and the
+  NumPy loop above that.  The driver sweep times both sides on the same
+  periodic feed.
+* :meth:`~repro.core.tensor_engine.CampaignEngine.decision_cycle_all`
+  ranks each row in plain Python at or below the constant and with
+  :func:`~repro.core.tensor_engine.table2_rank_order` over ``(S, N)``
+  arrays above it.  The per-cycle sweep times an enqueue + decide loop
+  on both sides.
 
 ``HEAD_SCAN_MIN_SLOTS``:
 :func:`~repro.core.tensor_engine.table2_rank_order` with
@@ -23,25 +30,37 @@ on the same captured calls, forcing each side by pinning the constant.
 
 Gates:
 
-* at every swept shape, each dispatch picks the faster side.  Shapes
-  where the two sides are within ``TIE_BAND`` of each other count as
-  ties, so either pick passes there: which one wins flips with host
-  noise near a crossover;
+* at every swept shape, the driver and head dispatches pick the faster
+  side.  Shapes where the two sides are within ``TIE_BAND`` of each
+  other count as ties, so either pick passes there: which one wins
+  flips with host noise near a crossover;
 * at S=1 N=4, Table 3's shape, the driver beats the NumPy loop by more
   than ``TIE_BAND`` on both feeds: the condition under which the driver
-  still pays at Table 3's shape.
+  still pays at Table 3's shape;
+* no per-cycle shape at or below ``DRIVER_MAX_CELLS`` goes to a side
+  more than ``TIE_BAND`` slower, and at S=1 N=4 on the endsystem feed
+  the Python rank is faster than the NumPy rank.  Shapes above the
+  constant where the Python rank would win are reported, not gated:
+  the constant is shared with ``run_periodic``, whose driver loses
+  there.
 
 Two feeds generalize the Table 3 configurations to N slots: ``winner``
 is max-finding (WR routing, one winner consumed per cycle) and ``block``
 is block min-first (BA routing, the whole block consumed, which makes
 the driver sort and replay the network every cycle, so its speedup is
-lower).  Each side runs ``ROUNDS`` interleaved times and the median rate
-counts; in the head sweep the best rate counts, because a head-only call
-takes microseconds and a host stall can only lower its rate.  The driver
-is compiled when numba is importable; its constant is placed from the
-interpreted driver, so on such hosts the sweep records the driver rates
-and skips the two driver gates.  The head sweep is plain NumPy and
-always gated.
+lower).  The per-cycle sweep enqueues them one request per slot per
+cycle and adds ``endsystem``, the Figure 8/10 card: WR over fair-share
+slots at the 1:1:2:4 shares (request periods 4/4/2/1, tiled over N),
+where each decision refills the winner's queue.  Each side runs
+``ROUNDS`` interleaved times and the median rate counts; the per-cycle
+sweep gates on the median of the per-round ratios instead, because its
+runs take tens of milliseconds and a shared host changes speed between
+rounds; in the head sweep the best rate counts, because a head-only
+call takes microseconds and a host stall can only lower its rate.  The
+driver is compiled when numba is importable; its constant is placed
+from the interpreted driver, so on such hosts the sweep records the
+driver rates and skips the two driver gates.  The head and per-cycle
+sweeps never run the driver and are always gated.
 
 Results land in ``BENCH_JIT.json`` via the shared ``write_bench``
 envelope; each driver record's ``mode`` metadata says whether the
@@ -95,8 +114,15 @@ TIE_BAND = 0.15
 #: Table 3's shape: the driver must still pay there on both feeds.
 TABLE3_SHAPE = (1, 4)
 
+#: Per-cycle feeds, and the endsystem card's request periods (shares
+#: 1:1:2:4) and shape, where the Python rank must win.
+CYCLE_FEEDS = ("winner", "block", "endsystem")
+ENDSYSTEM_PERIODS = (4, 4, 2, 1)
+ENDSYSTEM_SHAPE = (1, 4)
+
 _MODE = "compiled" if NUMBA_AVAILABLE else "interpreted"
 _SIDES = {"driver": 1 << 30, "numpy": 0}
+_CYCLE_SIDES = {"python": 1 << 30, "numpy": 0}
 _HEAD_SIDES = {"scan": 0, "lexsort": 1 << 30}
 
 
@@ -110,8 +136,10 @@ def bench_records():
         "jit",
         records,
         workload="periodic Table 3 feeds generalized to N slots, scalar "
-        "whole-run driver vs NumPy loop, per (S, N) shape; head-only "
-        "Table 2 ranking on captured periodic and aggregation-tier keys, "
+        "whole-run driver vs NumPy loop, per (S, N) shape; the same feeds "
+        "and the endsystem 1:1:2:4 feed enqueued and decided per cycle, "
+        "Python rank vs NumPy rank, per (S, N) shape; head-only Table 2 "
+        "ranking on captured periodic and aggregation-tier keys, "
         "masked-minimum scan vs lexsort, per (S, N) shape",
     )
 
@@ -244,6 +272,144 @@ def test_driver_crossover_sweep(monkeypatch, report, bench_records):
         f"the driver no longer beats the NumPy loop by more than "
         f"{TIE_BAND:.0%} at S={s} N={n}: "
         + ", ".join(f"{kind} {x:.2f}x" for kind, x in unpaid.items())
+    )
+
+
+def _cycle_rate(monkeypatch, side: str, kind: str, s_count: int, n: int):
+    """Scenario-cycles/s of one enqueue + decide loop on one side, and
+    its final counters."""
+    monkeypatch.setattr(
+        tensor_engine, "DRIVER_MAX_CELLS", _CYCLE_SIDES[side]
+    )
+    cycles = max(SCENARIO_CYCLES // s_count, 1)
+    rows = range(s_count)
+    if kind == "endsystem":
+        arch = ArchConfig(
+            n_slots=n, routing=Routing.WR, wrap=False, extended=n > 32
+        )
+        periods = [ENDSYSTEM_PERIODS[i % 4] for i in range(n)]
+        streams = [
+            StreamConfig(
+                sid=i,
+                period=periods[i],
+                loss_numerator=1,
+                loss_denominator=2,
+                initial_deadline=0,
+                mode=SchedulingMode.FAIR_SHARE,
+                extended=n > 32,
+            )
+            for i in range(n)
+        ]
+        engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
+        deadline = [list(periods) for _ in rows]
+        for s in rows:
+            for i in range(n):
+                for _ in range(8):
+                    engine.enqueue(s, i, deadline[s][i], 0)
+                    deadline[s][i] += periods[i]
+        start = time.perf_counter()
+        for t in range(cycles):
+            outcomes = engine.decision_cycle_all(
+                t, consume="winner", count_misses=False
+            )
+            for s, outcome in enumerate(outcomes):
+                sid = outcome.circulated_sid
+                engine.enqueue(s, sid, deadline[s][sid], t)
+                deadline[s][sid] += periods[sid]
+    else:
+        arch, streams, kwargs = _feed(kind, n)
+        offsets = kwargs["offsets"].tolist()
+        engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
+        start = time.perf_counter()
+        for t in range(cycles):
+            for s in rows:
+                for i in range(n):
+                    engine.enqueue(s, i, offsets[i] + t, t)
+            engine.decision_cycle_all(
+                t,
+                consume=kwargs["consume"],
+                count_misses=kwargs["count_misses"],
+            )
+    rate = s_count * cycles / (time.perf_counter() - start)
+    return rate, [engine.counters(s) for s in rows]
+
+
+def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
+    limit = tensor_engine.DRIVER_MAX_CELLS
+    rows = []
+    misplaced = []
+    python_wins_above = []
+    speedups: dict[tuple[str, int, int], float] = {}
+    for kind in CYCLE_FEEDS:
+        for s, n in SHAPES:
+            rates: dict[str, list[float]] = {side: [] for side in _CYCLE_SIDES}
+            counters = {}
+            for _ in range(ROUNDS):
+                for side in _CYCLE_SIDES:
+                    rate, counters[side] = _cycle_rate(
+                        monkeypatch, side, kind, s, n
+                    )
+                    rates[side].append(rate)
+            assert counters["python"] == counters["numpy"], (
+                f"sides diverged: {kind} S={s} N={n}"
+            )
+            python = statistics.median(rates["python"])
+            numpy_ = statistics.median(rates["numpy"])
+            # Each round times both sides back to back, so its ratio
+            # cancels the host's speed; the median ratio counts.
+            speedup = statistics.median(
+                p / q for p, q in zip(rates["python"], rates["numpy"])
+            )
+            speedups[(kind, s, n)] = speedup
+            picked = "python" if s * n <= limit else "numpy"
+            tied = abs(speedup - 1.0) < TIE_BAND
+            if picked == "python" and speedup < 1.0 and not tied:
+                misplaced.append(f"{kind} S={s} N={n} ({speedup:.2f}x)")
+            if picked == "numpy" and speedup > 1.0:
+                python_wins_above.append(f"{kind} S={s} N={n} ({speedup:.2f}x)")
+            meta = dict(
+                feed=kind, scenarios=s, slots=n, driver_max_cells=limit,
+                direction="higher",
+            )
+            bench_records.extend([
+                bench_record(
+                    f"cycle_python.{kind}.s{s}n{n}",
+                    python, "scenario-cycles/s", **meta,
+                ),
+                bench_record(
+                    f"cycle_numpy.{kind}.s{s}n{n}",
+                    numpy_, "scenario-cycles/s", **meta,
+                ),
+                bench_record(
+                    f"cycle_python_vs_numpy.{kind}.s{s}n{n}",
+                    speedup, "ratio", **meta,
+                ),
+            ])
+            rows.append(
+                f"{kind:<9} S={s:>2} N={n:>2} S*N={s * n:>3}  "
+                f"python {python:>9,.0f}  numpy {numpy_:>9,.0f}  "
+                f"{speedup:>5.2f}x  dispatch={picked}"
+                + ("  (tie)" if tied else "")
+            )
+    rows.append(
+        f"DRIVER_MAX_CELLS={limit}; enqueue + decide loop; median rate of "
+        f"{ROUNDS} interleaved runs per side, median per-round ratio"
+    )
+    rows.append(
+        "Python rank faster above the constant (not gated; run_periodic "
+        "shares the constant): " + (", ".join(python_wins_above) or "none")
+    )
+    report("decision_cycle_all crossover: scenario-cycles/s", "\n".join(rows))
+
+    assert not misplaced, (
+        f"DRIVER_MAX_CELLS={limit} sends these per-cycle shapes to the "
+        "slower side: " + ", ".join(misplaced)
+    )
+    s, n = ENDSYSTEM_SHAPE
+    endsystem = speedups[("endsystem", s, n)]
+    assert endsystem > 1.0, (
+        f"the Python rank no longer beats the NumPy rank at S={s} N={n} "
+        f"on the endsystem feed ({endsystem:.2f}x)"
     )
 
 

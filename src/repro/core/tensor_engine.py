@@ -67,12 +67,20 @@ sorts, so bitonic emission *is* the rank order, and the paper's
 ``log2(N)`` recirculation is replayed on ranks (min/max on the pair
 lanes) with one final gather back to slot ids.
 
-:meth:`CampaignEngine.run_periodic` picks its kernel by shape: at or
-below :data:`DRIVER_MAX_CELLS` scenario-slots it runs the scalar
-whole-run driver :func:`repro.core.jit.run_cycles` (compiled by numba
-when numba is importable), above it the NumPy loop.  Both sides are
-byte-identical; both constants sit at crossovers measured by
-``benchmarks/test_bench_jit.py``.
+Queued requests and latched heads are the :class:`PendingPacket`
+objects ``enqueue`` built, as in the object model's Register Base
+blocks; the ``(S, N)`` arrays mirror only what the vectorized paths
+read (head presence and deadline, latched attributes, window counters).
+
+One shape rule, :data:`DRIVER_MAX_CELLS` scenario-slots, picks the
+kernel of both entry points.  At or below it
+:meth:`CampaignEngine.run_periodic` runs the scalar whole-run driver
+:func:`repro.core.jit.run_cycles` (compiled by numba when numba is
+importable) and :meth:`CampaignEngine.decision_cycle_all` ranks each
+row in plain Python (Table 2 key tuples, the paper schedule replayed on
+a list) and registers misses per slot; above it both run their NumPy
+paths.  Both sides are byte-identical; both constants sit at crossovers
+measured by ``benchmarks/test_bench_jit.py``.
 """
 
 from __future__ import annotations
@@ -111,16 +119,9 @@ __all__ = [
     "table2_rank_order",
 ]
 
-# SchedulingMode -> small integer codes for vectorized masking.
-_MODE_CODE = {
-    SchedulingMode.DWCS: 0,
-    SchedulingMode.EDF: 1,
-    SchedulingMode.STATIC_PRIORITY: 2,
-    SchedulingMode.FAIR_SHARE: 3,
-    SchedulingMode.SERVICE_TAG: 4,
-}
-_DWCS_LIKE = (0, 3)  # DWCS + FAIR_SHARE share the window-update path
-_EDF = _MODE_CODE[SchedulingMode.EDF]
+# DWCS + FAIR_SHARE share the window-update path.
+_DWCS_LIKE = (SchedulingMode.DWCS, SchedulingMode.FAIR_SHARE)
+_EDF = SchedulingMode.EDF
 
 _DL_MASK = DEADLINE_FIELD.mask
 _DL_MOD = DEADLINE_FIELD.modulus
@@ -145,11 +146,16 @@ _FAR_FUTURE = 2**62
 #: Key value of masked-out slots in the head scan.
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Largest S×N (scenarios × slots) whose :meth:`CampaignEngine.run_periodic`
-#: runs the scalar whole-run driver instead of the NumPy loop.  Placed at
-#: the measured crossover of the plain-Python driver, which runs at
-#: 1.96–2.59× the NumPy loop at S×N=4, 0.97–1.31× at 8 and 0.44–0.70× at
-#: 16 (``benchmarks/test_bench_jit.py``).
+#: Largest S×N (scenarios × slots) served by the scalar side of both
+#: entry points: :meth:`CampaignEngine.run_periodic` runs the whole-run
+#: driver instead of the NumPy loop, and
+#: :meth:`CampaignEngine.decision_cycle_all` ranks in plain Python
+#: instead of :func:`table2_rank_order`.  Placed at the measured
+#: crossover of the plain-Python driver, which runs at 1.96–2.59× the
+#: NumPy loop at S×N=4, 0.97–1.31× at 8 and 0.44–0.70× at 16.  The
+#: Python rank's crossover lies a little higher: it runs at 1.2–2.0× the
+#: NumPy rank at S×N=4, 1.05–1.9× at 8 and 0.74–1.40× at 16
+#: (``benchmarks/test_bench_jit.py``).
 DRIVER_MAX_CELLS = 8
 
 #: Shortest row (slot count N) on which :func:`table2_rank_order` finds
@@ -284,14 +290,20 @@ def _per_scenario(value, n_scenarios: int, name: str) -> list:
 
 
 class TensorSlotView:
-    """Read/inspect adapter for one (scenario, slot) register block."""
+    """Read/inspect adapter for one (scenario, slot) register block.
 
-    __slots__ = ("_engine", "_scenario", "_sid")
+    Built once per loaded slot; it reads the engine's Python head and
+    queue state, so inspection costs no array access.
+    """
+
+    __slots__ = ("_engine", "_scenario", "_sid", "_heads", "_queue")
 
     def __init__(self, engine: "CampaignEngine", scenario: int, sid: int):
         self._engine = engine
         self._scenario = scenario
         self._sid = sid
+        self._heads = engine._heads[scenario]
+        self._queue = engine._queues[scenario][sid]
 
     @property
     def config(self) -> StreamConfig:
@@ -300,27 +312,17 @@ class TensorSlotView:
     @property
     def head(self) -> PendingPacket | None:
         """The request currently latched in the registers, if any."""
-        e, s, i = self._engine, self._scenario, self._sid
-        if not e._has_head[s, i]:
-            return None
-        return PendingPacket(
-            deadline=int(e._head_deadline[s, i]),
-            arrival=int(e._head_arrival[s, i]),
-            length=int(e._head_length[s, i]),
-        )
+        return self._heads[self._sid]
 
     @property
     def backlog(self) -> int:
         """Requests waiting behind the latched head."""
-        return len(self._engine._queues[self._scenario][self._sid])
+        return len(self._queue)
 
     @property
     def pending(self) -> list[PendingPacket]:
         """Waiting requests as packets (inspection only)."""
-        return [
-            PendingPacket(deadline=d, arrival=a, length=ln)
-            for d, a, ln in self._engine._queues[self._scenario][self._sid]
-        ]
+        return list(self._queue)
 
     @property
     def counters(self) -> SlotCounters:
@@ -395,21 +397,30 @@ class CampaignEngine:
         self._configs: list[list[StreamConfig | None]] = [
             [None] * n for _ in range(s_count)
         ]
-        self._loaded = np.zeros(shape, dtype=bool)
+        self._views: list[list[TensorSlotView | None]] = [
+            [None] * n for _ in range(s_count)
+        ]
+        # -- pending-request queues and latched heads, as packets --
+        self._queues: list[list[deque[PendingPacket]]] = [
+            [deque() for _ in range(n)] for _ in range(s_count)
+        ]
+        self._heads: list[list[PendingPacket | None]] = [
+            [None] * n for _ in range(s_count)
+        ]
+        # Array mirrors of the heads for the vectorized paths.
         self._has_head = np.zeros(shape, dtype=bool)
+        self._head_deadline = np.zeros(shape, dtype=i64)
+        self._loaded = np.zeros(shape, dtype=bool)
         self._attr_deadline = np.zeros(shape, dtype=i64)
         self._attr_arrival = np.zeros(shape, dtype=i64)
         self._x = np.zeros(shape, dtype=i64)
         self._y = np.zeros(shape, dtype=i64)
         self._cfg_x = np.zeros(shape, dtype=i64)
         self._cfg_y = np.zeros(shape, dtype=i64)
-        self._head_deadline = np.zeros(shape, dtype=i64)
-        self._head_arrival = np.zeros(shape, dtype=i64)
-        self._head_length = np.zeros(shape, dtype=i64)
         self._edf_bias = np.zeros(shape, dtype=i64)
         self._period = np.ones(shape, dtype=i64)
         self._init_deadline = np.zeros(shape, dtype=i64)
-        self._mode = np.full(shape, _MODE_CODE[SchedulingMode.DWCS], dtype=i64)
+        self._edf = np.zeros(shape, dtype=bool)
         self._dwcs_like = np.zeros(shape, dtype=bool)
         self._iota = np.arange(n, dtype=i64)
 
@@ -419,7 +430,7 @@ class CampaignEngine:
         self._missed = np.zeros(shape, dtype=i64)
         self._violations = np.zeros(shape, dtype=i64)
         self._window_resets = np.zeros(shape, dtype=i64)
-        self._loads = np.zeros(shape, dtype=i64)
+        self._loads = [[0] * n for _ in range(s_count)]
         self._fast_forwarded = 0  # idle decision cycles skipped in bulk
         #: phase -> [calls, wall seconds]; None = accounting disabled.
         self._phase_profile: dict[str, list] | None = (
@@ -431,11 +442,6 @@ class CampaignEngine:
             if profile_phases
             else None
         )
-
-        # -- pending-request queues: (deadline, arrival, length) --
-        self._queues: list[list[deque]] = [
-            [deque() for _ in range(n)] for _ in range(s_count)
-        ]
 
         # -- network geometry --
         self._log2n = n.bit_length() - 1
@@ -450,7 +456,6 @@ class CampaignEngine:
         self._cycle_dropped: list[list] = [[] for _ in range(s_count)]
         self._cycle_misses: list[list[int]] = [[] for _ in range(s_count)]
         self._counting_cache: dict[tuple, np.ndarray] = {}
-        self._scratch_valid = np.empty(shape, dtype=bool)
         self._scratch_late = np.empty(shape, dtype=bool)
 
         for s, streams in enumerate(stream_lists):
@@ -488,21 +493,18 @@ class CampaignEngine:
         self._y[s, i] = self._cfg_y[s, i] = stream.loss_denominator
         self._period[s, i] = stream.period
         self._init_deadline[s, i] = stream.initial_deadline
-        self._mode[s, i] = _MODE_CODE[stream.mode]
-        self._dwcs_like[s, i] = _MODE_CODE[stream.mode] in _DWCS_LIKE
-        return TensorSlotView(self, s, i)
+        self._edf[s, i] = stream.mode is _EDF
+        self._dwcs_like[s, i] = stream.mode in _DWCS_LIKE
+        view = self._views[s][i] = TensorSlotView(self, s, i)
+        return view
 
     def slot(self, scenario: int, sid: int) -> TensorSlotView:
         """View of the slot bound to stream ``sid`` in one scenario."""
-        if (
-            not (0 <= scenario < self.n_scenarios)
-            or not (0 <= sid < self._n)
-            or self._configs[scenario][sid] is None
-        ):
-            raise KeyError(
-                f"no stream loaded in scenario {scenario} slot {sid}"
-            )
-        return TensorSlotView(self, scenario, sid)
+        if 0 <= scenario < self.n_scenarios and 0 <= sid < self._n:
+            view = self._views[scenario][sid]
+            if view is not None:
+                return view
+        raise KeyError(f"no stream loaded in scenario {scenario} slot {sid}")
 
     def enqueue(
         self,
@@ -528,8 +530,10 @@ class CampaignEngine:
             )
         if not self._wrap and (deadline < 0 or arrival < 0):
             raise negative_time_error(deadline, arrival)
-        self._queues[scenario][sid].append((deadline, arrival, length))
-        if not self._has_head[scenario, sid]:
+        self._queues[scenario][sid].append(
+            PendingPacket(deadline=deadline, arrival=arrival, length=length)
+        )
+        if self._heads[scenario][sid] is None:
             self._latch_next(scenario, sid)
 
     # ------------------------------------------------------------------
@@ -539,32 +543,31 @@ class CampaignEngine:
     def _latch_next(self, s: int, i: int) -> None:
         q = self._queues[s][i]
         if not q:
+            self._heads[s][i] = None
             self._has_head[s, i] = False
             return
-        deadline, arrival, length = q.popleft()
+        packet = self._heads[s][i] = q.popleft()
+        deadline = packet.deadline
         self._head_deadline[s, i] = deadline
-        self._head_arrival[s, i] = arrival
-        self._head_length[s, i] = length
         attr_dl = deadline
-        if self._mode[s, i] == _EDF:
-            attr_dl += int(self._edf_bias[s, i])
+        if self._configs[s][i].mode is _EDF:
+            attr_dl += self._edf_bias.item(s, i)
         if self._wrap:
             self._attr_deadline[s, i] = attr_dl & _DL_MASK
-            self._attr_arrival[s, i] = arrival & _ARR_MASK
+            self._attr_arrival[s, i] = packet.arrival & _ARR_MASK
         else:
             self._attr_deadline[s, i] = attr_dl
-            self._attr_arrival[s, i] = arrival
+            self._attr_arrival[s, i] = packet.arrival
         self._has_head[s, i] = True
-        self._loads[s, i] += 1
+        self._loads[s][i] += 1
 
     def _head_is_late(self, s: int, i: int, now: int) -> bool:
-        if not self._has_head[s, i]:
+        packet = self._heads[s][i]
+        if packet is None:
             return False
-        d = int(self._head_deadline[s, i])
         if self._wrap:
-            diff = (d - now) & _DL_MASK
-            return diff >= _DL_HALF
-        return d < now
+            return ((packet.deadline - now) & _DL_MASK) >= _DL_HALF
+        return packet.deadline < now
 
     def _reset_window(self, s: int, i: int) -> None:
         self._x[s, i] = self._cfg_x[s, i]
@@ -572,38 +575,45 @@ class CampaignEngine:
         self._window_resets[s, i] += 1
 
     def _apply_win_update(self, s: int, i: int) -> None:
-        if self._y[s, i] > 0:
-            self._y[s, i] -= 1
-        if self._y[s, i] == 0 or self._y[s, i] <= self._x[s, i]:
+        y = self._y.item(s, i)
+        if y > 0:
+            y -= 1
+            self._y[s, i] = y
+        if y == 0 or y <= self._x.item(s, i):
             self._reset_window(s, i)
 
     def _apply_loss_update(self, s: int, i: int) -> None:
-        if self._x[s, i] > 0:
-            self._x[s, i] -= 1
-            if self._y[s, i] > 0:
-                self._y[s, i] -= 1
-            if self._y[s, i] == 0 or self._x[s, i] == self._y[s, i]:
+        x, y = self._x.item(s, i), self._y.item(s, i)
+        if x > 0:
+            x -= 1
+            if y > 0:
+                y -= 1
+            if y == 0 or x == y:
                 self._reset_window(s, i)
+            else:
+                self._x[s, i] = x
+                self._y[s, i] = y
         else:
             self._violations[s, i] += 1
-            self._y[s, i] = min(int(self._y[s, i]) + 1, _Y_MAX)
+            self._y[s, i] = min(y + 1, _Y_MAX)
 
     def _record_miss(self, s: int, i: int, now: int) -> bool:
         if not self._head_is_late(s, i, now):
             return False
         self._missed[s, i] += 1
-        if self._mode[s, i] in _DWCS_LIKE:
+        if self._configs[s][i].mode in _DWCS_LIKE:
             self._apply_loss_update(s, i)
         return True
 
     def _service(
         self, s: int, i: int, now: int, *, as_winner: bool | None = None
-    ) -> tuple[int, int, int] | None:
-        if not self._has_head[s, i]:
+    ) -> PendingPacket | None:
+        packet = self._heads[s][i]
+        if packet is None:
             return None
         self._serviced[s, i] += 1
-        mode = int(self._mode[s, i])
-        if mode in _DWCS_LIKE:
+        cfg = self._configs[s][i]
+        if cfg.mode in _DWCS_LIKE:
             if as_winner is None:
                 if self._head_is_late(s, i, now):
                     self._apply_loss_update(s, i)
@@ -611,13 +621,8 @@ class CampaignEngine:
                     self._apply_win_update(s, i)
             elif as_winner:
                 self._apply_win_update(s, i)
-        elif mode == _EDF and as_winner is not False:
-            self._edf_bias[s, i] += self._period[s, i]
-        packet = (
-            int(self._head_deadline[s, i]),
-            int(self._head_arrival[s, i]),
-            int(self._head_length[s, i]),
-        )
+        elif cfg.mode is _EDF and as_winner is not False:
+            self._edf_bias[s, i] += cfg.period
         self._latch_next(s, i)
         return packet
 
@@ -679,6 +684,94 @@ class CampaignEngine:
             np.maximum(lo, hi, out=nxt[:, 1::2])
             state, nxt = nxt, state
         return order[rows, state]
+
+    def _blocks_array(self, now: int) -> list[list[int]]:
+        """Each row's emitted block, from one batched rank over ``(S, N)``.
+
+        WR emits only the winner, so it ranks only each row's head.
+        """
+        valid = self._has_head
+        winner_only = self.config.winner_only
+        ranked = self._rank(
+            now, valid, self._attr_deadline, self._attr_arrival,
+            self._x, self._y, head_only=winner_only,
+        )
+        if winner_only:
+            head_valid = valid[self._rows[:, 0], ranked]
+            return [
+                [w] if ok else []
+                for w, ok in zip(ranked.tolist(), head_valid.tolist())
+            ]
+        emitted = self._emit_positions(ranked)
+        emitted_valid = valid[self._rows, emitted]
+        return [
+            emitted[s][emitted_valid[s]].tolist()
+            for s in range(self.n_scenarios)
+        ]
+
+    def _blocks_small(self, now: int) -> list[list[int]]:
+        """Each row's emitted block, ranked in plain Python.
+
+        The small-shape side of SCHEDULE (``S × N <=
+        DRIVER_MAX_CELLS``): every latched head gets its Table 2 key
+        tuple, ending in the slot id (the lexsort's stable tie-break),
+        so ``min`` is the WR winner and ``sorted`` the rank order, which
+        the bitonic schedule emits as is.  The paper schedule replays
+        its ``log2 N`` min/max passes on the ranks, as
+        :meth:`_emit_positions` does.  Empty slots all take the rank
+        after the last head: a compare-exchange network commutes with
+        that clamp, so the heads land where the full ranking puts them.
+        """
+        wrap = self._wrap
+        deadline_only = self._deadline_only
+        winner_only = self.config.winner_only
+        paper = self.config.schedule != "bitonic"
+        wc_key = _WC_KEY.item
+        half = self._n // 2
+        blocks = []
+        for heads, dls, arrs, xs, ys in zip(
+            self._heads,
+            self._attr_deadline.tolist(),
+            self._attr_arrival.tolist(),
+            self._x.tolist(),
+            self._y.tolist(),
+        ):
+            keys = []
+            for i, packet in enumerate(heads):
+                if packet is None:
+                    continue
+                dl, arr = dls[i], arrs[i]
+                if wrap:
+                    dl = (dl - now) & _DL_MASK
+                    if dl >= _DL_HALF:
+                        dl -= _DL_MOD
+                    arr = (arr - now) & _ARR_MASK
+                    if arr >= _ARR_HALF:
+                        arr -= _ARR_MOD
+                if deadline_only:
+                    keys.append((dl, arr, i))
+                else:
+                    keys.append((dl, wc_key(xs[i], ys[i]), arr, i))
+            if not keys:
+                blocks.append([])
+                continue
+            if winner_only:
+                blocks.append([min(keys)[-1]])
+                continue
+            order = [key[-1] for key in sorted(keys)]
+            if paper:
+                m = len(order)
+                state = [m] * self._n
+                for rank, sid in enumerate(order):
+                    state[sid] = rank
+                for _ in range(self._log2n):
+                    nxt = []
+                    for a, b in zip(state[:half], state[half:]):
+                        nxt += (a, b) if a < b else (b, a)
+                    state = nxt
+                order = [order[rank] for rank in state if rank < m]
+            blocks.append(order)
+        return blocks
 
     # ------------------------------------------------------------------
     # batched miss registration and window updates
@@ -760,6 +853,10 @@ class CampaignEngine:
         :class:`~repro.core.scheduler.DecisionOutcome` per scenario,
         each identical to what the reference engine produces for that
         scenario in isolation.
+
+        Campaigns of at most :data:`DRIVER_MAX_CELLS` scenario-slots
+        rank in plain Python and register misses per slot instead of
+        over ``(S, N)`` arrays; both sides produce identical results.
         """
         profile = self._phase_profile
         if profile is not None:
@@ -788,46 +885,23 @@ class CampaignEngine:
         for s in range(s_count):
             if not drop_s[s]:
                 continue
-            for i, cfg in enumerate(self._configs[s]):
-                if cfg is None:
-                    continue
-                while True:
-                    if count_s[s] and self._head_is_late(s, i, now):
+            heads = self._heads[s]
+            for i in range(self._n):
+                while self._head_is_late(s, i, now):
+                    if count_s[s]:
                         self._record_miss(s, i, now)
-                    if not self._head_is_late(s, i, now):
-                        break
-                    d, a, ln = (
-                        int(self._head_deadline[s, i]),
-                        int(self._head_arrival[s, i]),
-                        int(self._head_length[s, i]),
-                    )
+                    packet = heads[i]
                     self._latch_next(s, i)
-                    dropped[s].append(
-                        (i, PendingPacket(deadline=d, arrival=a, length=ln))
-                    )
+                    dropped[s].append((i, packet))
 
         # SCHEDULE: one rank + one network replay for all scenarios.
-        valid = np.logical_and(
-            self._has_head, self._loaded, out=self._scratch_valid
-        )
-        # WR emits only the winner, so it ranks only each row's head.
-        winner_only = self.config.winner_only
-        ranked = self._rank(
-            now, valid, self._attr_deadline, self._attr_arrival,
-            self._x, self._y, head_only=winner_only,
-        )
-        if winner_only:
-            head_valid = valid[self._rows[:, 0], ranked]
-            orders = [
-                [w] if ok else []
-                for w, ok in zip(ranked.tolist(), head_valid.tolist())
-            ]
+        # Small campaigns rank in plain Python, where the per-call cost
+        # of the array ops would dominate.
+        small = s_count * self._n <= DRIVER_MAX_CELLS
+        if small:
+            orders = self._blocks_small(now)
         else:
-            emitted = self._emit_positions(ranked)
-            emitted_valid = valid[self._rows, emitted]
-            orders = [
-                emitted[s][emitted_valid[s]].tolist() for s in range(s_count)
-            ]
+            orders = self._blocks_array(now)
         passes = self.config.sort_passes
         tracing = self.control.trace
         self.control.schedule(passes, detail=f"t={now}" if tracing else "")
@@ -837,15 +911,22 @@ class CampaignEngine:
             acc[0] += 1
             acc[1] += _t1 - _t0
 
-        # Miss registration, batched over the scenarios that count them.
-        if any(count_s):
+        # Miss registration: per slot on small campaigns, else batched
+        # over the scenarios that count them.
+        if small:
+            for s in range(s_count):
+                if count_s[s]:
+                    for i in range(self._n):
+                        if self._record_miss(s, i, now):
+                            misses[s].append(i)
+        elif any(count_s):
             late = self._scratch_late
             if self._wrap:
                 diff = (self._head_deadline - now) & _DL_MASK
                 np.greater_equal(diff, _DL_HALF, out=late)
             else:
                 np.less(self._head_deadline, now, out=late)
-            np.logical_and(late, valid, out=late)
+            np.logical_and(late, self._has_head, out=late)
             # Per-scenario count_misses policies recur across cycles, so
             # the broadcast mask is memoized instead of rebuilt per cycle.
             count_key = tuple(count_s)
@@ -884,7 +965,7 @@ class CampaignEngine:
                     else:
                         packet = self._service(s, circulated, now)
                     if packet is not None:
-                        serviced.append((circulated, PendingPacket(*packet)))
+                        serviced.append((circulated, packet))
                 elif policy == "block":
                     consume_order = (
                         order if max_first else list(reversed(order))
@@ -894,7 +975,7 @@ class CampaignEngine:
                             s, sid, now, as_winner=(sid == update_sid)
                         )
                         if packet is not None:
-                            serviced.append((sid, PendingPacket(*packet)))
+                            serviced.append((sid, packet))
                 self._wins[s, circulated] += 1
                 any_circulated = circulated
             outcomes.append(
@@ -953,7 +1034,7 @@ class CampaignEngine:
     @property
     def has_pending(self) -> bool:
         """True when any scenario has a latched head."""
-        return bool((self._has_head & self._loaded).any())
+        return bool(self._has_head.any())
 
     def idle_outcome(self, now: int) -> DecisionOutcome:
         """The outcome every scenario observes on an idle cycle."""
@@ -1076,7 +1157,7 @@ class CampaignEngine:
             )
 
         consumed = np.zeros(shape, dtype=np.int64)
-        edf = self._mode == _EDF
+        edf = self._edf
         max_first = self.config.block_mode is BlockMode.MAX_FIRST
         winner_only = self.config.winner_only
         winners = (
@@ -1249,7 +1330,7 @@ class CampaignEngine:
             steps,
             strides,
             self._dwcs_like,
-            self._mode == _EDF,
+            self._edf,
             self._x, self._y, self._cfg_x, self._cfg_y, self._edf_bias,
             self._wins, self._serviced, self._missed,
             self._violations, self._window_resets,
@@ -1310,7 +1391,7 @@ class CampaignEngine:
             missed_deadlines=int(self._missed[s, i]),
             violations=int(self._violations[s, i]),
             window_resets=int(self._window_resets[s, i]),
-            loads=int(self._loads[s, i]),
+            loads=self._loads[s][i],
         )
 
     def counters(self, scenario: int) -> dict[int, SlotCounters]:
@@ -1384,11 +1465,7 @@ class TensorScheduler:
     @property
     def active_slots(self) -> list[TensorSlotView]:
         """All populated stream-slots, in slot order."""
-        return [
-            TensorSlotView(self._engine, 0, i)
-            for i in range(self._engine._n)
-            if self._engine._configs[0][i] is not None
-        ]
+        return [view for view in self._engine._views[0] if view is not None]
 
     def enqueue(
         self, sid: int, deadline: int, arrival: int, length: int = 1500

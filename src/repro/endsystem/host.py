@@ -20,6 +20,7 @@ the host cost dominates, reproducing the 469k/299k pps anchors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -223,19 +224,21 @@ class EndsystemRouter:
     # ------------------------------------------------------------------
 
     def _periods_from_shares(self) -> dict[int, int]:
-        """Integer request periods inversely proportional to shares."""
-        shares = {spec.sid: Fraction(spec.share).limit_denominator(64) for spec in self.specs}
+        """Integer request periods inversely proportional to shares.
+
+        Each share is divided by the smallest before it is rounded to a
+        fraction, so the periods depend only on the ratios: ``(100, 1)``
+        and ``(1, 0.01)`` both give periods ``1`` and ``100``.
+        """
+        smallest = min(spec.share for spec in self.specs)
+        shares = {
+            spec.sid: Fraction(spec.share / smallest).limit_denominator(64)
+            for spec in self.specs
+        }
         top = max(shares.values())
-        periods: dict[int, int] = {}
-        denom_lcm = 1
         rel = {sid: top / s for sid, s in shares.items()}
-        for frac in rel.values():
-            denom_lcm = denom_lcm * frac.denominator // _gcd(
-                denom_lcm, frac.denominator
-            )
-        for sid, frac in rel.items():
-            periods[sid] = int(frac * denom_lcm)
-        return periods
+        denom_lcm = math.lcm(*(frac.denominator for frac in rel.values()))
+        return {sid: int(frac * denom_lcm) for sid, frac in rel.items()}
 
     # ------------------------------------------------------------------
 
@@ -333,9 +336,3 @@ class EndsystemRouter:
             sram=self.sram,
             scheduler=self.scheduler,
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

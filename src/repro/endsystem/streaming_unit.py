@@ -88,10 +88,13 @@ class StreamingUnit:
 
         Moves at most one batch.  Only frames already present in the QM
         ring (arrived) are eligible — their 16-bit arrival offsets are
-        what crosses the bus.
+        what crosses the bus.  A stream with nothing left to ship
+        returns before the card is inspected.
         """
         desc = self.qm.descriptors[sid]
         available = desc.produced - self._shipped[sid]
+        if available <= 0:
+            return 0, 0.0
         room = self.card_queue_depth - self.card_backlog(sid)
         count = min(available, room, self.batch_size)
         if count <= 0:

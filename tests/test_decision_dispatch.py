@@ -1,0 +1,260 @@
+"""Both sides of the per-cycle shape rule, against each other and the oracle.
+
+:meth:`~repro.core.tensor_engine.CampaignEngine.decision_cycle_all`
+ranks each row in plain Python at or below ``DRIVER_MAX_CELLS``
+scenario-slots, and with :func:`~repro.core.tensor_engine.table2_rank_order`
+over ``(S, N)`` arrays above it.  Each test here forces one side by
+pinning the constant and drives both through the same random
+enqueue/decide sequence, over the per-cycle flag matrix: routing, block
+mode, sorting schedule, ``deadline_only``, ``wrap``, the three consume
+policies, miss counting and drop-late.  The two sides must agree on
+every :class:`~repro.core.scheduler.DecisionOutcome` (packets
+included), the counters, the control accounting and the
+``phase_report()`` call counts (the canonical span tags), and each row
+must equal its own :class:`~repro.core.scheduler.ShareStreamsScheduler`
+replay.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import tensor_engine
+from repro.core.attributes import SchedulingMode, StreamConfig
+from repro.core.config import ArchConfig, BlockMode, Routing
+from repro.core.scheduler import ShareStreamsScheduler
+from repro.core.tensor_engine import CampaignEngine
+
+#: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
+SIDES = {"numpy": 0, "python": 1 << 30}
+
+MODES = (
+    SchedulingMode.DWCS,
+    SchedulingMode.FAIR_SHARE,
+    SchedulingMode.EDF,
+    SchedulingMode.STATIC_PRIORITY,
+)
+
+
+def _streams(rng: random.Random, n: int) -> list[StreamConfig]:
+    """A random subset of loaded slots (at least one) with random modes."""
+    sids = sorted(rng.sample(range(n), rng.randint(1, n)))
+    streams = []
+    for sid in sids:
+        mode = rng.choice(MODES)
+        y = rng.randint(0, 5)
+        streams.append(
+            StreamConfig(
+                sid=sid,
+                period=rng.randint(1, 4),
+                loss_numerator=rng.randint(0, y),
+                loss_denominator=y,
+                mode=mode,
+            )
+        )
+    return streams
+
+
+def _script(rng, rows, times, enqueue_p):
+    """Per cycle: ``(now, enqueues per row, drop_late per row)``.
+
+    Deadlines sit a few units either side of ``now``, so heads go late
+    while queued; arrivals are the enqueue time.  Under ``wrap`` every
+    live time stays well inside half the 16-bit horizon of ``now``.
+    """
+    script = []
+    for now in times:
+        enqueues = []
+        for streams in rows:
+            row = []
+            for stream in streams:
+                while rng.random() < enqueue_p:
+                    row.append((
+                        stream.sid,
+                        max(now + rng.randint(-2, 10), 0),
+                        now,
+                        rng.choice((64, 1500)),
+                    ))
+            enqueues.append(row)
+        drops = [rng.random() < 0.2 for _ in rows]
+        script.append((now, enqueues, drops))
+    return script
+
+
+def _run_side(side, arch, rows, script, policies):
+    consume, count_misses = policies
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_engine, "DRIVER_MAX_CELLS", SIDES[side])
+        engine = CampaignEngine(arch, rows, profile_phases=True)
+        outcomes = []
+        for now, enqueues, drops in script:
+            for s, row in enumerate(enqueues):
+                for sid, deadline, arrival, length in row:
+                    engine.enqueue(s, sid, deadline, arrival, length)
+            outcomes.append(
+                engine.decision_cycle_all(
+                    now,
+                    consume=consume,
+                    count_misses=count_misses,
+                    drop_late=drops,
+                )
+            )
+    return engine, outcomes
+
+
+def _oracle_row(arch, streams, script, s, consume, count_misses):
+    oracle = ShareStreamsScheduler(arch, streams)
+    outcomes = []
+    for now, enqueues, drops in script:
+        for sid, deadline, arrival, length in enqueues[s]:
+            oracle.enqueue(sid, deadline, arrival, length)
+        outcomes.append(
+            oracle.decision_cycle(
+                now,
+                consume=consume,
+                count_misses=count_misses,
+                drop_late=drops[s],
+            )
+        )
+    return oracle, outcomes
+
+
+def _check_sides_and_oracle(arch, rows, script, policies):
+    engines = {}
+    outcomes = {}
+    for side in SIDES:
+        engines[side], outcomes[side] = _run_side(
+            side, arch, rows, script, policies
+        )
+    py, np_ = engines["python"], engines["numpy"]
+    assert outcomes["python"] == outcomes["numpy"]
+    for s in range(len(rows)):
+        assert py.counters(s) == np_.counters(s)
+    assert py.control.hw_cycle == np_.control.hw_cycle
+    assert py.control.decision_cycles == np_.control.decision_cycles
+    calls = {
+        side: {name: calls for name, (calls, _) in e.phase_report().items()}
+        for side, e in engines.items()
+    }
+    assert calls["python"] == calls["numpy"]
+    assert calls["python"]["schedule"] == len(script)
+
+    consume, count_misses = policies
+    for s, streams in enumerate(rows):
+        oracle, expected = _oracle_row(
+            arch, streams, script, s, consume[s], count_misses[s]
+        )
+        assert [cycle[s] for cycle in outcomes["python"]] == expected
+        assert py.counters(s) == oracle.counters()
+        for stream in streams:
+            view, block = py.slot(s, stream.sid), oracle.slot(stream.sid)
+            assert view.head == block.head
+            assert view.pending == list(block.pending)
+    return outcomes["python"]
+
+
+class TestDecisionDispatch:
+    """The Python rank == the NumPy rank == the oracle, per cycle."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        s_count=st.sampled_from([1, 2]),
+        n=st.sampled_from([2, 4, 8]),
+        routing=st.sampled_from(list(Routing)),
+        block_mode=st.sampled_from(list(BlockMode)),
+        schedule=st.sampled_from(["paper", "bitonic"]),
+        deadline_only=st.booleans(),
+        wrap=st.booleans(),
+    )
+    def test_sides_agree_with_each_other_and_the_oracle(
+        self, seed, s_count, n, routing, block_mode, schedule,
+        deadline_only, wrap,
+    ):
+        rng = random.Random(seed)
+        arch = ArchConfig(
+            n_slots=n,
+            routing=routing,
+            block_mode=block_mode,
+            schedule=schedule,
+            deadline_only=deadline_only,
+            wrap=wrap,
+        )
+        rows = [_streams(rng, n) for _ in range(s_count)]
+        # Wrapped runs start just below 2^15 or 2^16 and cross it.
+        start = rng.choice((2**15 - 60, 2**16 - 60)) if wrap else 0
+        cycles = 120
+        script = _script(
+            rng, rows, range(start, start + cycles),
+            enqueue_p=rng.choice((0.2, 0.45)),
+        )
+        legal = ("winner", "none") if arch.winner_only else (
+            "winner", "block", "none"
+        )
+        policies = (
+            [rng.choice(legal) for _ in rows],
+            [rng.choice((True, False)) for _ in rows],
+        )
+        _check_sides_and_oracle(arch, rows, script, policies)
+
+    def test_wrapped_run_crosses_both_serial_boundaries(self):
+        """One ``wrap=True`` run whose ``now`` steps past 2^15 and 2^16.
+
+        ``now`` advances 331 units a cycle over 200 cycles.  Drop-late
+        sheds every stale head each cycle, so the live heads are the
+        ones enqueued at ``now`` and serial order stays well defined.
+        """
+        rng = random.Random(7)
+        arch = ArchConfig(
+            n_slots=4, routing=Routing.BA, block_mode=BlockMode.MIN_FIRST,
+            wrap=True,
+        )
+        rows = [_streams(random.Random(s), 4) for s in (1, 2)]
+        times = [100 + 331 * k for k in range(200)]
+        assert times[0] < 2**15 < times[-1] and 2**16 < times[-1] < 2**17
+        script = [
+            (now, enqueues, [True, True])
+            for now, enqueues, _ in _script(rng, rows, times, 0.4)
+        ]
+        outcomes = _check_sides_and_oracle(
+            arch, rows, script, (["block", "winner"], [True, True])
+        )
+        served = sum(
+            len(outcome.serviced) for cycle in outcomes for outcome in cycle
+        )
+        dropped = sum(
+            len(outcome.dropped) for cycle in outcomes for outcome in cycle
+        )
+        assert served and dropped
+
+
+class TestShapeDispatch:
+    """Which side runs: S×N against ``DRIVER_MAX_CELLS``."""
+
+    @pytest.fixture()
+    def rank_calls(self, monkeypatch):
+        calls: list[tuple[int, int]] = []
+        real = tensor_engine.table2_rank_order
+
+        def spy(**operands):
+            calls.append(operands["invalid"].shape)
+            return real(**operands)
+
+        monkeypatch.setattr(tensor_engine, "table2_rank_order", spy)
+        return calls
+
+    @pytest.mark.parametrize("routing", list(Routing))
+    def test_constant_splits_the_shapes(self, rank_calls, routing):
+        limit = tensor_engine.DRIVER_MAX_CELLS
+        arch = ArchConfig(n_slots=limit, routing=routing, wrap=False)
+        streams = [StreamConfig(sid=i, period=1) for i in range(limit)]
+        for s_count in (1, 2):
+            engine = CampaignEngine(arch, [streams] * s_count)
+            for s in range(s_count):
+                engine.enqueue(s, 0, deadline=3, arrival=0)
+            engine.decision_cycle_all(0)
+        assert rank_calls == [(2, limit)]

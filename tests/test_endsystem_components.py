@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.attributes import SchedulingMode, StreamConfig
+from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.endsystem.aggregation import AggregatedSlot, StreamletSet
@@ -62,16 +63,22 @@ class TestQueueManager:
 
 
 class TestStreamingUnit:
+    """The streaming unit over the oracle; the subclass below reruns
+    every case on the array engine's adapter."""
+
+    engine = "reference"
+
     def _setup(self, batch=4, depth=8):
         specs = make_specs(n=2, frames=20)
         qm = QueueManager(specs)
         arch = ArchConfig(n_slots=2, routing=Routing.WR, wrap=False)
-        sched = ShareStreamsScheduler(
+        sched = make_scheduler(
             arch,
             [
                 StreamConfig(sid=i, period=1, mode=SchedulingMode.EDF)
                 for i in range(2)
             ],
+            engine=self.engine,
         )
         unit = StreamingUnit(
             qm, sched, {0: 2, 1: 3}, batch_size=batch, card_queue_depth=depth
@@ -91,7 +98,7 @@ class TestStreamingUnit:
         qm.preload(1)  # period 3
         unit.refill_slot(1, 0.0)
         slot = sched.slot(1)
-        deadlines = [slot.attributes.deadline]
+        deadlines = [slot.head.deadline]
         deadlines += [p.deadline for p in slot.pending]
         assert deadlines == [3, 6, 9]
 
@@ -106,6 +113,22 @@ class TestStreamingUnit:
         moved, pci_time = unit.refill_slot(0, 0.0)
         assert (moved, pci_time) == (0, 0.0)
 
+    def test_nothing_left_to_ship_skips_the_card(self, monkeypatch):
+        """Once every arrived frame is on the card, a refill returns
+        before it inspects the slot or touches the bus."""
+        qm, sched, unit = self._setup(batch=64, depth=64)
+        qm.preload(0)
+        assert unit.refill_slot(0, 0.0)[0] == 20
+        transfers = len(unit.pci.transfers)
+
+        def inspected(sid):
+            raise AssertionError(f"slot {sid} inspected")
+
+        monkeypatch.setattr(sched, "slot", inspected)
+        assert unit.refill_slot(0, 0.0) == (0, 0.0)
+        assert unit.refill_slot(1, 0.0) == (0, 0.0)
+        assert len(unit.pci.transfers) == transfers
+
     def test_refill_all(self):
         qm, sched, unit = self._setup(batch=2)
         qm.preload(0)
@@ -117,6 +140,10 @@ class TestStreamingUnit:
         qm, sched, _ = self._setup()
         with pytest.raises(ValueError):
             StreamingUnit(qm, sched, {0: 1, 1: 1}, batch_size=0)
+
+
+class TestStreamingUnitTensor(TestStreamingUnit):
+    engine = "tensor"
 
 
 class TestTransmissionEngine:

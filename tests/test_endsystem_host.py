@@ -45,6 +45,22 @@ class TestBandwidthSharing:
         assert full.mbps[-2] > full.mbps[0] * 1.5
 
 
+class TestSharePeriods:
+    @pytest.mark.parametrize("scale", [0.001, 0.01, 1, 100])
+    @pytest.mark.parametrize(
+        "ratios,periods",
+        [((1, 1, 2, 4), {0: 4, 1: 4, 2: 2, 3: 1}), ((100, 1), {0: 1, 1: 100})],
+        ids=["1:1:2:4", "100:1"],
+    )
+    def test_periods_depend_only_on_share_ratios(self, ratios, periods, scale):
+        """Scaling every share by the same factor leaves the request
+        periods, and hence the service split, unchanged."""
+        specs = ratio_workload(
+            tuple(r * scale for r in ratios), frames_per_stream=4
+        )
+        assert EndsystemRouter(specs)._periods_from_shares() == periods
+
+
 class TestThroughputAnchors:
     def test_no_pci_anchor(self):
         specs = ratio_workload((1, 1, 2, 4), frames_per_stream=1000)

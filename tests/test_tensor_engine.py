@@ -273,26 +273,55 @@ class TestCampaignTensorPath:
 class TestTensorAdapterSurface:
     def test_single_scenario_adapter_matches_reference(self):
         """TensorScheduler (S=1 slice) walks the same interactive
-        surface as the object model with identical outcomes."""
+        surface as the object model with identical outcomes, and slot
+        inspection (head, pending, backlog, counters) agrees exactly
+        after runs that miss, drop and block-consume."""
         arch, streams = _random_arch_streams(42, 4)
+        arch = dataclasses.replace(arch, routing=Routing.BA)
         tensor = TensorScheduler(arch, streams)
         oracle = ShareStreamsScheduler(arch, streams)
-        for t in range(50):
-            for sid in range(4):
-                if (t + sid) % 3 == 0:
-                    tensor.enqueue(sid, deadline=t + sid + 1, arrival=t)
-                    oracle.enqueue(sid, deadline=t + sid + 1, arrival=t)
-            a = tensor.decision_cycle(t, consume="winner", count_misses=True)
-            b = oracle.decision_cycle(t, consume="winner", count_misses=True)
-            assert a.circulated_sid == b.circulated_sid
-            assert a.block == b.block
-            assert a.misses == b.misses
-            assert a.hw_cycles == b.hw_cycles
-        for sid in range(4):
-            ts, rs = tensor.slot(sid), oracle.slot(sid)
-            assert ts.backlog == rs.backlog
-            assert (ts.head is None) == (rs.head is None)
-        assert tensor.counters() == oracle.counters()
+
+        def inspect(sched):
+            return [
+                (
+                    sched.slot(sid).head,
+                    list(sched.slot(sid).pending),
+                    sched.slot(sid).backlog,
+                    sched.slot(sid).counters,
+                )
+                for sid in range(4)
+            ]
+
+        phases = [
+            dict(consume="winner", count_misses=True),
+            dict(consume="winner", count_misses=True, drop_late=True),
+            dict(consume="block", count_misses=False),
+        ]
+        t = 0
+        dropped = 0
+        queued = 0
+        for kwargs in phases:
+            for _ in range(40):
+                for sid in range(4):
+                    if (t + sid) % 3 == 0:
+                        for k in range(1 + sid % 2):
+                            packet = dict(
+                                deadline=t + sid + k, arrival=t,
+                                length=100 * (sid + 1) + k,
+                            )
+                            tensor.enqueue(sid, **packet)
+                            oracle.enqueue(sid, **packet)
+                a = tensor.decision_cycle(t, **kwargs)
+                assert a == oracle.decision_cycle(t, **kwargs)
+                dropped += len(a.dropped)
+                t += 1
+            state = inspect(tensor)
+            assert state == inspect(oracle)
+            queued += sum(len(pending) for _, pending, _, _ in state)
+        counters = tensor.counters()
+        assert counters == oracle.counters()
+        assert sum(c.missed_deadlines for c in counters.values()) > 0
+        assert dropped > 0 and queued > 0
         assert tensor.cycles_per_decision == oracle.cycles_per_decision
 
     def test_bitonic_pass_schedules_shared_across_engines(self):
