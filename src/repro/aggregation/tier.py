@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-import time
 from array import array
 from dataclasses import dataclass
 
@@ -485,11 +484,6 @@ class AggregationTier:
         control-plane memory at million-stream scale.
     salt:
         Bucketing salt (varies the stream->aggregate mapping).
-    tracer:
-        Optional :class:`~repro.observability.spans.SpanTracer`.  Churn
-        and dispatch ops are accumulated (count + wall time per op kind)
-        and emitted as aggregated spans by :meth:`flush_spans` — the
-        per-op cost when disabled is one ``is not None`` check.
     """
 
     def __init__(
@@ -503,7 +497,6 @@ class AggregationTier:
         salt: int = 0,
         default_weight: int = 1,
         default_priority: int = 0,
-        tracer=None,
     ) -> None:
         from repro.core.batch_engine import make_scheduler
 
@@ -524,18 +517,6 @@ class AggregationTier:
         )
         self.services = ServiceLog()
         self.now = 0
-        self.tracer = tracer
-        #: op kind -> [ops, wall seconds]; fixed order fixes span order.
-        self._span_acc: dict[str, list] | None = (
-            {
-                "churn.join": [0, 0.0],
-                "churn.leave": [0, 0.0],
-                "submit": [0, 0.0],
-                "dispatch": [0, 0.0],
-            }
-            if tracer is not None
-            else None
-        )
 
     # -- delegated control plane ---------------------------------------
 
@@ -547,38 +528,18 @@ class AggregationTier:
         return self.core.bucket(sid)
 
     def join(self, sid: int, *, weight=None, priority=None) -> int:
-        if self._span_acc is None:
-            return self.core.join(sid, weight=weight, priority=priority)
-        t0 = time.perf_counter()
-        a = self.core.join(sid, weight=weight, priority=priority)
-        acc = self._span_acc["churn.join"]
-        acc[0] += 1
-        acc[1] += time.perf_counter() - t0
-        return a
+        return self.core.join(sid, weight=weight, priority=priority)
 
     def leave(self, sid: int, *, weight=None) -> int:
-        if self._span_acc is None:
-            return self.core.leave(sid, weight=weight)
-        t0 = time.perf_counter()
-        a = self.core.leave(sid, weight=weight)
-        acc = self._span_acc["churn.leave"]
-        acc[0] += 1
-        acc[1] += time.perf_counter() - t0
-        return a
+        return self.core.leave(sid, weight=weight)
 
     # -- data plane ----------------------------------------------------
 
     def submit(self, sid: int, deadline: int, length: int = 1500) -> None:
-        acc_map = self._span_acc
-        t0 = time.perf_counter() if acc_map is not None else 0.0
         op = self.core.submit(sid, deadline, length)
         if op is not None:
             a, rank, seq, ln = op
             self.scheduler.enqueue(a, deadline=rank, arrival=seq, length=ln)
-        if acc_map is not None:
-            acc = acc_map["submit"]
-            acc[0] += 1
-            acc[1] += time.perf_counter() - t0
 
     def decision_cycle(self, now: int | None = None):
         """Run one engine decision cycle; service at most one packet.
@@ -586,55 +547,21 @@ class AggregationTier:
         Returns ``(stream_sid, aggregate)`` for the serviced packet, or
         ``None`` on an idle cycle.
         """
-        acc_map = self._span_acc
-        t0 = time.perf_counter() if acc_map is not None else 0.0
         t = self.now if now is None else now
         outcome = self.scheduler.decision_cycle(
             t, consume="winner", count_misses=False
         )
         self.now = t + 1
-        result = None
-        if outcome.circulated_sid is not None:
-            a = outcome.circulated_sid
-            _, packet = outcome.serviced[0]
-            sid, intra_rank, op = self.core.service(a, packet.deadline, t)
-            if op is not None:
-                ra, rank, seq, ln = op
-                self.scheduler.enqueue(ra, deadline=rank, arrival=seq, length=ln)
-            self.services.append((t, sid, a, intra_rank))
-            result = (sid, a)
-        if acc_map is not None:
-            acc = acc_map["dispatch"]
-            acc[0] += 1
-            acc[1] += time.perf_counter() - t0
-        return result
-
-    def flush_spans(self) -> None:
-        """Emit one aggregated span per op kind onto the tracer.
-
-        Op counts (and the packets-serviced total) are workload-derived
-        canonical tags; accumulated wall time rides in measures.  Resets
-        the accumulators, so repeated flushes emit disjoint batches; op
-        kinds that saw no operations emit nothing (which kinds appear is
-        itself workload-derived, so canonical output stays deterministic).
-        """
-        if self.tracer is None or self._span_acc is None:
-            return
-        for name, (ops, wall) in self._span_acc.items():
-            if ops == 0:
-                continue
-            tags = {"ops": ops}
-            if name == "dispatch":
-                tags["serviced"] = len(self.services)
-            self.tracer.record_span(
-                name,
-                kind="dispatch" if name == "dispatch" else "churn",
-                tags=tags,
-                measures={"wall_us": int(wall * 1e6)},
-            )
-        for acc in self._span_acc.values():
-            acc[0] = 0
-            acc[1] = 0.0
+        a = outcome.circulated_sid
+        if a is None:
+            return None
+        _, packet = outcome.serviced[0]
+        sid, intra_rank, op = self.core.service(a, packet.deadline, t)
+        if op is not None:
+            ra, rank, seq, ln = op
+            self.scheduler.enqueue(ra, deadline=rank, arrival=seq, length=ln)
+        self.services.append((t, sid, a, intra_rank))
+        return (sid, a)
 
     def drain(self, max_cycles: int | None = None) -> int:
         """Cycle until every accepted packet is serviced; returns cycles."""

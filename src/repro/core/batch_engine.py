@@ -22,7 +22,6 @@ def make_scheduler(
     *,
     engine: str = "reference",
     trace_timeline: bool = False,
-    trace=None,
     observer=None,
 ):
     """Instantiate a scheduler engine by name.
@@ -45,9 +44,5 @@ def make_scheduler(
             f"unknown engine {engine!r} (expected 'reference' or 'tensor')"
         )
     return cls(
-        config,
-        streams,
-        trace_timeline=trace_timeline,
-        trace=trace,
-        observer=observer,
+        config, streams, trace_timeline=trace_timeline, observer=observer
     )

@@ -435,7 +435,9 @@ def run_bucket(
     control accounting advances in bulk and the per-cycle idle records
     (identical by construction) are synthesized without touching the
     array pipeline.  ``stats`` (optional dict) receives
-    ``fast_forwarded`` and ``cycles`` totals for telemetry.
+    ``fast_forwarded`` and ``cycles`` totals for telemetry; ``tracer``
+    receives the engine's ``schedule``, ``priority_update`` and
+    ``fast_forward`` phase spans.
     """
     from repro.core.tensor_engine import CampaignEngine
 
@@ -456,7 +458,7 @@ def run_bucket(
         _arch_config(first),
         [list(scenario.streams) for scenario in scenarios],
         observers=list(observers) if observers is not None else None,
-        profile_phases=tracer is not None,
+        tracer=tracer,
     )
     schedules = [_arrival_schedule(scenario) for scenario in scenarios]
     consume = [scenario.consume for scenario in scenarios]
@@ -500,20 +502,7 @@ def run_bucket(
             stats.get("fast_forwarded", 0) + engine.fast_forwarded
         )
         stats["cycles"] = stats.get("cycles", 0) + n_cycles * n_scenarios
-    if tracer is not None:
-        # One aggregated span per engine phase (fixed emission order);
-        # call counts are workload-derived (canonical tags), wall time
-        # is an execution detail (measures).
-        for phase, (calls, wall_s) in engine.phase_report().items():
-            span_tags = {"calls": calls}
-            if phase == "fast_forward":
-                span_tags["cycles"] = engine.fast_forwarded
-            tracer.record_span(
-                phase,
-                kind="phase",
-                tags=span_tags,
-                measures={"wall_us": int(wall_s * 1e6)},
-            )
+    engine.record_phases()
     return [
         EngineTrace(
             engine="tensor",

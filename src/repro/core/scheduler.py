@@ -27,7 +27,6 @@ from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
 from repro.core.register_block import PendingPacket, RegisterBaseBlock
 from repro.core.shuffle import ShuffleExchangeNetwork
-from repro.observability.hooks import resolve_observer
 
 __all__ = ["DecisionOutcome", "ShareStreamsScheduler"]
 
@@ -87,9 +86,6 @@ class ShareStreamsScheduler:
         Further streams can be loaded later with :meth:`load_stream`.
     trace_timeline:
         Record the control FSM timeline (Figure 6).
-    trace:
-        Legacy :class:`repro.observability.TraceLog` receiving
-        "decide" / "miss" / "drop" events per decision cycle.
     observer:
         Telemetry hook (:class:`repro.observability.DecisionObserver`,
         e.g. an :class:`repro.observability.Observability`) receiving
@@ -103,7 +99,6 @@ class ShareStreamsScheduler:
         streams: list[StreamConfig] | None = None,
         *,
         trace_timeline: bool = False,
-        trace=None,
         observer=None,
     ) -> None:
         self.config = config
@@ -114,10 +109,8 @@ class ShareStreamsScheduler:
             schedule=config.schedule,
         )
         self.control = ControlUnit(trace=trace_timeline)
-        #: Optional legacy :class:`repro.observability.TraceLog`.
-        self.trace = trace
-        #: Resolved telemetry hook (``None`` = telemetry disabled).
-        self.observer = resolve_observer(trace, observer)
+        #: Telemetry hook (``None`` = telemetry disabled).
+        self.observer = observer
         self.slots: list[RegisterBaseBlock | None] = [None] * config.n_slots
         self._idle_bundles = self._make_idle_bundles()
         # (loaded slots, bundles driven onto the network), rebuilt

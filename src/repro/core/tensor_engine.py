@@ -85,8 +85,8 @@ measured by ``benchmarks/test_bench_jit.py``.
 
 from __future__ import annotations
 
-import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +107,7 @@ from repro.core.register_block import (
     negative_time_error,
 )
 from repro.core.scheduler import DecisionOutcome
-from repro.observability.hooks import resolve_observer
+from repro.observability.spans import PhaseTimer
 
 __all__ = [
     "DRIVER_MAX_CELLS",
@@ -347,11 +347,13 @@ class CampaignEngine:
         protocol as the other engines); ``None`` entries are skipped.
     trace_timeline:
         Record the (shared, lockstep) control FSM timeline.
-    profile_phases:
-        Accumulate per-phase wall time and call counts (SCHEDULE,
-        PRIORITY_UPDATE, idle fast-forward) for span tracing — read back
-        via :meth:`phase_report`.  Disabled (default) the per-cycle cost
-        is a single ``is not None`` check per phase boundary, matching
+    tracer:
+        Optional :class:`~repro.observability.spans.SpanTracer`: the
+        SCHEDULE, PRIORITY_UPDATE and idle fast-forward phases are timed
+        with one :class:`~repro.observability.spans.PhaseTimer` each and
+        recorded as ``schedule``, ``priority_update`` and
+        ``fast_forward`` spans by :meth:`record_phases`.  Without one
+        the per-cycle cost is a single ``is not None`` check, matching
         the observer-hook contract.
     """
 
@@ -363,7 +365,7 @@ class CampaignEngine:
         n_scenarios: int | None = None,
         observers=None,
         trace_timeline: bool = False,
-        profile_phases: bool = False,
+        tracer=None,
     ) -> None:
         if stream_lists is None:
             if n_scenarios is None:
@@ -432,14 +434,15 @@ class CampaignEngine:
         self._window_resets = np.zeros(shape, dtype=i64)
         self._loads = [[0] * n for _ in range(s_count)]
         self._fast_forwarded = 0  # idle decision cycles skipped in bulk
-        #: phase -> [calls, wall seconds]; None = accounting disabled.
-        self._phase_profile: dict[str, list] | None = (
-            {
-                "schedule": [0, 0.0],
-                "priority_update": [0, 0.0],
-                "fast_forward": [0, 0.0],
-            }
-            if profile_phases
+        self.tracer = tracer
+        #: schedule, priority_update and fast_forward timers, in span
+        #: order; None = untraced.
+        self._phases = (
+            tuple(
+                PhaseTimer(name)
+                for name in ("schedule", "priority_update", "fast_forward")
+            )
+            if tracer is not None
             else None
         )
 
@@ -858,9 +861,6 @@ class CampaignEngine:
         rank in plain Python and register misses per slot instead of
         over ``(S, N)`` arrays; both sides produce identical results.
         """
-        profile = self._phase_profile
-        if profile is not None:
-            _t0 = time.perf_counter()
         s_count = self.n_scenarios
         consume_s = _per_scenario(consume, s_count, "consume")
         count_s = _per_scenario(count_misses, s_count, "count_misses")
@@ -873,14 +873,33 @@ class CampaignEngine:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
+        small = s_count * self._n <= DRIVER_MAX_CELLS
+        phases = self._phases
+        if phases is None:
+            orders = self._schedule(now, small, count_s, drop_s)
+            outcomes = self._priority_update(
+                now, small, orders, consume_s, count_s
+            )
+        else:
+            with phases[0]:
+                orders = self._schedule(now, small, count_s, drop_s)
+            with phases[1]:
+                outcomes = self._priority_update(
+                    now, small, orders, consume_s, count_s
+                )
+        if self.observers is not None:
+            for s, observer in enumerate(self.observers):
+                if observer is not None:
+                    observer.on_decision(outcomes[s])
+        return outcomes
 
+    def _schedule(self, now: int, small: bool, count_s, drop_s) -> list:
+        """SCHEDULE: shed late heads, then rank every scenario's slots."""
+        s_count = self.n_scenarios
         # Reused per-cycle accumulators (hoisted to __init__): clearing
         # in place avoids rebuilding S lists on every decision cycle.
         dropped = self._cycle_dropped
-        misses = self._cycle_misses
         for row in dropped:
-            row.clear()
-        for row in misses:
             row.clear()
         for s in range(s_count):
             if not drop_s[s]:
@@ -894,23 +913,28 @@ class CampaignEngine:
                     self._latch_next(s, i)
                     dropped[s].append((i, packet))
 
-        # SCHEDULE: one rank + one network replay for all scenarios.
-        # Small campaigns rank in plain Python, where the per-call cost
-        # of the array ops would dominate.
-        small = s_count * self._n <= DRIVER_MAX_CELLS
+        # One rank + one network replay for all scenarios.  Small
+        # campaigns rank in plain Python, where the per-call cost of the
+        # array ops would dominate.
         if small:
             orders = self._blocks_small(now)
         else:
             orders = self._blocks_array(now)
-        passes = self.config.sort_passes
-        tracing = self.control.trace
-        self.control.schedule(passes, detail=f"t={now}" if tracing else "")
-        if profile is not None:
-            _t1 = time.perf_counter()
-            acc = profile["schedule"]
-            acc[0] += 1
-            acc[1] += _t1 - _t0
+        self.control.schedule(
+            self.config.sort_passes,
+            detail=f"t={now}" if self.control.trace else "",
+        )
+        return orders
 
+    def _priority_update(
+        self, now: int, small: bool, orders, consume_s, count_s
+    ) -> list[DecisionOutcome]:
+        """PRIORITY_UPDATE: register misses, circulate and consume."""
+        s_count = self.n_scenarios
+        misses = self._cycle_misses
+        for row in misses:
+            row.clear()
+        dropped = self._cycle_dropped
         # Miss registration: per slot on small campaigns, else batched
         # over the scenarios that count them.
         if small:
@@ -943,8 +967,9 @@ class CampaignEngine:
                     )
                 self._register_misses(counted_late)
 
-        # PRIORITY_UPDATE: per-scenario circulate/consume (queue-backed,
-        # so the service path stays scalar).
+        # Per-scenario circulate/consume (queue-backed, so the service
+        # path stays scalar).
+        passes = self.config.sort_passes
         update_cycles = self.config.update_cycles
         max_first = self.config.block_mode is BlockMode.MAX_FIRST
         outcomes: list[DecisionOutcome] = []
@@ -991,16 +1016,8 @@ class CampaignEngine:
             )
         self.control.priority_update(
             update_cycles,
-            detail=f"circulate={any_circulated}" if tracing else "",
+            detail=f"circulate={any_circulated}" if self.control.trace else "",
         )
-        if profile is not None:
-            acc = profile["priority_update"]
-            acc[0] += 1
-            acc[1] += time.perf_counter() - _t1
-        if self.observers is not None:
-            for s, observer in enumerate(self.observers):
-                if observer is not None:
-                    observer.on_decision(outcomes[s])
         return outcomes
 
     def advance_idle(self, count: int) -> None:
@@ -1016,9 +1033,10 @@ class CampaignEngine:
             raise ValueError("cycle count must be non-negative")
         if count == 0:
             return
-        profile = self._phase_profile
-        if profile is not None:
-            _t0 = time.perf_counter()
+        with self._phases[2] if self._phases else nullcontext():
+            self._skip_idle(count)
+
+    def _skip_idle(self, count: int) -> None:
         self.control.advance_decision_cycles(
             count,
             self.config.sort_passes,
@@ -1026,10 +1044,6 @@ class CampaignEngine:
             detail="idle fast-forward",
         )
         self._fast_forwarded += count
-        if profile is not None:
-            acc = profile["fast_forward"]
-            acc[0] += 1
-            acc[1] += time.perf_counter() - _t0
 
     @property
     def has_pending(self) -> bool:
@@ -1348,23 +1362,18 @@ class CampaignEngine:
             stats,
         )
         nonff, ff_cycles, ff_gaps = (int(v) for v in stats)
-        passes = self.config.sort_passes
-        update_cycles = self.config.update_cycles
-        profile = self._phase_profile
         if ff_cycles:
-            if profile is not None:
-                _t0 = time.perf_counter()
-            self.control.advance_decision_cycles(
-                ff_cycles, passes, update_cycles, detail="idle fast-forward"
-            )
-            self._fast_forwarded += ff_cycles
-            if profile is not None:
-                acc = profile["fast_forward"]
-                acc[0] += ff_gaps
-                acc[1] += time.perf_counter() - _t0
+            self._skip_idle(ff_cycles)
+            if self._phases is not None:
+                # One fast-forward call per idle gap the kernel skipped;
+                # their time is inside the kernel's.
+                self._phases[2].calls += ff_gaps
         if nonff:
             self.control.advance_decision_cycles(
-                nonff, passes, update_cycles, detail="periodic driver"
+                nonff,
+                self.config.sort_passes,
+                self.config.update_cycles,
+                detail="periodic driver",
             )
         return self._periodic_results(
             n_cycles, ring if collect_winners else None
@@ -1402,19 +1411,21 @@ class CampaignEngine:
             if self._configs[scenario][i] is not None
         }
 
-    def phase_report(self) -> dict[str, tuple[int, float]]:
-        """Accumulated ``phase -> (calls, wall_seconds)`` in fixed order.
+    def record_phases(self) -> None:
+        """Record each timed phase as one aggregated span on the tracer.
 
-        Empty unless the engine was built with ``profile_phases=True``.
-        Call counts are a pure function of the workload (they feed
-        canonical span tags); wall time is an execution detail.
+        Emits ``schedule``, ``priority_update`` and ``fast_forward`` in
+        that order, zero-call phases included, and resets the timers;
+        a no-op without a tracer.  Call counts (and the fast-forwarded
+        cycle total) are a pure function of the workload, so they are
+        canonical tags; wall time is an execution detail.
         """
-        if self._phase_profile is None:
-            return {}
-        return {
-            name: (int(calls), float(wall))
-            for name, (calls, wall) in self._phase_profile.items()
-        }
+        if self._phases is None:
+            return
+        schedule, update, fast_forward = self._phases
+        schedule.flush(self.tracer)
+        update.flush(self.tracer)
+        fast_forward.flush(self.tracer, cycles=self._fast_forwarded)
 
 
 class TensorScheduler:
@@ -1434,12 +1445,10 @@ class TensorScheduler:
         streams: list[StreamConfig] | None = None,
         *,
         trace_timeline: bool = False,
-        trace=None,
         observer=None,
     ) -> None:
         self.config = config
-        self.trace = trace
-        self.observer = resolve_observer(trace, observer)
+        self.observer = observer
         self.trace_timeline = trace_timeline
         self._engine = CampaignEngine(
             config,

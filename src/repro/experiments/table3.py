@@ -172,11 +172,13 @@ def run_block(
     decision cycle, before its deadline.  In *min-first* the block tail
     is circulated and the block is consumed from the min end: within
     the block transaction the most urgent frame transmits last, and
-    the priority rotation is applied to the wrong stream; misses are
-    counted per frame that leaves after its deadline, accumulating one
-    count per time unit of lateness (the per-slot miss counters keep
-    incrementing while a late frame is pending, as in the max-finding
-    configuration).
+    the priority rotation is applied to the wrong stream.  Only the
+    circulated frame counts as served on time: every other block
+    member forfeits its deadline, one missed deadline per
+    non-circulated member per decision cycle.  With four streams each
+    serviced every cycle that is three misses a cycle, so the total is
+    ``3 * frames_per_stream`` at any scale (no lateness accumulates:
+    every frame leaves in its own cycle).
     """
     scheduler = _make_scheduler(Routing.BA, block_mode, engine, observer)
     n_cycles = frames_per_stream

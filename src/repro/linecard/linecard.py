@@ -61,9 +61,11 @@ class Linecard:
         Stream constraints bound to the slots.
     observer:
         Telemetry hook forwarded to the scheduler (per-decision
-        events/metrics); an :class:`repro.observability.Observability`
-        additionally gets the run's modeled hardware cycles attributed
-        to a ``linecard.decide`` profiling phase.
+        events/metrics); its ``finalize`` (if any) runs after each
+        run.  The run's modeled hardware cycles are
+        :attr:`LinecardResult.hw_cycles` and, with an
+        :class:`repro.observability.Observability`, the
+        ``sharestreams_hw_cycles_total`` counter.
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class Linecard:
             packets += len(outcome.serviced)
             if record_winners and outcome.circulated_sid is not None:
                 winners.append(outcome.circulated_sid)
-        self._attribute_cycles(n_decisions * self.cycles_per_decision)
+        self._finalize_observer()
         return LinecardResult(
             decisions=n_decisions,
             packets_scheduled=packets,
@@ -115,11 +117,7 @@ class Linecard:
             winner_sequence=tuple(winners),
         )
 
-    def _attribute_cycles(self, hw_cycles: int) -> None:
-        """Credit modeled hardware cycles to the telemetry profiler."""
-        profiler = getattr(self.observer, "profiler", None)
-        if profiler is not None:
-            profiler.add_cycles("linecard.decide", hw_cycles)
+    def _finalize_observer(self) -> None:
         finalize = getattr(self.observer, "finalize", None)
         if finalize is not None:
             finalize()  # flush the conformance monitor's partial window
@@ -199,7 +197,7 @@ class FabricLinecard(Linecard):
             if outcome.circulated_sid is not None:
                 self.sram.emit_winner(outcome.circulated_sid)
                 winners.append(outcome.circulated_sid)
-        self._attribute_cycles(n_decisions * self.cycles_per_decision)
+        self._finalize_observer()
         return LinecardResult(
             decisions=n_decisions,
             packets_scheduled=packets,

@@ -1,22 +1,26 @@
-"""Unified observability layer: tracing + metrics + profiling.
+"""Unified observability layer: decision record, metrics, phase spans.
 
 One subsystem, three concerns, one hook (see
 ``docs/OBSERVABILITY.md``):
 
-* **Decision tracing** — :class:`TraceRecorder` turns every decision
-  cycle of either engine into a canonical, serializable event stream
-  (ring-buffered; byte-identical across engines by construction).
+* **Decision record** — :class:`TraceRecorder` keeps every decision
+  cycle of either engine as a ``(seq, DecisionOutcome)`` pair in a
+  bounded :class:`DecisionRing` and flattens it into a canonical,
+  serializable event stream when read (byte-identical across engines
+  by construction); the violation :class:`FlightRecorder` keeps the
+  same ring.
 * **Metrics** — :class:`MetricsRegistry` (counters, gauges,
   histograms) with Prometheus-text and JSON exporters, fed by
   :class:`MetricsObserver` from decision outcomes and directly by the
   endsystem host / line-card / experiment drivers.
-* **Profiling** — :class:`PhaseProfiler` accumulates per-phase wall
-  time and modeled hardware cycles.
+* **Timing** — :class:`SpanTracer` spans are the one way to see where
+  time went; :class:`PhaseTimer` accumulates a phase's calls and wall
+  time and flushes them as one aggregated span.
 
 :class:`Observability` bundles all three behind the single engine hook
-(``observer=``) plus a ``phase()`` context manager for drivers.  When
-telemetry is off, nothing is constructed and the engines' only cost is
-one ``is not None`` test per decision cycle.
+(``observer=``) plus a ``phase()`` timer for drivers.  When telemetry
+is off, nothing is constructed and the engines' only cost is one
+``is not None`` test per decision cycle.
 """
 
 from __future__ import annotations
@@ -26,19 +30,14 @@ from contextlib import nullcontext
 from repro.observability.dashboard import Dashboard
 from repro.observability.events import (
     DecisionEvent,
+    DecisionRing,
     TraceRecorder,
     deserialize_events,
     events_from_outcome,
     serialize_events,
 )
 from repro.observability.flightrecorder import FlightDump, FlightRecorder
-from repro.observability.hooks import (
-    CompositeObserver,
-    DecisionObserver,
-    LegacyTraceObserver,
-    MetricsObserver,
-    resolve_observer,
-)
+from repro.observability.hooks import DecisionObserver, MetricsObserver
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -56,7 +55,6 @@ from repro.observability.monitor import (
     slos_from_streams,
     violation_from_dict,
 )
-from repro.observability.profiling import PhaseProfiler, PhaseStat
 from repro.observability.rollup import (
     GapSketch,
     RollupObserver,
@@ -67,6 +65,7 @@ from repro.observability.rollup import (
 from repro.observability.server import TelemetryServer
 from repro.observability.spans import (
     SPAN_SCHEMA,
+    PhaseTimer,
     SpanRecord,
     SpanTracer,
     activate_tracer,
@@ -79,10 +78,10 @@ from repro.observability.spans import (
     spans_jsonl_bytes,
     summarize_spans,
 )
-from repro.observability.tracelog import TraceEvent, TraceLog
 
 __all__ = [
     "SPAN_SCHEMA",
+    "PhaseTimer",
     "SpanRecord",
     "SpanTracer",
     "activate_tracer",
@@ -94,38 +93,32 @@ __all__ = [
     "load_spans_jsonl",
     "spans_jsonl_bytes",
     "summarize_spans",
-    "CompositeObserver",
     "ConformanceMonitor",
     "Counter",
     "Dashboard",
     "DecisionEvent",
     "DecisionObserver",
+    "DecisionRing",
     "FlightDump",
     "FlightRecorder",
     "GapSketch",
     "Gauge",
     "Histogram",
-    "LegacyTraceObserver",
     "MetricsObserver",
     "MetricsRegistry",
     "Observability",
-    "PhaseProfiler",
-    "PhaseStat",
     "RollupObserver",
     "SloMonitor",
     "SloViolation",
     "StreamSlo",
     "StreamWindowStats",
     "TelemetryServer",
-    "TraceEvent",
-    "TraceLog",
     "TraceRecorder",
     "WindowRollup",
     "deserialize_events",
     "events_from_outcome",
     "merge_snapshots",
     "parse_prometheus_text",
-    "resolve_observer",
     "rollup_from_dict",
     "serialize_events",
     "slos_from_shares",
@@ -135,7 +128,7 @@ __all__ = [
 
 
 class Observability:
-    """Facade bundling trace recorder, metrics registry and profiler.
+    """Facade bundling trace recorder, metrics registry and phase spans.
 
     Implements the engine hook protocol (``on_decision`` /
     ``on_run_summary``), so one instance can be handed to any engine,
@@ -148,13 +141,14 @@ class Observability:
     metrics:
         Maintain the standard scheduling metrics.
     profile:
-        Accumulate per-phase wall time (drivers call :meth:`phase`).
+        Time driver phases (:meth:`phase`) as aggregated spans on
+        :attr:`tracer`.
     monitor:
         Optional :class:`~repro.observability.monitor.ConformanceMonitor`
         (streaming rollups + SLO evaluation + flight recorder) fed from
         the same hook; see ``repro.observability.monitor``.
     trace_capacity:
-        Ring capacity of the decision-trace recorder.
+        Ring capacity of the decision-trace recorder, in decision cycles.
     metrics_prefix:
         Metric-name prefix of the standard scheduling metrics.
     """
@@ -177,7 +171,8 @@ class Observability:
             else None
         )
         self._prefix = metrics_prefix
-        self.profiler = PhaseProfiler() if profile else None
+        self.tracer = SpanTracer("observability") if profile else None
+        self._phases: dict[str, PhaseTimer] = {}
         self.monitor = monitor
 
     # -- engine hook protocol ------------------------------------------
@@ -223,21 +218,37 @@ class Observability:
                 misses.set(int(result.misses[sid]), stream=sid)
 
     def finalize(self) -> None:
-        """End-of-run hook: flush the monitor's partial rollup window.
+        """End-of-run hook: flush phase timers and the monitor's window.
 
         Drivers call this once after the last decision cycle; safe to
-        call with monitoring disabled (it is then a no-op).
+        call with every sink disabled (it is then a no-op).
         """
+        self._flush_phases()
         if self.monitor is not None:
             self.monitor.finalize()
 
     # -- driver-side helpers -------------------------------------------
 
     def phase(self, name: str):
-        """Context manager timing one phase (no-op without a profiler)."""
-        if self.profiler is None:
+        """The timer of one named driver phase, for ``with obs.phase(name):``.
+
+        Returns the same :class:`PhaseTimer` for every call with the
+        same name (a no-op context when ``profile`` is off); its calls
+        and wall time become one ``phase`` span on :attr:`tracer` at
+        :meth:`finalize` or :meth:`render`.
+        """
+        if self.tracer is None:
             return nullcontext()
-        return self.profiler.phase(name)
+        timer = self._phases.get(name)
+        if timer is None:
+            timer = self._phases[name] = PhaseTimer(name)
+        return timer
+
+    def _flush_phases(self) -> None:
+        if self.tracer is not None:
+            for timer in self._phases.values():
+                if timer.calls:
+                    timer.flush(self.tracer)
 
     def render(self, *, trace_limit: int = 20) -> str:
         """Human-readable summary of everything enabled."""
@@ -245,11 +256,23 @@ class Observability:
         if self.recorder is not None:
             parts.append("== decision trace ==")
             parts.append(self.recorder.render(limit=trace_limit))
-        if self.profiler is not None:
-            report = self.profiler.report()
-            if report:
+        if self.tracer is not None:
+            self._flush_phases()
+            phases = sorted(
+                (row["name"], row["tag_totals"].get("calls", 0), row["wall_us"])
+                for row in summarize_spans(self.tracer.records())
+                if row["kind"] == "phase"
+            )
+            if phases:
                 parts.append("== phase profile ==")
-                parts.append(self.profiler.render())
+                parts.append(
+                    f"{'phase':<24} {'calls':>8} {'wall ms':>10} {'us/call':>9}"
+                )
+                for name, calls, wall_us in phases:
+                    per_call = wall_us / calls if calls else 0.0
+                    parts.append(
+                        f"{name:<24} {calls:>8} {wall_us / 1e3:>10.3f} {per_call:>9.2f}"
+                    )
         if self.monitor is not None:
             parts.append("== conformance ==")
             parts.append(self.monitor.report())
@@ -267,7 +290,8 @@ class Observability:
             self._metrics_observer = MetricsObserver(
                 self.metrics, prefix=self._prefix
             )
-        if self.profiler is not None:
-            self.profiler.clear()
+        if self.tracer is not None:
+            self.tracer = SpanTracer(self.tracer.trace_id)
+            self._phases.clear()
         if self.monitor is not None:
             self.monitor.clear()

@@ -18,10 +18,12 @@ traces — which is exactly what the trace-equivalence differential mode
 (:func:`repro.core.differential.cross_validate_traces`) asserts, and
 what the golden trace vector under ``tests/golden/`` pins.
 
-Events are kept in a bounded ring (old events evicted FIFO) so
-telemetry never exhausts memory on long runs; eviction is counted, and
-serialization of a truncated trace refuses by default to avoid silent
-partial-trace comparisons.
+Recording keeps each cycle's outcome in a bounded :class:`DecisionRing`
+(old cycles evicted FIFO) and flattens it only when read, so telemetry
+never exhausts memory on long runs and costs one append per cycle;
+eviction is counted, and serialization of a truncated trace refuses by
+default to avoid silent partial-trace comparisons.  The violation
+flight recorder keeps the same ring.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 __all__ = [
     "DecisionEvent",
+    "DecisionRing",
     "TraceRecorder",
-    "event_count",
     "events_from_outcome",
     "serialize_events",
     "deserialize_events",
@@ -47,8 +49,8 @@ class DecisionEvent(NamedTuple):
     """One structured telemetry event.
 
     An immutable, hashable named tuple: the recorders build one per
-    event on every decision cycle, and tuple construction is the
-    cheapest immutable record Python offers.  Like any named tuple it
+    event whenever a recorded cycle is read, and tuple construction is
+    the cheapest immutable record Python offers.  Like any named tuple it
     also compares equal to a plain tuple of the same field values.
 
     Attributes
@@ -120,8 +122,8 @@ def events_from_outcome(outcome, start_seq: int = 0) -> list[DecisionEvent]:
     The emission order is fixed (decide, then misses in slot order,
     then drops in shed order) — both engines report misses/drops in
     slot/shed order already, so the flattening is deterministic.
-    Events are built positionally because this runs on every decision
-    cycle a :class:`TraceRecorder` records.
+    Events are built positionally because this runs on every recorded
+    decision cycle a trace is read from.
     """
     now = int(outcome.now)
     events = [
@@ -148,11 +150,6 @@ def events_from_outcome(outcome, start_seq: int = 0) -> list[DecisionEvent]:
     return events
 
 
-def event_count(outcome) -> int:
-    """Events :func:`events_from_outcome` yields for ``outcome``."""
-    return 1 + len(outcome.misses) + len(outcome.dropped)
-
-
 def serialize_events(events: Iterable[DecisionEvent]) -> bytes:
     """Canonical byte serialization (one JSON object per line)."""
     lines = [e.canonical_line() for e in events]
@@ -169,7 +166,67 @@ def deserialize_events(data: bytes | str) -> list[DecisionEvent]:
     ]
 
 
-class TraceRecorder:
+class DecisionRing:
+    """Bounded ring of ``(seq, outcome)`` pairs: the one decision record.
+
+    Each decision cycle is kept as the engine's own immutable
+    :class:`~repro.core.scheduler.DecisionOutcome` beside the ``seq`` of
+    its first event, so recording costs one append per cycle and the
+    canonical :class:`DecisionEvent` stream is flattened only when read
+    (iterating the ring yields it).  Outcomes are frozen records of
+    tuples on every engine, so flattening them later reads exactly what
+    flattening them on arrival would have.
+
+    Capacity counts decision cycles: the oldest cycle is evicted whole,
+    so the retained events always start at a cycle boundary.
+    :attr:`recorded` and :attr:`evicted` count events, and ``seq``
+    numbers stay globally monotone until :meth:`clear`.
+    """
+
+    __slots__ = ("capacity", "_cycles", "_next_seq")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._cycles: deque[tuple[int, Any]] = deque(maxlen=capacity)
+        self._next_seq = 0
+
+    def on_decision(self, outcome) -> None:
+        """Record one decision cycle."""
+        seq = self._next_seq
+        self._next_seq = seq + 1 + len(outcome.misses) + len(outcome.dropped)
+        self._cycles.append((seq, outcome))
+
+    @property
+    def recorded(self) -> int:
+        """Events recorded since construction or :meth:`clear`."""
+        return self._next_seq
+
+    @property
+    def evicted(self) -> int:
+        """Events of the cycles evicted from the ring."""
+        return self._cycles[0][0] if self._cycles else 0
+
+    @property
+    def cycles(self) -> int:
+        """Decision cycles retained."""
+        return len(self._cycles)
+
+    def __len__(self) -> int:
+        return self._next_seq - self.evicted
+
+    def __iter__(self) -> Iterator[DecisionEvent]:
+        for seq, outcome in self._cycles:
+            yield from events_from_outcome(outcome, seq)
+
+    def clear(self) -> None:
+        """Discard every retained cycle and restart ``seq`` at 0."""
+        self._cycles.clear()
+        self._next_seq = 0
+
+
+class TraceRecorder(DecisionRing):
     """Ring-buffered structured decision-trace recorder.
 
     Implements the engine hook protocol (:meth:`on_decision`), so it
@@ -179,57 +236,34 @@ class TraceRecorder:
     Parameters
     ----------
     capacity:
-        Maximum retained events; older events are evicted FIFO (the
-        eviction count is kept so truncation is never silent).
+        Maximum retained decision cycles; older cycles are evicted FIFO
+        (the evicted event count is kept so truncation is never silent).
     """
 
     def __init__(self, capacity: int = 1_000_000) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._events: deque[DecisionEvent] = deque(maxlen=capacity)
-        self.recorded = 0
-        self.evicted = 0
-        self._next_seq = 0
-
-    # -- hook protocol -------------------------------------------------
-
-    def on_decision(self, outcome) -> None:
-        """Record one decision cycle's events."""
-        events = events_from_outcome(outcome, self._next_seq)
-        count = len(events)
-        ring = self._events
-        # Once the ring is full every appended event evicts one.
-        overflow = len(ring) + count - ring.maxlen
-        if overflow > 0:
-            self.evicted += overflow
-        ring.extend(events)
-        self.recorded += count
-        self._next_seq += count
+        super().__init__(capacity)
 
     # -- queries -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[DecisionEvent]:
-        return iter(self._events)
 
     def events(self, kind: str | None = None) -> list[DecisionEvent]:
         """Retained events, optionally filtered by kind."""
         if kind is None:
-            return list(self._events)
-        return [e for e in self._events if e.kind == kind]
+            return list(self)
+        return [e for e in self if e.kind == kind]
 
     def kinds(self) -> dict[str, int]:
-        """Retained event count per kind."""
-        counts: dict[str, int] = {}
-        for e in self._events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return counts
+        """Retained event count per kind (kinds with no events omitted)."""
+        outcomes = [outcome for _seq, outcome in self._cycles]
+        counts = (
+            len(outcomes),
+            sum(len(o.misses) for o in outcomes),
+            sum(len(o.dropped) for o in outcomes),
+        )
+        return {kind: n for kind, n in zip(EVENT_KINDS, counts) if n}
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Retained events as plain dicts (golden-vector payload)."""
-        return [e.to_dict() for e in self._events]
+        return [e.to_dict() for e in self]
 
     # -- serialization -------------------------------------------------
 
@@ -245,12 +279,17 @@ class TraceRecorder:
                 f"trace truncated ({self.evicted} events evicted); "
                 "raise capacity or pass allow_truncated=True"
             )
-        return serialize_events(self._events)
+        return serialize_events(self)
 
     def render(self, *, limit: int = 30) -> str:
         """Text tail of the trace plus per-kind totals."""
+        tail: list[DecisionEvent] = []
+        for seq, outcome in reversed(self._cycles):
+            if len(tail) >= limit:
+                break
+            tail[:0] = events_from_outcome(outcome, seq)
         lines = []
-        for e in list(self._events)[-limit:]:
+        for e in tail[-limit:]:
             detail = ""
             if e.kind == "decide":
                 detail = (
@@ -269,13 +308,3 @@ class TraceRecorder:
             + (f", {self.evicted} evicted" if self.evicted else "")
         )
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        """Discard retained events and reset every counter together."""
-        fresh: deque[DecisionEvent] = deque(maxlen=self._events.maxlen)
-        self._events, self.recorded, self.evicted, self._next_seq = (
-            fresh,
-            0,
-            0,
-            0,
-        )

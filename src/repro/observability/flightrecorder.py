@@ -3,10 +3,11 @@
 Post-mortem debugging of a QoS violation needs the decision cycles
 *leading up to* the breach — but retaining a full event log defeats the
 O(streams) memory promise of the monitoring layer.  The flight recorder
-keeps only a small ring of the last ``capacity`` decision cycles, each
-stored as the engine's own immutable outcome plus the ``seq`` of its
-first event (one global monotone ``seq`` across the whole run).  When
-the SLO monitor emits a violation, the ring is flattened into canonical
+keeps only a small :class:`~repro.observability.events.DecisionRing`
+of the last ``capacity`` decision cycles — the same ``(seq, outcome)``
+ring the trace recorder keeps, with one global monotone ``seq`` across
+the whole run.  When the SLO monitor emits a violation, the ring is
+flattened into canonical
 :class:`~repro.observability.events.DecisionEvent` records and frozen
 into an immutable :class:`FlightDump` — the serialized JSONL is the
 same canonical format as :meth:`TraceRecorder.serialize`, so a dump
@@ -31,8 +32,7 @@ from typing import Any
 
 from repro.observability.events import (
     DecisionEvent,
-    event_count,
-    events_from_outcome,
+    DecisionRing,
     serialize_events,
 )
 
@@ -75,7 +75,7 @@ class FlightDump:
         )
 
 
-class FlightRecorder:
+class FlightRecorder(DecisionRing):
     """Always-on ring of the last K decision cycles, frozen on breach.
 
     The ring holds whole decision cycles (each cycle flattens to 1..N
@@ -83,9 +83,7 @@ class FlightRecorder:
     boundary and the canonical serialization replays cleanly.  ``seq``
     numbers are globally monotone across the run — two engines
     producing identical outcomes therefore produce byte-identical
-    dumps.  Outcomes are frozen records of tuples on every engine, so
-    flattening them later reads exactly what flattening them on arrival
-    would have.
+    dumps.
 
     Parameters
     ----------
@@ -106,13 +104,8 @@ class FlightRecorder:
         dump_dir: str | Path | None = None,
         max_dumps: int = 16,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        super().__init__(capacity)
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
-        # (seq of the cycle's first event, outcome) per decision cycle
-        self._ring: deque[tuple[int, Any]] = deque(maxlen=capacity)
-        self._next_seq = 0
         self.cycles_recorded = 0
         self.dumps: deque[FlightDump] = deque(maxlen=max_dumps)
         self.dumps_written = 0
@@ -130,8 +123,7 @@ class FlightRecorder:
         """
         if self._pending:
             self._freeze()
-        self._ring.append((self._next_seq, outcome))
-        self._next_seq += event_count(outcome)
+        DecisionRing.on_decision(self, outcome)
         self.cycles_recorded += 1
 
     def on_violation(self, violation) -> None:
@@ -155,18 +147,13 @@ class FlightRecorder:
     # -- freezing ------------------------------------------------------
 
     def _freeze(self) -> FlightDump:
-        events = tuple(
-            event
-            for seq, outcome in self._ring
-            for event in events_from_outcome(outcome, seq)
-        )
         dump = FlightDump(
             index=self.dumps_written,
             trigger_window=(
                 self._pending_window if self._pending_window is not None else -1
             ),
-            events=events,
-            cycles=len(self._ring),
+            events=tuple(self),
+            cycles=self.cycles,
             violations=tuple(self._pending),
         )
         self.dumps.append(dump)
@@ -195,8 +182,7 @@ class FlightRecorder:
 
     def clear(self) -> None:
         """Discard ring contents, pending state and retained dumps."""
-        self._ring.clear()
-        self._next_seq = 0
+        super().clear()
         self.cycles_recorded = 0
         self.dumps.clear()
         self.dumps_written = 0

@@ -1,4 +1,4 @@
-"""The engine hook protocol and the standard observers.
+"""The engine hook protocol and the standard metrics observer.
 
 Both engines (:class:`~repro.core.scheduler.ShareStreamsScheduler` and
 :class:`~repro.core.tensor_engine.TensorScheduler`) expose one hook: an
@@ -9,35 +9,27 @@ cycle.  Because the payload *is* the outcome — the same object the
 differential harness already certifies identical across engines — any
 observer sees an identical event stream from either engine by
 construction, and the guard is a single ``is not None`` test when
-telemetry is disabled (the same cost structure as the pre-existing
-``trace`` guard).
+telemetry is disabled.  Several sinks share the hook through
+:class:`repro.observability.Observability` (recorder, metrics,
+monitor) or :class:`~repro.observability.ConformanceMonitor` (rollups,
+SLOs, flight recorder), each of which dispatches to its parts
+directly.
 
-Observers provided here:
-
-* :class:`LegacyTraceObserver` — adapts the historical
-  :class:`~repro.observability.tracelog.TraceLog` ``decide``/``miss``/
-  ``drop`` emission (the ``trace=`` keyword both engines keep
-  accepting);
-* :class:`MetricsObserver` — derives the per-stream scheduling metrics
-  (service counts, wins, misses, drops, deadline slack, inter-service
-  jitter, hw cycles) into a
-  :class:`~repro.observability.metrics.MetricsRegistry`;
-* :class:`CompositeObserver` — fan-out to several observers.
+:class:`MetricsObserver` derives the per-stream scheduling metrics
+(service counts, wins, misses, drops, deadline slack, inter-service
+jitter, hw cycles) into a
+:class:`~repro.observability.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.observability.metrics import MetricsRegistry
 
 __all__ = [
     "DecisionObserver",
-    "CompositeObserver",
-    "LegacyTraceObserver",
     "MetricsObserver",
-    "resolve_observer",
 ]
 
 
@@ -47,118 +39,6 @@ class DecisionObserver(Protocol):
 
     def on_decision(self, outcome) -> None:  # pragma: no cover - protocol
         ...
-
-
-class CompositeObserver:
-    """Fan one decision stream out to several observers.
-
-    Delivery policy (tested in ``tests/test_observability_hooks.py``):
-
-    * observers receive every event in **registration order**;
-    * a raising observer is **isolated** — its exception is caught and
-      recorded (bounded :attr:`errors` list, one ``RuntimeWarning`` per
-      offending observer) and the remaining observers still receive the
-      event.  Telemetry must never take down the scheduling run, and
-      one broken sink must never silence the others;
-    * with a ``profiler``, each observer's dispatch is timed as its own
-      ``observer[i].<hook>`` phase, and **only the observer's own call**
-      sits inside the timed window — error bookkeeping (the bounded
-      error list, the warn-once ``RuntimeWarning``) runs outside it, so
-      a raising observer cannot skew its own or a sibling's timings.
-    """
-
-    __slots__ = ("observers", "errors", "_warned", "profiler")
-
-    #: Retained ``(observer_index, hook_name, exception)`` records.
-    MAX_ERRORS = 100
-
-    def __init__(self, observers: Iterable, *, profiler=None) -> None:
-        self.observers = tuple(observers)
-        self.errors: list[tuple[int, str, BaseException]] = []
-        self._warned: set[int] = set()
-        self.profiler = profiler
-
-    def _dispatch(self, index, obs, hook_name, call) -> None:
-        exc: Exception | None = None
-        if self.profiler is None:
-            try:
-                call()
-            except Exception as e:  # noqa: BLE001 - isolation is the point
-                exc = e
-        else:
-            with self.profiler.phase(f"observer[{index}].{hook_name}"):
-                try:
-                    call()
-                except Exception as e:  # noqa: BLE001 - isolation is the point
-                    exc = e
-        if exc is None:
-            return
-        # Outside any timed phase: the cost of recording/warning about a
-        # failure is attributed to no observer.
-        if len(self.errors) < self.MAX_ERRORS:
-            self.errors.append((index, hook_name, exc))
-        if index not in self._warned:
-            self._warned.add(index)
-            warnings.warn(
-                f"observer {index} ({type(obs).__name__}) raised in "
-                f"{hook_name} and is being isolated: {exc!r}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def on_decision(self, outcome) -> None:
-        for index, obs in enumerate(self.observers):
-            self._dispatch(
-                index, obs, "on_decision", lambda: obs.on_decision(outcome)
-            )
-
-    def on_run_summary(self, result) -> None:
-        """Forward whole-run summaries to observers that accept them."""
-        for index, obs in enumerate(self.observers):
-            hook = getattr(obs, "on_run_summary", None)
-            if hook is not None:
-                self._dispatch(
-                    index, obs, "on_run_summary", lambda: hook(result)
-                )
-
-    def finalize(self) -> None:
-        """Forward end-of-run finalization to observers that accept it."""
-        for index, obs in enumerate(self.observers):
-            hook = getattr(obs, "finalize", None)
-            if hook is not None:
-                self._dispatch(index, obs, "finalize", hook)
-
-
-class LegacyTraceObserver:
-    """Emit the historical TraceLog event stream from outcomes.
-
-    Reproduces exactly the ``decide`` / ``miss`` / ``drop`` events (and
-    their ordering) the engines used to emit inline, so existing
-    consumers of ``trace=TraceLog(...)`` observe no change.
-    """
-
-    __slots__ = ("log",)
-
-    def __init__(self, log) -> None:
-        self.log = log
-
-    def on_decision(self, outcome) -> None:
-        now = float(outcome.now)
-        self.log.emit(
-            now,
-            "decide",
-            "decision cycle",
-            winner=outcome.circulated_sid,
-            block=tuple(outcome.block),
-            serviced=len(outcome.serviced),
-        )
-        for sid in outcome.misses:
-            self.log.emit(now, "miss", "late head", sid=sid)
-        for sid, packet in outcome.dropped:
-            self.log.emit(
-                now, "drop", "late head shed", sid=sid,
-                deadline=packet.deadline,
-            )
 
 
 #: Bucket grids in scheduler time units (powers of two: slack and
@@ -279,21 +159,3 @@ class _SeriesBySid(dict):
     def __missing__(self, sid):
         series = self[sid] = self.metric.labels(stream=sid)
         return series
-
-
-def resolve_observer(trace, observer):
-    """Combine the legacy ``trace=`` keyword with an explicit observer.
-
-    Returns a single observer (or ``None``) for the engines to guard
-    on; the explicit observer sees each outcome first.
-    """
-    observers = []
-    if observer is not None:
-        observers.append(observer)
-    if trace is not None:
-        observers.append(LegacyTraceObserver(trace))
-    if not observers:
-        return None
-    if len(observers) == 1:
-        return observers[0]
-    return CompositeObserver(observers)

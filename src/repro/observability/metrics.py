@@ -396,8 +396,15 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=1, sort_keys=True) + "\n"
 
     def clear(self) -> None:
-        """Drop every registered metric."""
-        self._metrics.clear()
+        """Drop every sample; the registered metrics stay.
+
+        Holders of a metric (the SLO monitor's violation counter and
+        burn gauge, say) keep exporting through it after a clear.
+        Series handles from :meth:`_Metric.labels` are dropped with
+        their samples: resolve them again.
+        """
+        for metric in self._metrics.values():
+            metric._series.clear()
 
     # -- mergeable snapshots -------------------------------------------
 

@@ -221,9 +221,8 @@ class RollupObserver:
     """Incremental windowed aggregation over the decision hook.
 
     Implements the engine hook protocol (``on_decision``), so it can be
-    handed directly as ``observer=`` to either engine or composed
-    through :class:`~repro.observability.hooks.CompositeObserver` /
-    :class:`~repro.observability.Observability`.
+    handed directly as ``observer=`` to either engine or reached
+    through a :class:`~repro.observability.ConformanceMonitor`.
 
     Parameters
     ----------

@@ -1,13 +1,14 @@
-"""Hierarchical span tracing across the campaign/shard/aggregation stack.
+"""Hierarchical span tracing: the package's one way to see where time went.
 
-The PR 2 observer layer sees *inside* one engine run (decision traces,
-metrics, per-phase profiling).  This module observes *across* the layers
+The observer layer sees *inside* one engine run (decision traces,
+metrics, SLO rollups).  This module observes *across* the layers
 that dominate campaign runtime: the ``run_sharded`` worker pool, the
-differential bucket pre-pass, ``ResultCache`` hits, tensor-engine phases
-and aggregation churn.  It records a tree of spans::
+differential bucket pre-pass, ``ResultCache`` hits and the array
+engine's phases; :class:`PhaseTimer` also times the drivers' phases
+behind :meth:`repro.observability.Observability.phase`.  It records a
+tree of spans::
 
     campaign -> (shard) -> bucket -> engine_run -> phase
-                                  -> churn op (aggregation tier)
 
 with three hard guarantees:
 
@@ -29,8 +30,9 @@ are flagged ``canonical=False`` and excluded entirely — mirroring how
 byte-identical canonical span trees for any worker count.
 
 **Near-zero disabled path.**  Every instrumentation site guards on a
-single ``tracer is not None`` (the PR 2 observer contract); hot loops
-accumulate counters and emit one aggregated span per phase/op kind.
+single ``tracer is not None`` (the observer contract); hot loops time
+their phases with a :class:`PhaseTimer` and emit one aggregated span
+per phase.
 
 Exporters: canonical JSONL, full JSONL (timing included) and the Chrome
 trace-event format (load ``trace.json`` in Perfetto / ``chrome://tracing``).
@@ -49,6 +51,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "SPAN_SCHEMA",
+    "PhaseTimer",
     "SpanRecord",
     "SpanTracer",
     "activate_tracer",
@@ -164,7 +167,7 @@ class SpanTracer:
     (``SpanTracer.from_context(ctx)``) whose spans attach under the
     parent's current span.  ``span()`` opens a timed span as a context
     manager; ``record_span()`` appends a pre-aggregated completed span
-    (the shape used for engine phases and churn-op rollups).
+    (the shape :class:`PhaseTimer` flushes).
     """
 
     __slots__ = (
@@ -320,6 +323,47 @@ class SpanTracer:
 
     def chrome_trace(self) -> dict[str, Any]:
         return chrome_trace(self._records, trace_id=self.trace_id)
+
+
+class PhaseTimer:
+    """Calls and wall time of one named phase, flushed as one span.
+
+    The one phase timer of the package: a hot loop wraps each pass
+    through a phase in ``with timer:`` and, once the work is done,
+    :meth:`flush` records everything accumulated as a single
+    ``kind="phase"`` span — the call count as a canonical ``calls`` tag
+    (workload-derived), the wall time as a ``wall_us`` measure (an
+    execution detail).  A timer is not reentrant: it keeps one start
+    time.
+    """
+
+    __slots__ = ("name", "calls", "wall_s", "_t0")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+        self.wall_s = 0.0
+        self._t0 = 0.0
+
+    def __enter__(self) -> "PhaseTimer":
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.wall_s += time.perf_counter() - self._t0
+        self.calls += 1
+
+    def flush(self, tracer: SpanTracer, **tags: Any) -> SpanRecord:
+        """Record the accumulated phase on ``tracer`` and reset."""
+        record = tracer.record_span(
+            self.name,
+            kind="phase",
+            tags={"calls": self.calls, **tags},
+            measures={"wall_us": int(self.wall_s * 1e6)},
+        )
+        self.calls = 0
+        self.wall_s = 0.0
+        return record
 
 
 # -- the current-tracer contextvar: lets deeply nested task code --

@@ -84,9 +84,10 @@ def build_worker_observability(spec: Mapping[str, Any] | None):
 
     ``spec`` is ``{"monitor": <monitor_spec or None>}``-style metadata;
     returns a fresh :class:`~repro.observability.Observability` with
-    metrics enabled, tracing/profiling off (traces are ring buffers of
-    per-cycle events — shipping them across process boundaries would
-    cost more than the run; drivers that need traces run sequentially).
+    metrics enabled, the decision trace and phase spans off (traces are
+    rings of per-cycle outcomes — shipping them across process
+    boundaries would cost more than the run; drivers that need traces
+    run sequentially).
     """
     if spec is None:
         return None

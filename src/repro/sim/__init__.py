@@ -5,9 +5,6 @@ from repro.sim.nic import GIGABIT, TEN_GIGABIT, Link, TxPort
 from repro.sim.pci import PCIBus, PCIConfig, TransferRecord
 from repro.sim.ring import ArrivalRing, CircularQueue
 from repro.sim.sram import BankedSRAM, BankStats, Owner, SRAMBank
-# Import from the canonical home, not the deprecated repro.sim.trace
-# shim, so `import repro.sim` stays warning-free.
-from repro.observability.tracelog import TraceEvent, TraceLog
 
 __all__ = [
     "ArrivalRing",
@@ -23,8 +20,6 @@ __all__ = [
     "SRAMBank",
     "Simulator",
     "TEN_GIGABIT",
-    "TraceEvent",
-    "TraceLog",
     "TransferRecord",
     "TxPort",
 ]

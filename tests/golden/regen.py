@@ -43,6 +43,13 @@ Vector files
     summary, including the sha256 digest of the full service stream —
     replayed on both engines, so a refactor of the hash-bucketing
     or the fair-tag arithmetic cannot silently shift emissions.
+``campaign_spans.jsonl``
+    The canonical span tree (``canonical_span_bytes``) of a small traced
+    differential campaign: campaign, bucket pre-pass, per-bucket spans,
+    engine runs and the array engine's ``schedule`` /
+    ``priority_update`` / ``fast_forward`` phase spans with their call
+    counts — pins which spans the instrumented layers emit, in which
+    order, with which deterministic tags.
 """
 
 from __future__ import annotations
@@ -469,6 +476,24 @@ def build_aggregation_vectors() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# canonical span tree of a traced campaign
+# ---------------------------------------------------------------------------
+
+SPAN_SEEDS = range(8)
+SPAN_CYCLES = 120
+
+
+def build_campaign_spans() -> bytes:
+    """Canonical span bytes of one small traced differential campaign."""
+    from repro.core.differential import campaign
+    from repro.observability import SpanTracer
+
+    tracer = SpanTracer("golden")
+    campaign(SPAN_SEEDS, n_cycles=SPAN_CYCLES, tracer=tracer)
+    return tracer.canonical_bytes()
+
+
+# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -479,6 +504,7 @@ VECTORS = {
     "decision_trace.json": build_decision_trace,
     "pifo_vectors.json": build_pifo_vectors,
     "aggregation_vectors.json": build_aggregation_vectors,
+    "campaign_spans.jsonl": build_campaign_spans,
 }
 
 
@@ -486,7 +512,10 @@ def main() -> None:
     for filename, builder in VECTORS.items():
         path = GOLDEN_DIR / filename
         payload = builder()
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {path} ({path.stat().st_size:,} bytes)")
 
 

@@ -9,9 +9,9 @@ enqueue/decide sequence, over the per-cycle flag matrix: routing, block
 mode, sorting schedule, ``deadline_only``, ``wrap``, the three consume
 policies, miss counting and drop-late.  The two sides must agree on
 every :class:`~repro.core.scheduler.DecisionOutcome` (packets
-included), the counters, the control accounting and the
-``phase_report()`` call counts (the canonical span tags), and each row
-must equal its own :class:`~repro.core.scheduler.ShareStreamsScheduler`
+included), the counters, the control accounting and the recorded
+phase spans' canonical tags (their call counts), and each row must
+equal its own :class:`~repro.core.scheduler.ShareStreamsScheduler`
 replay.
 """
 
@@ -28,6 +28,7 @@ from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import CampaignEngine
+from repro.observability import SpanTracer
 
 #: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
 SIDES = {"numpy": 0, "python": 1 << 30}
@@ -89,7 +90,7 @@ def _run_side(side, arch, rows, script, policies):
     consume, count_misses = policies
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor_engine, "DRIVER_MAX_CELLS", SIDES[side])
-        engine = CampaignEngine(arch, rows, profile_phases=True)
+        engine = CampaignEngine(arch, rows, tracer=SpanTracer(side))
         outcomes = []
         for now, enqueues, drops in script:
             for s, row in enumerate(enqueues):
@@ -136,12 +137,18 @@ def _check_sides_and_oracle(arch, rows, script, policies):
         assert py.counters(s) == np_.counters(s)
     assert py.control.hw_cycle == np_.control.hw_cycle
     assert py.control.decision_cycles == np_.control.decision_cycles
-    calls = {
-        side: {name: calls for name, (calls, _) in e.phase_report().items()}
-        for side, e in engines.items()
-    }
+    calls = {}
+    for side, engine in engines.items():
+        engine.record_phases()
+        calls[side] = [
+            (r.name, r.tags) for r in engine.tracer.records() if r.kind == "phase"
+        ]
     assert calls["python"] == calls["numpy"]
-    assert calls["python"]["schedule"] == len(script)
+    assert calls["python"] == [
+        ("schedule", {"calls": len(script)}),
+        ("priority_update", {"calls": len(script)}),
+        ("fast_forward", {"calls": 0, "cycles": 0}),
+    ]
 
     consume, count_misses = policies
     for s, streams in enumerate(rows):

@@ -23,11 +23,14 @@ from tests.golden import regen
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def _load(name: str) -> dict:
+def _load(name: str):
+    """A committed vector: parsed JSON, or raw bytes for ``.jsonl`` files."""
     path = GOLDEN_DIR / name
     assert path.exists(), (
         f"missing golden vector {name}; run PYTHONPATH=src python tests/golden/regen.py"
     )
+    if name.endswith(".jsonl"):
+        return path.read_bytes()
     return json.loads(path.read_text())
 
 
@@ -191,3 +194,30 @@ class TestDWCSTrace:
     def test_tensor_engine_matches(self):
         data = _load("dwcs_trace.json")
         self._replay(TensorScheduler(*regen.dwcs_arch_streams()), data)
+
+
+class TestCampaignSpans:
+    """The traced campaign's canonical span tree keeps its engine phases."""
+
+    @pytest.fixture(scope="class")
+    def spans(self):
+        lines = _load("campaign_spans.jsonl").splitlines()
+        return [json.loads(line) for line in lines]
+
+    def test_campaign_replays_golden_span_bytes(self):
+        assert regen.build_campaign_spans() == _load("campaign_spans.jsonl")
+
+    def test_every_engine_run_carries_its_phase_spans(self, spans):
+        runs = [s for s in spans if s["kind"] == "engine-run"]
+        assert runs
+        for run in runs:
+            phases = {
+                s["name"]: s["tags"]
+                for s in spans
+                if s["kind"] == "phase" and s["parent_id"] == run["span_id"]
+            }
+            assert sorted(phases) == ["fast_forward", "priority_update", "schedule"]
+            decided = run["tags"]["n_cycles"] - run["tags"]["fast_forwarded"]
+            assert phases["schedule"]["calls"] == decided
+            assert phases["priority_update"]["calls"] == decided
+            assert phases["fast_forward"]["cycles"] == run["tags"]["fast_forwarded"]

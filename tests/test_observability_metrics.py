@@ -1,10 +1,10 @@
-"""Unit tests for the observability metrics, profiling and recorder.
+"""Unit tests for the observability metrics, recorder and facade.
 
 Covers the metric primitives (counter / gauge / histogram semantics),
 the registry (get-or-create, type conflicts, canonical snapshot), the
 Prometheus text exporter round-trip through the strict parser, the
-JSON exporter, the phase profiler, the trace recorder's ring-buffer
-bookkeeping and the :class:`Observability` facade.
+JSON exporter, the trace recorder's ring-buffer bookkeeping and the
+:class:`Observability` facade (driver phases as spans).
 """
 
 import json
@@ -15,8 +15,9 @@ from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, Routing
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.observability import (
+    ConformanceMonitor,
     Observability,
-    PhaseProfiler,
+    StreamSlo,
     TraceRecorder,
     MetricsRegistry,
     parse_prometheus_text,
@@ -261,31 +262,6 @@ class TestPrometheusRoundTrip:
             parse_prometheus_text("orphan_metric 3\n")
 
 
-class TestPhaseProfiler:
-    def test_phases_accumulate(self):
-        ticks = iter(range(100))
-        p = PhaseProfiler(clock=lambda: next(ticks))
-        with p.phase("a"):
-            pass
-        with p.phase("a"):
-            pass
-        stats = p.report()
-        assert stats["a"].calls == 2
-        assert stats["a"].wall_s == 2.0  # two 1-tick spans
-
-    def test_add_cycles_and_render(self):
-        p = PhaseProfiler()
-        p.add_cycles("hw", 640)
-        assert p.report()["hw"].hw_cycles == 640
-        assert "hw" in p.render()
-
-    def test_clear(self):
-        p = PhaseProfiler()
-        p.add_cycles("hw", 1)
-        p.clear()
-        assert not p.report()
-
-
 class TestTraceRecorder:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -307,24 +283,23 @@ class TestTraceRecorder:
 
     @pytest.mark.parametrize("capacity", [1, 3, 5, 8])
     def test_eviction_counts_multi_event_cycles(self, capacity):
-        """Cycles append all their events at once; eviction totals
-        match appending them one by one into a bounded deque."""
-        from collections import deque
-
+        """Capacity counts whole cycles; ``recorded`` and ``evicted``
+        count their events, and the retained tail starts at a cycle."""
         from tests.test_observability_rollup import FakeOutcome
 
         recorder = TraceRecorder(capacity=capacity)
-        ring, evicted = deque(maxlen=capacity), 0
+        cycles = []
         for t, misses in enumerate([(0,), (), (0, 1, 2), (1,), ()]):
             outcome = FakeOutcome(t, winner=0, serviced=(0,), misses=misses)
             recorder.on_decision(outcome)
-            for _ in range(1 + len(misses)):
-                evicted += len(ring) == capacity
-                ring.append(t)
+            cycles.append([t] * (1 + len(misses)))
+        kept = [t for cycle in cycles[-capacity:] for t in cycle]
         assert recorder.recorded == 10
-        assert recorder.evicted == evicted
-        assert [e.now for e in recorder] == list(ring)
-        assert [e.seq for e in recorder] == list(range(10 - len(ring), 10))
+        assert recorder.evicted == 10 - len(kept)
+        assert len(recorder) == len(kept)
+        assert recorder.cycles == min(capacity, 5)
+        assert [e.now for e in recorder] == kept
+        assert [e.seq for e in recorder] == list(range(10 - len(kept), 10))
 
     def test_clear_resets_everything(self):
         recorder = TraceRecorder(capacity=2)
@@ -353,7 +328,7 @@ class TestObservabilityFacade:
     def test_sinks_toggle_independently(self):
         obs = Observability(trace=False, metrics=True, profile=False)
         assert obs.recorder is None
-        assert obs.profiler is None
+        assert obs.tracer is None
         s = _edf_scheduler(obs)
         s.enqueue(0, deadline=1, arrival=0)
         s.decision_cycle(0)
@@ -375,6 +350,23 @@ class TestObservabilityFacade:
         assert "sharestreams_decisions_total" in out
         assert "unit.test" in out
 
+    def test_phases_become_one_span_each(self):
+        obs = Observability()
+        for _ in range(3):
+            with obs.phase("refill"):
+                pass
+        with obs.phase("decide"):
+            pass
+        assert obs.phase("refill") is obs.phase("refill")
+        obs.finalize()
+        obs.finalize()  # nothing new to flush
+        spans = [(r.name, r.kind, r.tags) for r in obs.tracer.records()]
+        assert spans == [
+            ("refill", "phase", {"calls": 3}),
+            ("decide", "phase", {"calls": 1}),
+        ]
+        assert "refill" in obs.render()
+
     def test_clear_resets_all_sinks(self):
         obs = Observability()
         s = _edf_scheduler(obs)
@@ -383,6 +375,35 @@ class TestObservabilityFacade:
             s.decision_cycle(0)
         obs.clear()
         assert obs.recorder.recorded == 0
-        assert not obs.profiler.report()
+        assert not obs.tracer.records()
         snapshot = obs.metrics.snapshot()
         assert all(not family["samples"] for family in snapshot.values())
+
+    def test_clear_keeps_slo_metrics_exported(self):
+        """A monitor attached before a clear keeps exporting its SLO
+        violation counter and burn-rate gauge after it."""
+        obs = Observability(trace=False, profile=False)
+        obs.monitor = ConformanceMonitor(
+            [StreamSlo(sid=0, miss_budget=0)],
+            window_cycles=8,
+            registry=obs.metrics,
+        )
+
+        def overloaded_run():
+            s = _edf_scheduler(obs)
+            for t in range(64):
+                for sid in (0, 1):
+                    s.enqueue(sid, deadline=t, arrival=t)
+                s.decision_cycle(t)
+            obs.finalize()
+
+        overloaded_run()
+        obs.clear()
+        overloaded_run()
+        assert obs.monitor.violations
+        text = obs.metrics.to_prometheus_text()
+        assert (
+            'sharestreams_slo_violations_total{objective="miss_budget",stream="0"}'
+            in text
+        )
+        assert "sharestreams_slo_burn_rate{" in text

@@ -133,7 +133,7 @@ class TestTelemetryIsPassive:
         assert bystander.recorder.recorded == 0
         snapshot = bystander.metrics.snapshot()
         assert all(not family["samples"] for family in snapshot.values())
-        assert not bystander.profiler.report()
+        assert not bystander.tracer.records()
 
 
 # ----------------------------------------------------------------------

@@ -386,7 +386,7 @@ class TestTelemetryShards:
         )
         spec = {"monitor": monitor_spec(parent)}
         worker = build_worker_observability(spec)
-        assert worker.recorder is None and worker.profiler is None
+        assert worker.recorder is None and worker.tracer is None
         assert worker.monitor.rollup.window_cycles == 16
         assert sorted(worker.monitor.slo.slos) == [0, 1, 2, 3]
         _drive_monitor(worker.monitor, cycles=16)

@@ -1,11 +1,12 @@
 """Unit tests for the hierarchical span tracer (repro.observability.spans)."""
 
 import json
+import time
 
 import pytest
 
-from repro.aggregation import AggregationTier
 from repro.observability.spans import (
+    PhaseTimer,
     SpanTracer,
     activate_tracer,
     canonical_span_bytes,
@@ -231,45 +232,35 @@ class TestExportsAndReports:
         assert canonical_span_bytes([]) == b""
 
 
-class TestAggregationTierSpans:
-    def test_flush_spans_rolls_up_churn_ops(self):
-        tracer = make_tracer()
-        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
-        for sid in range(6):
-            tier.join(sid)
-        tier.leave(5, weight=1)
-        for i in range(3):
-            tier.submit(i, deadline=1 << 20)
-        tier.drain()
-        tier.flush_spans()
-        by_name = {r.name: r for r in tracer.records()}
-        assert by_name["churn.join"].tags["ops"] == 6
-        assert by_name["churn.leave"].tags["ops"] == 1
-        assert by_name["submit"].tags["ops"] == 3
-        assert by_name["dispatch"].tags["ops"] >= 3
-        assert by_name["dispatch"].kind == "dispatch"
-        assert by_name["churn.join"].measures["wall_us"] >= 0
+class TestPhaseTimer:
+    def test_phases_accumulate(self):
+        timer = PhaseTimer("a")
+        with timer:
+            time.sleep(0.002)
+        with timer as entered:
+            assert entered is timer
+        assert timer.calls == 2
+        assert timer.wall_s >= 0.002
 
-    def test_flush_resets_accumulators(self):
+    def test_flush_records_one_span_and_resets(self):
         tracer = make_tracer()
-        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
-        tier.join(0)
-        tier.flush_spans()
-        n = len(tracer.records())
-        tier.flush_spans()
-        assert len(tracer.records()) == n  # nothing new accumulated
+        timer = PhaseTimer("refill")
+        for _ in range(3):
+            with timer:
+                pass
+        record = timer.flush(tracer, extra=7)
+        assert tracer.records() == [record]
+        assert (record.name, record.kind) == ("refill", "phase")
+        assert record.tags == {"calls": 3, "extra": 7}
+        assert record.measures["wall_us"] >= 0
+        assert (timer.calls, timer.wall_s) == (0, 0.0)
 
-    def test_untraced_tier_keeps_fast_path(self):
-        tier = AggregationTier(4, engine="tensor", strict=False)
-        assert tier.tracer is None
-        tier.join(0)
-        tier.flush_spans()  # no-op, must not raise
-
-    def test_flush_requires_no_pending_ops(self):
-        tracer = make_tracer()
-        tier = AggregationTier(4, engine="tensor", strict=False, tracer=tracer)
-        tier.flush_spans()
-        assert tracer.records() == []
+    def test_counts_a_call_that_raises(self):
+        timer = PhaseTimer("boom")
+        with pytest.raises(RuntimeError):
+            with timer:
+                raise RuntimeError("propagates")
+        assert timer.calls == 1
 
 
 class TestEnginePhaseSpans:
@@ -285,7 +276,7 @@ class TestEnginePhaseSpans:
         assert sched.tags["calls"] > 0
         assert "wall_us" in sched.measures
 
-    def test_phase_report_disabled_by_default(self):
+    def test_engine_records_phases_only_with_a_tracer(self):
         from repro.core.attributes import SchedulingMode, StreamConfig
         from repro.core.config import ArchConfig, Routing
         from repro.core.tensor_engine import CampaignEngine
@@ -295,9 +286,19 @@ class TestEnginePhaseSpans:
             StreamConfig(sid=i, period=1, mode=SchedulingMode.EDF)
             for i in range(4)
         ]
-        engine = CampaignEngine(arch, [streams])
-        engine.run_periodic(5, step=1)
-        assert engine.phase_report() == {}
+        untraced = CampaignEngine(arch, [streams])
+        untraced.run_periodic(5, step=1)
+        untraced.record_phases()  # no tracer: a no-op
+        tracer = make_tracer()
+        traced = CampaignEngine(arch, [streams], tracer=tracer)
+        traced.advance_idle(3)
+        traced.decision_cycle_all(3)
+        traced.record_phases()
+        assert [(r.name, r.tags) for r in tracer.records()] == [
+            ("schedule", {"calls": 1}),
+            ("priority_update", {"calls": 1}),
+            ("fast_forward", {"calls": 1, "cycles": 3}),
+        ]
 
 
 @pytest.mark.parametrize("bad", ["seed[x]", ""])

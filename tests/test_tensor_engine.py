@@ -442,3 +442,19 @@ def test_negative_times_rejected_at_enqueue(target, deadline, arrival):
     assert [(sid, p.deadline, p.arrival) for sid, p in outcome.serviced] == [
         (1, deadline, arrival)
     ]
+
+
+@pytest.mark.parametrize("target", ["reference", "tensor"])
+def test_engines_take_no_legacy_trace_keyword(target):
+    """Decisions reach telemetry only through ``observer=``: the engines
+    and the factory refuse the removed ``trace=`` log, and the
+    aggregation tier refuses a span ``tracer=``."""
+    from repro.aggregation import AggregationTier
+
+    arch, streams = _random_arch_streams(3, 4)
+    with pytest.raises(TypeError):
+        make_scheduler(arch, streams, engine=target, trace=object())
+    sched = make_scheduler(arch, streams, engine=target)
+    assert not hasattr(sched, "trace")
+    with pytest.raises(TypeError):
+        AggregationTier(4, engine=target, tracer=object())
