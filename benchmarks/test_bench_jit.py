@@ -1,16 +1,19 @@
-"""Crossover sweeps that place the tensor engine's two shape constants.
+"""Crossover sweeps that place the tensor engine's shape constants.
 
-``DRIVER_MAX_CELLS`` is one shape rule for both array-engine entry
-points, checked by two sweeps over S×N from 4 to 64, each forcing a
-side by pinning the constant:
+Both array-engine entry points pick a plain-Python side or a NumPy side
+by shape.  Two sweeps over S×N from 4 to 64 time both sides of each,
+forcing a side by pinning its bounds, and check the side the engine
+picks (:attr:`~repro.core.tensor_engine.CampaignEngine.periodic_side`,
+:attr:`~repro.core.tensor_engine.CampaignEngine.cycle_side`):
 
-* :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
-  scalar whole-run driver (:func:`repro.core.jit.run_cycles`) when the
-  campaign holds at most ``DRIVER_MAX_CELLS`` scenario-slots and the
-  NumPy loop above that.  The driver sweep times both sides on the same
-  periodic feed.
+* :meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs
+  the plain-Python whole-run driver when the campaign holds at most
+  ``PERIODIC_MAX_ROWS`` rows and ``PERIODIC_MAX_CELLS`` scenario-slots,
+  and the NumPy loop otherwise.  The periodic sweep times both sides on
+  the same periodic feed.
 * :meth:`~repro.core.tensor_engine.CampaignEngine.decision_cycle_all`
-  ranks each row in plain Python at or below the constant and with
+  ranks each row in plain Python at or below ``DRIVER_MAX_CELLS``
+  scenario-slots and with
   :func:`~repro.core.tensor_engine.table2_rank_order` over ``(S, N)``
   arrays above it.  The per-cycle sweep times an enqueue + decide loop
   on both sides.
@@ -30,19 +33,18 @@ on the same captured calls, forcing each side by pinning the constant.
 
 Gates:
 
-* at every swept shape, the driver and head dispatches pick the faster
-  side.  Shapes where the two sides are within ``TIE_BAND`` of each
-  other count as ties, so either pick passes there: which one wins
+* at every swept shape, the periodic and head dispatches pick the
+  faster side.  Shapes where the two sides are within ``TIE_BAND`` of
+  each other count as ties, so either pick passes there: which one wins
   flips with host noise near a crossover;
 * at S=1 N=4, Table 3's shape, the driver beats the NumPy loop by more
   than ``TIE_BAND`` on both feeds: the condition under which the driver
   still pays at Table 3's shape;
-* no per-cycle shape at or below ``DRIVER_MAX_CELLS`` goes to a side
-  more than ``TIE_BAND`` slower, and at S=1 N=4 on the endsystem feed
-  the Python rank is faster than the NumPy rank.  Shapes above the
-  constant where the Python rank would win are reported, not gated:
-  the constant is shared with ``run_periodic``, whose driver loses
-  there.
+* no per-cycle shape the engine ranks in Python goes to a side more
+  than ``TIE_BAND`` slower, and at S=1 N=4 on the endsystem feed the
+  Python rank is faster than the NumPy rank.  Shapes above
+  ``DRIVER_MAX_CELLS`` where the Python rank would win are reported,
+  not gated.
 
 Two feeds generalize the Table 3 configurations to N slots: ``winner``
 is max-finding (WR routing, one winner consumed per cycle) and ``block``
@@ -56,15 +58,10 @@ where each decision refills the winner's queue.  Each side runs
 sweep gates on the median of the per-round ratios instead, because its
 runs take tens of milliseconds and a shared host changes speed between
 rounds; in the head sweep the best rate counts, because a head-only
-call takes microseconds and a host stall can only lower its rate.  The
-driver is compiled when numba is importable; its constant is placed
-from the interpreted driver, so on such hosts the sweep records the
-driver rates and skips the two driver gates.  The head and per-cycle
-sweeps never run the driver and are always gated.
+call takes microseconds and a host stall can only lower its rate.
 
 Results land in ``BENCH_JIT.json`` via the shared ``write_bench``
-envelope; each driver record's ``mode`` metadata says whether the
-driver was compiled or interpreted.
+envelope.
 """
 
 from __future__ import annotations
@@ -82,7 +79,6 @@ from repro.aggregation import AggregationTier
 from repro.core import tensor_engine
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
-from repro.core.jit import NUMBA_AVAILABLE
 from test_bench_campaign_engine import _arch_streams as campaign_arch_streams
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_JIT.json"
@@ -120,8 +116,9 @@ CYCLE_FEEDS = ("winner", "block", "endsystem")
 ENDSYSTEM_PERIODS = (4, 4, 2, 1)
 ENDSYSTEM_SHAPE = (1, 4)
 
-_MODE = "compiled" if NUMBA_AVAILABLE else "interpreted"
-_SIDES = {"driver": 1 << 30, "numpy": 0}
+#: ``PERIODIC_MAX_ROWS`` and ``PERIODIC_MAX_CELLS`` values that force
+#: each ``run_periodic`` side at any swept shape.
+_SIDES = {"python": 1 << 30, "numpy": 0}
 _CYCLE_SIDES = {"python": 1 << 30, "numpy": 0}
 _HEAD_SIDES = {"scan": 0, "lexsort": 1 << 30}
 
@@ -135,7 +132,7 @@ def bench_records():
         OUTPUT,
         "jit",
         records,
-        workload="periodic Table 3 feeds generalized to N slots, scalar "
+        workload="periodic Table 3 feeds generalized to N slots, plain-Python "
         "whole-run driver vs NumPy loop, per (S, N) shape; the same feeds "
         "and the endsystem 1:1:2:4 feed enqueued and decided per cycle, "
         "Python rank vs NumPy rank, per (S, N) shape; head-only Table 2 "
@@ -176,29 +173,47 @@ def _feed(kind: str, n: int):
     return arch, streams, kwargs
 
 
+def _unpinned(s_count: int, n: int) -> tensor_engine.CampaignEngine:
+    """An S-row, N-slot campaign under the engine's own bounds, to ask
+    which side each entry point picks."""
+    arch = ArchConfig(n_slots=n, wrap=False, extended=n > 32)
+    return tensor_engine.CampaignEngine(arch, n_scenarios=s_count)
+
+
+def _pin_periodic(monkeypatch, side: str) -> None:
+    """Force one ``run_periodic`` side at any swept shape."""
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_ROWS", _SIDES[side])
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_CELLS", _SIDES[side])
+
+
 def _rate(monkeypatch, side: str, kind: str, s_count: int, n: int):
     """Scenario-cycles/s of one run on one side, and its win counts."""
-    monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", _SIDES[side])
     arch, streams, kwargs = _feed(kind, n)
     cycles = max(SCENARIO_CYCLES // s_count, 1)
-    engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
-    start = time.perf_counter()
-    results = engine.run_periodic(cycles, **kwargs)
-    rate = s_count * cycles / (time.perf_counter() - start)
+    with monkeypatch.context() as mp:
+        _pin_periodic(mp, side)
+        engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
+        start = time.perf_counter()
+        results = engine.run_periodic(cycles, **kwargs)
+        rate = s_count * cycles / (time.perf_counter() - start)
     return rate, np.stack([r.wins for r in results])
 
 
 def test_driver_crossover_sweep(monkeypatch, report, bench_records):
-    limit = tensor_engine.DRIVER_MAX_CELLS
-    # Warm-up: numba compiles (or loads from its cache) on first call.
+    bounds = dict(
+        periodic_max_rows=tensor_engine.PERIODIC_MAX_ROWS,
+        periodic_max_cells=tensor_engine.PERIODIC_MAX_CELLS,
+    )
+    # Warm-up: first calls pay imports and allocator growth.
     for kind in ("winner", "block"):
-        _rate(monkeypatch, "driver", kind, 1, 4)
+        _rate(monkeypatch, "python", kind, 1, 4)
 
     rows = []
     misplaced = []
     speedups: dict[tuple[str, int, int], float] = {}
     for kind in ("winner", "block"):
         for s, n in SHAPES:
+            picked = _unpinned(s, n).periodic_side
             rates: dict[str, list[float]] = {side: [] for side in _SIDES}
             wins = {}
             for _ in range(ROUNDS):
@@ -206,61 +221,54 @@ def test_driver_crossover_sweep(monkeypatch, report, bench_records):
                     rate, wins[side] = _rate(monkeypatch, side, kind, s, n)
                     rates[side].append(rate)
             np.testing.assert_array_equal(
-                wins["driver"], wins["numpy"],
+                wins["python"], wins["numpy"],
                 err_msg=f"sides diverged: {kind} S={s} N={n}",
             )
-            driver = statistics.median(rates["driver"])
+            python = statistics.median(rates["python"])
             numpy_ = statistics.median(rates["numpy"])
-            speedup = driver / numpy_
+            speedup = python / numpy_
             speedups[(kind, s, n)] = speedup
-            picked = "driver" if s * n <= limit else "numpy"
-            faster = "driver" if speedup > 1.0 else "numpy"
+            faster = "python" if speedup > 1.0 else "numpy"
             tied = abs(speedup - 1.0) < TIE_BAND
             if picked != faster and not tied:
                 misplaced.append(f"{kind} S={s} N={n} ({speedup:.2f}x)")
             meta = dict(
-                mode=_MODE, numba=NUMBA_AVAILABLE, feed=kind,
-                scenarios=s, slots=n, driver_max_cells=limit,
+                feed=kind, scenarios=s, slots=n, **bounds,
                 direction="higher",
             )
             bench_records.extend([
                 bench_record(
-                    f"periodic_driver.{_MODE}.{kind}.s{s}n{n}",
-                    driver, "scenario-cycles/s", **meta,
+                    f"periodic_python.{kind}.s{s}n{n}",
+                    python, "scenario-cycles/s", **meta,
                 ),
                 bench_record(
                     f"periodic_numpy.{kind}.s{s}n{n}",
                     numpy_, "scenario-cycles/s", **meta,
                 ),
                 bench_record(
-                    f"driver_vs_numpy.{_MODE}.{kind}.s{s}n{n}",
+                    f"periodic_python_vs_numpy.{kind}.s{s}n{n}",
                     speedup, "ratio", **meta,
                 ),
             ])
             rows.append(
                 f"{kind:<6} S={s:>2} N={n:>2} S*N={s * n:>3}  "
-                f"driver {driver:>9,.0f}  numpy {numpy_:>9,.0f}  "
+                f"python {python:>9,.0f}  numpy {numpy_:>9,.0f}  "
                 f"{speedup:>5.2f}x  dispatch={picked}"
                 + ("  (tie)" if tied else "")
             )
     rows.append(
-        f"DRIVER_MAX_CELLS={limit}; driver {_MODE} "
-        f"(numba {'installed' if NUMBA_AVAILABLE else 'absent'}); "
+        f"PERIODIC_MAX_ROWS={bounds['periodic_max_rows']}, "
+        f"PERIODIC_MAX_CELLS={bounds['periodic_max_cells']}; "
         f"median of {ROUNDS} interleaved runs per side"
     )
     report(
-        f"run_periodic crossover ({_MODE} driver): scenario-cycles/s",
+        "run_periodic crossover (plain-Python driver): scenario-cycles/s",
         "\n".join(rows),
     )
 
-    if NUMBA_AVAILABLE:
-        pytest.skip(
-            "DRIVER_MAX_CELLS is placed from the interpreted driver; "
-            "rates recorded, driver gates skipped on a numba host"
-        )
     assert not misplaced, (
-        f"DRIVER_MAX_CELLS={limit} sends these shapes to the slower side: "
-        + ", ".join(misplaced)
+        "PERIODIC_MAX_ROWS/PERIODIC_MAX_CELLS send these shapes to the "
+        "slower side: " + ", ".join(misplaced)
     )
     s, n = TABLE3_SHAPE
     unpaid = {
@@ -342,13 +350,15 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
     speedups: dict[tuple[str, int, int], float] = {}
     for kind in CYCLE_FEEDS:
         for s, n in SHAPES:
+            picked = _unpinned(s, n).cycle_side
             rates: dict[str, list[float]] = {side: [] for side in _CYCLE_SIDES}
             counters = {}
             for _ in range(ROUNDS):
                 for side in _CYCLE_SIDES:
-                    rate, counters[side] = _cycle_rate(
-                        monkeypatch, side, kind, s, n
-                    )
+                    with monkeypatch.context() as mp:
+                        rate, counters[side] = _cycle_rate(
+                            mp, side, kind, s, n
+                        )
                     rates[side].append(rate)
             assert counters["python"] == counters["numpy"], (
                 f"sides diverged: {kind} S={s} N={n}"
@@ -361,7 +371,6 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
                 p / q for p, q in zip(rates["python"], rates["numpy"])
             )
             speedups[(kind, s, n)] = speedup
-            picked = "python" if s * n <= limit else "numpy"
             tied = abs(speedup - 1.0) < TIE_BAND
             if picked == "python" and speedup < 1.0 and not tied:
                 misplaced.append(f"{kind} S={s} N={n} ({speedup:.2f}x)")
@@ -396,8 +405,8 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
         f"{ROUNDS} interleaved runs per side, median per-round ratio"
     )
     rows.append(
-        "Python rank faster above the constant (not gated; run_periodic "
-        "shares the constant): " + (", ".join(python_wins_above) or "none")
+        "Python rank faster above DRIVER_MAX_CELLS (not gated): "
+        + (", ".join(python_wins_above) or "none")
     )
     report("decision_cycle_all crossover: scenario-cycles/s", "\n".join(rows))
 
@@ -438,7 +447,7 @@ def _periodic_heads(monkeypatch, s_count: int, n: int) -> list[dict]:
     arch, streams = campaign_arch_streams(n)
     engine = tensor_engine.CampaignEngine(arch, [streams] * s_count)
     # The NumPy loop ranks heads; the driver would take small shapes.
-    monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", 0)
+    _pin_periodic(monkeypatch, "numpy")
     return _capture_heads(
         monkeypatch,
         lambda: engine.run_periodic(HEAD_CYCLES, step=1),

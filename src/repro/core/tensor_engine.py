@@ -72,15 +72,20 @@ objects ``enqueue`` built, as in the object model's Register Base
 blocks; the ``(S, N)`` arrays mirror only what the vectorized paths
 read (head presence and deadline, latched attributes, window counters).
 
-One shape rule, :data:`DRIVER_MAX_CELLS` scenario-slots, picks the
-kernel of both entry points.  At or below it
-:meth:`CampaignEngine.run_periodic` runs the scalar whole-run driver
-:func:`repro.core.jit.run_cycles` (compiled by numba when numba is
-importable) and :meth:`CampaignEngine.decision_cycle_all` ranks each
-row in plain Python (Table 2 key tuples, the paper schedule replayed on
-a list) and registers misses per slot; above it both run their NumPy
-paths.  Both sides are byte-identical; both constants sit at crossovers
-measured by ``benchmarks/test_bench_jit.py``.
+Both entry points pick a plain-Python side or a NumPy side by shape.
+:meth:`CampaignEngine.decision_cycle_all` ranks each row in plain Python
+and registers misses per slot on campaigns of at most
+:data:`DRIVER_MAX_CELLS` scenario-slots.  :meth:`CampaignEngine.run_periodic`
+runs the whole run in a plain-Python driver over list copies of the
+``(S, N)`` state on campaigns of at most :data:`PERIODIC_MAX_ROWS` rows
+and :data:`PERIODIC_MAX_CELLS` scenario-slots.  Both sides share one
+Table 2 key-tuple ranking with the paper schedule replayed on the ranks
+(:func:`_emit_block`) and one scalar DWCS window update
+(:func:`_win_update`, :func:`_loss_update`).  Above the bounds both
+entry points run their NumPy paths.  Both sides are byte-identical; the
+bounds sit at crossovers measured by ``benchmarks/test_bench_jit.py``,
+and :attr:`CampaignEngine.cycle_side` and
+:attr:`CampaignEngine.periodic_side` say which side a campaign takes.
 """
 
 from __future__ import annotations
@@ -88,10 +93,10 @@ from __future__ import annotations
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from repro.core import jit
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.control import ControlUnit
@@ -112,6 +117,8 @@ from repro.observability.spans import PhaseTimer
 __all__ = [
     "DRIVER_MAX_CELLS",
     "HEAD_SCAN_MIN_SLOTS",
+    "PERIODIC_MAX_CELLS",
+    "PERIODIC_MAX_ROWS",
     "CampaignEngine",
     "PeriodicRunResult",
     "TensorScheduler",
@@ -146,17 +153,30 @@ _FAR_FUTURE = 2**62
 #: Key value of masked-out slots in the head scan.
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Largest S×N (scenarios × slots) served by the scalar side of both
-#: entry points: :meth:`CampaignEngine.run_periodic` runs the whole-run
-#: driver instead of the NumPy loop, and
+#: Largest S×N (scenarios × slots) on which
 #: :meth:`CampaignEngine.decision_cycle_all` ranks in plain Python
-#: instead of :func:`table2_rank_order`.  Placed at the measured
-#: crossover of the plain-Python driver, which runs at 1.96–2.59× the
-#: NumPy loop at S×N=4, 0.97–1.31× at 8 and 0.44–0.70× at 16.  The
-#: Python rank's crossover lies a little higher: it runs at 1.2–2.0× the
-#: NumPy rank at S×N=4, 1.05–1.9× at 8 and 0.74–1.40× at 16
+#: instead of :func:`table2_rank_order`.  The endsystem feed places it:
+#: in the enqueue + decide loop the Python rank runs at 1.14–1.39× the
+#: NumPy rank there at S×N=4 and 1.05–1.25× at 8, and ties (0.91–1.08×)
+#: at 16; the periodic feeds' crossovers lie higher
 #: (``benchmarks/test_bench_jit.py``).
 DRIVER_MAX_CELLS = 8
+
+#: Most scenario rows on which :meth:`CampaignEngine.run_periodic` runs
+#: its plain-Python driver instead of the NumPy loop (together with
+#: :data:`PERIODIC_MAX_CELLS`).  No single S×N bound places every swept
+#: shape on its faster side, because the NumPy loop's per-cycle cost is
+#: shared by the rows while the driver ranks each row separately: at 64
+#: scenario-slots the driver runs at 1.09–1.32× the NumPy loop on one
+#: row of 64 slots (winner feed; 1.03–1.12× block) but at 0.61–0.69× on
+#: 16 rows of 4.  On rows of 4 it still runs at 1.14–1.29× with 8 rows
+#: (``benchmarks/test_bench_jit.py``, four sweeps).
+PERIODIC_MAX_ROWS = 8
+
+#: Most S×N scenario-slots on which :meth:`CampaignEngine.run_periodic`
+#: runs its plain-Python driver (see :data:`PERIODIC_MAX_ROWS`).  One
+#: row of 64 slots, the longest swept, still runs faster there.
+PERIODIC_MAX_CELLS = 64
 
 #: Shortest row (slot count N) on which :func:`table2_rank_order` finds
 #: each row's head with the O(N) masked-minimum scan instead of column 0
@@ -277,6 +297,95 @@ def table2_rank_order(
     return order[..., 0] if head_only else order
 
 
+@lru_cache(maxsize=1024)
+def _paper_emit(state: tuple) -> tuple:
+    """The paper schedule's ``log2 N`` min/max passes over ``state``.
+
+    ``state[p]`` is the rank at network position ``p``; each pass's
+    perfect shuffle pairs position ``p`` with ``p + N/2`` and writes the
+    pair's lower rank to the even lane and the higher to the odd lane,
+    as :meth:`CampaignEngine._emit_positions` does on arrays.  Returns
+    the ranks in emitted order.  The result depends on the rank pattern
+    alone, and periodic workloads revisit a few patterns, so the replay
+    is memoized.
+    """
+    n = len(state)
+    half = n // 2
+    for _ in range(n.bit_length() - 1):
+        nxt = []
+        append = nxt.append
+        # zip stops at the shorter list: position p meets p + N/2.
+        for a, b in zip(state, state[half:]):
+            if a < b:
+                append(a)
+                append(b)
+            else:
+                append(b)
+                append(a)
+        state = nxt
+    return tuple(state)
+
+
+def _emit_block(keys, head_only: bool, paper: bool, n: int) -> list:
+    """One row's emitted block, ranked in plain Python.
+
+    ``keys`` holds one Table 2 key tuple per latched head, ending in the
+    slot id (the lexsort's stable tie-break), so ``min`` is the head and
+    ``sorted`` the rank order, which the bitonic schedule emits as is.
+    ``head_only`` returns just the head.  The paper schedule replays its
+    passes on the ranks (:func:`_paper_emit`).  Empty slots all take the
+    rank after the last head: a compare-exchange network commutes with
+    that clamp, so the heads land where the full ranking puts them.
+    """
+    if head_only:
+        return [min(keys)[-1]]
+    ranked = sorted(keys)
+    if not paper:
+        return [key[-1] for key in ranked]
+    m = len(ranked)
+    state = [m] * n
+    for rank, key in enumerate(ranked):
+        state[key[-1]] = rank
+    return [ranked[rank][-1] for rank in _paper_emit(tuple(state)) if rank < m]
+
+
+def _win_update(k, x, y, cfg_x, cfg_y, resets) -> None:
+    """DWCS win update of one slot's window ``(x', y')``, in place.
+
+    ``k`` indexes every container: ``(s, i)`` on the engine's ``(S, N)``
+    arrays, a slot id on the periodic driver's row lists.
+    """
+    yk = y[k]
+    if yk > 0:
+        yk -= 1
+        y[k] = yk
+    if yk == 0 or yk <= x[k]:
+        x[k] = cfg_x[k]
+        y[k] = cfg_y[k]
+        resets[k] += 1
+
+
+def _loss_update(k, x, y, cfg_x, cfg_y, resets, violations) -> None:
+    """DWCS loss update of one slot's window, in place (see
+    :func:`_win_update` for ``k``): spend one unit of loss tolerance, or
+    count a violation and widen the window when none is left."""
+    xk, yk = x[k], y[k]
+    if xk > 0:
+        xk -= 1
+        if yk > 0:
+            yk -= 1
+        if yk == 0 or xk == yk:
+            x[k] = cfg_x[k]
+            y[k] = cfg_y[k]
+            resets[k] += 1
+        else:
+            x[k] = xk
+            y[k] = yk
+    else:
+        violations[k] += 1
+        y[k] = min(yk + 1, _Y_MAX)
+
+
 def _per_scenario(value, n_scenarios: int, name: str) -> list:
     """Broadcast a scalar or validate a per-scenario sequence."""
     if isinstance(value, (list, tuple)):
@@ -345,6 +454,8 @@ class CampaignEngine:
     observers:
         Optional per-scenario telemetry hooks (same ``on_decision``
         protocol as the other engines); ``None`` entries are skipped.
+        :meth:`run_periodic` hands each its row's result through
+        ``on_run_summary`` where the observer defines it.
     trace_timeline:
         Record the (shared, lockstep) control FSM timeline.
     tracer:
@@ -572,33 +683,17 @@ class CampaignEngine:
             return ((packet.deadline - now) & _DL_MASK) >= _DL_HALF
         return packet.deadline < now
 
-    def _reset_window(self, s: int, i: int) -> None:
-        self._x[s, i] = self._cfg_x[s, i]
-        self._y[s, i] = self._cfg_y[s, i]
-        self._window_resets[s, i] += 1
-
     def _apply_win_update(self, s: int, i: int) -> None:
-        y = self._y.item(s, i)
-        if y > 0:
-            y -= 1
-            self._y[s, i] = y
-        if y == 0 or y <= self._x.item(s, i):
-            self._reset_window(s, i)
+        _win_update(
+            (s, i), self._x, self._y, self._cfg_x, self._cfg_y,
+            self._window_resets,
+        )
 
     def _apply_loss_update(self, s: int, i: int) -> None:
-        x, y = self._x.item(s, i), self._y.item(s, i)
-        if x > 0:
-            x -= 1
-            if y > 0:
-                y -= 1
-            if y == 0 or x == y:
-                self._reset_window(s, i)
-            else:
-                self._x[s, i] = x
-                self._y[s, i] = y
-        else:
-            self._violations[s, i] += 1
-            self._y[s, i] = min(y + 1, _Y_MAX)
+        _loss_update(
+            (s, i), self._x, self._y, self._cfg_x, self._cfg_y,
+            self._window_resets, self._violations,
+        )
 
     def _record_miss(self, s: int, i: int, now: int) -> bool:
         if not self._head_is_late(s, i, now):
@@ -715,22 +810,16 @@ class CampaignEngine:
     def _blocks_small(self, now: int) -> list[list[int]]:
         """Each row's emitted block, ranked in plain Python.
 
-        The small-shape side of SCHEDULE (``S × N <=
-        DRIVER_MAX_CELLS``): every latched head gets its Table 2 key
-        tuple, ending in the slot id (the lexsort's stable tie-break),
-        so ``min`` is the WR winner and ``sorted`` the rank order, which
-        the bitonic schedule emits as is.  The paper schedule replays
-        its ``log2 N`` min/max passes on the ranks, as
-        :meth:`_emit_positions` does.  Empty slots all take the rank
-        after the last head: a compare-exchange network commutes with
-        that clamp, so the heads land where the full ranking puts them.
+        The small side of SCHEDULE (:attr:`cycle_side`): every latched
+        head gets its Table 2 key tuple and :func:`_emit_block` ranks
+        the row.
         """
         wrap = self._wrap
         deadline_only = self._deadline_only
         winner_only = self.config.winner_only
         paper = self.config.schedule != "bitonic"
         wc_key = _WC_KEY.item
-        half = self._n // 2
+        n = self._n
         blocks = []
         for heads, dls, arrs, xs, ys in zip(
             self._heads,
@@ -755,25 +844,9 @@ class CampaignEngine:
                     keys.append((dl, arr, i))
                 else:
                     keys.append((dl, wc_key(xs[i], ys[i]), arr, i))
-            if not keys:
-                blocks.append([])
-                continue
-            if winner_only:
-                blocks.append([min(keys)[-1]])
-                continue
-            order = [key[-1] for key in sorted(keys)]
-            if paper:
-                m = len(order)
-                state = [m] * self._n
-                for rank, sid in enumerate(order):
-                    state[sid] = rank
-                for _ in range(self._log2n):
-                    nxt = []
-                    for a, b in zip(state[:half], state[half:]):
-                        nxt += (a, b) if a < b else (b, a)
-                    state = nxt
-                order = [order[rank] for rank in state if rank < m]
-            blocks.append(order)
+            blocks.append(
+                _emit_block(keys, winner_only, paper, n) if keys else []
+            )
         return blocks
 
     # ------------------------------------------------------------------
@@ -782,9 +855,9 @@ class CampaignEngine:
 
     def _register_misses(self, late: np.ndarray) -> None:
         """Vectorized miss path over all late heads in all scenarios."""
-        self._missed = np.where(late, self._missed + 1, self._missed)
+        self._missed += late
         dwcs = late & self._dwcs_like
-        if not dwcs.any():
+        if not np.count_nonzero(dwcs):
             return
         x, y = self._x, self._y
         has_loss = dwcs & (x > 0)
@@ -836,6 +909,35 @@ class CampaignEngine:
         )
 
     # ------------------------------------------------------------------
+    # shape rules: which side of each entry point this campaign takes
+    # ------------------------------------------------------------------
+
+    @property
+    def cycle_side(self) -> str:
+        """``"python"`` when :meth:`decision_cycle_all` ranks in plain
+        Python (at most :data:`DRIVER_MAX_CELLS` scenario-slots), else
+        ``"numpy"``."""
+        if self.n_scenarios * self._n <= DRIVER_MAX_CELLS:
+            return "python"
+        return "numpy"
+
+    @property
+    def periodic_side(self) -> str:
+        """``"python"`` when :meth:`run_periodic` runs the plain-Python
+        driver (at most :data:`PERIODIC_MAX_ROWS` rows and
+        :data:`PERIODIC_MAX_CELLS` scenario-slots, untraced), else
+        ``"numpy"``.  Timeline tracing needs per-cycle control-FSM
+        entries, which the driver's bulk replay does not make, so traced
+        campaigns take the NumPy loop."""
+        if (
+            not self.trace_timeline
+            and self.n_scenarios <= PERIODIC_MAX_ROWS
+            and self.n_scenarios * self._n <= PERIODIC_MAX_CELLS
+        ):
+            return "python"
+        return "numpy"
+
+    # ------------------------------------------------------------------
     # decision cycle (SCHEDULE + PRIORITY_UPDATE), lockstep over S
     # ------------------------------------------------------------------
 
@@ -859,7 +961,8 @@ class CampaignEngine:
 
         Campaigns of at most :data:`DRIVER_MAX_CELLS` scenario-slots
         rank in plain Python and register misses per slot instead of
-        over ``(S, N)`` arrays; both sides produce identical results.
+        over ``(S, N)`` arrays (:attr:`cycle_side`); both sides produce
+        identical results.
         """
         s_count = self.n_scenarios
         consume_s = _per_scenario(consume, s_count, "consume")
@@ -873,7 +976,7 @@ class CampaignEngine:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
-        small = s_count * self._n <= DRIVER_MAX_CELLS
+        small = self.cycle_side == "python"
         phases = self._phases
         if phases is None:
             orders = self._schedule(now, small, count_s, drop_s)
@@ -1114,10 +1217,12 @@ class CampaignEngine:
         ``period``.  The default ``step`` (the period) always meets
         that condition.
 
-        Campaigns of at most :data:`DRIVER_MAX_CELLS` scenario-slots
-        run the whole K-cycle loop in the scalar driver
-        :func:`repro.core.jit.run_cycles` instead, unless
-        ``trace_timeline`` is on; both sides produce identical results.
+        Campaigns of at most :data:`PERIODIC_MAX_ROWS` rows and
+        :data:`PERIODIC_MAX_CELLS` scenario-slots run the whole K-cycle
+        loop in a plain-Python driver instead, unless ``trace_timeline``
+        is on (:attr:`periodic_side`); both sides produce identical
+        results.  Each observer's ``on_run_summary`` hook, where it has
+        one, receives its row's result.
         """
         if n_cycles < 0:
             raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
@@ -1132,11 +1237,9 @@ class CampaignEngine:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
-        s_count, n = self.n_scenarios, self._n
-        shape = (s_count, n)
-        loaded = self._loaded
+        shape = (self.n_scenarios, self._n)
         if offsets is None:
-            offs = np.where(loaded, self._init_deadline, 0)
+            offs = np.where(self._loaded, self._init_deadline, 0)
         else:
             offs = np.ascontiguousarray(
                 np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
@@ -1160,18 +1263,46 @@ class CampaignEngine:
             if (strides < 1).any():
                 raise ValueError("stride must be >= 1")
 
-        if s_count * n <= DRIVER_MAX_CELLS and not self.trace_timeline:
-            # Small shapes: the whole K-cycle loop runs in the scalar
-            # driver.  Timeline tracing needs per-cycle control-FSM
-            # entries, so traced runs keep the NumPy loop.
-            return self._run_periodic_driver(
-                n_cycles, offs, steps, strides,
-                consume=consume, count_misses=count_misses,
-                collect_winners=collect_winners, fast_forward=fast_forward,
-            )
+        run = (
+            self._run_periodic_driver
+            if self.periodic_side == "python"
+            else self._run_periodic_numpy
+        )
+        results = run(
+            n_cycles, offs, steps, strides,
+            consume=consume, count_misses=count_misses,
+            collect_winners=collect_winners, fast_forward=fast_forward,
+        )
+        if self.observers is not None:
+            for observer, result in zip(self.observers, results):
+                hook = getattr(observer, "on_run_summary", None)
+                if hook is not None:
+                    hook(result)
+        return results
 
-        consumed = np.zeros(shape, dtype=np.int64)
-        edf = self._edf
+    def _run_periodic_numpy(
+        self,
+        n_cycles: int,
+        offs: np.ndarray,
+        steps: np.ndarray,
+        strides: np.ndarray | None,
+        *,
+        consume: str,
+        count_misses: bool,
+        collect_winners: bool,
+        fast_forward: bool,
+    ) -> list[PeriodicRunResult]:
+        """The NumPy loop: one ``(S, N)`` array op per phase per cycle.
+
+        Traced runs step the control unit once per cycle; untraced runs
+        replay it in bulk at the end, as the driver does.
+        """
+        s_count, n = self.n_scenarios, self._n
+        loaded = self._loaded
+        consumed = np.zeros((s_count, n), dtype=np.int64)
+        edf, dwcs = self._edf, self._dwcs_like
+        # Updates of a discipline no slot runs are skipped.
+        any_edf, any_dwcs = bool(edf.any()), bool(dwcs.any())
         max_first = self.config.block_mode is BlockMode.MAX_FIRST
         winner_only = self.config.winner_only
         winners = (
@@ -1190,110 +1321,125 @@ class CampaignEngine:
         # needs the emitted block to find its tail.
         head_only = winner_only or max_first
 
+        stepped = 0  # untraced decision cycles, replayed in bulk
         t = 0
         while t < n_cycles:
-            avail = consumed if strides is None else consumed * strides
-            valid = loaded & (avail <= t)
-            active = valid.any(axis=-1)
-            if not active.any():
-                if fast_forward:
-                    nxt = (
-                        int(np.where(loaded, avail, _FAR_FUTURE).min())
-                        if have_streams
-                        else n_cycles
-                    )
-                    nxt = min(max(nxt, t + 1), n_cycles)
-                    self.advance_idle(nxt - t)
-                    t = nxt
-                else:
-                    self.control.schedule(
-                        passes, detail=f"t={t}" if tracing else ""
-                    )
-                    self.control.priority_update(
-                        update_cycles,
-                        detail="circulate=None" if tracing else "",
-                    )
-                    t += 1
-                continue
-            real_dl = offs + consumed * steps
-            attr_dl = real_dl + np.where(edf, self._edf_bias, 0)
-            ranked = self._rank(
-                t, valid, attr_dl, consumed, self._x, self._y,
-                head_only=head_only,
-            )
-            late = valid & (real_dl < t)
-            if count_misses and late.any():
-                self._register_misses(late)
-            # Emitted block head / tail selection, one per scenario.
-            if head_only:
-                w = circulated = ranked
+            if strides is None:
+                # Dense feed: a slot consumes at most one request per
+                # cycle, so every loaded head is pending at every cycle.
+                valid = loaded
+                busy = have_streams
             else:
-                w = ranked[:, 0]
-                emitted = self._emit_positions(ranked)
-                emitted_valid = valid[rows, emitted]
-                # Last valid network position per scenario (block tail).
-                last = (n - 1) - np.argmax(emitted_valid[:, ::-1], axis=-1)
-                circulated = emitted[row_ids, last]
-            # One-hot circulated-winner mask over active scenarios; all
-            # per-cycle updates below are full-array masked rebinds.
-            onehot = iota[None, :] == circulated[:, None]
-            sel = active[:, None] & onehot
-            if consume == "winner":
-                late_c = late[row_ids, circulated] & active
-                dw = self._dwcs_like[row_ids, circulated] & active
-                edf_c = edf[row_ids, circulated] & active
-                if count_misses:
-                    # Late winners already took the miss-path loss
-                    # update; only on-time winners get the win update.
-                    win_mask = dw & ~late_c
-                    loss_mask = None
-                    edf_mask = edf_c & ~late_c
+                avail = consumed * strides
+                valid = loaded & (avail <= t)
+                busy = valid.any()
+            if not busy and fast_forward:
+                # A dense feed with streams is never idle, so
+                # ``avail`` is set whenever it is read here.
+                nxt = (
+                    int(np.where(loaded, avail, _FAR_FUTURE).min())
+                    if have_streams
+                    else n_cycles
+                )
+                nxt = min(max(nxt, t + 1), n_cycles)
+                self.advance_idle(nxt - t)
+                t = nxt
+                continue
+            if busy:
+                real_dl = offs + consumed * steps
+                # Only EDF slots ever carry a bias.
+                ranked = self._rank(
+                    t, valid, real_dl + self._edf_bias, consumed,
+                    self._x, self._y, head_only=head_only,
+                )
+                late = valid & (real_dl < t)
+                # count_nonzero tests a small mask at a fraction of
+                # ndarray.any's call overhead; this runs every cycle.
+                if count_misses and np.count_nonzero(late):
+                    self._register_misses(late)
+                # Emitted block head / tail selection, one per scenario.
+                if head_only:
+                    w = circulated = ranked
                 else:
-                    win_mask = dw & ~late_c
-                    loss_mask = dw & late_c
-                    edf_mask = edf_c
-                if win_mask.any():
-                    self._win_update_mask(win_mask[:, None] & onehot)
-                if loss_mask is not None and loss_mask.any():
-                    self._loss_update_mask(loss_mask[:, None] & onehot)
-                if edf_mask.any():
-                    edf_sel = edf_mask[:, None] & onehot
-                    self._edf_bias = np.where(
-                        edf_sel, self._edf_bias + steps, self._edf_bias
+                    w = ranked[:, 0]
+                    emitted = self._emit_positions(ranked)
+                    emitted_valid = valid[rows, emitted]
+                    # Last valid network position per scenario (tail).
+                    last = (n - 1) - np.argmax(
+                        emitted_valid[:, ::-1], axis=-1
                     )
-                self._serviced = np.where(
-                    sel, self._serviced + 1, self._serviced
+                    circulated = emitted[row_ids, last]
+                # The circulated slot of every busy row, one-hot; the
+                # updates below are masked rebinds and in-place counter
+                # increments, and ``consumed`` is added to the serviced
+                # counters once, after the run.
+                sel = valid & (iota == circulated[:, None])
+                if consume == "winner":
+                    # With misses counted, a late winner already took
+                    # the miss path's loss update and keeps its bias.
+                    on_time = sel & ~late
+                    if any_dwcs:
+                        won = on_time & dwcs
+                        if won.any():
+                            self._win_update_mask(won)
+                        if not count_misses:
+                            lost = sel & late & dwcs
+                            if lost.any():
+                                self._loss_update_mask(lost)
+                    if any_edf:
+                        biased = (on_time if count_misses else sel) & edf
+                        np.add(
+                            self._edf_bias, steps, out=self._edf_bias,
+                            where=biased,
+                        )
+                    consumed += sel
+                else:  # block: every valid head consumed this cycle
+                    head = valid & (iota == w[:, None])
+                    if any_dwcs:
+                        won = head & dwcs
+                        if won.any():
+                            self._win_update_mask(won)
+                    if any_edf:
+                        np.add(
+                            self._edf_bias, steps, out=self._edf_bias,
+                            where=head & edf,
+                        )
+                    consumed += valid
+                self._wins += sel
+                if winners is not None:
+                    active = valid.any(axis=-1)
+                    winners[active, t] = circulated[active]
+            if tracing:
+                self.control.schedule(passes, detail=f"t={t}")
+                self.control.priority_update(
+                    update_cycles,
+                    detail="circulate=<campaign>" if busy else "circulate=None",
                 )
-                consumed = np.where(sel, consumed + 1, consumed)
-            else:  # block: every valid head consumed this cycle
-                head_sel = active[:, None] & (iota[None, :] == w[:, None])
-                dw_sel = head_sel & self._dwcs_like
-                if dw_sel.any():
-                    self._win_update_mask(dw_sel)
-                edf_sel = head_sel & edf
-                if edf_sel.any():
-                    self._edf_bias = np.where(
-                        edf_sel, self._edf_bias + steps, self._edf_bias
-                    )
-                self._serviced = np.where(
-                    valid, self._serviced + 1, self._serviced
-                )
-                consumed = np.where(valid, consumed + 1, consumed)
-            self._wins = np.where(sel, self._wins + 1, self._wins)
-            if winners is not None:
-                winners[active, t] = circulated[active]
-            self.control.schedule(passes, detail=f"t={t}" if tracing else "")
-            self.control.priority_update(
-                update_cycles,
-                detail="circulate=<campaign>" if tracing else "",
-            )
+            else:
+                stepped += 1
             t += 1
-        return self._periodic_results(n_cycles, winners)
+        return self._periodic_results(n_cycles, consumed, stepped, winners)
 
     def _periodic_results(
-        self, n_cycles: int, winners: np.ndarray | None
+        self,
+        n_cycles: int,
+        consumed,
+        stepped: int,
+        winners: np.ndarray | None,
     ) -> list[PeriodicRunResult]:
-        """Snapshot the per-scenario counters into run results."""
+        """Close a periodic run and snapshot each row's counters.
+
+        Every consumed request is a serviced one, so ``consumed`` joins
+        the serviced counters here, once per run; ``stepped`` untraced
+        decision cycles are replayed on the control unit in bulk (with
+        tracing off :class:`~repro.core.control.ControlUnit` is a pure
+        counter, so the bulk replay is state-identical to per-cycle
+        calls).
+        """
+        self._serviced += consumed
+        self.control.advance_decision_cycles(
+            stepped, self.config.sort_passes, self.config.update_cycles
+        )
         return [
             PeriodicRunResult(
                 n_streams=int(self._loaded[s].sum()),
@@ -1319,65 +1465,152 @@ class CampaignEngine:
         collect_winners: bool,
         fast_forward: bool,
     ) -> list[PeriodicRunResult]:
-        """Drive :func:`repro.core.jit.run_cycles` and replay accounting.
+        """The plain-Python driver: K periodic decision cycles in one loop.
 
-        The driver mutates the engine's state/counter arrays in place;
-        the decision ring comes back with one circulated sid per
-        (scenario, cycle) and is drained into ``winners``.  Control
-        accounting is replayed in bulk from the driver's cycle stats —
-        with tracing off :class:`~repro.core.control.ControlUnit` is a
-        pure counter, so the bulk replay is state-identical to the
-        per-cycle calls the NumPy loop makes.
+        Copies the ``(S, N)`` state to lists once, runs every cycle's
+        rank (:func:`_emit_block`), miss registration, DWCS window
+        updates (:func:`_win_update`, :func:`_loss_update`), EDF bias
+        advance and consumption on them, and writes the state back once.
+        Control accounting is replayed in bulk from the cycle counts.
         """
-        s_count = self.n_scenarios
-        if strides is None:
-            strides = np.ones((s_count, self._n), dtype=np.int64)
-        ring = np.full(
-            (s_count, n_cycles if collect_winners else 0),
-            -1, dtype=np.int64,
+        s_count, n = self.n_scenarios, self._n
+        head_only = (
+            self.config.winner_only
+            or self.config.block_mode is BlockMode.MAX_FIRST
         )
-        stats = np.zeros(3, dtype=np.int64)
-        jit.run_cycles(
-            int(n_cycles),
-            self._loaded,
-            offs,
-            steps,
-            strides,
-            self._dwcs_like,
-            self._edf,
-            self._x, self._y, self._cfg_x, self._cfg_y, self._edf_bias,
-            self._wins, self._serviced, self._missed,
-            self._violations, self._window_resets,
-            _WC_KEY,
-            self._deadline_only,
-            self.config.winner_only,
-            self.config.block_mode is BlockMode.MAX_FIRST,
-            self.config.schedule == "bitonic",
-            self._log2n,
-            consume == "block",
-            bool(count_misses),
-            bool(fast_forward),
-            bool(self._loaded.any()),
-            ring,
-            stats,
+        block = consume == "block"
+        paper = self.config.schedule != "bitonic"
+        deadline_only = self._deadline_only
+        wc_key = _WC_KEY.item
+        x, y = self._x.tolist(), self._y.tolist()
+        bias = self._edf_bias.tolist()
+        wins = self._wins.tolist()
+        missed = self._missed.tolist()
+        violations = self._violations.tolist()
+        resets = self._window_resets.tolist()
+        consumed = [[0] * n for _ in range(s_count)]
+        loaded = [
+            [i for i in range(n) if row[i]] for row in self._loaded.tolist()
+        ]
+        strides = (
+            [[1] * n] * s_count if strides is None else strides.tolist()
         )
-        nonff, ff_cycles, ff_gaps = (int(v) for v in stats)
+        ring = (
+            [[-1] * n_cycles for _ in range(s_count)]
+            if collect_winners
+            else None
+        )
+        # Each scenario's loaded slot ids and row lists; ``wc`` caches
+        # each slot's packed window key, refreshed after every window
+        # update.
+        rows = list(zip(
+            loaded, offs.tolist(), steps.tolist(), strides,
+            self._edf.tolist(), self._dwcs_like.tolist(),
+            x, y, self._cfg_x.tolist(), self._cfg_y.tolist(), bias,
+            wins, missed, violations, resets, consumed,
+            ([wc_key(a, b) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)),
+        ))
+        stepped = ff_cycles = ff_gaps = 0
+        t = 0
+        while t < n_cycles:
+            busy = False
+            for s, row in enumerate(rows):
+                (
+                    slots, off, step, stride, edf, dwcs, xs, ys, cfg_x,
+                    cfg_y, edf_bias, won, miss, viol, reset, used, wc,
+                ) = row
+                # SCHEDULE keys of the valid heads: attribute deadline =
+                # periodic release (+ EDF bias), arrival key = consumed
+                # count.  Built before miss registration, which moves
+                # x'/y' below.
+                keys = []
+                late = []
+                for i in slots:
+                    k = used[i]
+                    if k * stride[i] > t:
+                        continue
+                    real_dl = off[i] + k * step[i]
+                    if real_dl < t:
+                        late.append(i)
+                    if deadline_only:
+                        keys.append((real_dl + edf_bias[i], k, i))
+                    else:
+                        keys.append((real_dl + edf_bias[i], wc[i], k, i))
+                if not keys:
+                    continue
+                busy = True
+                order = _emit_block(keys, head_only, paper, n)
+                w = order[0]
+                c = w if head_only else order[-1]
+                if count_misses:
+                    for i in late:
+                        miss[i] += 1
+                        if dwcs[i]:
+                            _loss_update(i, xs, ys, cfg_x, cfg_y, reset, viol)
+                            wc[i] = wc_key(xs[i], ys[i])
+                # PRIORITY_UPDATE: winner consume updates the circulated
+                # slot; block consume services every valid head.
+                if block:
+                    if dwcs[w]:
+                        _win_update(w, xs, ys, cfg_x, cfg_y, reset)
+                        wc[w] = wc_key(xs[w], ys[w])
+                    if edf[w]:
+                        edf_bias[w] += step[w]
+                    for key in keys:
+                        used[key[-1]] += 1
+                else:
+                    late_c = off[c] + used[c] * step[c] < t
+                    if dwcs[c]:
+                        # With misses counted, a late winner took the
+                        # miss path's loss update above.
+                        if not late_c:
+                            _win_update(c, xs, ys, cfg_x, cfg_y, reset)
+                        elif not count_misses:
+                            _loss_update(c, xs, ys, cfg_x, cfg_y, reset, viol)
+                        wc[c] = wc_key(xs[c], ys[c])
+                    if edf[c] and not (count_misses and late_c):
+                        edf_bias[c] += step[c]
+                    used[c] += 1
+                won[c] += 1
+                if ring is not None:
+                    ring[s][t] = c
+            if busy or not fast_forward:
+                stepped += 1
+                t += 1
+                continue
+            # Every row idle: jump to the earliest pending release.
+            nxt = min(
+                (
+                    used[i] * stride[i]
+                    for slots, used, stride in zip(loaded, consumed, strides)
+                    for i in slots
+                ),
+                default=n_cycles,
+            )
+            nxt = min(max(nxt, t + 1), n_cycles)
+            ff_cycles += nxt - t
+            ff_gaps += 1
+            t = nxt
+
+        self._x[...] = x
+        self._y[...] = y
+        self._edf_bias[...] = bias
+        self._wins[...] = wins
+        self._missed[...] = missed
+        self._violations[...] = violations
+        self._window_resets[...] = resets
         if ff_cycles:
             self._skip_idle(ff_cycles)
             if self._phases is not None:
-                # One fast-forward call per idle gap the kernel skipped;
-                # their time is inside the kernel's.
+                # One fast-forward call per idle gap the driver skipped;
+                # their time is inside the driver's.
                 self._phases[2].calls += ff_gaps
-        if nonff:
-            self.control.advance_decision_cycles(
-                nonff,
-                self.config.sort_passes,
-                self.config.update_cycles,
-                detail="periodic driver",
-            )
-        return self._periodic_results(
-            n_cycles, ring if collect_winners else None
+        winners = (
+            np.asarray(ring, dtype=np.int64).reshape(s_count, n_cycles)
+            if ring is not None
+            else None
         )
+        return self._periodic_results(n_cycles, consumed, stepped, winners)
 
     # ------------------------------------------------------------------
     # derived metrics
@@ -1500,12 +1733,7 @@ class TensorScheduler:
 
     def run_periodic(self, n_cycles: int, **kwargs) -> PeriodicRunResult:
         """Single-scenario slice of :meth:`CampaignEngine.run_periodic`."""
-        result = self._engine.run_periodic(n_cycles, **kwargs)[0]
-        if self.observer is not None:
-            summary_hook = getattr(self.observer, "on_run_summary", None)
-            if summary_hook is not None:
-                summary_hook(result)
-        return result
+        return self._engine.run_periodic(n_cycles, **kwargs)[0]
 
     @property
     def cycles_per_decision(self) -> int:

@@ -189,10 +189,9 @@ class Observability:
     def on_run_summary(self, result) -> None:
         """Fold a whole-run summary (``PeriodicRunResult``) into metrics.
 
-        The array engine's vectorized ``run_periodic`` path does not
-        emit per-cycle events (that would reintroduce the Python loop
-        it exists to avoid); instead it reports its final per-stream
-        counters here as gauges.
+        The array engine's ``run_periodic`` does not emit per-cycle
+        events; instead it hands each row's observer that row's final
+        per-stream counters, recorded here as gauges.
         """
         if self.monitor is not None:
             self.monitor.on_run_summary(result)

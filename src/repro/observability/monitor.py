@@ -28,8 +28,9 @@ exposed as a ``*_slo_burn_rate`` gauge for the ``/metrics`` endpoint.
 recorder behind the single engine hook (``on_decision`` /
 ``on_run_summary``), so one instance attaches to either engine, the
 endsystem router, the line-card or any experiment driver; the array
-engine's vectorized ``run_periodic`` path (no per-cycle events) is
-covered by whole-run conformance evaluation in ``on_run_summary``.
+engine's ``run_periodic`` (no per-cycle events, one summary per
+campaign row) is covered by whole-run conformance evaluation in
+``on_run_summary``.
 """
 
 from __future__ import annotations

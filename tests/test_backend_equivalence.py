@@ -1,19 +1,15 @@
 """The Table 2 rank permutation contract, enforced by property testing.
 
-Two implementations rank slots by the Table 2 key cascade, and both
+:func:`repro.core.tensor_engine.table2_rank_order` ranks slots by the
+Table 2 key cascade with one ``lexsort`` over the ``(S, N)`` keys, the
+window-constraint keys packed into one order-exact integer word.  It
 must produce the *permutation-identical* order to the historical float
 ratio ``np.lexsort`` over the full cascade — including deadline/arrival
 ties, loss-constraint ratio ties (``1/2`` vs ``2/4``), zero-wildcard
-streams and invalid-slot masking:
-
-* :func:`repro.core.tensor_engine.table2_rank_order`, one ``lexsort``
-  over the ``(S, N)`` keys with the window-constraint keys packed into
-  one order-exact integer word;
-* the periodic driver's stable insertion sort
-  (:func:`repro.core.jit._sort_row` over the same packed-key table).
+streams and invalid-slot masking.
 
 The lexsort reference is reconstructed here verbatim from the original
-``_rank`` so the property pins the historical behavior, not either
+``_rank`` so the property pins the historical behavior, not the
 implementation.  The packed window-constraint key table is checked
 exhaustively over its whole 8-bit ``(x', y')`` domain, and the head-only
 ranking against column 0 of the full order on both sides of
@@ -30,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import jit, tensor_engine
+from repro.core import tensor_engine
 from repro.core.tensor_engine import table2_rank_order
 
 
@@ -139,32 +135,6 @@ class TestPackedKeyCascade:
         )
         np.testing.assert_array_equal(got, expected)
         assert got.tolist() == [[1, 3, 0, 2]]
-
-    @pytest.mark.parametrize("deadline_only", [False, True])
-    @settings(max_examples=150, deadline=None)
-    @given(keys=_key_arrays)
-    def test_driver_insertion_sort_matches_lexsort(self, keys, deadline_only):
-        """The periodic driver's packed-key insertion sort, row by row."""
-        dl = np.asarray(keys["dl"], dtype=np.int64)
-        arr = np.asarray(keys["arr"], dtype=np.int64)
-        x = np.asarray(keys["x"], dtype=np.int64)
-        y = np.asarray(keys["y"], dtype=np.int64)
-        invalid = np.asarray(keys["invalid"], dtype=bool)
-        s_count, n = dl.shape
-        got = np.empty((s_count, n), dtype=np.int64)
-        for s in range(s_count):
-            k_pk = (
-                np.zeros(n, dtype=np.int64)
-                if deadline_only
-                else tensor_engine._WC_KEY[x[s], y[s]]
-            )
-            jit._sort_row(
-                n, got[s], invalid[s].astype(np.int64), dl[s], k_pk, arr[s]
-            )
-        expected = _lexsort_reference(
-            invalid, dl, arr, x, y, deadline_only=deadline_only
-        )
-        np.testing.assert_array_equal(got, expected)
 
 
 _ALL_X, _ALL_Y = (

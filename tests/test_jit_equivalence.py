@@ -1,16 +1,14 @@
 """Byte-identity of the two ``run_periodic`` sides, and the shape dispatch.
 
-:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs the
-scalar whole-run driver :func:`repro.core.jit.run_cycles` at or below
-``DRIVER_MAX_CELLS`` scenario-slots and the NumPy loop above it.  Each
-test here forces one side by pinning the constant and byte-compares the
-two on the same inputs, over the full periodic flag matrix: winner and
-block consumption, offsets, steps, strides, miss counting, idle
-fast-forward, and the lockstep control counters.  Both sides are also
-checked against the oracle's per-cycle replay of the same feed
-(:func:`tests.strategies.oracle_periodic`).  The driver runs compiled
-when numba is importable and as plain Python otherwise; the suite holds
-either way.
+:meth:`~repro.core.tensor_engine.CampaignEngine.run_periodic` runs a
+plain-Python whole-run driver on campaigns of at most
+``PERIODIC_MAX_ROWS`` rows and ``PERIODIC_MAX_CELLS`` scenario-slots and
+the NumPy loop otherwise.  Each test here forces one side by pinning
+both bounds and byte-compares the two on the same inputs, over the full
+periodic flag matrix: winner and block consumption, offsets, steps,
+strides, miss counting, idle fast-forward, and the lockstep control
+counters.  Both sides are also checked against the oracle's per-cycle
+replay of the same feed (:func:`tests.strategies.oracle_periodic`).
 """
 
 from __future__ import annotations
@@ -24,16 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import tensor_engine
-from repro.core.config import BlockMode, Routing
+from repro.core.attributes import StreamConfig
+from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.tensor_engine import CampaignEngine
 from tests.strategies import oracle_periodic, random_arch_streams
 
-#: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
+#: ``PERIODIC_MAX_ROWS`` and ``PERIODIC_MAX_CELLS`` values that force
+#: each side at any test shape.
 SIDES = {"numpy": 0, "driver": 1 << 30}
 
 
 def _forced(monkeypatch, side: str) -> None:
-    monkeypatch.setattr(tensor_engine, "DRIVER_MAX_CELLS", SIDES[side])
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_ROWS", SIDES[side])
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_CELLS", SIDES[side])
 
 
 class TestKernelByteIdentity:
@@ -62,6 +63,8 @@ class TestKernelByteIdentity:
             fast_forward=rng.choice([True, False]),
             collect_winners=True,
         )
+        # The deadline-only comparator drops the window keys.
+        arch = dataclasses.replace(arch, deadline_only=rng.random() < 0.25)
 
         def run(side):
             with pytest.MonkeyPatch.context() as mp:
@@ -117,8 +120,7 @@ def _periodic_against_oracle(
 
 class TestOraclePeriodic:
     """Both ``run_periodic`` sides equal the oracle's per-cycle loop
-    over the periodic flag matrix, on shapes either side of
-    ``DRIVER_MAX_CELLS``.  Steps equal the streams' periods: the
+    over the periodic flag matrix.  Steps equal the streams' periods: the
     condition under which the periodic path and the per-cycle loop
     advance the EDF winner bias alike."""
 
@@ -150,9 +152,11 @@ class TestOraclePeriodic:
             ),
             count_misses=rng.choice([True, False]),
         )
+        fast_forward = rng.choice([True, False])
+        # The deadline-only comparator drops the window keys.
+        arch = dataclasses.replace(arch, deadline_only=rng.random() < 0.25)
         got, expected = _periodic_against_oracle(
-            arch, streams, 120, side,
-            fast_forward=rng.choice([True, False]), **kwargs
+            arch, streams, 120, side, fast_forward=fast_forward, **kwargs
         )
         assert got == expected
 
@@ -187,32 +191,48 @@ class TestBlockTail:
 
 
 class TestShapeDispatch:
-    """Which side runs: S×N against the constant, and tracing."""
+    """Which side runs: rows and S×N against the bounds, and tracing."""
 
     @pytest.fixture()
     def driver_calls(self, monkeypatch):
         calls: list[tuple[int, int]] = []
-        real = tensor_engine.jit.run_cycles
+        real = CampaignEngine._run_periodic_driver
 
-        def spy(n_cycles, loaded, *args):
-            calls.append(loaded.shape)
-            return real(n_cycles, loaded, *args)
+        def spy(engine, *args, **kwargs):
+            calls.append((engine.n_scenarios, engine.config.n_slots))
+            return real(engine, *args, **kwargs)
 
-        monkeypatch.setattr(tensor_engine.jit, "run_cycles", spy)
+        monkeypatch.setattr(CampaignEngine, "_run_periodic_driver", spy)
         return calls
 
     def _engine(self, s_count, n, **kwargs):
-        arch, streams = random_arch_streams(5, n)
+        # Rows past the single-chip slot cap need extended arithmetic.
+        extended = n > 32
+        arch = ArchConfig(n_slots=n, wrap=False, extended=extended)
+        streams = [
+            StreamConfig(sid=i, period=1 + i % 3, extended=extended)
+            for i in range(n)
+        ]
         return CampaignEngine(arch, [streams] * s_count, **kwargs)
 
     def test_constant_splits_the_shapes(self, driver_calls):
-        limit = tensor_engine.DRIVER_MAX_CELLS
-        self._engine(1, limit).run_periodic(10)
-        self._engine(2, limit).run_periodic(10)
-        assert driver_calls == [(1, limit)]
+        """One shape on each side of each bound: the cell bound on one
+        row, the row bound on short rows."""
+        rows = tensor_engine.PERIODIC_MAX_ROWS
+        cells = tensor_engine.PERIODIC_MAX_CELLS
+        shapes = [(1, cells), (2, cells), (rows, 2), (rows + 1, 2)]
+        assert 2 * (rows + 1) <= cells
+        sides = []
+        for s_count, n in shapes:
+            engine = self._engine(s_count, n)
+            sides.append(engine.periodic_side)
+            engine.run_periodic(10)
+        assert sides == ["python", "numpy", "python", "numpy"]
+        assert driver_calls == [(1, cells), (rows, 2)]
 
     def test_traced_runs_keep_the_numpy_loop(self, driver_calls):
         engine = self._engine(1, 4, trace_timeline=True)
+        assert engine.periodic_side == "numpy"
         engine.run_periodic(10)
         assert driver_calls == []
         assert engine.control.timeline
@@ -248,10 +268,10 @@ class TestShapeDispatch:
 
 
 def test_resolve_backend_names_the_driver_compiler():
-    """The host-fingerprint query: numba when importable, else numpy."""
+    """The host-fingerprint query: the periodic driver runs on NumPy
+    state copied to plain Python, with no compiler."""
     from repro.core.backend import resolve_backend
 
-    expected = "numba" if tensor_engine.jit.NUMBA_AVAILABLE else "numpy"
-    assert resolve_backend("numba").name == expected
+    assert resolve_backend("numba").name == "numpy"
     with pytest.raises(ValueError, match="torch"):
         resolve_backend("torch")

@@ -346,6 +346,45 @@ class TestTensorAdapterSurface:
         assert a.decision_cycle(0).hw_cycles == engine.idle_outcome(0).hw_cycles
 
 
+class _SummarySpy:
+    """Observer that keeps every whole-run summary it receives."""
+
+    def __init__(self):
+        self.summaries = []
+
+    def on_decision(self, outcome):
+        raise AssertionError("run_periodic emits no per-cycle outcomes")
+
+    def on_run_summary(self, result):
+        self.summaries.append(result)
+
+
+@pytest.mark.parametrize("side", [0, 1 << 30], ids=["numpy", "driver"])
+def test_run_periodic_feeds_each_row_observer(monkeypatch, side):
+    """A multi-row campaign hands each observer its own row's result,
+    on both ``run_periodic`` sides; the one-row adapter's observer gets
+    its single summary through the same path."""
+    from repro.core import tensor_engine
+
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_ROWS", side)
+    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_CELLS", side)
+    arch = ArchConfig(n_slots=4, routing=Routing.WR, wrap=False)
+    rows = [
+        [StreamConfig(sid=i, period=1 + (i + s) % 3) for i in range(4)]
+        for s in range(2)
+    ]
+    spies = [_SummarySpy(), _SummarySpy()]
+    engine = CampaignEngine(arch, rows, observers=spies)
+    results = engine.run_periodic(50)
+    for spy, result in zip(spies, results):
+        assert len(spy.summaries) == 1 and spy.summaries[0] is result
+    assert results[0].wins.tolist() != results[1].wins.tolist()
+
+    spy = _SummarySpy()
+    result = TensorScheduler(arch, rows[0], observer=spy).run_periodic(50)
+    assert len(spy.summaries) == 1 and spy.summaries[0] is result
+
+
 @pytest.mark.parametrize("index", [-1, 4])
 @pytest.mark.parametrize("target", ["reference", "tensor", "scenario"])
 def test_out_of_range_ids_fail_loudly(target, index):
