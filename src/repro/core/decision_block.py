@@ -15,8 +15,10 @@ Decisions"):
   are dropped from the network, easing physical routing at the cost of
   obtaining just the single max-priority stream.
 
-The block keeps per-rule fire counters so experiments can report which
-ordering rules actually resolved decisions (the Table 2 coverage bench).
+The block counts how often each signed rule code
+(:func:`~repro.core.rules.decision_code`) fired, so experiments can
+report which ordering rules actually resolved decisions (the Table 2
+coverage bench).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.attributes import HardwareAttributes
-from repro.core.rules import Rule, compare_with_rule
+from repro.core.rules import RULES, Rule, decision_code
 
 __all__ = ["DecisionResult", "DecisionBlock"]
 
@@ -42,6 +44,10 @@ class DecisionResult:
     rule: Rule
 
 
+def _no_fires() -> list[int]:
+    return [0] * (2 * len(RULES) + 1)
+
+
 @dataclass
 class DecisionBlock:
     """One physical Decision block instance.
@@ -56,13 +62,25 @@ class DecisionBlock:
         behavior).  ``False`` selects ideal unbounded arithmetic.
     deadline_only:
         Simple-comparator configuration for fair-queuing service tags.
+
+    ``fires`` counts decisions per signed rule code: ``fires[code]``
+    for each code :func:`~repro.core.rules.decision_code` returned, so
+    ``fires[k]`` and ``fires[-k]`` together count ``RULES[k - 1]``
+    (entry 0 stays zero).  :attr:`rule_counts` reads them per rule.
     """
 
     index: int = 0
     wrap: bool = True
     deadline_only: bool = False
     decisions: int = field(default=0, init=False)
-    rule_counts: dict[Rule, int] = field(default_factory=dict, init=False)
+    fires: list[int] = field(default_factory=_no_fires, init=False)
+
+    @property
+    def rule_counts(self) -> dict[Rule, int]:
+        """Fires per rule that resolved at least one decision."""
+        fires = self.fires
+        counts = {rule: fires[k] + fires[-k] for k, rule in enumerate(RULES, 1)}
+        return {rule: n for rule, n in counts.items() if n}
 
     def decide(
         self, a: HardwareAttributes, b: HardwareAttributes
@@ -73,16 +91,14 @@ class DecisionBlock:
         network's passes (:class:`~repro.core.shuffle.ShuffleExchangeNetwork`)
         call the same comparator and charge these counters in place.
         """
-        result, rule = compare_with_rule(
-            a, b, wrap=self.wrap, deadline_only=self.deadline_only
-        )
+        code = decision_code(a, b, self.wrap, self.deadline_only)
         self.decisions += 1
-        self.rule_counts[rule] = self.rule_counts.get(rule, 0) + 1
-        if result < 0:
-            return DecisionResult(a, b, rule)
-        return DecisionResult(b, a, rule)
+        self.fires[code] += 1
+        if code < 0:
+            return DecisionResult(a, b, RULES[-code - 1])
+        return DecisionResult(b, a, RULES[code - 1])
 
     def reset_counters(self) -> None:
         """Clear the decision and per-rule fire counters."""
         self.decisions = 0
-        self.rule_counts.clear()
+        self.fires[:] = _no_fires()

@@ -17,7 +17,10 @@ decision (Figure 5).  :func:`evaluate` mirrors that: it computes every
 predicate, then selects the first applicable rule.  The full predicate
 vector is exposed on the returned :class:`RuleEvaluation` so tests and
 the Table 2 benchmark can check rule coverage exactly as the hardware's
-concurrent evaluation would resolve it.
+concurrent evaluation would resolve it.  :func:`decision_code` is the
+hot path every Decision block runs: the same priority encoding as one
+signed integer whose magnitude names the fired rule in :data:`RULES`;
+:func:`evaluate` stays the independent full-predicate reference.
 
 Window-constraint comparison uses cross-multiplication
 (``x_a * y_b`` vs ``x_b * y_a``) rather than division — this is how the
@@ -40,10 +43,12 @@ from repro.core.fields import (
 )
 
 __all__ = [
+    "RULES",
     "Rule",
     "RuleEvaluation",
     "compare",
     "compare_with_rule",
+    "decision_code",
     "evaluate",
     "ordering_key",
 ]
@@ -60,9 +65,15 @@ class Rule(enum.Enum):
     FCFS = "fcfs"
     STREAM_ID = "stream_id"  # deterministic final tie-break (lower sid)
 
-    # Members are singletons, so identity hashing is exact; it keeps the
-    # per-decision rule counters off the interpreted ``Enum.__hash__``.
-    __hash__ = object.__hash__
+
+#: The rules in priority-encoder order: decision code ``±k`` (see
+#: :func:`decision_code`) names ``RULES[k - 1]``.
+RULES = tuple(Rule)
+
+_DEADLINE_MASK = (1 << DEADLINE_BITS) - 1
+_DEADLINE_HALF = 1 << (DEADLINE_BITS - 1)
+_ARRIVAL_MASK = (1 << ARRIVAL_BITS) - 1
+_ARRIVAL_HALF = 1 << (ARRIVAL_BITS - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +116,60 @@ def _window_cmp(a: HardwareAttributes, b: HardwareAttributes) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def decision_code(
+    a: HardwareAttributes,
+    b: HardwareAttributes,
+    wrap: bool = True,
+    deadline_only: bool = False,
+) -> int:
+    """Signed Table 2 decision code: the Decision block's priority encoder.
+
+    Returns ``-k`` when ``a`` precedes (wins) and ``+k`` when ``b`` does,
+    where ``RULES[k - 1]`` is the rule that resolved the pair; the code
+    is never ``0``.  This is the one hot implementation of the rules:
+    the same priority encoding as :func:`evaluate`, without
+    materializing the predicate vector, and with the 16-bit serial
+    comparison of :func:`~repro.core.fields.serial_cmp` inlined.  The
+    network's passes call it positionally and count fires in a list
+    indexed by the code.
+    """
+    if a.valid != b.valid:
+        return -1 if a.valid else 1
+    da = a.deadline
+    db = b.deadline
+    if da != db:
+        if wrap:
+            return 2 if (da - db) & _DEADLINE_MASK < _DEADLINE_HALF else -2
+        return 2 if da > db else -2
+    if not deadline_only:
+        xa = a.loss_numerator
+        ya = a.loss_denominator
+        xb = b.loss_numerator
+        yb = b.loss_denominator
+        if xa == 0 or ya == 0:
+            if xb != 0 and yb != 0:
+                # Exactly one zero constraint: zero (= lowest) orders first.
+                return -3
+            if ya != yb:
+                return -4 if ya > yb else 4
+        elif xb == 0 or yb == 0:
+            return 3
+        else:
+            lhs = xa * yb
+            rhs = xb * ya
+            if lhs != rhs:
+                return 3 if lhs > rhs else -3
+            if xa != xb:
+                return 5 if xa > xb else -5
+    ra = a.arrival
+    rb = b.arrival
+    if ra != rb:
+        if wrap:
+            return 6 if (ra - rb) & _ARRIVAL_MASK < _ARRIVAL_HALF else -6
+        return 6 if ra > rb else -6
+    return -7 if a.sid <= b.sid else 7
+
+
 def compare_with_rule(
     a: HardwareAttributes,
     b: HardwareAttributes,
@@ -112,52 +177,15 @@ def compare_with_rule(
     wrap: bool = True,
     deadline_only: bool = False,
 ) -> tuple[int, Rule]:
-    """Allocation-free pairwise decision: ``(result, fired_rule)``.
+    """Pairwise decision as ``(result, fired_rule)``.
 
-    The hot path of the decision network — same priority encoding as
-    :func:`evaluate` but without materializing the predicate vector.
-    ``result`` is ``-1`` when ``a`` precedes, ``+1`` when ``b`` does.
+    Thin wrapper over :func:`decision_code`: ``result`` is ``-1`` when
+    ``a`` precedes, ``+1`` when ``b`` does.
     """
-    if a.valid != b.valid:
-        return (-1 if a.valid else 1), Rule.VALIDITY
-    if wrap:
-        dl = serial_cmp(a.deadline, b.deadline, DEADLINE_BITS)
-    else:
-        dl = (a.deadline > b.deadline) - (a.deadline < b.deadline)
-    if dl:
-        return dl, Rule.EARLIEST_DEADLINE
-    if not deadline_only:
-        a_zero = a.loss_numerator == 0 or a.loss_denominator == 0
-        b_zero = b.loss_numerator == 0 or b.loss_denominator == 0
-        if a_zero and b_zero:
-            den = (a.loss_denominator > b.loss_denominator) - (
-                a.loss_denominator < b.loss_denominator
-            )
-            if den:
-                return -den, Rule.HIGHEST_DENOMINATOR_ZERO_WC
-        elif a_zero != b_zero:
-            # Exactly one zero constraint: zero (= lowest) orders first.
-            return (-1 if a_zero else 1), Rule.LOWEST_WINDOW_CONSTRAINT
-        else:
-            lhs = a.loss_numerator * b.loss_denominator
-            rhs = b.loss_numerator * a.loss_denominator
-            if lhs != rhs:
-                return (
-                    (1 if lhs > rhs else -1),
-                    Rule.LOWEST_WINDOW_CONSTRAINT,
-                )
-            num = (a.loss_numerator > b.loss_numerator) - (
-                a.loss_numerator < b.loss_numerator
-            )
-            if num:
-                return num, Rule.LOWEST_NUMERATOR_EQUAL_WC
-    if wrap:
-        arr = serial_cmp(a.arrival, b.arrival, ARRIVAL_BITS)
-    else:
-        arr = (a.arrival > b.arrival) - (a.arrival < b.arrival)
-    if arr:
-        return arr, Rule.FCFS
-    return (-1 if a.sid <= b.sid else 1), Rule.STREAM_ID
+    code = decision_code(a, b, wrap, deadline_only)
+    if code < 0:
+        return -1, RULES[-code - 1]
+    return 1, RULES[code - 1]
 
 
 def evaluate(
@@ -255,12 +283,12 @@ def compare(
     wrap: bool = True,
     deadline_only: bool = False,
 ) -> int:
-    """Three-way pairwise order (−1: ``a`` first, +1: ``b`` first).
+    """Two-way pairwise order (−1: ``a`` first, +1: ``b`` first).
 
-    Thin convenience wrapper over :func:`compare_with_rule` for callers
-    that do not need the fired rule.
+    The sign of :func:`decision_code`, for callers that do not need the
+    fired rule.
     """
-    return compare_with_rule(a, b, wrap=wrap, deadline_only=deadline_only)[0]
+    return -1 if decision_code(a, b, wrap, deadline_only) < 0 else 1
 
 
 def ordering_key(attrs: HardwareAttributes, now: int = 0):

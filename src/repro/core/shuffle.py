@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.decision_block import DecisionBlock
-from repro.core.rules import compare, compare_with_rule
+from repro.core.rules import compare, decision_code
 
 __all__ = ["NetworkResult", "ShuffleExchangeNetwork", "perfect_shuffle", "is_pow2"]
 
@@ -87,19 +87,6 @@ class NetworkResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _paper_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Paper pass table: ``(block, a, b, out)`` rows, one per block.
-
-    After the perfect shuffle, block ``j`` compares positions ``2j`` and
-    ``2j + 1`` — bundles ``j`` and ``j + N/2`` of the previous pass, read
-    off :func:`perfect_shuffle` — and drives its winner and loser ports
-    onto positions ``out = 2j`` and ``2j + 1``.
-    """
-    wires = perfect_shuffle(list(range(n)))
-    return tuple((j, wires[2 * j], wires[2 * j + 1], 2 * j) for j in range(n // 2))
-
-
-@functools.lru_cache(maxsize=None)
 def _bitonic_stages(n: int) -> tuple[tuple[tuple[int, int, int, bool], ...], ...]:
     """Batcher bitonic pass tables: ``(block, i, partner, ascending)`` rows.
 
@@ -139,10 +126,12 @@ class ShuffleExchangeNetwork:
     schedule:
         ``"paper"`` (log2 N recirculation) or ``"bitonic"`` (full sort).
 
-    The wiring is fixed when the network is built: the paper pass reads
-    its pairs off :func:`perfect_shuffle` and the bitonic passes are
-    precomputed pair tables, so one pass is one loop over ``N/2``
-    comparator calls.
+    One pass is one loop over the ``N/2`` blocks, each making one
+    :func:`~repro.core.rules.decision_code` call and counting the code
+    it returned.  A paper pass lets block ``j`` order bundles ``j`` and
+    ``j + N/2`` of the previous pass (the pair :func:`perfect_shuffle`
+    wires onto positions ``2j``/``2j + 1``); the bitonic passes read
+    their pairs from stage tables built once per slot count.
     """
 
     def __init__(
@@ -168,7 +157,6 @@ class ShuffleExchangeNetwork:
             DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
             for i in range(n_slots // 2)
         ]
-        self._paper = _paper_pairs(n_slots)
         self._bitonic = _bitonic_stages(n_slots) if schedule == "bitonic" else ()
 
     # ------------------------------------------------------------------
@@ -184,28 +172,30 @@ class ShuffleExchangeNetwork:
     def _run_paper(
         self, bundles: list[HardwareAttributes]
     ) -> tuple[list[HardwareAttributes], int]:
-        """``log2(N)`` passes of perfect shuffle + pairwise exchange."""
+        """``log2(N)`` passes of perfect shuffle + pairwise exchange.
+
+        After the shuffle, block ``j`` compares bundles ``j`` and
+        ``j + N/2`` of the previous pass and drives its winner and
+        loser onto positions ``2j`` and ``2j + 1``.
+        """
         wrap, deadline_only = self.wrap, self.deadline_only
-        rule_counts = [block.rule_counts for block in self.blocks]
-        state = list(bundles)
-        spare = [None] * self.n_slots
+        fires = [block.fires for block in self.blocks]
+        half = len(fires)
+        state = bundles
         passes = self.n_slots.bit_length() - 1
         for _ in range(passes):
-            for j, a_i, b_i, w in self._paper:
-                a = state[a_i]
-                b = state[b_i]
-                result, rule = compare_with_rule(
-                    a, b, wrap=wrap, deadline_only=deadline_only
-                )
-                counts = rule_counts[j]
-                counts[rule] = counts.get(rule, 0) + 1
-                if result < 0:
-                    spare[w] = a
-                    spare[w + 1] = b
+            out: list[HardwareAttributes] = []
+            push = out.append
+            for a, b, counts in zip(state, state[half:], fires):
+                code = decision_code(a, b, wrap, deadline_only)
+                counts[code] += 1
+                if code < 0:
+                    push(a)
+                    push(b)
                 else:
-                    spare[w] = b
-                    spare[w + 1] = a
-            state, spare = spare, state
+                    push(b)
+                    push(a)
+            state = out
         return state, passes
 
     def _run_bitonic(
@@ -218,18 +208,15 @@ class ShuffleExchangeNetwork:
         routing).
         """
         wrap, deadline_only = self.wrap, self.deadline_only
-        rule_counts = [block.rule_counts for block in self.blocks]
+        fires = [block.fires for block in self.blocks]
         state = list(bundles)
         for stage in self._bitonic:
             for j, i, partner, ascending in stage:
                 a = state[i]
                 b = state[partner]
-                result, rule = compare_with_rule(
-                    a, b, wrap=wrap, deadline_only=deadline_only
-                )
-                counts = rule_counts[j]
-                counts[rule] = counts.get(rule, 0) + 1
-                if (result < 0) != ascending:
+                code = decision_code(a, b, wrap, deadline_only)
+                fires[j][code] += 1
+                if (code < 0) != ascending:
                     state[i] = b
                     state[partner] = a
         return state, len(self._bitonic)

@@ -70,4 +70,4 @@ def run_rule_coverage() -> RuleCoverage:
     for a, b in itertools.combinations(grid, 2):
         block.decide(a, b)
         total += 1
-    return RuleCoverage(counts=dict(block.rule_counts), total=total)
+    return RuleCoverage(counts=block.rule_counts, total=total)

@@ -1,13 +1,16 @@
 """Tests for the Table 2 pairwise ordering rules."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.rules import (
+    RULES,
     Rule,
     compare,
     compare_with_rule,
+    decision_code,
     evaluate,
     ordering_key,
 )
@@ -126,6 +129,62 @@ class TestDeadlineOnlyMode:
         )
         assert r.rule is Rule.FCFS
         assert r.result == 1
+
+
+#: Serials that tie, sit near each other, straddle the 16-bit wrap or lie
+#: exactly 2**15 apart.
+_serials = st.one_of(
+    st.integers(0, 4),
+    st.integers(65532, 65535),
+    st.sampled_from((32767, 32768, 32769, 65536, 98304)),
+)
+
+wire_strategy = st.builds(
+    attrs,
+    sid=st.integers(0, 31),
+    deadline=_serials,
+    x=st.one_of(st.integers(0, 4), st.just(255)),
+    y=st.one_of(st.integers(0, 8), st.just(255)),
+    arrival=_serials,
+    valid=st.booleans(),
+)
+
+
+class TestDecisionCode:
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("deadline_only", [True, False])
+    @given(a=wire_strategy, b=wire_strategy)
+    def test_matches_evaluate(self, wrap, deadline_only, a, b):
+        code = decision_code(a, b, wrap, deadline_only)
+        full = evaluate(a, b, wrap=wrap, deadline_only=deadline_only)
+        assert code != 0
+        assert (code > 0) == (full.result > 0)
+        assert RULES[abs(code) - 1] is full.rule
+
+    @pytest.mark.parametrize("deadline_only", [True, False])
+    @given(a=wire_strategy, b=wire_strategy)
+    def test_antisymmetric_on_distinct_ids(self, deadline_only, a, b):
+        # Ideal arithmetic only: under ``wrap=True`` two serials exactly
+        # 2**15 apart each precede the other.
+        if a.sid != b.sid:
+            assert decision_code(a, b, False, deadline_only) == -decision_code(
+                b, a, False, deadline_only
+            )
+
+    @pytest.mark.parametrize("field", ["deadline", "arrival"])
+    def test_half_modulus_apart_each_precedes(self, field):
+        """Two serials exactly 2**15 apart: the first operand precedes in
+        either order, as :func:`serial_cmp` resolves it."""
+        a, b = attrs(sid=0, **{field: 32768}), attrs(sid=1, **{field: 65536})
+        for x, y in ((a, b), (b, a)):
+            assert evaluate(x, y).result == -1
+            assert decision_code(x, y, True, False) < 0
+
+    def test_codes_name_rules_in_priority_order(self):
+        assert RULES == tuple(Rule)
+        assert decision_code(attrs(valid=False), attrs()) == 1
+        assert decision_code(attrs(deadline=1), attrs(deadline=2)) == -2
+        assert decision_code(attrs(sid=1), attrs(sid=2)) == -7
 
 
 class TestConsistency:

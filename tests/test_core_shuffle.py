@@ -1,12 +1,14 @@
 """Tests for the recirculating shuffle-exchange network."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.decision_block import DecisionBlock
-from repro.core.rules import ordering_key
+from repro.core.rules import Rule, ordering_key
 from repro.core.shuffle import (
     ShuffleExchangeNetwork,
     is_pow2,
@@ -284,31 +286,89 @@ class TestFusedPassesMatchPerPairNetwork:
     def test_order_and_counters_match(
         self, n, schedule, winner_only, wrap, deadline_only, data
     ):
-        """The precomputed-wiring passes emit the same bundles and charge
-        the same per-block decision and rule counters as a per-pair
+        """The network's passes emit the same bundles and charge the
+        same per-block decision and rule counters as a per-pair
         ``perfect_shuffle`` + ``DecisionBlock.decide`` loop, over
         consecutive runs, without touching the caller's list."""
-        net = ShuffleExchangeNetwork(
-            n, wrap=wrap, deadline_only=deadline_only, schedule=schedule
+        _assert_runs_match_per_pair(
+            [data.draw(_bundle_rows(n)) for _ in range(2)],
+            schedule, winner_only, wrap, deadline_only,
         )
-        blocks = [
-            DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
-            for i in range(n // 2)
-        ]
+
+    def test_aggregation_tier_shape(self):
+        """The aggregation tier's oracle network: 1,024 slots, WR
+        routing, deadline-only ideal comparators, about 3% valid
+        bundles, and idle bundles that still hold the stale deadlines
+        and arrivals of their last packets (so idle pairs tie on both
+        fields and fall through to FCFS and the stream-ID rule)."""
+        rng = random.Random(1024)
+        runs = []
         for _ in range(2):
-            bundles = data.draw(_bundle_rows(n))
-            given_list = list(bundles)
-            result = net.run(bundles, winner_only=winner_only)
-            before = sum(b.decisions for b in blocks)
-            order, passes = _per_pair_reference(
-                blocks, bundles, schedule, winner_only
-            )
-            assert [id(b) for b in result.order] == [id(b) for b in order]
-            assert result.passes == passes
-            assert result.comparisons == sum(b.decisions for b in blocks) - before
-            assert [b.decisions for b in net.blocks] == [b.decisions for b in blocks]
-            assert [b.rule_counts for b in net.blocks] == [
-                b.rule_counts for b in blocks
-            ]
-            assert all(x is y for x, y in zip(bundles, given_list))
-            assert len(bundles) == n
+            bundles = []
+            for sid in range(1024):
+                bundle = HardwareAttributes(
+                    sid=sid,
+                    deadline=rng.choice((0, rng.randrange(200_000))),
+                    arrival=rng.choice((0, rng.randrange(200_000))),
+                )
+                bundle.valid = rng.random() < 0.03
+                bundles.append(bundle)
+            runs.append(bundles)
+        assert 10 < sum(b.valid for bundles in runs for b in bundles) < 120
+        net = _assert_runs_match_per_pair(
+            runs, "paper", winner_only=True, wrap=False, deadline_only=True
+        )
+        fired = {rule for block in net.blocks for rule in block.rule_counts}
+        assert fired == {
+            Rule.VALIDITY, Rule.EARLIEST_DEADLINE, Rule.FCFS, Rule.STREAM_ID
+        }
+
+    def test_bitonic_block_shape(self):
+        """N=64 on the bitonic schedule with BA routing (the whole sorted
+        block is emitted), on every Table 2 rule and the 16-bit wrap."""
+        rng = random.Random(64)
+        edges = (0, 1, 2, 3, 65533, 65534, 65535)
+        runs = []
+        for _ in range(2):
+            bundles = []
+            for sid in range(64):
+                x, y = rng.choice(_WINDOWS)
+                bundle = HardwareAttributes(
+                    sid=sid, deadline=rng.choice(edges), loss_numerator=x,
+                    loss_denominator=y, arrival=rng.choice(edges),
+                )
+                bundle.valid = rng.random() < 0.8
+                bundles.append(bundle)
+            runs.append(bundles)
+        net = _assert_runs_match_per_pair(
+            runs, "bitonic", winner_only=False, wrap=True, deadline_only=False
+        )
+        assert {rule for block in net.blocks for rule in block.rule_counts} == set(Rule)
+
+
+def _assert_runs_match_per_pair(runs, schedule, winner_only, wrap, deadline_only):
+    """Run each bundle list through one network and through
+    :func:`_per_pair_reference`, back to back, and compare the emitted
+    bundles, pass and comparison counts and the per-block decision and
+    rule counters after every run; the caller's lists stay untouched."""
+    n = len(runs[0])
+    net = ShuffleExchangeNetwork(
+        n, wrap=wrap, deadline_only=deadline_only, schedule=schedule
+    )
+    blocks = [
+        DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
+        for i in range(n // 2)
+    ]
+    for bundles in runs:
+        given_list = list(bundles)
+        result = net.run(bundles, winner_only=winner_only)
+        before = sum(b.decisions for b in blocks)
+        order, passes = _per_pair_reference(blocks, bundles, schedule, winner_only)
+        assert [id(b) for b in result.order] == [id(b) for b in order]
+        assert result.passes == passes
+        assert result.comparisons == sum(b.decisions for b in blocks) - before
+        assert [b.decisions for b in net.blocks] == [b.decisions for b in blocks]
+        assert [b.rule_counts for b in net.blocks] == [b.rule_counts for b in blocks]
+        assert all(x is y for x, y in zip(bundles, given_list))
+        assert len(bundles) == n
+    return net
