@@ -18,13 +18,14 @@ cross-validated engines:
   arithmetic plus per-aggregate counters;
 * :mod:`repro.aggregation.scenario` derives seeded churn workloads and
   replays them byte-identically on both engines (the
-  aggregation-aware differential path,
-  :func:`repro.core.differential.validate_aggregation`).
+  aggregation kind of the validation campaign,
+  ``campaign(seeds, kind=AggregationKind(...))``).
 
 See ``docs/AGGREGATION.md`` for the model and churn semantics.
 """
 
 from repro.aggregation.scenario import (
+    AggregationKind,
     AggregationScenario,
     generate_aggregation_scenario,
     run_aggregation,
@@ -39,6 +40,7 @@ from repro.aggregation.tier import (
 
 __all__ = [
     "AggregationCampaign",
+    "AggregationKind",
     "AggregationScenario",
     "AggregationTier",
     "aggregate_share_slos",

@@ -8,7 +8,8 @@ engine); :func:`run_aggregation_bucket` replays a same-shape batch of
 scenarios in lockstep on one tensorized
 :class:`~repro.aggregation.tier.AggregationCampaign`.  Both produce
 the same canonical summary shape, engine-independent by construction,
-which is what :func:`repro.core.differential.validate_aggregation`
+which a ``campaign(seeds, kind=AggregationKind(...))`` run
+(:func:`repro.core.differential.campaign`, :class:`AggregationKind`)
 byte-compares and what the golden vectors freeze.
 
 Summaries carry a sha256 ``service_digest`` over the *entire* service
@@ -22,18 +23,23 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import ClassVar
 
 from repro.aggregation.tier import (
     AggregationCampaign,
     AggregationTier,
     ServiceLog,
     _TierCore,
+    hash_bucket,
 )
+from repro.core.differential import Divergence, Kind, compare_summaries
 
 __all__ = [
     "SERVICE_HEAD",
     "AggregationScenario",
+    "AggregationKind",
     "generate_aggregation_scenario",
     "run_aggregation",
     "run_aggregation_bucket",
@@ -90,14 +96,18 @@ class AggregationScenario:
     def total_arrivals(self) -> int:
         return sum(len(a) for _, _, a in self.events)
 
-    def cache_payload(self) -> dict:
-        """Resolved-config payload for the on-disk result cache.
+    def describe(self) -> str:
+        return (
+            f"seed={self.seed} n_aggregates={self.n_aggregates} "
+            f"discipline={self.discipline} salt={self.salt} "
+            f"cycles={self.n_cycles} streams={self.total_streams} "
+            f"arrivals={self.total_arrivals}"
+        )
 
-        Keys the cache on the *aggregate topology* (aggregate count,
-        bucketing salt, discipline) as well as the workload, so cached
-        non-aggregated campaign entries can never satisfy aggregated
-        lookups and two topologies never collide.
-        """
+    def cache_payload(self) -> dict:
+        """Resolved-config payload for the on-disk result cache: the
+        workload and the *aggregate topology* (aggregate count,
+        bucketing salt, discipline), so two topologies never collide."""
         return {
             "kind": "aggregation-scenario",
             "seed": self.seed,
@@ -222,17 +232,15 @@ def summarize_tier(
     }
 
 
-def _apply_cycle(
-    tier,
-    cycle: tuple,
-) -> None:
+def _apply_cycle(members, submit, cycle: tuple) -> None:
+    """Joins and leaves on ``members``, then arrivals through ``submit``."""
     joins, leaves, arrivals = cycle
     for sid, weight in joins:
-        tier.join(sid, weight=weight)
+        members.join(sid, weight=weight)
     for sid in leaves:
-        tier.leave(sid)
+        members.leave(sid)
     for sid, deadline, length in arrivals:
-        tier.submit(sid, deadline, length)
+        submit(sid, deadline, length)
 
 
 def run_aggregation(
@@ -252,7 +260,7 @@ def run_aggregation(
     for sid, weight in scenario.initial:
         tier.join(sid, weight=weight)
     for cycle in scenario.events:
-        _apply_cycle(tier, cycle)
+        _apply_cycle(tier, tier.submit, cycle)
         tier.decision_cycle()
     tier.drain()
     return summarize_tier(scenario, tier.core, tier.services)
@@ -287,34 +295,84 @@ def run_aggregation_bucket(
         observers=observers,
     )
 
-    class _Row:
-        __slots__ = ("campaign", "row")
-
-        def __init__(self, campaign: AggregationCampaign, row: int) -> None:
-            self.campaign = campaign
-            self.row = row
-
-        def join(self, sid, *, weight=None):
-            return self.campaign.cores[self.row].join(sid, weight=weight)
-
-        def leave(self, sid):
-            return self.campaign.cores[self.row].leave(sid)
-
-        def submit(self, sid, deadline, length=1500):
-            self.campaign.submit(self.row, sid, deadline, length)
-
-    rows = [_Row(campaign, i) for i in range(len(scenarios))]
-    for row, sc in zip(rows, scenarios):
+    submits = [partial(campaign.submit, i) for i in range(len(scenarios))]
+    for core, sc in zip(campaign.cores, scenarios):
         for sid, weight in sc.initial:
-            row.join(sid, weight=weight)
+            core.join(sid, weight=weight)
     horizon = max(sc.n_cycles for sc in scenarios)
     for t in range(horizon):
-        for row, sc in zip(rows, scenarios):
+        for core, submit, sc in zip(campaign.cores, submits, scenarios):
             if t < sc.n_cycles:
-                _apply_cycle(row, sc.events[t])
+                _apply_cycle(core, submit, sc.events[t])
         campaign.decision_cycle()
     campaign.drain()
     return [
         summarize_tier(sc, campaign.cores[i], campaign.services[i])
         for i, sc in enumerate(scenarios)
     ]
+
+
+@dataclass(frozen=True)
+class AggregationKind(Kind):
+    """Validation campaign kind for the hierarchical aggregation tier.
+
+    Each seed's churn workload (:func:`generate_aggregation_scenario`)
+    replays on a standalone reference tier and, one bucket per
+    topology, on a tensorized :class:`AggregationCampaign`; the
+    summaries must be byte-identical.  Invariant ``drain``: after the
+    drain, serviced == enqueued == the scenario's arrivals, in total
+    and per aggregate.  Cache keys carry the aggregate topology.
+    """
+
+    n_streams: int = 48
+    n_aggregates: int = 8
+    discipline: str = "pifo:sfq"
+    salt: int = 0
+
+    name: ClassVar[str] = "aggregation"
+    axes: ClassVar[tuple[str, ...]] = ("disciplines", "aggregates")
+
+    def generate(self, seed: int, n_cycles: int) -> AggregationScenario:
+        # The kind's fields are the generator's workload parameters.
+        return generate_aggregation_scenario(seed, n_cycles=n_cycles, **asdict(self))
+
+    def bucket_key(self, scenario: AggregationScenario) -> tuple:
+        return (scenario.n_aggregates, scenario.discipline, scenario.salt)
+
+    def cache_payload(self, scenario: AggregationScenario, mode: str) -> dict:
+        return {
+            "mode": mode,
+            "engines": ["reference", "tensor"],
+            "scenario": scenario.cache_payload(),
+        }
+
+    def coverage(self, scenario: AggregationScenario) -> dict[str, tuple[str, ...]]:
+        return {
+            "disciplines": (scenario.discipline,),
+            "aggregates": (str(scenario.n_aggregates),),
+        }
+
+    def run_oracle(self, scenario: AggregationScenario, mode: str) -> dict:
+        return run_aggregation(scenario, engine="reference")
+
+    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
+        return run_aggregation_bucket(scenarios)
+
+    def compare(self, scenario, oracle: dict, array: dict) -> Divergence | None:
+        return compare_summaries(scenario, oracle, array)
+
+    def invariants(self, scenario, oracle: dict) -> Divergence | None:
+        arrivals = [0] * scenario.n_aggregates
+        for _joins, _leaves, cycle in scenario.events:
+            for sid, _deadline, _length in cycle:
+                arrivals[hash_bucket(sid, len(arrivals), salt=scenario.salt)] += 1
+        per = oracle["per_aggregate"]
+        observed = {
+            key: [oracle[key], per[key]] for key in ("enqueued", "serviced")
+        }
+        expected = dict.fromkeys(observed, [sum(arrivals), arrivals])
+        if observed == expected:
+            return None
+        return Divergence(
+            scenario, None, "drain", observed, expected, invariant=True
+        )

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, Routing
+from repro.core.register_block import nonpositive_length_error
 from repro.disciplines.pifo import RankFunction, rank_function
 
 __all__ = [
@@ -385,6 +386,8 @@ class _TierCore:
         Returns the engine enqueue op when this packet becomes the
         aggregate's in-flight head, else ``None``.
         """
+        if length <= 0:
+            raise nonpositive_length_error(length)
         a = self.bucket(sid)
         arrival = self._arrival_seq
         self._arrival_seq += 1

@@ -466,18 +466,33 @@ def _render_value(value) -> str:
     return f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
+def _run_validation(args, kind, count: int) -> None:
+    """One validation campaign of ``kind`` over ``count`` seeds, with
+    ``--cycles``, ``--workers``, ``--cache-dir``/``--no-cache`` and
+    ``--summary-json``; exits 1 unless it passed."""
+    from repro.core.differential import campaign
+
+    result = campaign(
+        range(count),
+        kind=kind,
+        n_cycles=args.cycles,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        use_cache=not args.no_cache,
+    )
+    if not result.report(args.summary_json):
+        raise SystemExit(1)
+
+
 def _cmd_pifo(args) -> None:
     """Two-way validation of programmable PIFO rank functions.
 
-    Runs :func:`repro.core.differential.validate_rank_function` for the
-    selected (or every registered) rank function: reference vs tensor
-    byte-identical summaries, plus service-order equivalence
+    Runs one rank-kind campaign (:class:`repro.disciplines.pifo.RankKind`)
+    over the selected (or every registered) rank function: reference vs
+    tensor byte-identical summaries, plus service-order equivalence
     against the handwritten counterpart where one is declared.
     """
-    import json
-
-    from repro.core.differential import validate_rank_function
-    from repro.disciplines.pifo import PIFO_RANK_FUNCTIONS, rank_function
+    from repro.disciplines.pifo import PIFO_RANK_FUNCTIONS, RankKind, rank_function
 
     if args.discipline is None:
         names = sorted(PIFO_RANK_FUNCTIONS)
@@ -487,48 +502,20 @@ def _cmd_pifo(args) -> None:
                 f"--discipline takes pifo:<name>; got {args.discipline!r}"
             )
         names = [args.discipline[len("pifo:"):]]
+    kind = RankKind(tuple(rank_function(name) for name in names))
     count = args.frames if args.frames is not None else 20
-    rows = []
-    summaries = {}
-    failed = False
-    for name in names:
-        fn = rank_function(name)
-        result = validate_rank_function(
-            fn, seeds=range(count), n_cycles=args.cycles
-        )
-        summaries[f"pifo:{name}"] = result.summary()
-        rows.append(
-            [
-                f"pifo:{name}",
-                fn.rank.describe(),
-                fn.equivalent_to or "-",
-                str(result.scenarios),
-                str(result.services),
-                "pass" if result.passed else "FAIL",
-            ]
-        )
-        for divergence in result.divergences:
-            print(f"DIVERGENCE {divergence}")
-        failed = failed or not result.passed
     print(
         render_table(
-            ["discipline", "rank", "equivalent to", "scenarios", "services", "2-way"],
-            rows,
+            ["discipline", "rank", "equivalent to"],
+            [
+                [f"pifo:{fn.name}", fn.rank.describe(), fn.equivalent_to or "-"]
+                for fn in kind.functions
+            ],
             title=f"PIFO rank functions ({count} scenarios each, "
             f"{args.cycles} cycles; reference == tensor)",
         )
     )
-    if args.summary_json:
-        payload = {
-            "format": 1,
-            "kind": "pifo-validation",
-            "results": summaries,
-        }
-        with open(args.summary_json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        print(f"summary written to {args.summary_json}")
-    if failed:
-        raise SystemExit(1)
+    _run_validation(args, kind, count)
 
 
 def _cmd_aggregation(args) -> None:
@@ -538,13 +525,15 @@ def _cmd_aggregation(args) -> None:
     lightweight streams hash-bucketed into ``--aggregate`` slots, with
     intra-aggregate ordering by ``--agg-discipline`` — on the selected
     engine and tabulates the per-aggregate rollups.  ``--validate``
-    instead runs :func:`repro.core.differential.validate_aggregation`:
-    reference vs tensor byte-identical summaries over
-    ``--frames`` seeded churn scenarios.
+    instead runs an aggregation-kind campaign
+    (:class:`repro.aggregation.AggregationKind`): reference vs tensor
+    byte-identical summaries and the drain invariant over ``--frames``
+    seeded churn scenarios.
     """
     import json
 
     from repro.aggregation import (
+        AggregationKind,
         generate_aggregation_scenario,
         hash_bucket,
         run_aggregation,
@@ -553,41 +542,12 @@ def _cmd_aggregation(args) -> None:
     if args.aggregate < 2 or args.aggregate & (args.aggregate - 1):
         raise SystemExit("--aggregate must be a power of two >= 2")
     if args.validate:
-        from repro.core.differential import validate_aggregation
-
-        count = args.frames if args.frames is not None else 10
-        result = validate_aggregation(
-            seeds=range(count),
+        kind = AggregationKind(
             n_streams=args.streams or 48,
             n_aggregates=args.aggregate,
-            n_cycles=args.cycles,
             discipline=args.agg_discipline,
         )
-        for divergence in result.divergences:
-            print(f"DIVERGENCE {divergence}")
-        print(
-            render_table(
-                ["discipline", "aggregates", "scenarios", "streams", "services", "2-way"],
-                [
-                    [
-                        result.discipline,
-                        str(result.n_aggregates),
-                        str(result.scenarios),
-                        str(result.streams),
-                        str(result.services),
-                        "pass" if result.passed else "FAIL",
-                    ]
-                ],
-                title=f"Aggregation tier ({count} churn scenarios, "
-                f"{args.cycles} cycles; reference == tensor)",
-            )
-        )
-        if args.summary_json:
-            with open(args.summary_json, "w", encoding="utf-8") as fh:
-                fh.write(result.summary_json())
-            print(f"summary written to {args.summary_json}")
-        if not result.passed:
-            raise SystemExit(1)
+        _run_validation(args, kind, 10 if args.frames is None else args.frames)
         return
     scenario = generate_aggregation_scenario(
         0,
@@ -937,7 +897,9 @@ def main(argv: list[str] | None = None) -> int:
         "--frames",
         type=int,
         default=None,
-        help="workload size override (frames per stream / burst size)",
+        help="workload size override (frames per stream / burst size; "
+        "scenario count for the pifo and aggregation --validate "
+        "campaigns)",
     )
     parser.add_argument(
         "--slots",
@@ -956,7 +918,8 @@ def main(argv: list[str] | None = None) -> int:
         "--cycles",
         type=int,
         default=200,
-        help="arrival cycles per scenario (pifo experiment)",
+        help="arrival cycles per scenario (pifo and aggregation "
+        "experiments)",
     )
     parser.add_argument(
         "--aggregate",
@@ -1041,7 +1004,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="worker processes for parallelizable runs (table3 "
-        "configurations, --sweep points; 0 = all cores; results are "
+        "configurations, --sweep points, the pifo and aggregation "
+        "--validate campaigns' buckets; 0 = all cores; results are "
         "identical for any value)",
     )
     parser.add_argument(
@@ -1056,8 +1020,10 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir",
         metavar="DIR",
         default=None,
-        help="on-disk result cache for --sweep points (keyed on the "
-        "canonical config + engine + package version)",
+        help="on-disk result cache for --sweep points and for the "
+        "scenarios the pifo and aggregation --validate campaigns "
+        "already validated (keyed on the canonical config + engine + "
+        "package version)",
     )
     parser.add_argument(
         "--no-cache",
@@ -1068,8 +1034,9 @@ def main(argv: list[str] | None = None) -> int:
         "--summary-json",
         metavar="PATH",
         default=None,
-        help="write the canonical --sweep summary to PATH "
-        "(byte-identical across --workers values)",
+        help="write the canonical summary of a --sweep or of the pifo "
+        "or aggregation --validate campaign to PATH (byte-identical "
+        "across --workers values and cache state)",
     )
     args = parser.parse_args(argv)
     if args.experiment == "list":

@@ -14,33 +14,29 @@ cycle-by-cycle identical behavior:
 * final per-slot performance counters (wins, serviced, misses,
   violations, window resets, loads).
 
-Scenarios are generated from a single integer seed, so any divergence
-is reproducible from the seed alone — the test harness prints it on
-failure.  See ``docs/ENGINES.md`` for the oracle/array-engine contract.
+Agreeing engines can still be wrong, so the oracle's run is also
+checked on its own (:func:`work_conservation`).  Scenarios are
+generated from a single integer seed, so any divergence is reproducible
+from the seed alone.  See ``docs/ENGINES.md`` for the contract.
 
 A second mode turns the observability layer itself into a correctness
 oracle: :func:`cross_validate_traces` attaches a structured
 :class:`~repro.observability.TraceRecorder` to each engine and compares
 the *telemetry event streams* event-by-event (and their canonical byte
-serializations), so the hook wiring, the event flattening and the
-scheduling behavior are all certified together.
+serializations).
 
-Run a standalone campaign with::
+:func:`campaign` is the one validation driver, over a scenario
+:class:`Kind`: :class:`SchedulerKind` (default),
+:class:`repro.disciplines.pifo.RankKind` (PIFO rank functions) or
+:class:`repro.aggregation.AggregationKind` (the aggregation tier).  It
+buckets scenarios by shape and runs every bucket as *one* tensorized
+evaluation, cross-validated per scenario against the oracle.
+``--workers N`` shards the buckets across cores via :mod:`repro.runner`
+(merged summary byte-identical to the sequential run) and
+``--cache-dir`` memoizes already-validated scenarios on disk::
 
     PYTHONPATH=src python -m repro.core.differential --count 200
     PYTHONPATH=src python -m repro.core.differential --count 60 --trace-equivalence
-
-A campaign buckets its scenarios by architecture shape
-(:func:`bucket_key`) and runs every bucket as *one* tensorized
-``(S, N)`` evaluation (:func:`run_bucket`), cross-validated per
-scenario against the oracle.  Buckets are embarrassingly parallel;
-``--workers N`` shards them across cores via :mod:`repro.runner`
-(merged summary byte-identical to the sequential run, per-bucket
-telemetry merged via
-:func:`repro.observability.metrics.merge_snapshots`) and ``--cache-dir``
-memoizes already-validated scenarios on disk so warm re-runs skip
-them::
-
     PYTHONPATH=src python -m repro.core.differential \\
         --count 200 --cycles 1000 --workers 4 --cache-dir .diffcache
 """
@@ -49,7 +45,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.batch_engine import make_scheduler
@@ -64,19 +62,21 @@ __all__ = [
     "Divergence",
     "SeedOutcome",
     "BucketOutcome",
+    "CampaignResult",
+    "Kind",
+    "SchedulerKind",
     "generate_scenario",
     "build_engine",
     "run_engine",
     "bucket_key",
     "run_bucket",
+    "compare_summaries",
+    "work_conservation",
     "cross_validate",
     "cross_validate_traces",
     "cross_validate_bucket",
-    "validate_seed",
     "validate_bucket",
     "campaign",
-    "RankValidation",
-    "validate_rank_function",
 ]
 
 #: Disciplines the scenario generator samples (≥ 2 required by the
@@ -141,33 +141,55 @@ class CycleRecord:
 
 @dataclass(frozen=True, slots=True)
 class EngineTrace:
-    """Full observable trace of one engine over one scenario."""
+    """Full observable trace of one engine over one scenario.
+
+    ``schedule`` is the replayed arrival/drop schedule (an input, never
+    compared), kept so :func:`work_conservation` need not redraw it.
+    """
 
     engine: str
     records: tuple[CycleRecord, ...]
     counters: dict[int, tuple[int, int, int, int, int, int]]
+    schedule: list = field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
 class Divergence:
-    """First observed disagreement between the two engines."""
+    """First failed check on one scenario of any kind.
 
-    scenario: Scenario
-    cycle: int | None  # None: counter (end-of-run) divergence
+    Either the engines disagree on ``field`` (``reference``/``tensor``
+    hold the two sides), or the oracle's run breaks the ``invariant``
+    ``field`` (``reference``: what it did, ``tensor``: what was due).
+    ``scenario`` is the kind's scenario: it has ``seed`` and
+    ``describe()``.
+    """
+
+    scenario: Any
+    cycle: int | None  # None: end-of-run divergence
     field: str
     reference: object
     tensor: object
+    invariant: bool = False
 
     def __str__(self) -> str:
-        where = "final counters" if self.cycle is None else f"cycle {self.cycle}"
-        return (
-            f"engines diverged at {where} on {self.field}\n"
-            f"  scenario: {self.scenario.describe()}\n"
-            f"  reference: {self.reference!r}\n"
-            f"  tensor:    {self.tensor!r}\n"
-            f"reproduce with: cross_validate(generate_scenario("
-            f"{self.scenario.seed}))"
+        where = "end of run" if self.cycle is None else f"cycle {self.cycle}"
+        head, labels = (
+            (f"oracle broke {self.field} at {where}", ("oracle:", "expected:"))
+            if self.invariant
+            else (f"engines diverged at {where} on {self.field}",
+                  ("reference:", "tensor:"))
         )
+        text = (
+            f"{head}\n  scenario: {self.scenario.describe()}\n"
+            f"  {labels[0]:<10} {self.reference!r}\n"
+            f"  {labels[1]:<10} {self.tensor!r}"
+        )
+        if isinstance(self.scenario, Scenario):
+            text += (
+                "\nreproduce with: cross_validate(generate_scenario("
+                f"{self.scenario.seed}))"
+            )
+        return text
 
 
 def generate_scenario(
@@ -292,8 +314,9 @@ def _cycle_record(outcome) -> CycleRecord:
 def run_engine(scenario: Scenario, engine: str, *, observer=None) -> EngineTrace:
     """Execute ``scenario`` on one engine, recording every observable."""
     sched = build_engine(scenario, engine, observer=observer)
+    schedule = _arrival_schedule(scenario)
     records = []
-    for t, (arrivals, drop) in enumerate(_arrival_schedule(scenario)):
+    for t, (arrivals, drop) in enumerate(schedule):
         for sid, deadline, arrival in arrivals:
             sched.enqueue(sid, deadline, arrival)
         outcome = sched.decision_cycle(
@@ -303,7 +326,13 @@ def run_engine(scenario: Scenario, engine: str, *, observer=None) -> EngineTrace
             drop_late=drop,
         )
         records.append(_cycle_record(outcome))
-    counters = {
+    return EngineTrace(
+        engine, tuple(records), _counter_tuples(sched.counters()), schedule
+    )
+
+
+def _counter_tuples(counters) -> dict[int, tuple[int, int, int, int, int, int]]:
+    return {
         sid: (
             c.wins,
             c.serviced,
@@ -312,9 +341,8 @@ def run_engine(scenario: Scenario, engine: str, *, observer=None) -> EngineTrace
             c.window_resets,
             c.loads,
         )
-        for sid, c in sched.counters().items()
+        for sid, c in counters.items()
     }
-    return EngineTrace(engine=engine, records=tuple(records), counters=counters)
 
 
 _CYCLE_FIELDS = (
@@ -367,15 +395,76 @@ def _compare_event_streams(
     return None
 
 
+def compare_summaries(
+    scenario, reference: dict, tensor: dict, *, label: str = ""
+) -> Divergence | None:
+    """Byte comparison of two canonical run summaries; the divergence
+    names the first differing key (sorted), prefixed by ``label``."""
+    for key in sorted(reference.keys() | tensor.keys()):
+        ref, fast = reference.get(key), tensor.get(key)
+        if json.dumps(ref, sort_keys=True) != json.dumps(fast, sort_keys=True):
+            return Divergence(scenario, None, label + key, ref, fast)
+    return None
+
+
+def work_conservation(scenario: Scenario, trace: EngineTrace) -> Divergence | None:
+    """First cycle where the oracle's run is not work-conserving.
+
+    Replays ``trace.schedule`` against the cycle records, with no engine
+    state.  With any stream backlogged after the cycle's arrivals and
+    drops, a winner is circulated, ``consume="winner"`` serves exactly
+    one backlogged packet, ``"block"`` one per backlogged stream and
+    ``"none"`` none, and under BA the block lists every backlogged
+    stream.  An empty backlog serves nothing.
+    """
+    backlog = [0] * scenario.n_slots
+    held: set[int] = set()  # streams with a queued packet
+    for t, ((arrivals, _drop), record) in enumerate(
+        zip(trace.schedule, trace.records)
+    ):
+        for sid, _deadline, _arrival in arrivals:
+            backlog[sid] += 1
+            held.add(sid)
+        for sid, _deadline, _arrival in record.dropped:
+            backlog[sid] -= 1
+            if not backlog[sid]:
+                held.discard(sid)
+        served = sorted(packet[0] for packet in record.serviced)
+        if not held:
+            ok = not served and record.circulated is None
+        else:
+            if scenario.consume == "winner":
+                ok = len(served) == 1 and served[0] in held
+            else:
+                ok = served == (sorted(held) if scenario.consume == "block" else [])
+            ok = ok and record.circulated is not None and (
+                scenario.routing is not Routing.BA or held.issubset(record.block)
+            )
+        if not ok:
+            return Divergence(
+                scenario, t, "work_conservation", record,
+                {"backlogged": sorted(held), "consume": scenario.consume},
+                invariant=True,
+            )
+        for sid in served:
+            backlog[sid] -= 1
+            if not backlog[sid]:
+                held.discard(sid)
+    return None
+
+
 def cross_validate(scenario: Scenario) -> Divergence | None:
     """Run the oracle and the array engine; return the first divergence.
 
     ``None`` means the engines agreed on every decision cycle and on
-    the final performance counters.
+    the final performance counters, and the oracle's run is
+    work-conserving (:func:`work_conservation`).
     """
     ref = run_engine(scenario, "reference")
     fast = run_engine(scenario, "tensor")
-    return _compare_traces(scenario, ref, fast)
+    return _compare_traces(scenario, ref, fast) or work_conservation(
+        scenario, ref
+    )
 
 
 def cross_validate_traces(scenario: Scenario) -> Divergence | None:
@@ -384,14 +473,15 @@ def cross_validate_traces(scenario: Scenario) -> Divergence | None:
     Attaches a fresh :class:`~repro.observability.TraceRecorder` to
     each engine and asserts the structured decision-trace event streams
     are identical event-by-event *and* byte-identical under canonical
-    serialization — observability as a correctness oracle.  ``None``
-    means no divergence.
+    serialization, then checks the oracle's :func:`work_conservation`.
     """
     ref_rec = TraceRecorder()
     fast_rec = TraceRecorder()
-    run_engine(scenario, "reference", observer=ref_rec)
+    ref = run_engine(scenario, "reference", observer=ref_rec)
     run_engine(scenario, "tensor", observer=fast_rec)
-    return _compare_event_streams(scenario, ref_rec, fast_rec)
+    return _compare_event_streams(
+        scenario, ref_rec, fast_rec
+    ) or work_conservation(scenario, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -504,103 +594,209 @@ def run_bucket(
         stats["cycles"] = stats.get("cycles", 0) + n_cycles * n_scenarios
     engine.record_phases()
     return [
-        EngineTrace(
-            engine="tensor",
-            records=tuple(records[s]),
-            counters={
-                sid: (
-                    c.wins,
-                    c.serviced,
-                    c.missed_deadlines,
-                    c.violations,
-                    c.window_resets,
-                    c.loads,
-                )
-                for sid, c in engine.counters(s).items()
-            },
-        )
+        EngineTrace("tensor", tuple(records[s]), _counter_tuples(engine.counters(s)))
         for s in range(n_scenarios)
     ]
 
 
-def cross_validate_bucket(
-    scenarios, mode: str = "outcome", *, stats: dict | None = None,
-    tracer: SpanTracer | None = None,
-) -> list[Divergence | None]:
-    """Cross-validate a same-shape bucket: oracle vs campaign engine.
-
-    The bucket runs *once* through the tensorized engine; every
-    scenario is then compared against its own reference run
-    (``mode="outcome"``: cycle records + counters; ``mode="trace"``:
-    structured telemetry event streams).
-    """
-    scenarios = list(scenarios)
-    if mode == "trace":
-        recorders = [TraceRecorder() for _ in scenarios]
-        run_bucket(scenarios, observers=recorders, stats=stats, tracer=tracer)
-        results: list[Divergence | None] = []
-        for scenario, recorder in zip(scenarios, recorders):
-            ref_rec = TraceRecorder()
-            run_engine(scenario, "reference", observer=ref_rec)
-            results.append(
-                _compare_event_streams(scenario, ref_rec, recorder)
-            )
-        return results
-    tensor_traces = run_bucket(scenarios, stats=stats, tracer=tracer)
-    return [
-        _compare_traces(scenario, run_engine(scenario, "reference"), trace)
-        for scenario, trace in zip(scenarios, tensor_traces)
-    ]
+# ---------------------------------------------------------------------------
+# scenario kinds: what one campaign validates
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class SeedOutcome:
     """One seed's contribution to a campaign (picklable, cache-able).
 
-    Coverage fields are enum *values* (plain strings) so the outcome
-    survives a JSON round-trip through the on-disk scenario cache
-    unchanged; only passing seeds are ever cached, so ``divergence``
-    is always ``None`` for cache hits.
+    ``coverage`` maps each of the kind's coverage axes to the plain
+    strings this seed exercised.  Only passing seeds are ever cached,
+    so ``divergence`` is always ``None`` for cache hits.
     """
 
     seed: int
-    routing: str
-    block_mode: str
-    modes: tuple[str, ...]
+    coverage: dict[str, tuple[str, ...]]
     divergence: Divergence | None = None
 
 
-def _seed_outcome(scenario: Scenario, divergence: Divergence | None) -> SeedOutcome:
-    return SeedOutcome(
-        seed=scenario.seed,
-        routing=scenario.routing.value,
-        block_mode=scenario.block_mode.value,
-        modes=tuple(sorted({s.mode.value for s in scenario.streams})),
-        divergence=divergence,
-    )
+class Kind(ABC):
+    """One family of validation scenarios and the checks run on each.
 
-
-def validate_seed(
-    seed: int, n_cycles: int = 1000, mode: str = "outcome"
-) -> SeedOutcome:
-    """Cross-validate one seed on the single-scenario adapter.
-
-    Fully determined by its arguments.  The ``stop_on_divergence``
-    campaign runs seeds through it one at a time; every other campaign
-    validates whole buckets with :func:`validate_bucket`.
+    A kind is a small frozen dataclass (it must pickle for pool
+    workers).  :func:`campaign` generates one scenario per seed, buckets
+    them by :meth:`bucket_key`, caches passing seeds under
+    :meth:`cache_payload`, runs each bucket once on the array engine and
+    each scenario on the oracle.  A seed's divergence is the first
+    engine disagreement (:meth:`compare`) or, failing none, the first
+    broken invariant of the oracle's run alone (:meth:`invariants`).
+    :meth:`coverage` fills the summary's ``coverage``, one key per axis.
     """
-    validate = cross_validate if mode == "outcome" else cross_validate_traces
+
+    name: ClassVar[str]
+    axes: ClassVar[tuple[str, ...]]
+    modes: ClassVar[tuple[str, ...]] = ("outcome",)
+
+    @abstractmethod
+    def generate(self, seed: int, n_cycles: int) -> Any: ...
+
+    @abstractmethod
+    def bucket_key(self, scenario) -> tuple: ...
+
+    @abstractmethod
+    def cache_payload(self, scenario, mode: str) -> dict: ...
+
+    @abstractmethod
+    def coverage(self, scenario) -> dict[str, tuple[str, ...]]: ...
+
+    @abstractmethod
+    def run_oracle(self, scenario, mode: str) -> Any: ...
+
+    @abstractmethod
+    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list: ...
+
+    @abstractmethod
+    def compare(self, scenario, oracle, array) -> Divergence | None: ...
+
+    @abstractmethod
+    def invariants(self, scenario, oracle) -> Divergence | None: ...
+
+    def namespace(self, mode: str) -> str:
+        return f"differential-{mode}-{self.name}"
+
+    def encode(self, outcome: SeedOutcome) -> dict:
+        """JSON cache value for a *passing* seed."""
+        return {"seed": outcome.seed, "coverage": outcome.coverage}
+
+    def decode(self, value: dict) -> SeedOutcome:
+        coverage = {a: tuple(v) for a, v in value["coverage"].items()}
+        return SeedOutcome(int(value["seed"]), coverage)
+
+
+#: Scenario and StreamConfig fields in the scheduler kind's cache
+#: payload, next to the enum values of routing, block mode and mode.
+_SCENARIO_PAYLOAD = (
+    "seed", "n_slots", "schedule", "wrap", "extended", "n_cycles", "consume",
+    "count_misses", "drop_late_prob", "arrival_prob", "max_deadline_offset",
+)
+_STREAM_PAYLOAD = (
+    "sid", "period", "loss_numerator", "loss_denominator",
+    "initial_deadline", "extended",
+)
+
+
+@dataclass(frozen=True)
+class SchedulerKind(Kind):
+    """Scheduler scenarios (:func:`generate_scenario`), the default kind.
+
+    Bucketed by architecture shape (:func:`bucket_key`) and run through
+    this module's :func:`run_engine` and :func:`run_bucket`; compared
+    record for record (``mode="outcome"``) or event for event
+    (``mode="trace"``); the invariant is :func:`work_conservation`.
+    """
+
+    name: ClassVar[str] = "scheduler"
+    axes: ClassVar[tuple[str, ...]] = ("routings", "block_modes", "modes")
+    modes: ClassVar[tuple[str, ...]] = ("outcome", "trace")
+
+    def generate(self, seed: int, n_cycles: int) -> Scenario:
+        return generate_scenario(seed, n_cycles=n_cycles)
+
+    def bucket_key(self, scenario: Scenario) -> tuple:
+        return bucket_key(scenario)
+
+    def namespace(self, mode: str) -> str:
+        return f"differential-{mode}-tensor"
+
+    def cache_payload(self, scenario: Scenario, mode: str) -> dict:
+        """The *resolved* scenario config, engine pair and mode: a
+        generator change that alters what a seed means changes the key."""
+        config = {name: getattr(scenario, name) for name in _SCENARIO_PAYLOAD}
+        config.update(
+            routing=scenario.routing.value,
+            block_mode=scenario.block_mode.value,
+            streams=[
+                {**{n: getattr(s, n) for n in _STREAM_PAYLOAD}, "mode": s.mode.value}
+                for s in scenario.streams
+            ],
+        )
+        return {"mode": mode, "engines": ["reference", "tensor"], "scenario": config}
+
+    def coverage(self, scenario: Scenario) -> dict[str, tuple[str, ...]]:
+        return {
+            "routings": (scenario.routing.value,),
+            "block_modes": (scenario.block_mode.value,),
+            "modes": tuple(sorted({s.mode.value for s in scenario.streams})),
+        }
+
+    def run_oracle(self, scenario: Scenario, mode: str):
+        """``(trace, recorder)``; the recorder only in trace mode."""
+        recorder = TraceRecorder() if mode == "trace" else None
+        return run_engine(scenario, "reference", observer=recorder), recorder
+
+    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
+        if mode == "outcome":
+            return run_bucket(scenarios, stats=stats, tracer=tracer)
+        recorders = [TraceRecorder() for _ in scenarios]
+        run_bucket(scenarios, observers=recorders, stats=stats, tracer=tracer)
+        return recorders
+
+    def compare(self, scenario: Scenario, oracle, array) -> Divergence | None:
+        trace, recorder = oracle
+        if recorder is None:
+            return _compare_traces(scenario, trace, array)
+        return _compare_event_streams(scenario, recorder, array)
+
+    def invariants(self, scenario: Scenario, oracle) -> Divergence | None:
+        return work_conservation(scenario, oracle[0])
+
+    # The cached value keeps the flat layout it had before kinds, so an
+    # entry written then still decodes to the same outcome.
+    def encode(self, outcome: SeedOutcome) -> dict:
+        (routing,), (block_mode,) = (
+            outcome.coverage["routings"], outcome.coverage["block_modes"]
+        )
+        return {
+            "seed": outcome.seed,
+            "routing": routing,
+            "block_mode": block_mode,
+            "modes": list(outcome.coverage["modes"]),
+        }
+
+    def decode(self, value: dict) -> SeedOutcome:
+        return SeedOutcome(
+            int(value["seed"]),
+            {
+                "routings": (value["routing"],),
+                "block_modes": (value["block_mode"],),
+                "modes": tuple(value["modes"]),
+            },
+        )
+
+
+def _scenario_cache_payload(seed: int, n_cycles: int, mode: str) -> dict:
     scenario = generate_scenario(seed, n_cycles=n_cycles)
-    tracer = current_tracer()
-    if tracer is None:
-        return _seed_outcome(scenario, validate(scenario))
-    with tracer.span(
-        "engine_run", kind="engine-run",
-        seed=seed, engine="tensor", n_cycles=n_cycles,
-    ) as sp:
-        outcome = _seed_outcome(scenario, validate(scenario))
-        sp.tag(diverged=outcome.divergence is not None)
-    return outcome
+    return SchedulerKind().cache_payload(scenario, mode)
+
+
+def cross_validate_bucket(
+    scenarios, mode: str = "outcome", *, kind: Kind = SchedulerKind(),
+    stats: dict | None = None, tracer: SpanTracer | None = None,
+) -> list[Divergence | None]:
+    """Cross-validate a same-shape bucket: oracle vs array engine.
+
+    The bucket runs *once* on the array engine; every scenario then
+    runs on the oracle and is compared against its bucket row, and, if
+    the engines agree, checked against the kind's invariants.
+    """
+    scenarios = list(scenarios)
+    arrays = kind.run_array(scenarios, mode, stats=stats, tracer=tracer)
+    results: list[Divergence | None] = []
+    for scenario, array in zip(scenarios, arrays):
+        oracle = kind.run_oracle(scenario, mode)
+        results.append(
+            kind.compare(scenario, oracle, array)
+            or kind.invariants(scenario, oracle)
+        )
+    return results
 
 
 @dataclass(frozen=True, slots=True)
@@ -618,131 +814,69 @@ class BucketOutcome:
 
 
 def validate_bucket(
-    seeds, n_cycles: int = 1000, mode: str = "outcome"
+    seeds, n_cycles: int = 1000, mode: str = "outcome",
+    kind: Kind = SchedulerKind(),
 ) -> BucketOutcome:
     """Cross-validate one same-shape bucket of seeds tensorized.
 
     The sharded campaign's unit of work: regenerates the bucket's
-    scenarios from the seeds, runs them as one
-    :class:`~repro.core.tensor_engine.CampaignEngine` evaluation and
-    compares each row against its reference run.  Also labels the
-    bucket's execution telemetry (scenario/cycle/fast-forward counts)
-    so shards can be merged with the PR 4 ``absorb`` machinery.
+    scenarios from the seeds and checks them with
+    :func:`cross_validate_bucket`.  Also labels the bucket's execution
+    telemetry (scenario/cycle/fast-forward counts) so shards merge.
     """
     from repro.observability import MetricsRegistry
 
-    scenarios = [generate_scenario(seed, n_cycles=n_cycles) for seed in seeds]
+    scenarios = [kind.generate(seed, n_cycles) for seed in seeds]
     stats: dict = {}
     tracer = current_tracer()
     if tracer is None:
-        divergences = cross_validate_bucket(scenarios, mode, stats=stats)
+        divergences = cross_validate_bucket(
+            scenarios, mode, kind=kind, stats=stats
+        )
     else:
         with tracer.span(
             "engine_run", kind="engine-run",
             scenarios=len(scenarios), n_cycles=n_cycles, engine="tensor",
         ) as sp:
             divergences = cross_validate_bucket(
-                scenarios, mode, stats=stats, tracer=tracer
+                scenarios, mode, kind=kind, stats=stats, tracer=tracer
             )
             # Fast-forward attribution: bulk-skipped idle cycles are a
             # pure function of the workload, so they are canonical tags.
             sp.tag(
-                cycles=stats.get("cycles", 0),
+                cycles=stats.get("cycles", n_cycles * len(scenarios)),
                 fast_forwarded=stats.get("fast_forwarded", 0),
             )
     registry = MetricsRegistry()
-    registry.counter(
-        "differential_bucket_scenarios_total",
-        "scenarios validated through the tensorized bucket path",
-    ).inc(len(scenarios))
-    registry.counter(
-        "differential_bucket_cycles_total",
-        "scenario-cycles advanced by bucketed campaign evaluations",
-    ).inc(stats.get("cycles", 0))
-    registry.counter(
-        "differential_fast_forwarded_cycles_total",
-        "idle decision cycles skipped in bulk by the campaign engine",
-    ).inc(stats.get("fast_forwarded", 0))
+    for name, help_text, value in (
+        ("differential_bucket_scenarios_total",
+         "scenarios validated through the tensorized bucket path",
+         len(scenarios)),
+        ("differential_bucket_cycles_total",
+         "scenario-cycles advanced by bucketed campaign evaluations",
+         stats.get("cycles", n_cycles * len(scenarios))),
+        ("differential_fast_forwarded_cycles_total",
+         "idle decision cycles skipped in bulk by the campaign engine",
+         stats.get("fast_forwarded", 0)),
+    ):
+        registry.counter(name, help_text).inc(value)
     return BucketOutcome(
         outcomes=tuple(
-            _seed_outcome(scenario, divergence)
+            SeedOutcome(scenario.seed, kind.coverage(scenario), divergence)
             for scenario, divergence in zip(scenarios, divergences)
         ),
         telemetry=registry.snapshot(),
     )
 
 
-def _scenario_cache_payload(seed: int, n_cycles: int, mode: str) -> dict:
-    """Canonical cache-key payload: the *resolved* scenario config.
-
-    Keyed on the full derived scenario (not just the seed) plus the
-    engine pair and comparison mode, so a generator change that alters
-    what a seed means invalidates its cache entry.  The
-    package-version/schema token is folded in by
-    :class:`~repro.runner.cache.ResultCache`.
-    """
-    scenario = generate_scenario(seed, n_cycles=n_cycles)
-    return {
-        "mode": mode,
-        "engines": ["reference", "tensor"],
-        "scenario": {
-            "seed": scenario.seed,
-            "n_slots": scenario.n_slots,
-            "routing": scenario.routing.value,
-            "block_mode": scenario.block_mode.value,
-            "schedule": scenario.schedule,
-            "wrap": scenario.wrap,
-            "extended": scenario.extended,
-            "n_cycles": scenario.n_cycles,
-            "consume": scenario.consume,
-            "count_misses": scenario.count_misses,
-            "drop_late_prob": scenario.drop_late_prob,
-            "arrival_prob": scenario.arrival_prob,
-            "max_deadline_offset": scenario.max_deadline_offset,
-            "streams": [
-                {
-                    "sid": s.sid,
-                    "period": s.period,
-                    "loss_numerator": s.loss_numerator,
-                    "loss_denominator": s.loss_denominator,
-                    "initial_deadline": s.initial_deadline,
-                    "mode": s.mode.value,
-                    "extended": s.extended,
-                }
-                for s in scenario.streams
-            ],
-        },
-    }
-
-
-def _encode_outcome(outcome: SeedOutcome) -> dict:
-    """JSON cache value for a *passing* seed."""
-    return {
-        "seed": outcome.seed,
-        "routing": outcome.routing,
-        "block_mode": outcome.block_mode,
-        "modes": list(outcome.modes),
-    }
-
-
-def _decode_outcome(value: dict) -> SeedOutcome:
-    return SeedOutcome(
-        seed=int(value["seed"]),
-        routing=str(value["routing"]),
-        block_mode=str(value["block_mode"]),
-        modes=tuple(str(m) for m in value["modes"]),
-    )
-
-
 @dataclass(slots=True)
 class CampaignResult:
-    """Summary of a differential campaign."""
+    """Summary of a validation campaign of any kind."""
 
     scenarios: int = 0
     divergences: list[Divergence] = field(default_factory=list)
-    routings: set = field(default_factory=set)
-    block_modes: set = field(default_factory=set)
-    modes: set = field(default_factory=set)
+    #: Coverage axis -> the values the folded seeds exercised.
+    coverage: dict[str, set[str]] = field(default_factory=dict)
     mode: str = "outcome"
     n_cycles: int = 1000
     #: Shard/item failures (:class:`repro.runner.ShardFailure`): seeds
@@ -761,6 +895,14 @@ class CampaignResult:
     def passed(self) -> bool:
         return not self.divergences and not self.failures
 
+    def fold(self, outcome: SeedOutcome) -> None:
+        """Add one seed's outcome (seeds fold in campaign seed order)."""
+        self.scenarios += 1
+        for axis, values in outcome.coverage.items():
+            self.coverage.setdefault(axis, set()).update(values)
+        if outcome.divergence is not None:
+            self.divergences.append(outcome.divergence)
+
     def summary(self) -> dict:
         """Canonical merged summary (worker-count independent).
 
@@ -775,9 +917,7 @@ class CampaignResult:
             "scenarios": self.scenarios,
             "passed": self.passed,
             "coverage": {
-                "routings": sorted(r.value for r in self.routings),
-                "block_modes": sorted(m.value for m in self.block_modes),
-                "modes": sorted(m.value for m in self.modes),
+                axis: sorted(values) for axis, values in self.coverage.items()
             },
             "divergences": [
                 {
@@ -806,21 +946,36 @@ class CampaignResult:
         """The :meth:`summary` as canonical JSON text."""
         return json.dumps(self.summary(), sort_keys=True, indent=1) + "\n"
 
-
-def _fold_outcome(result: CampaignResult, outcome: SeedOutcome) -> None:
-    result.scenarios += 1
-    result.routings.add(Routing(outcome.routing))
-    result.block_modes.add(BlockMode(outcome.block_mode))
-    result.modes.update(SchedulingMode(m) for m in outcome.modes)
-    if outcome.divergence is not None:
-        result.divergences.append(outcome.divergence)
+    def report(self, summary_json: str | None = None) -> bool:
+        """Print the outcome and write :meth:`summary_json` to the path
+        ``summary_json``, if given; returns :attr:`passed`."""
+        coverage = ", ".join(
+            f"{axis}={values}" for axis, values in self.summary()["coverage"].items()
+        )
+        print(
+            f"{self.mode} mode: {self.scenarios} scenarios x {self.n_cycles} "
+            f"cycles, {len(self.divergences)} divergences, {coverage}"
+        )
+        for divergence in self.divergences:
+            print(divergence)
+        for failure in self.failures:
+            print(f"FAILED {failure.describe()}")
+        print(
+            f"executed {self.executed} seeds ({self.cached} cached) on "
+            f"{self.workers} worker(s): {'pass' if self.passed else 'FAIL'}"
+        )
+        if summary_json:
+            with open(summary_json, "w", encoding="utf-8") as fh:
+                fh.write(self.summary_json())
+            print(f"summary written to {summary_json}")
+        return self.passed
 
 
 def campaign(
     seeds,
     *,
+    kind: Kind = SchedulerKind(),
     n_cycles: int = 1000,
-    stop_on_divergence: bool = False,
     mode: str = "outcome",
     engine: str = "tensor",
     workers: int | None = 1,
@@ -829,41 +984,38 @@ def campaign(
     tracer: SpanTracer | None = None,
     _task=None,
 ) -> CampaignResult:
-    """Cross-validate one scenario per seed; aggregate coverage + failures.
+    """Validate one ``kind`` scenario per seed; aggregate coverage + failures.
 
-    ``mode="outcome"`` compares per-cycle :class:`CycleRecord` streams
-    and final counters (the original harness);
-    ``mode="trace"`` compares the engines' structured telemetry event
-    streams (:func:`cross_validate_traces`).  ``engine`` names the
+    Every seed's scenario runs on the oracle and, bucketed by the
+    kind's shape key, on the array engine; the first engine
+    disagreement or, failing none, the first broken invariant of the
+    oracle's run is the seed's divergence (see :class:`Kind`).  For the
+    scheduler kind ``mode="outcome"`` compares per-cycle
+    :class:`CycleRecord` streams and final counters and ``mode="trace"``
+    the engines' telemetry event streams; the other kinds compare
+    canonical run summaries (``"outcome"`` only).  ``engine`` names the
     array engine under test; ``"tensor"`` is the only one.
 
     Seeds are first resolved against the on-disk scenario cache
-    (``cache_dir``; divergent seeds are never cached and always
-    revalidate; ``use_cache=False`` keeps the directory untouched).
-    The misses are bucketed by :func:`bucket_key` in first-seen order
-    and every bucket runs as one tensorized ``(S, N)`` evaluation
-    (:func:`validate_bucket`; ``_task`` replaces it in tests).
-    ``workers`` shards whole buckets across processes
+    (``cache_dir``, one namespace per kind and mode; divergent seeds
+    are never cached; ``use_cache=False`` keeps the directory
+    untouched).  The misses are bucketed in first-seen order and each
+    bucket runs as one :func:`validate_bucket` task (``_task`` replaces
+    it in tests), sharded across ``workers`` processes
     (:func:`repro.runner.run_sharded`; ``0``/``None`` = all cores).
-    Outcomes fold back in original seed order, so the merged summary
-    is byte-identical for any worker count and cache state; per-bucket
-    telemetry merges into ``result.telemetry``.  ``stop_on_divergence``
-    instead validates seed by seed on the single-scenario adapter
-    (:func:`validate_seed`) and stops at the first divergence (early
-    exit is inherently order-dependent).
-
-    A bucket whose worker *dies* (hard crash, lost shard) is reported
-    in ``result.failures`` with its shard's seed list rather than
-    sinking the whole campaign; ``result.passed`` is then ``False``.
+    Outcomes fold back in seed order, so the summary is byte-identical
+    for any worker count and cache state; per-bucket telemetry merges
+    into ``result.telemetry``.  A bucket whose worker *dies* is reported
+    in ``result.failures`` with its seeds; ``result.passed`` is then
+    ``False``.
 
     ``tracer`` (a :class:`~repro.observability.spans.SpanTracer`) records
-    the campaign as a hierarchical span tree — campaign → bucket
-    pre-pass → per-bucket item spans → engine runs → engine phases —
-    propagated through the worker pool and merged index-ordered, so the
+    the campaign as a span tree — campaign → bucket pre-pass → bucket
+    spans → engine runs → engine phases — merged index-ordered, so the
     canonical tree is byte-identical for any worker count.
     """
-    if mode not in ("outcome", "trace"):
-        raise ValueError(f"unknown campaign mode {mode!r}")
+    if mode not in kind.modes:
+        raise ValueError(f"unknown campaign mode {mode!r} for kind {kind.name!r}")
     if engine != "tensor":
         raise ValueError(f"unknown campaign engine {engine!r}")
     seeds = list(seeds)
@@ -873,19 +1025,19 @@ def campaign(
             mode=mode, engine=engine, n_cycles=n_cycles, seeds=len(seeds),
         ), activate_tracer(tracer):
             return _campaign_body(
-                seeds, n_cycles, stop_on_divergence, mode,
+                seeds, kind, n_cycles, mode,
                 workers, cache_dir, use_cache, tracer, _task,
             )
     return _campaign_body(
-        seeds, n_cycles, stop_on_divergence, mode,
+        seeds, kind, n_cycles, mode,
         workers, cache_dir, use_cache, None, _task,
     )
 
 
 def _campaign_body(
     seeds: list,
+    kind: Kind,
     n_cycles: int,
-    stop_on_divergence: bool,
     mode: str,
     workers,
     cache_dir,
@@ -894,47 +1046,34 @@ def _campaign_body(
     _task,
 ) -> CampaignResult:
     """The campaign after argument checks (see :func:`campaign`)."""
-    from dataclasses import replace
-
     from repro.observability.metrics import merge_snapshots
     from repro.runner import ResultCache, run_sharded
 
-    result = CampaignResult(mode=mode, n_cycles=n_cycles)
-    if stop_on_divergence:
-        for seed in seeds:
-            outcome = validate_seed(seed, n_cycles, mode)
-            _fold_outcome(result, outcome)
-            result.executed += 1
-            if outcome.divergence is not None:
-                break
-        return result
-
+    result = CampaignResult(
+        mode=mode, n_cycles=n_cycles, coverage={a: set() for a in kind.axes}
+    )
     cache = None
     if cache_dir is not None and use_cache:
-        cache = ResultCache(cache_dir, namespace=f"differential-{mode}-tensor")
-
-    def payload_key(seed: int) -> str:
-        return cache.key(_scenario_cache_payload(seed, n_cycles, mode))
+        cache = ResultCache(cache_dir, namespace=kind.namespace(mode))
+    outcomes: dict[int, SeedOutcome] = {}
+    keys: dict[int, str] = {}
 
     def prepass() -> list[tuple[int, ...]]:
         """Resolve cache hits, bucket the misses by shape (first-seen
-        order), mutating ``outcomes``/``pending``/``result.cached``."""
+        order), filling ``outcomes``/``keys``/``result.cached``."""
+        buckets: dict[tuple, list[int]] = {}
         for seed in seeds:
+            scenario = kind.generate(seed, n_cycles)
             if cache is not None:
-                hit, value = cache.get(payload_key(seed))
+                keys[seed] = cache.key(kind.cache_payload(scenario, mode))
+                hit, value = cache.get(keys[seed])
                 if hit:
-                    outcomes[seed] = _decode_outcome(value)
+                    outcomes[seed] = kind.decode(value)
                     result.cached += 1
                     continue
-            pending.append(seed)
-        buckets: dict[tuple, list[int]] = {}
-        for seed in pending:
-            key = bucket_key(generate_scenario(seed, n_cycles=n_cycles))
-            buckets.setdefault(key, []).append(seed)
+            buckets.setdefault(kind.bucket_key(scenario), []).append(seed)
         return [tuple(bucket) for bucket in buckets.values()]
 
-    outcomes: dict[int, SeedOutcome] = {}
-    pending: list[int] = []
     if tracer is None:
         items = prepass()
     else:
@@ -943,7 +1082,7 @@ def _campaign_body(
             prep.tag(
                 seeds=len(seeds),
                 cached=result.cached,
-                pending=len(pending),
+                pending=sum(len(bucket) for bucket in items),
                 buckets=len(items),
             )
 
@@ -951,7 +1090,7 @@ def _campaign_body(
         _task if _task is not None else validate_bucket,
         items,
         workers=workers,
-        task_args=(n_cycles, mode),
+        task_args=(n_cycles, mode, kind),
         tracer=tracer,
         span_name="bucket",
         span_kind="bucket",
@@ -965,7 +1104,7 @@ def _campaign_body(
             outcomes[outcome.seed] = outcome
             result.executed += 1
             if cache is not None and outcome.divergence is None:
-                cache.put(payload_key(outcome.seed), _encode_outcome(outcome))
+                cache.put(keys[outcome.seed], kind.encode(outcome))
     # A dead shard loses whole buckets; report the seeds, not the
     # bucket tuples.
     result.failures = [
@@ -979,301 +1118,9 @@ def _campaign_body(
     ]
     for seed in seeds:
         if seed in outcomes:
-            _fold_outcome(result, outcomes[seed])
+            result.fold(outcomes[seed])
     result.workers = pool.workers
     result.telemetry = merge_snapshots(snapshots) if snapshots else None
-    return result
-
-
-@dataclass
-class RankValidation:
-    """Outcome of a two-way rank-function validation campaign."""
-
-    name: str
-    scenarios: int = 0
-    n_cycles: int = 0
-    n_slots: int = 0
-    equivalent_to: str | None = None
-    services: int = 0
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> dict:
-        return {
-            "format": 1,
-            "kind": "rank-function-validation",
-            "discipline": f"pifo:{self.name}",
-            "scenarios": self.scenarios,
-            "n_cycles": self.n_cycles,
-            "n_slots": self.n_slots,
-            "equivalent_to": self.equivalent_to,
-            "services": self.services,
-            "passed": self.passed,
-            "divergences": list(self.divergences),
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=1) + "\n"
-
-
-def _summary_blob(summary: dict) -> str:
-    """Canonical JSON bytes two engine summaries are compared on."""
-    return json.dumps(summary, sort_keys=True, indent=1) + "\n"
-
-
-def _software_service_order(fn, scenario) -> list[tuple[int, int]]:
-    """Replay a PIFO workload through the handwritten counterpart.
-
-    Returns the ``(sid, seq)`` service order of
-    ``registry.create(fn.equivalent_to)`` under the same arrivals: one
-    batch of enqueues then at most one dequeue per cycle, followed by a
-    work-conserving drain — the exact regime the engine frontends run.
-    """
-    from repro.disciplines import registry
-    from repro.disciplines.base import Packet, SwStream
-
-    discipline = registry.create(fn.equivalent_to)
-    for stream in scenario.streams:
-        discipline.add_stream(
-            SwStream(
-                stream_id=stream.sid,
-                weight=stream.weight,
-                priority=stream.priority,
-            )
-        )
-    order: list[tuple[int, int]] = []
-    enqueued = 0
-    now = 0
-    for now, cycle in enumerate(scenario.arrivals):
-        for sid, seq, deadline, length in cycle:
-            discipline.enqueue(
-                Packet(
-                    stream_id=sid,
-                    seq=seq,
-                    arrival=seq,
-                    length=length,
-                    deadline=deadline,
-                )
-            )
-            enqueued += 1
-        packet = discipline.dequeue(now)
-        if packet is not None:
-            order.append((packet.stream_id, packet.seq))
-    now = scenario.n_cycles
-    while len(order) < enqueued:
-        packet = discipline.dequeue(now)
-        if packet is None:
-            raise AssertionError(
-                f"{discipline.name} stalled with backlog during drain"
-            )
-        order.append((packet.stream_id, packet.seq))
-        now += 1
-    return order
-
-
-def validate_rank_function(
-    fn,
-    seeds=range(20),
-    *,
-    n_cycles: int = 200,
-    n_slots: int = 8,
-    check_equivalent: bool = True,
-) -> RankValidation:
-    """Two-way cross-validation of one PIFO rank function.
-
-    For every seed the same workload
-    (:func:`repro.disciplines.pifo.generate_pifo_scenario`) runs
-    through the interpreted reference frontend and one tensorized
-    campaign covering *all* the seeds at once; the canonical run
-    summaries must be byte-identical.  When the rank function declares ``equivalent_to``, the
-    handwritten discipline replays the same arrivals and its service
-    order must match packet-for-packet.
-
-    ``fn`` is a :class:`~repro.disciplines.pifo.RankFunction` or a
-    registered name.  This is the public entry point any user-defined
-    rank function gets for free::
-
-        from repro.core.differential import validate_rank_function
-        result = validate_rank_function(my_rank_fn)
-        assert result.passed, "\\n".join(result.divergences)
-    """
-    from repro.disciplines.pifo import (
-        generate_pifo_scenario,
-        rank_function,
-        run_pifo,
-        run_pifo_bucket,
-    )
-
-    if isinstance(fn, str):
-        fn = rank_function(fn.removeprefix("pifo:"))
-    seeds = list(seeds)
-    scenarios = [
-        generate_pifo_scenario(seed, n_slots=n_slots, n_cycles=n_cycles)
-        for seed in seeds
-    ]
-    result = RankValidation(
-        name=fn.name,
-        scenarios=len(scenarios),
-        n_cycles=n_cycles,
-        n_slots=n_slots,
-        equivalent_to=fn.equivalent_to,
-    )
-    tensor_summaries = run_pifo_bucket(fn, scenarios)
-    for scenario, tensor_summary in zip(scenarios, tensor_summaries):
-        reference = run_pifo(fn, scenario, engine="reference")
-        if _summary_blob(reference) != _summary_blob(tensor_summary):
-            result.divergences.append(
-                f"pifo:{fn.name} seed={scenario.seed}: "
-                "engine summaries differ (reference != tensor)"
-            )
-            continue
-        result.services += len(reference["services"])
-        if check_equivalent and fn.equivalent_to is not None:
-            engine_order = [
-                (sid, seq) for _t, sid, seq, _rank in reference["services"]
-            ]
-            software_order = _software_service_order(fn, scenario)
-            if engine_order != software_order:
-                first = next(
-                    (
-                        i
-                        for i, (a, b) in enumerate(
-                            zip(engine_order, software_order)
-                        )
-                        if a != b
-                    ),
-                    min(len(engine_order), len(software_order)),
-                )
-                result.divergences.append(
-                    f"pifo:{fn.name} seed={scenario.seed}: diverges from "
-                    f"handwritten {fn.equivalent_to!r} at service {first} "
-                    f"(engine={engine_order[first:first + 3]} "
-                    f"software={software_order[first:first + 3]})"
-                )
-    return result
-
-
-# ----------------------------------------------------------------------
-# aggregation-tier validation
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class AggregationValidation:
-    """Outcome of a two-way aggregation-tier validation campaign."""
-
-    discipline: str
-    n_aggregates: int = 0
-    scenarios: int = 0
-    n_cycles: int = 0
-    streams: int = 0
-    services: int = 0
-    divergences: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.divergences
-
-    def summary(self) -> dict:
-        return {
-            "format": 1,
-            "kind": "aggregation-validation",
-            "discipline": self.discipline,
-            "n_aggregates": self.n_aggregates,
-            "scenarios": self.scenarios,
-            "n_cycles": self.n_cycles,
-            "streams": self.streams,
-            "services": self.services,
-            "passed": self.passed,
-            "divergences": list(self.divergences),
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=1) + "\n"
-
-
-def validate_aggregation(
-    seeds=range(10),
-    *,
-    n_streams: int = 48,
-    n_aggregates: int = 8,
-    n_cycles: int = 160,
-    discipline: str = "pifo:sfq",
-    salt: int = 0,
-    cache=None,
-) -> AggregationValidation:
-    """Two-way cross-validation of the hierarchical aggregation tier.
-
-    Every seed derives one churn workload
-    (:func:`repro.aggregation.generate_aggregation_scenario` — stream
-    joins/leaves interleaved with arrivals) and replays it through the
-    standalone tier on the reference engine and through one tensorized
-    campaign covering *all* the seeds at once
-    (:func:`repro.aggregation.run_aggregation_bucket`); the canonical
-    summaries — membership rollups, per-aggregate service counts, the
-    sha256 digest of the full service event stream — must be
-    byte-identical.
-
-    ``cache`` is an optional :class:`repro.runner.ResultCache`;
-    already-validated scenarios are keyed on the *aggregate topology*
-    (scenario payload includes ``n_aggregates``/``salt``/``discipline``,
-    namespace ``"aggregation"``) so cached non-aggregated campaign
-    entries can never satisfy aggregated lookups.
-    """
-    from repro.aggregation import (
-        generate_aggregation_scenario,
-        run_aggregation,
-        run_aggregation_bucket,
-    )
-
-    seeds = list(seeds)
-    scenarios = [
-        generate_aggregation_scenario(
-            seed,
-            n_streams=n_streams,
-            n_aggregates=n_aggregates,
-            n_cycles=n_cycles,
-            discipline=discipline,
-            salt=salt,
-        )
-        for seed in seeds
-    ]
-    result = AggregationValidation(
-        discipline=discipline,
-        n_aggregates=n_aggregates,
-        scenarios=len(scenarios),
-        n_cycles=n_cycles,
-    )
-    cached: dict[int, dict] = {}
-    if cache is not None:
-        for scenario in scenarios:
-            hit, value = cache.get(cache.key(scenario.cache_payload()))
-            if hit:
-                cached[scenario.seed] = value
-    live = [sc for sc in scenarios if sc.seed not in cached]
-    tensor_by_seed = dict(cached)
-    if live:
-        for sc, summary in zip(live, run_aggregation_bucket(live)):
-            tensor_by_seed[sc.seed] = summary
-    for scenario in scenarios:
-        tensor_summary = tensor_by_seed[scenario.seed]
-        reference = run_aggregation(scenario, engine="reference")
-        if _summary_blob(reference) != _summary_blob(tensor_summary):
-            result.divergences.append(
-                f"aggregation seed={scenario.seed} "
-                f"({discipline}, {n_aggregates} aggregates): "
-                "engine summaries differ (reference != tensor)"
-            )
-            continue
-        result.streams += reference["streams_joined"]
-        result.services += reference["serviced"]
-        if cache is not None and scenario.seed not in cached:
-            cache.put(
-                cache.key(scenario.cache_payload()), tensor_summary
-            )
     return result
 
 
@@ -1286,72 +1133,42 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--cycles", type=int, default=1000)
     parser.add_argument(
-        "--trace-equivalence",
-        action="store_true",
+        "--trace-equivalence", action="store_true",
         help="compare structured telemetry event streams instead of "
         "cycle outcomes (observability as a correctness oracle)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
+        "--workers", type=int, default=1,
         help="worker processes to shard the campaign across "
         "(0 = all cores; merged summary is identical for any value)",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
+        "--cache-dir", metavar="DIR", default=None,
         help="on-disk scenario cache: seeds whose canonical "
         "(scenario, engines, version) hash already validated are "
         "skipped on re-runs",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
+        "--no-cache", action="store_true",
         help="ignore --cache-dir (neither read nor write entries)",
     )
     parser.add_argument(
-        "--summary-json",
-        metavar="PATH",
-        default=None,
+        "--summary-json", metavar="PATH", default=None,
         help="write the canonical merged campaign summary to PATH "
         "(byte-identical across --workers values)",
     )
     args = parser.parse_args(argv)
-    mode = "trace" if args.trace_equivalence else "outcome"
     start = time.perf_counter()
     result = campaign(
         range(args.base_seed, args.base_seed + args.count),
         n_cycles=args.cycles,
-        mode=mode,
+        mode="trace" if args.trace_equivalence else "outcome",
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
     )
-    elapsed = time.perf_counter() - start
-    print(
-        f"{mode} mode: "
-        f"{result.scenarios} scenarios, "
-        f"{len(result.divergences)} divergences, "
-        f"routings={sorted(r.value for r in result.routings)}, "
-        f"block_modes={sorted(m.value for m in result.block_modes)}, "
-        f"modes={sorted(m.value for m in result.modes)}"
-    )
-    print(
-        f"executed {result.executed} seeds "
-        f"({result.cached} cached) on {result.workers} worker(s) "
-        f"in {elapsed:.2f}s"
-    )
-    for divergence in result.divergences:
-        print(divergence)
-    for failure in result.failures:
-        print(f"FAILED {failure.describe()}")
-    if args.summary_json:
-        with open(args.summary_json, "w", encoding="utf-8") as fh:
-            fh.write(result.summary_json())
-        print(f"summary written to {args.summary_json}")
-    return 0 if result.passed else 1
+    print(f"campaign took {time.perf_counter() - start:.2f}s")
+    return 0 if result.report(args.summary_json) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,6 +51,7 @@ __all__ = [
     "PendingPacket",
     "RegisterBaseBlock",
     "negative_time_error",
+    "nonpositive_length_error",
 ]
 
 _DL_MASK = DEADLINE_FIELD.mask
@@ -68,6 +69,13 @@ def negative_time_error(deadline: int, arrival: int) -> ValueError:
         "deadline and arrival must be non-negative, got "
         f"deadline={deadline}, arrival={arrival}"
     )
+
+
+def nonpositive_length_error(length: int) -> ValueError:
+    """The error both engines (at enqueue) and the aggregation tier (at
+    submit) raise for a packet of ``length <= 0`` bytes, before
+    anything is queued: such a length stalls or reverses fair tags."""
+    return ValueError(f"packet length must be positive, got length={length}")
 
 
 @dataclass(slots=True)
@@ -134,6 +142,8 @@ class RegisterBaseBlock:
         """Append one request to the slot's pending queue."""
         if not self.wrap and (packet.deadline < 0 or packet.arrival < 0):
             raise negative_time_error(packet.deadline, packet.arrival)
+        if packet.length <= 0:
+            raise nonpositive_length_error(packet.length)
         self.pending.append(packet)
         if not self.attributes.valid:
             self._latch_next()

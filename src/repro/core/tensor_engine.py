@@ -110,6 +110,7 @@ from repro.core.register_block import (
     PendingPacket,
     SlotCounters,
     negative_time_error,
+    nonpositive_length_error,
 )
 from repro.core.scheduler import DecisionOutcome
 from repro.observability.spans import PhaseTimer
@@ -644,6 +645,8 @@ class CampaignEngine:
             )
         if not self._wrap and (deadline < 0 or arrival < 0):
             raise negative_time_error(deadline, arrival)
+        if length <= 0:
+            raise nonpositive_length_error(length)
         self._queues[scenario][sid].append(
             PendingPacket(deadline=deadline, arrival=arrival, length=length)
         )

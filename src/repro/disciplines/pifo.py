@@ -35,9 +35,10 @@ workload contract enforced by :func:`generate_pifo_scenario`
 
 Expressions use only integer arithmetic (``+ - * //``, ``emax``,
 ``emin``): Python ints and ``np.int64`` implement identical floored
-division, so the two evaluators are bit-equivalent by construction
-and :func:`repro.core.differential.validate_rank_function` checks the
-resulting run summaries byte-for-byte.
+division, so the two evaluators are bit-equivalent by construction,
+and ``campaign(seeds, kind=RankKind(...))``
+(:func:`repro.core.differential.campaign`, :class:`RankKind`) checks
+the resulting run summaries byte-for-byte.
 """
 
 from __future__ import annotations
@@ -46,12 +47,14 @@ import heapq
 import itertools
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, Routing
+from repro.core.differential import Divergence, Kind, compare_summaries
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import CampaignEngine
 from repro.disciplines.base import Discipline, Packet, SwStream
@@ -75,6 +78,7 @@ __all__ = [
     "PifoCampaignFrontend",
     "run_pifo",
     "run_pifo_bucket",
+    "RankKind",
     "PifoDiscipline",
 ]
 
@@ -284,9 +288,9 @@ class RankFunction:
     equivalent_to:
         Name of the handwritten discipline in
         :data:`repro.disciplines.registry.DISCIPLINES` this rank
-        function re-expresses, if any;
-        :func:`repro.core.differential.validate_rank_function` replays
-        the same workload through it and checks the service order.
+        function re-expresses, if any; a :class:`RankKind` campaign
+        replays the same workload through it and checks the service
+        order.
     """
 
     name: str
@@ -452,6 +456,12 @@ class PifoScenario:
     def total_arrivals(self) -> int:
         return sum(len(cycle) for cycle in self.arrivals)
 
+    def describe(self) -> str:
+        return (
+            f"seed={self.seed} n_slots={self.n_slots} "
+            f"cycles={self.n_cycles} arrivals={self.total_arrivals}"
+        )
+
 
 #: Positive divisors of the 1500-byte packet length used for weights:
 #: they make ``length / weight`` an exact integer-valued float, so the
@@ -609,9 +619,6 @@ class PifoFrontend:
             if self.fn.vclock == "served_rank":
                 self.vtime = max(self.vtime, packet.deadline)
 
-    def counters(self):
-        return self.scheduler.counters()
-
     def run(self) -> dict:
         """Play the whole scenario (arrival phase + drain) and summarize."""
         t = 0
@@ -621,7 +628,10 @@ class PifoFrontend:
         while len(self.services) < self.enqueued:
             self.step(t, ())
             t += 1
-        return _summarize(self.fn, self.scenario, self)
+        return _summarize(
+            self.fn, self.scenario, self.services, self.enqueued,
+            self.scheduler.counters(), self.vtime,
+        )
 
 
 class PifoCampaignFrontend:
@@ -749,33 +759,21 @@ class PifoCampaignFrontend:
             self._step(t)
             t += 1
         return [
-            _summarize(self.fn, scenario, _CampaignView(self, s))
+            _summarize(
+                self.fn, scenario, self.services[s], self.enqueued[s],
+                self.engine.counters(s), int(self._vtime[s]),
+            )
             for s, scenario in enumerate(self.scenarios)
         ]
 
 
-class _CampaignView:
-    """Adapts one campaign row to the summary contract of PifoFrontend."""
-
-    def __init__(self, frontend: PifoCampaignFrontend, s: int) -> None:
-        self.services = frontend.services[s]
-        self.enqueued = frontend.enqueued[s]
-        self._frontend = frontend
-        self._s = s
-
-    def counters(self):
-        return self._frontend.engine.counters(self._s)
-
-    @property
-    def vtime(self) -> int:
-        return int(self._frontend._vtime[self._s])
-
-
-def _summarize(fn: RankFunction, scenario: PifoScenario, state) -> dict:
+def _summarize(
+    fn: RankFunction, scenario: PifoScenario, services, enqueued: int,
+    counters, vtime: int,
+) -> dict:
     """Canonical engine-independent run summary (byte-compared)."""
-    counters = state.counters()
     per_stream: dict[str, int] = {}
-    for _t, sid, _seq, _rank in state.services:
+    for _t, sid, _seq, _rank in services:
         key = str(sid)
         per_stream[key] = per_stream.get(key, 0) + 1
     return {
@@ -784,10 +782,10 @@ def _summarize(fn: RankFunction, scenario: PifoScenario, state) -> dict:
         "seed": scenario.seed,
         "n_slots": scenario.n_slots,
         "n_cycles": scenario.n_cycles,
-        "enqueued": state.enqueued,
-        "services": [list(evt) for evt in state.services],
+        "enqueued": enqueued,
+        "services": [list(evt) for evt in services],
         "per_stream": per_stream,
-        "final_vtime": int(state.vtime),
+        "final_vtime": int(vtime),
         "wins": [counters[sid].wins for sid in range(scenario.n_slots)],
         "serviced": [
             counters[sid].serviced for sid in range(scenario.n_slots)
@@ -819,6 +817,142 @@ def run_pifo_bucket(
     if isinstance(fn, str):
         fn = rank_function(fn)
     return PifoCampaignFrontend(fn, scenarios).run()
+
+
+# ----------------------------------------------------------------------
+# validation campaign kind
+# ----------------------------------------------------------------------
+
+
+def _software_service_order(fn: RankFunction, scenario: PifoScenario):
+    """Replay a PIFO workload through the handwritten counterpart.
+
+    Returns the ``(sid, seq)`` service order of
+    ``registry.create(fn.equivalent_to)`` under the same arrivals: one
+    batch of enqueues then at most one dequeue per cycle, followed by a
+    work-conserving drain — the exact regime the engine frontends run.
+    """
+    from repro.disciplines import registry
+
+    discipline = registry.create(fn.equivalent_to)
+    for s in scenario.streams:
+        discipline.add_stream(
+            SwStream(stream_id=s.sid, weight=s.weight, priority=s.priority)
+        )
+    order: list[tuple[int, int]] = []
+    enqueued = now = 0
+    while now < scenario.n_cycles or len(order) < enqueued:
+        for sid, seq, deadline, length in (
+            scenario.arrivals[now] if now < scenario.n_cycles else ()
+        ):
+            discipline.enqueue(
+                Packet(sid, seq, arrival=seq, length=length, deadline=deadline)
+            )
+            enqueued += 1
+        packet = discipline.dequeue(now)
+        if packet is not None:
+            order.append((packet.stream_id, packet.seq))
+        elif now >= scenario.n_cycles:
+            raise AssertionError(
+                f"{discipline.name} stalled with backlog during drain"
+            )
+        now += 1
+    return order
+
+
+@dataclass(frozen=True)
+class RankKind(Kind):
+    """Validation campaign kind for PIFO rank functions.
+
+    Each seed's :func:`generate_pifo_scenario` workload runs through
+    every one of ``functions`` on the reference and (one bucket for all
+    seeds) tensorized frontends; the run summaries must be
+    byte-identical.  Invariant: a function with ``equivalent_to``
+    serves packets in that handwritten discipline's order.  Fields name
+    the function (``pifo:sfq.services``, ``pifo:sfq.service_order``)::
+
+        campaign(range(20), kind=RankKind((my_rank_fn,)), n_cycles=200)
+    """
+
+    functions: tuple[RankFunction, ...]
+    n_slots: int = 8
+
+    name: ClassVar[str] = "rank"
+    axes: ClassVar[tuple[str, ...]] = ("rank_functions", "equivalent_to")
+
+    def __post_init__(self) -> None:
+        if not self.functions or not all(
+            isinstance(fn, RankFunction) for fn in self.functions
+        ):
+            raise ValueError("RankKind needs a non-empty tuple of RankFunction")
+
+    def generate(self, seed: int, n_cycles: int) -> PifoScenario:
+        return generate_pifo_scenario(seed, n_slots=self.n_slots, n_cycles=n_cycles)
+
+    def bucket_key(self, scenario: PifoScenario) -> tuple:
+        return (scenario.n_slots, scenario.n_cycles)
+
+    def cache_payload(self, scenario: PifoScenario, mode: str) -> dict:
+        """The workload and each function's whole definition (its
+        expression trees too), so an edited function never hits an
+        entry cached under its name."""
+        return {
+            "mode": mode,
+            "engines": ["reference", "tensor"],
+            "rank_functions": [asdict(fn) for fn in self.functions],
+            "scenario": {
+                "seed": scenario.seed,
+                "n_slots": scenario.n_slots,
+                "n_cycles": scenario.n_cycles,
+                "streams": [asdict(s) for s in scenario.streams],
+            },
+        }
+
+    def coverage(self, scenario: PifoScenario) -> dict[str, tuple[str, ...]]:
+        return {
+            "rank_functions": tuple(f"pifo:{fn.name}" for fn in self.functions),
+            "equivalent_to": tuple(
+                fn.equivalent_to for fn in self.functions if fn.equivalent_to
+            ),
+        }
+
+    def run_oracle(self, scenario: PifoScenario, mode: str) -> list[dict]:
+        return [run_pifo(fn, scenario) for fn in self.functions]
+
+    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
+        return list(zip(*(run_pifo_bucket(fn, scenarios) for fn in self.functions)))
+
+    def compare(self, scenario: PifoScenario, oracle, array) -> Divergence | None:
+        for fn, reference, tensor in zip(self.functions, oracle, array):
+            divergence = compare_summaries(
+                scenario, reference, tensor, label=f"pifo:{fn.name}."
+            )
+            if divergence is not None:
+                return divergence
+        return None
+
+    def invariants(self, scenario: PifoScenario, oracle) -> Divergence | None:
+        for fn, summary in zip(self.functions, oracle):
+            if fn.equivalent_to is None:
+                continue
+            served = [(sid, seq) for _t, sid, seq, _rank in summary["services"]]
+            expected = _software_service_order(fn, scenario)
+            if served == expected:
+                continue
+            first = next(
+                i
+                for i, pair in enumerate(zip(served + [None], expected + [None]))
+                if pair[0] != pair[1]
+            )
+            return Divergence(
+                scenario,
+                summary["services"][first][0] if first < len(served) else None,
+                f"pifo:{fn.name}.service_order",
+                served[first:first + 3],
+                {fn.equivalent_to: expected[first:first + 3]},
+                invariant=True,
+            )
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -367,7 +367,7 @@ class PhaseTimer:
 
 
 # -- the current-tracer contextvar: lets deeply nested task code --
-# -- (validate_seed / validate_bucket, running inside pool workers) --
+# -- (the campaign's validate_bucket, running inside pool workers) --
 # -- attach spans without threading a tracer through every signature --
 
 _ACTIVE: contextvars.ContextVar[SpanTracer | None] = contextvars.ContextVar(

@@ -3,10 +3,12 @@
 Covers the tier mechanics (bucketing, O(1) churn, refill/service flow,
 hot-path memory eviction), the three-way byte-identity contract,
 per-aggregate SLO rollups through the ``observer=`` hook, the
-aggregation-aware differential path with its topology-keyed result
-cache, the ``CACHE_SCHEMA`` bump regression, and the CLI subcommand.
+aggregation kind of the validation campaign with its topology-keyed
+result cache and drain invariant, the ``CACHE_SCHEMA`` bump
+regression, and the CLI subcommand.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.aggregation import (
     AggregationCampaign,
+    AggregationKind,
     AggregationTier,
     aggregate_share_slos,
     generate_aggregation_scenario,
@@ -24,7 +27,7 @@ from repro.aggregation import (
 )
 from repro.aggregation.scenario import _apply_cycle, summarize_tier
 from repro.aggregation.tier import ServiceLog
-from repro.core.differential import validate_aggregation
+from repro.core.differential import campaign
 from repro.runner import ResultCache
 
 
@@ -247,7 +250,7 @@ class TestServiceLog:
         for sid, weight in scenario.initial:
             tier.join(sid, weight=weight)
         for cycle in scenario.events:
-            _apply_cycle(tier, cycle)
+            _apply_cycle(tier, tier.submit, cycle)
             tier.decision_cycle()
         tier.drain()
         assert isinstance(tier.services, ServiceLog)
@@ -335,32 +338,58 @@ class TestSloRollups:
 
 
 class TestDifferentialPath:
-    def test_validate_aggregation_passes(self):
-        result = validate_aggregation(
-            seeds=range(3), n_streams=20, n_aggregates=4, n_cycles=60
-        )
-        assert result.passed, "\n".join(result.divergences)
+    def test_aggregation_campaign_passes(self):
+        kind = AggregationKind(n_streams=20, n_aggregates=4)
+        result = campaign(range(3), kind=kind, n_cycles=60)
+        assert result.passed, "\n".join(str(d) for d in result.divergences)
         assert result.scenarios == 3
-        assert result.services > 0
         summary = result.summary()
-        assert summary["kind"] == "aggregation-validation"
+        assert summary["coverage"] == {
+            "aggregates": ["4"], "disciplines": ["pifo:sfq"],
+        }
         assert result.summary_json().endswith("\n")
 
-    def test_validate_aggregation_uses_cache(self, tmp_path):
-        cache = ResultCache(tmp_path, namespace="aggregation")
-        first = validate_aggregation(
-            seeds=range(2), n_streams=16, n_aggregates=4, n_cycles=40,
-            cache=cache,
-        )
+    def test_aggregation_campaign_uses_cache(self, tmp_path):
+        kind = AggregationKind(n_streams=16, n_aggregates=4)
+        first = campaign(range(2), kind=kind, n_cycles=40, cache_dir=tmp_path)
         assert first.passed
-        assert cache.stats.writes == 2
-        again = validate_aggregation(
-            seeds=range(2), n_streams=16, n_aggregates=4, n_cycles=40,
-            cache=cache,
-        )
+        assert first.executed == 2 and first.cached == 0
+        again = campaign(range(2), kind=kind, n_cycles=40, cache_dir=tmp_path)
         assert again.passed
-        assert cache.stats.hits == 2
-        assert _blob(first.summary()) == _blob(again.summary())
+        assert again.cached == 2 and again.executed == 0
+        assert again.summary_json() == first.summary_json()
+
+    def test_topology_keys_the_campaign_cache(self, tmp_path):
+        small = AggregationKind(n_streams=16, n_aggregates=4)
+        campaign(range(2), kind=small, n_cycles=40, cache_dir=tmp_path)
+        for other in (
+            dataclasses.replace(small, n_aggregates=8),
+            dataclasses.replace(small, salt=3),
+            dataclasses.replace(small, discipline="pifo:edf"),
+        ):
+            result = campaign(range(2), kind=other, n_cycles=40, cache_dir=tmp_path)
+            assert result.cached == 0
+
+    def test_undrained_summary_fails_the_drain_invariant(self, monkeypatch):
+        """Both engines agree on a summary that lost a serviced packet,
+        so only the drain invariant can catch it."""
+        import repro.aggregation.scenario as scenario_module
+
+        summarize = scenario_module.summarize_tier
+
+        def lose_one(scenario, core, services):
+            summary = summarize(scenario, core, services)
+            summary["serviced"] -= 1
+            return summary
+
+        monkeypatch.setattr(scenario_module, "summarize_tier", lose_one)
+        kind = AggregationKind(n_streams=16, n_aggregates=4)
+        result = campaign(range(2), kind=kind, n_cycles=40)
+        assert not result.passed
+        assert [d.field for d in result.divergences] == ["drain", "drain"]
+        observed = result.divergences[0].reference
+        assert observed["serviced"][0] == observed["enqueued"][0] - 1
+        assert observed["serviced"][1] == observed["enqueued"][1]
 
 
 class TestCacheSchema:
@@ -424,7 +453,10 @@ class TestCli:
             ]
         ) == 0
         payload = json.loads(path.read_text())
-        assert payload["kind"] == "aggregation-validation"
+        assert payload["coverage"] == {
+            "aggregates": ["16"], "disciplines": ["pifo:sfq"],
+        }
+        assert payload["scenarios"] == 2
         assert payload["passed"] is True
         assert "pass" in capsys.readouterr().out
 

@@ -13,8 +13,8 @@ interleavings:
   rebalance the weights.
 * **Three-way byte identity** — standalone reference and tensor-adapter
   tiers and the tensorized campaign replay of the same churn scenario
-  produce byte-identical canonical summaries (the
-  ``validate_aggregation`` contract).
+  produce byte-identical canonical summaries (the contract the
+  aggregation kind of the validation campaign checks).
 * **Membership isolation** — join/leave interleavings touch only O(1)
   per-aggregate counters: the engine receives no calls and per-stream
   rank state stays empty.

@@ -18,6 +18,7 @@ replay.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,11 @@ from hypothesis import strategies as st
 from repro.core import tensor_engine
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.config import ArchConfig, BlockMode, Routing
+from repro.core.differential import _arrival_schedule, build_engine
 from repro.core.scheduler import ShareStreamsScheduler
 from repro.core.tensor_engine import CampaignEngine
 from repro.observability import SpanTracer
+from tests.strategies import differential_scenarios
 
 #: ``DRIVER_MAX_CELLS`` values that force each side at any test shape.
 SIDES = {"numpy": 0, "python": 1 << 30}
@@ -237,6 +240,75 @@ class TestDecisionDispatch:
             len(outcome.dropped) for cycle in outcomes for outcome in cycle
         )
         assert served and dropped
+
+
+_SERIAL = 1 << 16
+
+
+def _shifted_run(scenario, engine: str, shift: int):
+    """Replay ``scenario`` with every time moved ``shift`` units later.
+
+    ``now``, deadlines, arrivals and each stream's ``initial_deadline``
+    all move; the observables come back with their times taken
+    ``- shift`` mod 2^16, so a run that serial arithmetic handles right
+    returns the unshifted run's observables.
+    """
+    streams = tuple(
+        replace(s, initial_deadline=(s.initial_deadline + shift) % _SERIAL)
+        for s in scenario.streams
+    )
+    sched = build_engine(replace(scenario, streams=streams), engine)
+
+    def time(value: int) -> int:
+        return (value - shift) % _SERIAL
+
+    records = []
+    for t, (arrivals, drop) in enumerate(_arrival_schedule(scenario)):
+        for sid, deadline, arrival in arrivals:
+            sched.enqueue(sid, deadline + shift, arrival + shift)
+        outcome = sched.decision_cycle(
+            t + shift,
+            consume=scenario.consume,
+            count_misses=scenario.count_misses,
+            drop_late=drop,
+        )
+        records.append(
+            (
+                time(outcome.now),
+                outcome.block,
+                outcome.circulated_sid,
+                [
+                    (sid, time(p.deadline), time(p.arrival), p.length)
+                    for sid, p in outcome.serviced
+                ],
+                outcome.misses,
+                outcome.hw_cycles,
+                [
+                    (sid, time(p.deadline), time(p.arrival))
+                    for sid, p in outcome.dropped
+                ],
+            )
+        )
+    return records, sched.counters()
+
+
+class TestSerialWrapAgainstIdealTime:
+    """A ``wrap=True`` run that crosses 2^15 or 2^16 must equal the same
+    run far from any boundary, where serial order is plain integer
+    order — not just agree across the two engines."""
+
+    @pytest.mark.parametrize("engine", ["reference", "tensor"])
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=differential_scenarios(n_cycles=300, max_slots=16))
+    def test_shift_across_serial_boundaries_is_invisible(self, engine, scenario):
+        scenario = replace(scenario, wrap=True)
+        base = _shifted_run(scenario, engine, 0)
+        assert base[0][-1][0] < 2**15
+        for boundary in (2**15, 2**16):
+            shift = boundary - scenario.n_cycles // 2
+            assert _shifted_run(scenario, engine, shift) == base, (
+                f"seed {scenario.seed} shifted across {boundary}"
+            )
 
 
 class TestShapeDispatch:

@@ -14,8 +14,12 @@ standalone with::
     PYTHONPATH=src python -m repro.core.differential --count 200
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 
+from repro.core import differential
 from repro.core.attributes import SchedulingMode
 from repro.core.config import BlockMode, Routing
 from repro.core.differential import (
@@ -24,6 +28,7 @@ from repro.core.differential import (
     cross_validate_traces,
     generate_scenario,
     run_engine,
+    work_conservation,
 )
 from tests.strategies import differential_scenarios
 
@@ -42,9 +47,11 @@ class TestCampaign:
         zero divergences from the object model."""
         result = campaign(range(200), n_cycles=300)
         assert result.scenarios == 200
-        assert result.routings == {Routing.BA, Routing.WR}
-        assert result.block_modes == {BlockMode.MAX_FIRST, BlockMode.MIN_FIRST}
-        assert len(result.modes) >= 2
+        assert result.coverage["routings"] == {Routing.BA.value, Routing.WR.value}
+        assert result.coverage["block_modes"] == {
+            BlockMode.MAX_FIRST.value, BlockMode.MIN_FIRST.value,
+        }
+        assert len(result.coverage["modes"]) >= 2
         assert result.passed, "\n\n".join(str(d) for d in result.divergences)
 
     def test_long_runs_thousand_cycles(self):
@@ -72,8 +79,10 @@ class TestTraceEquivalence:
         with zero divergences."""
         result = campaign(range(50), n_cycles=200, mode="trace")
         assert result.scenarios == 50
-        assert result.routings == {Routing.BA, Routing.WR}
-        assert result.block_modes == {BlockMode.MAX_FIRST, BlockMode.MIN_FIRST}
+        assert result.coverage["routings"] == {Routing.BA.value, Routing.WR.value}
+        assert result.coverage["block_modes"] == {
+            BlockMode.MAX_FIRST.value, BlockMode.MIN_FIRST.value,
+        }
         assert result.passed, "\n\n".join(str(d) for d in result.divergences)
 
     def test_single_scenario_validator(self):
@@ -119,3 +128,82 @@ class TestScenarioGenerator:
             SchedulingMode.STATIC_PRIORITY,
             SchedulingMode.FAIR_SHARE,
         }
+
+
+def _drop_service(record):
+    """One serviced packet removed from a busy cycle."""
+    if not record.serviced:
+        return None
+    return replace(record, serviced=record.serviced[1:])
+
+
+def _make_idle(record):
+    """A backlogged cycle recorded as idle: no block, winner or service."""
+    if record.circulated is None:
+        return None
+    return replace(record, block=(), circulated=None, serviced=())
+
+
+def _doctor(trace, mutate):
+    """``trace`` with ``mutate`` applied to the first cycle it changes,
+    and that cycle (``None``: nothing to change)."""
+    records = list(trace.records)
+    for t, record in enumerate(records):
+        doctored = mutate(record)
+        if doctored is not None:
+            records[t] = doctored
+            return replace(trace, records=tuple(records)), t
+    return trace, None
+
+
+class TestWorkConservation:
+    """The scheduler kind's invariant, computed from the arrival
+    schedule and the oracle's cycle records alone."""
+
+    def test_oracle_runs_are_work_conserving(self):
+        for seed in range(30):
+            scenario = generate_scenario(seed, n_cycles=300)
+            trace = run_engine(scenario, "reference")
+            assert work_conservation(scenario, trace) is None, seed
+
+    @pytest.mark.parametrize("mutate", [_drop_service, _make_idle])
+    def test_doctored_trace_is_caught(self, mutate):
+        checked = 0
+        for seed in range(16):
+            scenario = generate_scenario(seed, n_cycles=200)
+            doctored, t = _doctor(run_engine(scenario, "reference"), mutate)
+            if t is None:
+                continue
+            checked += 1
+            divergence = work_conservation(scenario, doctored)
+            assert divergence is not None, seed
+            assert (divergence.field, divergence.cycle) == (
+                "work_conservation", t
+            )
+            assert divergence.invariant
+            assert "oracle broke work_conservation" in str(divergence)
+        assert checked >= 10
+
+    @pytest.mark.parametrize("mutate", [_drop_service, _make_idle])
+    def test_campaign_fails_when_both_engines_agree_on_it(
+        self, monkeypatch, mutate
+    ):
+        """Doctor the oracle trace and every bucket row the same way:
+        the engines still agree, so only the invariant fails."""
+        run_one, run_rows = differential.run_engine, differential.run_bucket
+
+        def doctored_engine(*args, **kwargs):
+            return _doctor(run_one(*args, **kwargs), mutate)[0]
+
+        def doctored_bucket(*args, **kwargs):
+            return [_doctor(t, mutate)[0] for t in run_rows(*args, **kwargs)]
+
+        monkeypatch.setattr(differential, "run_engine", doctored_engine)
+        monkeypatch.setattr(differential, "run_bucket", doctored_bucket)
+        result = campaign(range(6), n_cycles=120)
+        assert not result.passed
+        assert result.scenarios == 6
+        assert len(result.divergences) >= 4
+        assert {d.field for d in result.divergences} == {"work_conservation"}
+        summary = result.summary()
+        assert summary["divergences"][0]["field"] == "work_conservation"

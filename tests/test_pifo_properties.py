@@ -12,8 +12,8 @@ Three properties pinned here:
 * **Three-way byte identity** — the interpreted reference evaluator,
   the tensorized evaluator on a single-row campaign and on whole
   same-shape buckets produce byte-identical canonical summaries on
-  200+ randomized scenarios (the ``validate_rank_function``
-  contract).
+  200+ randomized scenarios (the rank-kind campaign's contract,
+  ``campaign(seeds, kind=RankKind(...))``).
 
 Plus the boundary validations the PIFO layer's tie-break rules must
 reproduce: the RED min==max threshold and HFSC zero-curve leaves both
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.differential import validate_rank_function
+from repro.core.differential import campaign
 from repro.disciplines import create
 from repro.disciplines.base import Packet, SwStream
 from repro.disciplines.hfsc import ClassNode, HierarchicalFairShare
@@ -37,6 +37,7 @@ from repro.disciplines.pifo import (
     PifoDiscipline,
     PifoStream,
     RankFunction,
+    RankKind,
     attr,
     generate_pifo_scenario,
     rank_function,
@@ -57,6 +58,10 @@ _SID_FREE = tuple(
 
 def _canonical(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=1) + "\n"
+
+
+def _details(result) -> str:
+    return "\n".join(str(d) for d in result.divergences)
 
 
 class TestWorkConservation:
@@ -169,20 +174,57 @@ class TestThreeWayByteIdentity:
         assert checked == len(names) * seeds_per_fn >= 200
 
     @pytest.mark.parametrize("name", sorted(PIFO_RANK_FUNCTIONS))
-    def test_validate_rank_function_passes(self, name):
-        result = validate_rank_function(name, seeds=range(8), n_cycles=100)
-        assert result.passed, "\n".join(result.divergences)
+    def test_rank_campaign_passes(self, name):
+        result = campaign(range(8), kind=RankKind((rank_function(name),)), n_cycles=100)
+        assert result.passed, _details(result)
         assert result.scenarios == 8
-        assert result.services > 0
-        assert result.equivalent_to == PIFO_RANK_FUNCTIONS[name].equivalent_to
+        equivalent = PIFO_RANK_FUNCTIONS[name].equivalent_to
+        assert result.summary()["coverage"] == {
+            "rank_functions": [f"pifo:{name}"],
+            "equivalent_to": [equivalent] if equivalent else [],
+        }
 
     def test_validation_summary_is_canonical(self):
-        result = validate_rank_function("edf", seeds=range(3), n_cycles=60)
+        result = campaign(range(3), kind=RankKind((rank_function("edf"),)), n_cycles=60)
         blob = result.summary_json()
         assert blob == json.dumps(
             result.summary(), sort_keys=True, indent=1
         ) + "\n"
         assert json.loads(blob)["passed"] is True
+
+    def test_wrong_equivalent_to_fails_on_service_order(self):
+        """The engines agree on a mislabelled function, so only the
+        handwritten-order invariant can catch it."""
+        mislabelled = RankFunction(
+            name="edf_as_fcfs", rank=attr("deadline"), equivalent_to="fcfs"
+        )
+        result = campaign(range(4), kind=RankKind((mislabelled,)), n_cycles=60)
+        assert not result.passed
+        fields = {d.field for d in result.divergences}
+        assert fields == {"pifo:edf_as_fcfs.service_order"}
+        assert all(d.invariant for d in result.divergences)
+
+    @pytest.mark.parametrize("functions", [(), ("sfq",)])
+    def test_rank_kind_needs_rank_functions(self, functions):
+        with pytest.raises(ValueError, match="non-empty tuple of RankFunction"):
+            RankKind(functions)
+
+    def test_cache_key_carries_the_definition(self):
+        """An edited function under the same name never hits a stale
+        entry: the key payload holds rank, finish and vclock."""
+        edited = dataclasses.replace(
+            rank_function("sfq"), finish=attr("rank") + attr("length")
+        )
+        scenario = generate_pifo_scenario(0, n_cycles=20)
+        payloads = [
+            RankKind((fn,)).cache_payload(scenario, "outcome")
+            for fn in (rank_function("sfq"), edited)
+        ]
+        assert payloads[0] != payloads[1]
+        assert payloads[0]["rank_functions"][0]["vclock"] == "served_rank"
+        assert payloads[0]["rank_functions"][0]["finish"]["rhs"] == {
+            "op": "//", "lhs": {"name": "length"}, "rhs": {"name": "weight"},
+        }
 
 
 class TestUserDefinedRankFunction:
@@ -196,16 +238,14 @@ class TestUserDefinedRankFunction:
             rank=attr("credits") * 1500 // attr("weight"),
             description="least weighted service first",
         )
-        result = validate_rank_function(
-            credit_fair, seeds=range(6), n_cycles=80
-        )
-        assert result.passed, "\n".join(result.divergences)
+        result = campaign(range(6), kind=RankKind((credit_fair,)), n_cycles=80)
+        assert result.passed, _details(result)
 
     def test_registered_hybrid_is_thirty_lines_of_api(self):
         fn = rank_function("prio_edf")
         assert fn.equivalent_to is None
-        result = validate_rank_function(fn, seeds=range(6), n_cycles=80)
-        assert result.passed, "\n".join(result.divergences)
+        result = campaign(range(6), kind=RankKind((fn,)), n_cycles=80)
+        assert result.passed, _details(result)
 
     def test_unknown_attribute_rejected(self):
         with pytest.raises(ValueError, match="unknown rank attributes"):

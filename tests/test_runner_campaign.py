@@ -11,13 +11,14 @@ import os
 
 import pytest
 
+from repro.aggregation import AggregationKind
 from repro.core.differential import (
     CampaignResult,
     SeedOutcome,
     campaign,
     validate_bucket,
-    validate_seed,
 )
+from repro.disciplines.pifo import RankKind, rank_function
 from repro.experiments.sweeps import sweep_figures, sweep_isolation
 from repro.experiments.table3 import run_table3
 from repro.runner import start_method
@@ -26,11 +27,27 @@ CYCLES = 80
 SEEDS = range(12)
 
 
-def crash_on_seed_5(seeds, n_cycles, mode):
+def crash_on_seed_5(seeds, *args):
     """Drop-in for ``validate_bucket`` that hard-kills seed 5's shard."""
     if 5 in seeds:
         os._exit(9)
-    return validate_bucket(seeds, n_cycles, mode)
+    return validate_bucket(seeds, *args)
+
+
+def raise_on_seed_5(seeds, *args):
+    """Drop-in for ``validate_bucket`` whose bucket with seed 5 fails."""
+    if 5 in seeds:
+        raise RuntimeError("bucket with seed 5 failed")
+    return validate_bucket(seeds, *args)
+
+
+#: The non-scheduler kinds at small sizes, with their cycle counts.
+KINDS = {
+    "rank": (
+        RankKind((rank_function("edf"), rank_function("sfq")), n_slots=4), 40
+    ),
+    "aggregation": (AggregationKind(n_streams=12, n_aggregates=4), 30),
+}
 
 
 class TestCampaignParallelEquality:
@@ -41,24 +58,18 @@ class TestCampaignParallelEquality:
         assert sequential.passed and sharded.passed
         assert sharded.summary_json() == sequential.summary_json()
         assert sharded.scenarios == len(list(SEEDS))
-        assert sharded.routings == sequential.routings
-        assert sharded.block_modes == sequential.block_modes
-        assert sharded.modes == sequential.modes
+        assert sharded.coverage == sequential.coverage
+        assert set(sharded.coverage) == {"routings", "block_modes", "modes"}
 
-    def test_validate_seed_matches_inline_fold(self):
-        outcome = validate_seed(3, CYCLES, "outcome")
+    def test_validate_bucket_matches_inline_fold(self):
+        (outcome,) = validate_bucket((3,), CYCLES, "outcome").outcomes
         assert isinstance(outcome, SeedOutcome)
         assert outcome.seed == 3
         assert outcome.divergence is None
         result = campaign([3], n_cycles=CYCLES)
-        assert {outcome.routing} == {r.value for r in result.routings}
-
-    def test_stop_on_divergence_still_sequential(self):
-        result = campaign(
-            SEEDS, n_cycles=CYCLES, stop_on_divergence=True, workers=4
-        )
-        assert result.passed
-        assert result.workers == 1  # forced sequential path
+        assert {
+            axis: set(values) for axis, values in outcome.coverage.items()
+        } == result.coverage
 
     def test_summary_excludes_execution_details(self):
         summary = campaign(SEEDS, n_cycles=CYCLES, workers=2).summary()
@@ -125,6 +136,56 @@ class TestCampaignFailureIsolation:
             SEEDS, n_cycles=CYCLES, workers=4, _task=crash_on_seed_5
         )
         assert first.summary_json() == second.summary_json()
+
+
+class TestKindsShareTheRunner:
+    """Rank-function and aggregation campaigns get the same bucketing,
+    cache, shards and summary format as scheduler campaigns."""
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_summary_identical_across_worker_counts(self, name):
+        kind, cycles = KINDS[name]
+        solo = campaign(range(6), kind=kind, n_cycles=cycles, workers=1)
+        pooled = campaign(range(6), kind=kind, n_cycles=cycles, workers=2)
+        assert solo.passed, solo.summary_json()
+        assert pooled.summary_json() == solo.summary_json()
+        assert set(solo.summary()["coverage"]) == set(kind.axes)
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_warm_rerun_is_all_cached(self, name, tmp_path):
+        kind, cycles = KINDS[name]
+        cold = campaign(
+            range(6), kind=kind, n_cycles=cycles, workers=2, cache_dir=tmp_path
+        )
+        warm = campaign(
+            range(6), kind=kind, n_cycles=cycles, workers=2, cache_dir=tmp_path
+        )
+        assert cold.executed == 6 and cold.cached == 0
+        assert warm.cached == 6 and warm.executed == 0
+        assert warm.summary_json() == cold.summary_json()
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"differential-outcome-{kind.name}"
+        ]
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_failing_task_reports_its_seeds(self, name):
+        kind, cycles = KINDS[name]
+        result = campaign(
+            range(8), kind=kind, n_cycles=cycles, _task=raise_on_seed_5
+        )
+        assert not result.passed
+        (failure,) = result.failures
+        # One topology, one bucket: every seed rode with seed 5.
+        assert failure.items == tuple(range(8))
+        summary = result.summary()
+        assert summary["failures"][0]["seeds"] == list(range(8))
+        assert "bucket with seed 5 failed" in summary["failures"][0]["error"]
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_trace_mode_is_scheduler_only(self, name):
+        kind, cycles = KINDS[name]
+        with pytest.raises(ValueError, match="unknown campaign mode"):
+            campaign(range(2), kind=kind, n_cycles=cycles, mode="trace")
 
 
 class TestTable3Parallel:

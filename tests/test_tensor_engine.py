@@ -15,7 +15,7 @@ Three properties are pinned here:
   (The golden decision trace in ``tests/test_trace_replay.py`` is
   replayed through the tensor adapter there, byte-for-byte.)
 * **Campaign plumbing** — the bucketed ``campaign()`` serializes
-  byte-identically to the sequential seed-by-seed path, under any
+  byte-identically to per-seed ``cross_validate`` folds, under any
   worker count, with a pinned result-cache namespace and merged
   telemetry.
 """
@@ -33,6 +33,9 @@ from repro.core.attributes import StreamConfig
 from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
 from repro.core.differential import (
+    CampaignResult,
+    SchedulerKind,
+    SeedOutcome,
     _scenario_cache_payload,
     campaign,
     cross_validate,
@@ -217,9 +220,17 @@ class TestIdleFastForward:
 
 class TestCampaignTensorPath:
     def test_summary_byte_identical_to_sequential(self):
-        """Bucketed rows and the seed-by-seed single-row adapter path
-        (``stop_on_divergence``) fold to the same summary bytes."""
-        sequential = campaign(range(40), n_cycles=120, stop_on_divergence=True)
+        """Bucketed rows and per-seed ``cross_validate`` on the
+        single-row adapter fold to the same summary bytes."""
+        kind = SchedulerKind()
+        sequential = CampaignResult(n_cycles=120)
+        for seed in range(40):
+            scenario = generate_scenario(seed, n_cycles=120)
+            sequential.fold(
+                SeedOutcome(
+                    seed, kind.coverage(scenario), cross_validate(scenario)
+                )
+            )
         tensor = campaign(range(40), n_cycles=120)
         assert tensor.passed
         assert tensor.summary_json() == sequential.summary_json()
@@ -481,6 +492,57 @@ def test_negative_times_rejected_at_enqueue(target, deadline, arrival):
     assert [(sid, p.deadline, p.arrival) for sid, p in outcome.serviced] == [
         (1, deadline, arrival)
     ]
+
+
+@pytest.mark.parametrize("length", [0, -1500])
+@pytest.mark.parametrize(
+    "target", ["reference", "tensor", "tier-submit", "tier-campaign-submit"]
+)
+def test_nonpositive_length_rejected(target, length):
+    """A packet of ``length <= 0`` raises one named ``ValueError`` at
+    the engines' ``enqueue`` and at both aggregation-tier ``submit``
+    entry points, with nothing queued and no counter moved (the tier
+    used to accept it and then serve 399:1 instead of 200:200)."""
+    from repro.aggregation import AggregationCampaign, AggregationTier
+
+    message = re.escape(f"packet length must be positive, got length={length}")
+    if target in ("reference", "tensor"):
+        streams = [StreamConfig(sid=i, period=1) for i in range(4)]
+        sched = make_scheduler(ArchConfig(n_slots=4), streams, engine=target)
+        sched.enqueue(0, deadline=9, arrival=0)
+        with pytest.raises(ValueError, match=message):
+            sched.enqueue(0, deadline=9, arrival=1, length=length)
+        with pytest.raises(ValueError, match=message):
+            sched.enqueue(1, deadline=9, arrival=1, length=length)
+        assert sched.slot(0).backlog == 0
+        assert sched.slot(1).head is None
+        served = [
+            sid
+            for t in range(3)
+            for sid, _packet in sched.decision_cycle(t).serviced
+        ]
+        assert served == [0]
+        return
+    if target == "tier-submit":
+        tier = AggregationTier(2, engine="reference")
+        core, submit = tier.core, tier.submit
+    else:
+        tier = AggregationCampaign(2, 1)
+        core = tier.cores[0]
+
+        def submit(sid, deadline, length=1500):
+            tier.submit(0, sid, deadline, length)
+
+    core.join(0, weight=1)
+    submit(0, 5)
+    with pytest.raises(ValueError, match=message):
+        submit(0, 6, length)
+    assert (core.enqueued, core.outstanding) == (1, 1)
+    assert [s.enqueued for s in core.stats()] == [
+        int(a == core.bucket(0)) for a in range(2)
+    ]
+    tier.drain()
+    assert (core.enqueued, core.serviced) == (1, 1)
 
 
 @pytest.mark.parametrize("target", ["reference", "tensor"])
