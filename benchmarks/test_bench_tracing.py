@@ -97,8 +97,7 @@ def test_disabled_tracing_within_2_percent(report):
             ),
             bench_record(
                 "disabled_spread", spread, "ratio",
-                direction="lower", bound=OVERHEAD_BOUND,
-                tolerance=0.05, **shape,
+                direction="lower", bound=OVERHEAD_BOUND, **shape,
             ),
             bench_record(
                 "enabled_bucket_us", enabled * 1e6, "us",

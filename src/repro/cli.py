@@ -765,94 +765,6 @@ def _trace_main(argv: list[str]) -> int:
     return code
 
 
-def _bench_main(argv: list[str]) -> int:
-    """``repro bench trend``: normalize BENCH_*.json into the trajectory."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Benchmark-artifact maintenance: normalize every "
-        "BENCH_*.json into the versioned record format and maintain "
-        "BENCH_TRAJECTORY.json for the CI regression gate.",
-    )
-    parser.add_argument(
-        "action", choices=("trend",),
-        help="trend: append a normalized snapshot of all BENCH_*.json "
-        "files to the trajectory (idempotent; identical consecutive "
-        "snapshots coalesce)",
-    )
-    parser.add_argument(
-        "--root", metavar="DIR", default=".",
-        help="directory scanned for BENCH_*.json files (default .)",
-    )
-    parser.add_argument(
-        "--trajectory", metavar="PATH", default=None,
-        help="trajectory file (default <root>/BENCH_TRAJECTORY.json)",
-    )
-    parser.add_argument(
-        "--label", default="",
-        help="label recorded on an appended snapshot (e.g. a git sha)",
-    )
-    parser.add_argument(
-        "--validate", action="store_true",
-        help="only validate the existing trajectory file; append nothing",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="after appending, compare the last two snapshots and fail "
-        "on any out-of-tolerance regression",
-    )
-    args = parser.parse_args(argv)
-
-    from pathlib import Path
-
-    from repro import benchtrend
-
-    root = Path(args.root)
-    trajectory_path = (
-        Path(args.trajectory)
-        if args.trajectory is not None
-        else root / "BENCH_TRAJECTORY.json"
-    )
-
-    if args.validate:
-        if not trajectory_path.exists():
-            print(f"no trajectory at {trajectory_path}")
-            return 1
-        trajectory = benchtrend.load_trajectory(trajectory_path)
-        problems = benchtrend.validate_trajectory(trajectory)
-        for problem in problems:
-            print(f"invalid: {problem}")
-        if not problems:
-            print(
-                f"trajectory ok: {len(trajectory['snapshots'])} snapshot(s) "
-                f"at {trajectory_path}"
-            )
-        return 1 if problems else 0
-
-    bench_files = benchtrend.discover_bench_files(root)
-    if not bench_files:
-        print(f"no BENCH_*.json files under {root}")
-        return 1
-    snapshot = benchtrend.build_snapshot(root, label=args.label)
-    trajectory = benchtrend.load_trajectory(trajectory_path)
-    appended = benchtrend.append_snapshot(trajectory, snapshot)
-    benchtrend.write_trajectory(trajectory_path, trajectory)
-    for path in bench_files:
-        print(f"normalized {path.name} -> {benchtrend.bench_slug(path)}")
-    state = "appended snapshot" if appended else "unchanged (coalesced)"
-    print(
-        f"{state}: {len(trajectory['snapshots'])} snapshot(s) in "
-        f"{trajectory_path}"
-    )
-    if args.check:
-        regressions = benchtrend.check_regressions(trajectory)
-        for regression in regressions:
-            print(f"regression: {regression}")
-        if regressions:
-            return 1
-        print("regression check: ok")
-    return 0
-
-
 _COMMANDS = {
     "monitor": _cmd_monitor,
     "verilog": _cmd_verilog,
@@ -879,11 +791,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # Multi-word subcommands route before the flat experiment parser.
+    # ``trace`` has its own parser and routes before the experiment parser.
     if argv and argv[0] == "trace":
         return _trace_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate tables/figures of the ShareStreams paper.",
@@ -1043,7 +953,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(_COMMANDS):
             print(name)
         print("trace")
-        print("bench trend")
         return 0
     if args.sweep is not None:
         if args.experiment not in _SWEEPABLE:

@@ -83,7 +83,7 @@ Table 2 key-tuple ranking with the paper schedule replayed on the ranks
 (:func:`_emit_block`) and one scalar DWCS window update
 (:func:`_win_update`, :func:`_loss_update`).  Above the bounds both
 entry points run their NumPy paths.  Both sides are byte-identical; the
-bounds sit at crossovers measured by ``benchmarks/test_bench_jit.py``,
+bounds sit at crossovers measured by ``benchmarks/test_bench_shape_rules.py``,
 and :attr:`CampaignEngine.cycle_side` and
 :attr:`CampaignEngine.periodic_side` say which side a campaign takes.
 """
@@ -160,7 +160,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: in the enqueue + decide loop the Python rank runs at 1.14–1.39× the
 #: NumPy rank there at S×N=4 and 1.05–1.25× at 8, and ties (0.91–1.08×)
 #: at 16; the periodic feeds' crossovers lie higher
-#: (``benchmarks/test_bench_jit.py``).
+#: (``benchmarks/test_bench_shape_rules.py``).
 DRIVER_MAX_CELLS = 8
 
 #: Most scenario rows on which :meth:`CampaignEngine.run_periodic` runs
@@ -171,7 +171,7 @@ DRIVER_MAX_CELLS = 8
 #: scenario-slots the driver runs at 1.09–1.32× the NumPy loop on one
 #: row of 64 slots (winner feed; 1.03–1.12× block) but at 0.61–0.69× on
 #: 16 rows of 4.  On rows of 4 it still runs at 1.14–1.29× with 8 rows
-#: (``benchmarks/test_bench_jit.py``, four sweeps).
+#: (``benchmarks/test_bench_shape_rules.py``, four sweeps).
 PERIODIC_MAX_ROWS = 8
 
 #: Most S×N scenario-slots on which :meth:`CampaignEngine.run_periodic`
@@ -184,7 +184,7 @@ PERIODIC_MAX_CELLS = 64
 #: of the lexsort.  The lexsort's cost follows the keys as well as the
 #: shape, so the constant is placed on head-only calls captured from
 #: the two feeds that rank heads on long or many rows
-#: (``benchmarks/test_bench_jit.py``).  On the aggregation tier's keys
+#: (``benchmarks/test_bench_shape_rules.py``).  On the aggregation tier's keys
 #: the scan runs at 0.71–1.17× the lexsort at N=128, 1.28–1.84× at 256
 #: and 2.9–4.2× at 1024; on the periodic EDF campaign feed, whose keys come
 #: in a few long runs of equal values, the lexsort stays faster at every

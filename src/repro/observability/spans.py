@@ -318,9 +318,6 @@ class SpanTracer:
     def canonical_bytes(self) -> bytes:
         return canonical_span_bytes(self._records)
 
-    def jsonl_bytes(self) -> bytes:
-        return spans_jsonl_bytes(self._records)
-
     def chrome_trace(self) -> dict[str, Any]:
         return chrome_trace(self._records, trace_id=self.trace_id)
 

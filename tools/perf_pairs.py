@@ -19,9 +19,16 @@ cache before the pairs start.  A run whose result line reports
 
 For every end-to-end metric of ``BENCHMARK.json`` the table gives the
 parent and change medians, their interquartile ranges, change ÷ parent,
-how many pairs the change won, and a verdict: ``better`` or ``worse``
-when the change's median moves past the parent's by more than the
-metric's relative ``bound`` in that direction, ``same`` otherwise.
+how many pairs the change won, and a verdict.  The margin is the
+metric's relative ``bound`` times the parent median.  A metric is
+``unresolved`` when either side's interquartile range is wider than the
+margin and the two sides' runs overlap, that is, neither every change
+run beats every parent run nor the reverse: its spread cannot tell a
+move within the bound from none.  Otherwise it is ``better`` or
+``worse`` when the change's median moves past the parent's by more than
+the margin in that direction, and ``same`` when it does not.  The script
+prints the table and exits 1 when any metric is ``worse``, so it serves
+as a regression gate.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ class Row:
     change_iqr: float
     wins: int
     pairs: int
+    verdict: str
 
     @property
     def ratio(self) -> float:
@@ -73,10 +81,6 @@ class Row:
         if self.parent_median == 0:
             return float("nan")
         return self.change_median / self.parent_median
-
-    @property
-    def verdict(self) -> str:
-        return verdict(self.metric, self.parent_median, self.change_median)
 
 
 def load_metrics(benchmark: dict) -> list[Metric]:
@@ -116,9 +120,26 @@ def _beats(metric: Metric, change: float, parent: float) -> bool:
     return change > parent if metric.better == "higher" else change < parent
 
 
-def verdict(metric: Metric, parent_median: float, change_median: float) -> str:
-    """``better``/``worse`` past the metric's relative bound, else ``same``."""
+def verdict(metric: Metric, parent: list[float], change: list[float]) -> str:
+    """One metric's verdict from its parent and change runs.
+
+    ``unresolved`` when either side's interquartile range is wider than
+    the margin (the metric's relative bound times the parent median)
+    and the runs overlap; otherwise ``better``/``worse`` when the
+    change's median moves past the parent's by more than the margin,
+    else ``same``.
+    """
+    (parent_median, parent_iqr), (change_median, change_iqr) = (
+        _spread(parent), _spread(change)
+    )
     margin = metric.bound * abs(parent_median)
+    cross = [(p, c) for p in parent for c in change]
+    overlap = not (
+        all(_beats(metric, c, p) for p, c in cross)
+        or all(_beats(metric, p, c) for p, c in cross)
+    )
+    if max(parent_iqr, change_iqr) > margin and overlap:
+        return "unresolved"
     if abs(change_median - parent_median) <= margin:
         return "same"
     return "better" if _beats(metric, change_median, parent_median) else "worse"
@@ -134,9 +155,17 @@ def summarize(
         change = [c[metric.name] for _, c in pairs]
         wins = sum(_beats(metric, c, p) for p, c in zip(parent, change))
         rows.append(
-            Row(metric, *_spread(parent), *_spread(change), wins, len(pairs))
+            Row(
+                metric, *_spread(parent), *_spread(change), wins, len(pairs),
+                verdict(metric, parent, change),
+            )
         )
     return rows
+
+
+def gate(rows: list[Row]) -> int:
+    """The script's exit status: 1 when any metric reads ``worse``, else 0."""
+    return int(any(row.verdict == "worse" for row in rows))
 
 
 def _fmt(value: float) -> str:
@@ -266,8 +295,9 @@ def main(argv=None) -> int:
         f"{args.workload}: {args.pairs} alternating pairs of {args.seconds:g} s "
         f"runs, seed {args.seed}, parent {parent_sha} vs working tree"
     )
-    print(render(summarize(metrics, pairs)))
-    return 0
+    rows = summarize(metrics, pairs)
+    print(render(rows))
+    return gate(rows)
 
 
 if __name__ == "__main__":
