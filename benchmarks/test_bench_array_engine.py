@@ -4,10 +4,11 @@ Runs the identical periodic EDF workload (the Table 3 feed generalized
 over slot count) on both engines and reports decision cycles per
 second.  The object model pays per-slot, per-pass Python costs — its
 cycle time grows like ``N log N`` function calls — while
-:meth:`TensorScheduler.run_periodic` runs each cycle as a handful of
-array operations, so the gap widens with slot count.  The asserts pin
-the crossover: the array engine must win from 32 slots up and by at
-least 5x at 128 slots.
+:meth:`TensorScheduler.run_periodic` runs the whole feed in the
+array engine's plain-Python periodic driver, which ranks a WR cycle
+with one ``min`` over the heads' Table 2 key tuples, so the gap widens
+with slot count.  The asserts pin the crossover: the array engine must
+win from 32 slots up and by at least 5x at 128 slots.
 """
 
 from __future__ import annotations

@@ -43,12 +43,12 @@ around ``now`` — exact under the serial-number contract the hardware
 already requires (live deadlines/arrivals within half the 16-bit
 horizon of each other).
 
-Idle-cycle fast-forward: when *no* scenario in the campaign has a
-pending head, :meth:`CampaignEngine.run_periodic` jumps ``now``
-directly to the next release boundary and accounts the skipped
-SCHEDULE/PRIORITY_UPDATE pairs in bulk, so sparse workloads (the
-isolation experiments are mostly idle) cost array ops only on the
-cycles where a decision can actually differ from "nothing happened".
+Idle-cycle fast-forward: a caller that knows *no* scenario in the
+campaign has a pending head (the bucketed differential runs of
+:func:`repro.core.differential.run_bucket`) accounts a whole idle gap's
+SCHEDULE/PRIORITY_UPDATE pairs in one :meth:`CampaignEngine.advance_idle`
+call, so sparse workloads cost array ops only on the cycles where a
+decision can actually differ from "nothing happened".
 
 :class:`TensorScheduler` is the S=1 adapter: a drop-in for
 :class:`~repro.core.scheduler.ShareStreamsScheduler`
@@ -58,8 +58,8 @@ campaign, cross-validated cycle-by-cycle by
 
 Each decision pays only for the part of the Table 2 order it uses.
 :func:`table2_rank_order` reads the packed window-constraint key from a
-256×256 table indexed by ``(x', y')``.  WR decisions (and max-first
-periodic cycles) need only each row's head: on rows shorter than
+256×256 table indexed by ``(x', y')``.  WR decisions need only each
+row's head: on rows shorter than
 :data:`HEAD_SCAN_MIN_SLOTS` that is column 0 of one
 :func:`numpy.lexsort`, on longer rows an O(N) masked-minimum scan.  BA
 decisions need the whole emitted block: a complete Batcher network
@@ -72,24 +72,24 @@ objects ``enqueue`` built, as in the object model's Register Base
 blocks; the ``(S, N)`` arrays mirror only what the vectorized paths
 read (head presence and deadline, latched attributes, window counters).
 
-Both entry points pick a plain-Python side or a NumPy side by shape.
-:meth:`CampaignEngine.decision_cycle_all` ranks each row in plain Python
-and registers misses per slot on campaigns of at most
-:data:`DRIVER_MAX_CELLS` scenario-slots.  :meth:`CampaignEngine.run_periodic`
-runs the whole run in a plain-Python driver over list copies of the
-``(S, N)`` state on campaigns of at most :data:`PERIODIC_MAX_ROWS` rows
-and :data:`PERIODIC_MAX_CELLS` scenario-slots.  Both sides share one
-Table 2 key-tuple ranking with the paper schedule replayed on the ranks
-(:func:`_emit_block`) and one scalar DWCS window update
-(:func:`_win_update`, :func:`_loss_update`).  Above the bounds both
-entry points run their NumPy paths.  Both sides are byte-identical; the
-bounds sit at crossovers measured by ``benchmarks/test_bench_shape_rules.py``,
-and :attr:`CampaignEngine.cycle_side` and
-:attr:`CampaignEngine.periodic_side` say which side a campaign takes.
+:meth:`CampaignEngine.decision_cycle_all` picks a plain-Python side or a
+NumPy side by shape: on campaigns of at most :data:`DRIVER_MAX_CELLS`
+scenario-slots it ranks each row in plain Python and registers misses
+per slot, above that it runs its NumPy path.  Both sides are
+byte-identical; the bound sits at a crossover measured by
+``benchmarks/test_bench_shape_rules.py``, and
+:attr:`CampaignEngine.cycle_side` says which side a campaign takes.
+:meth:`CampaignEngine.run_periodic` runs every whole run in one
+plain-Python driver over list copies of the ``(S, N)`` state.  The
+driver and the small per-cycle side share one Table 2 key-tuple ranking
+with the paper schedule replayed on the ranks (:func:`_emit_block`) and
+one scalar DWCS window update (:func:`_win_update`,
+:func:`_loss_update`).
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -118,8 +118,6 @@ from repro.observability.spans import PhaseTimer
 __all__ = [
     "DRIVER_MAX_CELLS",
     "HEAD_SCAN_MIN_SLOTS",
-    "PERIODIC_MAX_CELLS",
-    "PERIODIC_MAX_ROWS",
     "CampaignEngine",
     "PeriodicRunResult",
     "TensorScheduler",
@@ -148,9 +146,6 @@ _Y_MAX = LOSS_DEN_FIELD.mask
 #: lexsort key with an integer one.
 _WC_SHIFT = 16
 
-#: int64 sentinel larger than any release boundary (idle fast-forward).
-_FAR_FUTURE = 2**62
-
 #: Key value of masked-out slots in the head scan.
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -159,25 +154,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 #: instead of :func:`table2_rank_order`.  The endsystem feed places it:
 #: in the enqueue + decide loop the Python rank runs at 1.14–1.39× the
 #: NumPy rank there at S×N=4 and 1.05–1.25× at 8, and ties (0.91–1.08×)
-#: at 16; the periodic feeds' crossovers lie higher
+#: at 16; the Table 3 winner and block feeds' crossovers lie higher
 #: (``benchmarks/test_bench_shape_rules.py``).
 DRIVER_MAX_CELLS = 8
-
-#: Most scenario rows on which :meth:`CampaignEngine.run_periodic` runs
-#: its plain-Python driver instead of the NumPy loop (together with
-#: :data:`PERIODIC_MAX_CELLS`).  No single S×N bound places every swept
-#: shape on its faster side, because the NumPy loop's per-cycle cost is
-#: shared by the rows while the driver ranks each row separately: at 64
-#: scenario-slots the driver runs at 1.09–1.32× the NumPy loop on one
-#: row of 64 slots (winner feed; 1.03–1.12× block) but at 0.61–0.69× on
-#: 16 rows of 4.  On rows of 4 it still runs at 1.14–1.29× with 8 rows
-#: (``benchmarks/test_bench_shape_rules.py``, four sweeps).
-PERIODIC_MAX_ROWS = 8
-
-#: Most S×N scenario-slots on which :meth:`CampaignEngine.run_periodic`
-#: runs its plain-Python driver (see :data:`PERIODIC_MAX_ROWS`).  One
-#: row of 64 slots, the longest swept, still runs faster there.
-PERIODIC_MAX_CELLS = 64
 
 #: Shortest row (slot count N) on which :func:`table2_rank_order` finds
 #: each row's head with the O(N) masked-minimum scan instead of column 0
@@ -385,6 +364,23 @@ def _loss_update(k, x, y, cfg_x, cfg_y, resets, violations) -> None:
     else:
         violations[k] += 1
         y[k] = min(yk + 1, _Y_MAX)
+
+
+def _feed_array(value, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A ``run_periodic`` feed input (``offsets``, ``step``) as an
+    ``(S, N)`` int64 array; non-integer values and shapes that do not
+    broadcast raise instead of being truncated or misread."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    try:
+        return np.ascontiguousarray(
+            np.broadcast_to(array.astype(np.int64), shape)
+        )
+    except ValueError:
+        raise ValueError(
+            f"{name} of shape {array.shape} does not broadcast to {shape}"
+        ) from None
 
 
 def _per_scenario(value, n_scenarios: int, name: str) -> list:
@@ -878,41 +874,8 @@ class CampaignEngine:
             violated, self._violations + 1, self._violations
         )
 
-    def _win_update_mask(self, sel: np.ndarray) -> None:
-        """Batched win update at the ``(S, N)`` mask's set positions.
-
-        Callers select at most one winner per scenario row (a one-hot
-        row mask), mirroring the reference engine's per-slot update.
-        """
-        x, y = self._x, self._y
-        y = np.where(sel & (y > 0), y - 1, y)
-        reset = sel & ((y == 0) | (y <= x))
-        self._x = np.where(reset, self._cfg_x, x)
-        self._y = np.where(reset, self._cfg_y, y)
-        self._window_resets = np.where(
-            reset, self._window_resets + 1, self._window_resets
-        )
-
-    def _loss_update_mask(self, sel: np.ndarray) -> None:
-        """Batched loss update at the ``(S, N)`` mask's set positions."""
-        x, y = self._x, self._y
-        has_loss = sel & (x > 0)
-        nx = np.where(has_loss, x - 1, x)
-        ny = np.where(has_loss & (y > 0), y - 1, y)
-        reset = has_loss & ((ny == 0) | (nx == ny))
-        violated = sel & ~has_loss
-        ny = np.where(violated, np.minimum(ny + 1, _Y_MAX), ny)
-        self._x = np.where(reset, self._cfg_x, nx)
-        self._y = np.where(reset, self._cfg_y, ny)
-        self._window_resets = np.where(
-            reset, self._window_resets + 1, self._window_resets
-        )
-        self._violations = np.where(
-            violated, self._violations + 1, self._violations
-        )
-
     # ------------------------------------------------------------------
-    # shape rules: which side of each entry point this campaign takes
+    # shape rule: which side decision_cycle_all takes
     # ------------------------------------------------------------------
 
     @property
@@ -921,22 +884,6 @@ class CampaignEngine:
         Python (at most :data:`DRIVER_MAX_CELLS` scenario-slots), else
         ``"numpy"``."""
         if self.n_scenarios * self._n <= DRIVER_MAX_CELLS:
-            return "python"
-        return "numpy"
-
-    @property
-    def periodic_side(self) -> str:
-        """``"python"`` when :meth:`run_periodic` runs the plain-Python
-        driver (at most :data:`PERIODIC_MAX_ROWS` rows and
-        :data:`PERIODIC_MAX_CELLS` scenario-slots, untraced), else
-        ``"numpy"``.  Timeline tracing needs per-cycle control-FSM
-        entries, which the driver's bulk replay does not make, so traced
-        campaigns take the NumPy loop."""
-        if (
-            not self.trace_timeline
-            and self.n_scenarios <= PERIODIC_MAX_ROWS
-            and self.n_scenarios * self._n <= PERIODIC_MAX_CELLS
-        ):
             return "python"
         return "numpy"
 
@@ -1140,16 +1087,13 @@ class CampaignEngine:
         if count == 0:
             return
         with self._phases[2] if self._phases else nullcontext():
-            self._skip_idle(count)
-
-    def _skip_idle(self, count: int) -> None:
-        self.control.advance_decision_cycles(
-            count,
-            self.config.sort_passes,
-            self.config.update_cycles,
-            detail="idle fast-forward",
-        )
-        self._fast_forwarded += count
+            self.control.advance_decision_cycles(
+                count,
+                self.config.sort_passes,
+                self.config.update_cycles,
+                detail="idle fast-forward",
+            )
+            self._fast_forwarded += count
 
     @property
     def has_pending(self) -> bool:
@@ -1169,7 +1113,7 @@ class CampaignEngine:
         )
 
     # ------------------------------------------------------------------
-    # self-advancing periodic workloads, tensorized whole-campaign runs
+    # self-advancing periodic workloads, whole-campaign runs
     # ------------------------------------------------------------------
 
     def run_periodic(
@@ -1178,55 +1122,46 @@ class CampaignEngine:
         *,
         offsets: np.ndarray | None = None,
         step: np.ndarray | int | None = None,
-        stride: np.ndarray | int | None = None,
         consume: str = "winner",
         count_misses: bool = True,
         collect_winners: bool = False,
-        fast_forward: bool = True,
     ) -> list[PeriodicRunResult]:
         """Run a periodic feed through *every* scenario in lockstep.
 
-        Each loaded slot ``i`` emits one request per release interval:
-        request ``k`` becomes available at cycle ``k * stride[i]`` (the
-        default stride of 1 is the dense one-request-per-cycle feed)
-        with deadline ``offsets[i] + k * step[i]`` and arrival-time key
-        ``k`` — the Table 3 workload family, generalized over slot
-        count, offsets, steps, release strides, routing, block mode and
-        discipline.  ``offsets`` defaults to each stream's initial
-        deadline and ``step`` to its period; ``offsets``/``step``/
-        ``stride`` broadcast over ``(S, N)``.  Heads never touch the
-        Python pending queues: availability is
-        ``consumed * stride <= t`` and consumption is counter
-        arithmetic.  Per decision cycle, ranking, the winner selection,
-        miss registration and the DWCS window updates each run as one
-        ``(S, N)`` array op, so the whole campaign advances per cycle
-        at (amortized) the Python cost of a single scenario.  Requires
-        ideal arithmetic (``wrap=False``) — these runs exceed the
-        16-bit horizon by construction — so negative offsets and steps
-        are rejected like negative deadlines at ``enqueue``.
+        Every loaded slot ``i`` holds one request at every cycle: its
+        ``k``-th request has deadline ``offsets[i] + k * step[i]`` and
+        arrival-time key ``k`` — the Table 3 workload family,
+        generalized over slot count, offsets, steps, routing, block mode
+        and discipline.  ``offsets`` defaults to each stream's initial
+        deadline and ``step`` to its period; both take integers and
+        broadcast over ``(S, N)``.  Heads never touch the Python pending
+        queues (consumption is counter arithmetic), so the campaign must
+        hold no packet queued with :meth:`enqueue`.  Requires ideal
+        arithmetic (``wrap=False``) — these runs exceed the 16-bit
+        horizon by construction — so negative offsets and steps are
+        rejected like negative deadlines at ``enqueue``; ``n_cycles`` is
+        a non-negative integer.  Every input is checked before any state
+        changes.
 
-        Scenarios whose slots are all idle at ``t`` sit out that cycle;
-        when the *entire campaign* is idle, ``now`` jumps to the next
-        release boundary and the skipped SCHEDULE/PRIORITY_UPDATE pairs
-        are accounted in bulk.  ``fast_forward=False`` keeps the
-        cycle-by-cycle idle path; both produce identical results.
+        One plain-Python driver runs the whole K-cycle loop over list
+        copies of the ``(S, N)`` state (:meth:`_run_periodic_driver`).
 
         Returns one :class:`PeriodicRunResult` per scenario.  Each
-        equals the per-cycle loop that enqueues request ``k`` of slot
-        ``i`` at cycle ``k * stride[i]`` and runs one
+        equals the per-cycle loop that enqueues request ``k`` of every
+        loaded slot at cycle ``k`` and runs one
         :meth:`decision_cycle_all` per cycle *when every EDF stream's
         ``step`` equals its ``period``*: this path advances a winner's
         EDF bias by ``step``, the per-cycle path by the stream's
         ``period``.  The default ``step`` (the period) always meets
-        that condition.
-
-        Campaigns of at most :data:`PERIODIC_MAX_ROWS` rows and
-        :data:`PERIODIC_MAX_CELLS` scenario-slots run the whole K-cycle
-        loop in a plain-Python driver instead, unless ``trace_timeline``
-        is on (:attr:`periodic_side`); both sides produce identical
-        results.  Each observer's ``on_run_summary`` hook, where it has
-        one, receives its row's result.
+        that condition.  Each observer's ``on_run_summary`` hook, where
+        it has one, receives its row's result.
         """
+        try:
+            n_cycles = operator.index(n_cycles)
+        except TypeError:
+            raise ValueError(
+                f"n_cycles must be an integer, got {n_cycles!r}"
+            ) from None
         if n_cycles < 0:
             raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
         if self._wrap:
@@ -1240,41 +1175,29 @@ class CampaignEngine:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
+        if self.has_pending:
+            raise ValueError(
+                "run_periodic feeds every slot itself; packets queued "
+                "with enqueue would be ignored"
+            )
         shape = (self.n_scenarios, self._n)
         if offsets is None:
             offs = np.where(self._loaded, self._init_deadline, 0)
         else:
-            offs = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(offsets, dtype=np.int64), shape)
-            )
+            offs = _feed_array(offsets, "offsets", shape)
         if step is None:
             steps = self._period
         else:
-            steps = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(step, dtype=np.int64), shape)
-            )
+            steps = _feed_array(step, "step", shape)
         if (offs < 0).any():
             raise ValueError("offsets must be >= 0 (wrap=False)")
         if (steps < 0).any():
             raise ValueError("step must be >= 0 (wrap=False)")
-        if stride is None:
-            strides = None
-        else:
-            strides = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(stride, dtype=np.int64), shape)
-            )
-            if (strides < 1).any():
-                raise ValueError("stride must be >= 1")
 
-        run = (
-            self._run_periodic_driver
-            if self.periodic_side == "python"
-            else self._run_periodic_numpy
-        )
-        results = run(
-            n_cycles, offs, steps, strides,
+        results = self._run_periodic_driver(
+            n_cycles, offs, steps,
             consume=consume, count_misses=count_misses,
-            collect_winners=collect_winners, fast_forward=fast_forward,
+            collect_winners=collect_winners,
         )
         if self.observers is not None:
             for observer, result in zip(self.observers, results):
@@ -1283,190 +1206,15 @@ class CampaignEngine:
                     hook(result)
         return results
 
-    def _run_periodic_numpy(
-        self,
-        n_cycles: int,
-        offs: np.ndarray,
-        steps: np.ndarray,
-        strides: np.ndarray | None,
-        *,
-        consume: str,
-        count_misses: bool,
-        collect_winners: bool,
-        fast_forward: bool,
-    ) -> list[PeriodicRunResult]:
-        """The NumPy loop: one ``(S, N)`` array op per phase per cycle.
-
-        Traced runs step the control unit once per cycle; untraced runs
-        replay it in bulk at the end, as the driver does.
-        """
-        s_count, n = self.n_scenarios, self._n
-        loaded = self._loaded
-        consumed = np.zeros((s_count, n), dtype=np.int64)
-        edf, dwcs = self._edf, self._dwcs_like
-        # Updates of a discipline no slot runs are skipped.
-        any_edf, any_dwcs = bool(edf.any()), bool(dwcs.any())
-        max_first = self.config.block_mode is BlockMode.MAX_FIRST
-        winner_only = self.config.winner_only
-        winners = (
-            np.full((s_count, n_cycles), -1, dtype=np.int64)
-            if collect_winners
-            else None
-        )
-        update_cycles = self.config.update_cycles
-        passes = self.config.sort_passes
-        tracing = self.control.trace
-        iota = self._iota
-        rows = self._rows
-        row_ids = rows[:, 0]
-        have_streams = bool(loaded.any())
-        # WR and max-first circulate the block head; only min-first BA
-        # needs the emitted block to find its tail.
-        head_only = winner_only or max_first
-
-        stepped = 0  # untraced decision cycles, replayed in bulk
-        t = 0
-        while t < n_cycles:
-            if strides is None:
-                # Dense feed: a slot consumes at most one request per
-                # cycle, so every loaded head is pending at every cycle.
-                valid = loaded
-                busy = have_streams
-            else:
-                avail = consumed * strides
-                valid = loaded & (avail <= t)
-                busy = valid.any()
-            if not busy and fast_forward:
-                # A dense feed with streams is never idle, so
-                # ``avail`` is set whenever it is read here.
-                nxt = (
-                    int(np.where(loaded, avail, _FAR_FUTURE).min())
-                    if have_streams
-                    else n_cycles
-                )
-                nxt = min(max(nxt, t + 1), n_cycles)
-                self.advance_idle(nxt - t)
-                t = nxt
-                continue
-            if busy:
-                real_dl = offs + consumed * steps
-                # Only EDF slots ever carry a bias.
-                ranked = self._rank(
-                    t, valid, real_dl + self._edf_bias, consumed,
-                    self._x, self._y, head_only=head_only,
-                )
-                late = valid & (real_dl < t)
-                # count_nonzero tests a small mask at a fraction of
-                # ndarray.any's call overhead; this runs every cycle.
-                if count_misses and np.count_nonzero(late):
-                    self._register_misses(late)
-                # Emitted block head / tail selection, one per scenario.
-                if head_only:
-                    w = circulated = ranked
-                else:
-                    w = ranked[:, 0]
-                    emitted = self._emit_positions(ranked)
-                    emitted_valid = valid[rows, emitted]
-                    # Last valid network position per scenario (tail).
-                    last = (n - 1) - np.argmax(
-                        emitted_valid[:, ::-1], axis=-1
-                    )
-                    circulated = emitted[row_ids, last]
-                # The circulated slot of every busy row, one-hot; the
-                # updates below are masked rebinds and in-place counter
-                # increments, and ``consumed`` is added to the serviced
-                # counters once, after the run.
-                sel = valid & (iota == circulated[:, None])
-                if consume == "winner":
-                    # With misses counted, a late winner already took
-                    # the miss path's loss update and keeps its bias.
-                    on_time = sel & ~late
-                    if any_dwcs:
-                        won = on_time & dwcs
-                        if won.any():
-                            self._win_update_mask(won)
-                        if not count_misses:
-                            lost = sel & late & dwcs
-                            if lost.any():
-                                self._loss_update_mask(lost)
-                    if any_edf:
-                        biased = (on_time if count_misses else sel) & edf
-                        np.add(
-                            self._edf_bias, steps, out=self._edf_bias,
-                            where=biased,
-                        )
-                    consumed += sel
-                else:  # block: every valid head consumed this cycle
-                    head = valid & (iota == w[:, None])
-                    if any_dwcs:
-                        won = head & dwcs
-                        if won.any():
-                            self._win_update_mask(won)
-                    if any_edf:
-                        np.add(
-                            self._edf_bias, steps, out=self._edf_bias,
-                            where=head & edf,
-                        )
-                    consumed += valid
-                self._wins += sel
-                if winners is not None:
-                    active = valid.any(axis=-1)
-                    winners[active, t] = circulated[active]
-            if tracing:
-                self.control.schedule(passes, detail=f"t={t}")
-                self.control.priority_update(
-                    update_cycles,
-                    detail="circulate=<campaign>" if busy else "circulate=None",
-                )
-            else:
-                stepped += 1
-            t += 1
-        return self._periodic_results(n_cycles, consumed, stepped, winners)
-
-    def _periodic_results(
-        self,
-        n_cycles: int,
-        consumed,
-        stepped: int,
-        winners: np.ndarray | None,
-    ) -> list[PeriodicRunResult]:
-        """Close a periodic run and snapshot each row's counters.
-
-        Every consumed request is a serviced one, so ``consumed`` joins
-        the serviced counters here, once per run; ``stepped`` untraced
-        decision cycles are replayed on the control unit in bulk (with
-        tracing off :class:`~repro.core.control.ControlUnit` is a pure
-        counter, so the bulk replay is state-identical to per-cycle
-        calls).
-        """
-        self._serviced += consumed
-        self.control.advance_decision_cycles(
-            stepped, self.config.sort_passes, self.config.update_cycles
-        )
-        return [
-            PeriodicRunResult(
-                n_streams=int(self._loaded[s].sum()),
-                decision_cycles=n_cycles,
-                wins=self._wins[s].copy(),
-                misses=self._missed[s].copy(),
-                serviced=self._serviced[s].copy(),
-                frames_scheduled=int(self._serviced[s].sum()),
-                winners=winners[s].copy() if winners is not None else None,
-            )
-            for s in range(self.n_scenarios)
-        ]
-
     def _run_periodic_driver(
         self,
         n_cycles: int,
         offs: np.ndarray,
         steps: np.ndarray,
-        strides: np.ndarray | None,
         *,
         consume: str,
         count_misses: bool,
         collect_winners: bool,
-        fast_forward: bool,
     ) -> list[PeriodicRunResult]:
         """The plain-Python driver: K periodic decision cycles in one loop.
 
@@ -1474,7 +1222,11 @@ class CampaignEngine:
         rank (:func:`_emit_block`), miss registration, DWCS window
         updates (:func:`_win_update`, :func:`_loss_update`), EDF bias
         advance and consumption on them, and writes the state back once.
-        Control accounting is replayed in bulk from the cycle counts.
+        Every consumed request is a serviced one, so the consumption
+        counts join the serviced counters once, at the end.  The K
+        SCHEDULE/PRIORITY_UPDATE pairs are replayed on the control unit
+        in bulk: with tracing off it is a pure counter, and with tracing
+        on the bulk replay records one timeline pair per cycle.
         """
         s_count, n = self.n_scenarios, self._n
         head_only = (
@@ -1492,12 +1244,6 @@ class CampaignEngine:
         violations = self._violations.tolist()
         resets = self._window_resets.tolist()
         consumed = [[0] * n for _ in range(s_count)]
-        loaded = [
-            [i for i in range(n) if row[i]] for row in self._loaded.tolist()
-        ]
-        strides = (
-            [[1] * n] * s_count if strides is None else strides.tolist()
-        )
         ring = (
             [[-1] * n_cycles for _ in range(s_count)]
             if collect_winners
@@ -1507,22 +1253,22 @@ class CampaignEngine:
         # each slot's packed window key, refreshed after every window
         # update.
         rows = list(zip(
-            loaded, offs.tolist(), steps.tolist(), strides,
+            ([i for i in range(n) if row[i]] for row in self._loaded.tolist()),
+            offs.tolist(), steps.tolist(),
             self._edf.tolist(), self._dwcs_like.tolist(),
             x, y, self._cfg_x.tolist(), self._cfg_y.tolist(), bias,
             wins, missed, violations, resets, consumed,
             ([wc_key(a, b) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)),
         ))
-        stepped = ff_cycles = ff_gaps = 0
-        t = 0
-        while t < n_cycles:
-            busy = False
+        for t in range(n_cycles):
             for s, row in enumerate(rows):
                 (
-                    slots, off, step, stride, edf, dwcs, xs, ys, cfg_x,
-                    cfg_y, edf_bias, won, miss, viol, reset, used, wc,
+                    slots, off, step, edf, dwcs, xs, ys, cfg_x, cfg_y,
+                    edf_bias, won, miss, viol, reset, used, wc,
                 ) = row
-                # SCHEDULE keys of the valid heads: attribute deadline =
+                if not slots:
+                    continue
+                # SCHEDULE keys of the heads: attribute deadline =
                 # periodic release (+ EDF bias), arrival key = consumed
                 # count.  Built before miss registration, which moves
                 # x'/y' below.
@@ -1530,8 +1276,6 @@ class CampaignEngine:
                 late = []
                 for i in slots:
                     k = used[i]
-                    if k * stride[i] > t:
-                        continue
                     real_dl = off[i] + k * step[i]
                     if real_dl < t:
                         late.append(i)
@@ -1539,9 +1283,6 @@ class CampaignEngine:
                         keys.append((real_dl + edf_bias[i], k, i))
                     else:
                         keys.append((real_dl + edf_bias[i], wc[i], k, i))
-                if not keys:
-                    continue
-                busy = True
                 order = _emit_block(keys, head_only, paper, n)
                 w = order[0]
                 c = w if head_only else order[-1]
@@ -1552,15 +1293,15 @@ class CampaignEngine:
                             _loss_update(i, xs, ys, cfg_x, cfg_y, reset, viol)
                             wc[i] = wc_key(xs[i], ys[i])
                 # PRIORITY_UPDATE: winner consume updates the circulated
-                # slot; block consume services every valid head.
+                # slot; block consume services every head.
                 if block:
                     if dwcs[w]:
                         _win_update(w, xs, ys, cfg_x, cfg_y, reset)
                         wc[w] = wc_key(xs[w], ys[w])
                     if edf[w]:
                         edf_bias[w] += step[w]
-                    for key in keys:
-                        used[key[-1]] += 1
+                    for i in slots:
+                        used[i] += 1
                 else:
                     late_c = off[c] + used[c] * step[c] < t
                     if dwcs[c]:
@@ -1577,23 +1318,6 @@ class CampaignEngine:
                 won[c] += 1
                 if ring is not None:
                     ring[s][t] = c
-            if busy or not fast_forward:
-                stepped += 1
-                t += 1
-                continue
-            # Every row idle: jump to the earliest pending release.
-            nxt = min(
-                (
-                    used[i] * stride[i]
-                    for slots, used, stride in zip(loaded, consumed, strides)
-                    for i in slots
-                ),
-                default=n_cycles,
-            )
-            nxt = min(max(nxt, t + 1), n_cycles)
-            ff_cycles += nxt - t
-            ff_gaps += 1
-            t = nxt
 
         self._x[...] = x
         self._y[...] = y
@@ -1602,18 +1326,26 @@ class CampaignEngine:
         self._missed[...] = missed
         self._violations[...] = violations
         self._window_resets[...] = resets
-        if ff_cycles:
-            self._skip_idle(ff_cycles)
-            if self._phases is not None:
-                # One fast-forward call per idle gap the driver skipped;
-                # their time is inside the driver's.
-                self._phases[2].calls += ff_gaps
-        winners = (
-            np.asarray(ring, dtype=np.int64).reshape(s_count, n_cycles)
-            if ring is not None
-            else None
+        self._serviced += consumed
+        self.control.advance_decision_cycles(
+            n_cycles, self.config.sort_passes, self.config.update_cycles
         )
-        return self._periodic_results(n_cycles, consumed, stepped, winners)
+        return [
+            PeriodicRunResult(
+                n_streams=int(self._loaded[s].sum()),
+                decision_cycles=n_cycles,
+                wins=self._wins[s].copy(),
+                misses=self._missed[s].copy(),
+                serviced=self._serviced[s].copy(),
+                frames_scheduled=int(self._serviced[s].sum()),
+                winners=(
+                    np.asarray(ring[s], dtype=np.int64)
+                    if ring is not None
+                    else None
+                ),
+            )
+            for s in range(s_count)
+        ]
 
     # ------------------------------------------------------------------
     # derived metrics
@@ -1742,11 +1474,6 @@ class TensorScheduler:
     def cycles_per_decision(self) -> int:
         """Hardware cycles one decision cycle consumes."""
         return self._engine.cycles_per_decision
-
-    @property
-    def fast_forwarded(self) -> int:
-        """Idle decision cycles skipped in bulk by ``run_periodic``."""
-        return self._engine.fast_forwarded
 
     def counters(self) -> dict[int, SlotCounters]:
         """Per-stream performance counters, keyed by stream ID."""

@@ -88,21 +88,22 @@ def oracle_periodic(
     *,
     offsets=None,
     step=None,
-    stride=None,
     consume="winner",
     count_misses=True,
+    trace_timeline=False,
 ):
     """The oracle's per-cycle replay of a ``run_periodic`` feed.
 
-    Enqueues request ``k`` of slot ``i`` at cycle ``k * stride[i]``
-    with deadline ``offsets[i] + k * step[i]`` and arrival ``k``, then
-    runs one ``decision_cycle`` per cycle on a
+    Enqueues request ``k`` of every slot ``i`` at cycle ``k`` with
+    deadline ``offsets[i] + k * step[i]`` and arrival ``k``, then runs
+    one ``decision_cycle`` per cycle on a
     :class:`~repro.core.scheduler.ShareStreamsScheduler` whose streams
     have ``period = step``.  Defaults follow ``run_periodic``: offsets
-    are the initial deadlines, steps the periods, strides 1.  Returns
-    per-slot ``wins``/``misses``/``serviced``/``violations``/
-    ``window_resets`` lists plus the per-cycle ``winners`` (-1 when
-    idle).
+    are the initial deadlines, steps the periods.  Returns per-slot
+    ``wins``/``misses``/``serviced``/``violations``/``window_resets``
+    lists plus the per-cycle ``winners`` (-1 when idle); with
+    ``trace_timeline`` also the control FSM ``timeline`` as
+    ``(start_cycle, cycles, state)`` entries.
     """
     n = arch.n_slots
     by_sid = {s.sid: s for s in streams}
@@ -116,19 +117,15 @@ def oracle_periodic(
         offsets, lambda i: by_sid[i].initial_deadline if i in by_sid else 0
     )
     steps = per_slot(step, lambda i: by_sid[i].period if i in by_sid else 1)
-    strides = per_slot(stride, lambda i: 1)
     oracle = ShareStreamsScheduler(
         arch,
         [dataclasses.replace(s, period=steps[s.sid]) for s in streams],
+        trace_timeline=trace_timeline,
     )
-    issued = dict.fromkeys(by_sid, 0)
     winners = []
     for t in range(n_cycles):
         for sid in by_sid:
-            k = issued[sid]
-            if k * strides[sid] == t:
-                oracle.enqueue(sid, deadline=offs[sid] + k * steps[sid], arrival=k)
-                issued[sid] = k + 1
+            oracle.enqueue(sid, deadline=offs[sid] + t * steps[sid], arrival=t)
         outcome = oracle.decision_cycle(
             t, consume=consume, count_misses=count_misses
         )
@@ -143,7 +140,7 @@ def oracle_periodic(
             for i in range(n)
         ]
 
-    return {
+    replay = {
         "winners": winners,
         "wins": column("wins"),
         "misses": column("missed_deadlines"),
@@ -151,31 +148,15 @@ def oracle_periodic(
         "violations": column("violations"),
         "window_resets": column("window_resets"),
     }
+    if trace_timeline:
+        replay["timeline"] = timeline_entries(oracle.control)
+    return replay
 
 
-def periodic_observables(scheduler, result):
-    """Everything a periodic run exposes, as comparable plain data."""
-    counters = scheduler.counters()
-    return {
-        "wins": result.wins.tolist(),
-        "misses": result.misses.tolist(),
-        "serviced": result.serviced.tolist(),
-        "frames": result.frames_scheduled,
-        "winners": None if result.winners is None else result.winners.tolist(),
-        "counters": {
-            sid: (c.wins, c.serviced, c.missed_deadlines, c.violations,
-                  c.window_resets, c.loads)
-            for sid, c in counters.items()
-        },
-        "hw_cycle": scheduler.control.hw_cycle,
-        "decision_cycles": scheduler.control.decision_cycles,
-        # Residency intervals only — the free-form ``detail`` strings
-        # legitimately differ ("idle fast-forward" vs per-cycle text).
-        "timeline": [
-            (e.state, e.start_cycle, e.cycles)
-            for e in scheduler.control.timeline
-        ],
-    }
+def timeline_entries(control):
+    """A control unit's traced timeline as ``(start_cycle, cycles,
+    state)`` tuples; the free-text ``detail`` is left out."""
+    return [(e.start_cycle, e.cycles, e.state) for e in control.timeline]
 
 
 # ----------------------------------------------------------------------

@@ -215,3 +215,13 @@ class TestHeadOnlyRank:
         assert heads.shape == (dl.shape[0],)
         has_valid = ~invalid.all(axis=-1)
         np.testing.assert_array_equal(heads[has_valid], full[has_valid, 0])
+
+
+def test_resolve_backend_names_the_driver_compiler():
+    """The host-fingerprint query: the periodic driver runs on NumPy
+    state copied to plain Python, with no compiler."""
+    from repro.core.backend import resolve_backend
+
+    assert resolve_backend("numba").name == "numpy"
+    with pytest.raises(ValueError, match="torch"):
+        resolve_backend("torch")

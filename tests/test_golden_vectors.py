@@ -78,16 +78,10 @@ class TestTable3Traces:
 
 class TestTable3TensorDispatch:
     """The pinned traces replay through ``TensorScheduler.run_periodic``
-    on both sides of the shape dispatch: the plain-Python periodic
-    driver and the NumPy loop."""
+    (the plain-Python periodic driver)."""
 
     @pytest.mark.parametrize("config", sorted(regen._TABLE3_CONFIGS))
-    @pytest.mark.parametrize("periodic_max", [0, 1 << 30], ids=["numpy", "driver"])
-    def test_tensor_engine_matches(self, monkeypatch, periodic_max, config):
-        from repro.core import tensor_engine
-
-        monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_ROWS", periodic_max)
-        monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_CELLS", periodic_max)
+    def test_tensor_engine_matches(self, config):
         data = _load("table3_vectors.json")
         vec = data["configs"][config]
         engine = TensorScheduler(*regen.table3_arch_streams(vec))

@@ -8,12 +8,11 @@ Three properties are pinned here:
   scenarios grouped into same-shape buckets (the bucketing contract in
   ``docs/ENGINES.md``).
 * **Idle-cycle fast-forward is invisible** — skipping globally-idle
-  decision cycles in bulk never changes any observable: periodic runs
-  with ``fast_forward`` on and off match array-for-array (including
-  the traced hardware timeline), and bucketed runs over sparse
-  workloads still match the per-cycle oracle record-for-record.
-  (The golden decision trace in ``tests/test_trace_replay.py`` is
-  replayed through the tensor adapter there, byte-for-byte.)
+  decision cycles in bulk never changes any observable: bucketed runs
+  over sparse workloads still match the per-cycle oracle
+  record-for-record.  (The golden decision trace in
+  ``tests/test_trace_replay.py`` is replayed through the tensor adapter
+  there, byte-for-byte.)
 * **Campaign plumbing** — the bucketed ``campaign()`` serializes
   byte-identically to per-seed ``cross_validate`` folds, under any
   worker count, with a pinned result-cache namespace and merged
@@ -50,7 +49,6 @@ from repro.core.tensor_engine import CampaignEngine, TensorScheduler
 from tests.strategies import (
     bucketed as _bucketed,
     oracle_periodic as _oracle_periodic,
-    periodic_observables as _periodic_observables,
     random_arch_streams as _random_arch_streams,
 )
 
@@ -115,37 +113,6 @@ class TestThreeWayDifferential:
 
 
 class TestIdleFastForward:
-    @given(
-        seed=st.integers(0, 10_000),
-        stride=st.integers(2, 9),
-        n_slots=st.sampled_from([2, 4, 8]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_periodic_fast_forward_is_invisible(self, seed, stride, n_slots):
-        """``run_periodic`` with idle-cycle fast-forward produces the
-        identical observables — winner sequence, counters, hardware
-        cycle count AND the traced FSM timeline — as stepping every
-        idle cycle individually."""
-        arch, streams = _random_arch_streams(seed, n_slots)
-        observed = {}
-        for fast_forward in (True, False):
-            scheduler = TensorScheduler(arch, streams, trace_timeline=True)
-            result = scheduler.run_periodic(
-                60,
-                stride=stride,
-                consume="winner",
-                collect_winners=True,
-                fast_forward=fast_forward,
-            )
-            observed[fast_forward] = _periodic_observables(scheduler, result)
-            if fast_forward:
-                fast_forwarded = scheduler.fast_forwarded
-        assert observed[True] == observed[False]
-        if stride > n_slots:
-            # Winner-only service: at most n_slots consumptions become
-            # available per stride window, so idle gaps are guaranteed.
-            assert fast_forwarded > 0
-
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_sparse_bucket_matches_oracle_per_cycle(self, seed):
@@ -176,7 +143,7 @@ class TestIdleFastForward:
         assert stats["cycles"] == 3 * 200
 
     def test_tensor_run_periodic_matches_oracle_per_scenario(self):
-        """The tensorized periodic path (with fast-forward) equals S
+        """A multi-row periodic run with per-row offsets equals S
         independent per-cycle oracle runs of the same feeds, winners
         array included."""
         for case in range(10):
@@ -188,8 +155,8 @@ class TestIdleFastForward:
                 _random_arch_streams(13 * case + s, n_slots)[1]
                 for s in range(s_count)
             ]
-            stride = np.array(
-                [[rng.randint(1, 6) for _ in range(n_slots)]
+            offsets = np.array(
+                [[rng.randint(0, 6) for _ in range(n_slots)]
                  for _ in range(s_count)],
                 dtype=np.int64,
             )
@@ -199,11 +166,12 @@ class TestIdleFastForward:
             )
             engine = CampaignEngine(arch, stream_lists)
             tensor_results = engine.run_periodic(
-                80, stride=stride, consume=consume, collect_winners=True
+                80, offsets=offsets, consume=consume, collect_winners=True
             )
             for s in range(s_count):
                 expected = _oracle_periodic(
-                    arch, stream_lists[s], 80, stride=stride[s], consume=consume
+                    arch, stream_lists[s], 80, offsets=offsets[s],
+                    consume=consume,
                 )
                 got = tensor_results[s]
                 counters = engine.counters(s)
@@ -370,15 +338,10 @@ class _SummarySpy:
         self.summaries.append(result)
 
 
-@pytest.mark.parametrize("side", [0, 1 << 30], ids=["numpy", "driver"])
-def test_run_periodic_feeds_each_row_observer(monkeypatch, side):
-    """A multi-row campaign hands each observer its own row's result,
-    on both ``run_periodic`` sides; the one-row adapter's observer gets
-    its single summary through the same path."""
-    from repro.core import tensor_engine
-
-    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_ROWS", side)
-    monkeypatch.setattr(tensor_engine, "PERIODIC_MAX_CELLS", side)
+def test_run_periodic_feeds_each_row_observer():
+    """A multi-row campaign hands each observer its own row's result;
+    the one-row adapter's observer gets its single summary through the
+    same path."""
     arch = ArchConfig(n_slots=4, routing=Routing.WR, wrap=False)
     rows = [
         [StreamConfig(sid=i, period=1 + (i + s) % 3) for i in range(4)]
