@@ -5,9 +5,10 @@
 ranks each row in plain Python at or below ``DRIVER_MAX_CELLS``
 scenario-slots and with
 :func:`~repro.core.tensor_engine.table2_rank_order` over ``(S, N)``
-arrays above it.  The per-cycle sweep over S×N from 4 to 64 times an
-enqueue + decide loop on both sides, forcing a side by pinning the
-bound, and checks the side the engine picks
+arrays above it; the side is fixed when the engine is built.  The
+per-cycle sweep over S×N from 2 to 128 times decision cycles on both
+sides, forcing a side by pinning the bound, and checks the side the
+engine picks
 (:attr:`~repro.core.tensor_engine.CampaignEngine.cycle_side`).
 
 ``HEAD_SCAN_MIN_SLOTS``:
@@ -20,10 +21,11 @@ calls captured from the two workloads that rank heads on the NumPy
 side: the ``campaign`` workload's own WR traffic
 (:func:`~repro.core.differential.run_bucket` over the WR buckets of the
 canonical 50-seed, 1000-cycle differential campaign; full Table 2 keys
-on rows of 8 to 64 slots) and the aggregation tier replaying a churn
+on rows of 2 to 64 slots) and the aggregation tier replaying a churn
 segment (deadline-only keys in no particular order) on 64 to 2048
-aggregates.  It times both sides on the same captured calls, forcing
-each side by pinning the constant.
+aggregates.  Both captures pin the NumPy side of ``DRIVER_MAX_CELLS``,
+so that every shape ranks there.  The sweep times both sides on the
+same captured calls, forcing each side by pinning the constant.
 
 Gates:
 
@@ -37,18 +39,21 @@ Gates:
   ``DRIVER_MAX_CELLS`` where the Python rank would win are reported,
   not gated.
 
-The per-cycle sweep runs three feeds.  Two generalize the Table 3
+The per-cycle sweep runs four feeds.  Two generalize the Table 3
 configurations to N slots, enqueued one request per slot per cycle:
 ``winner`` is max-finding (WR routing, one winner consumed per cycle)
 and ``block`` is block min-first (BA routing, the whole block
 consumed).  ``endsystem`` is the Figure 8/10 card: WR over fair-share
 slots at the 1:1:2:4 shares (request periods 4/4/2/1, tiled over N),
-where each decision refills the winner's queue.  Each side runs
-``ROUNDS`` interleaved times; the per-cycle sweep gates on the median
-of the per-round ratios, because its runs take tens of milliseconds and
-a shared host changes speed between rounds; in the head sweep the best
-rate counts, because a head-only call takes microseconds and a host
-stall can only lower its rate.
+where each decision refills the winner's queue.  ``campaign`` is the
+``campaign`` workload itself: the buckets of the canonical 50-seed,
+1000-cycle differential campaign, grouped by (S, N) and each run
+through :func:`~repro.core.differential.run_bucket` (idle fast-forward
+included).  Each side runs ``ROUNDS`` interleaved times; the per-cycle
+sweep gates on the median of the per-round ratios, because its runs
+take tens of milliseconds and a shared host changes speed between
+rounds; in the head sweep the best rate counts, because a head-only
+call takes microseconds and a host stall can only lower its rate.
 
 Results land in ``BENCH_SHAPE_RULES.json`` via the shared ``write_bench``
 envelope.
@@ -73,9 +78,13 @@ from repro.core.differential import bucket_key, generate_scenario, run_bucket
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_SHAPE_RULES.json"
 
-#: (S, N) shapes of the per-cycle sweep, S×N from 4 to 64, on both
-#: sides of the constant.
-SHAPES = ((1, 4), (1, 8), (2, 4), (1, 16), (4, 4), (1, 32), (8, 4), (1, 64), (16, 4))
+#: (S, N) shapes of the synthetic per-cycle feeds, S×N from 4 to 128,
+#: on both sides of the constant.  The ``campaign`` feed runs its own
+#: buckets' shapes.
+SHAPES = (
+    (1, 4), (1, 8), (2, 4), (1, 16), (4, 4), (1, 32), (8, 4), (1, 64),
+    (16, 4), (2, 64), (1, 128), (32, 4),
+)
 
 #: Scenario-cycles per timed run; rates are per scenario-cycle.
 SCENARIO_CYCLES = 1200
@@ -99,7 +108,7 @@ TIE_BAND = 0.15
 
 #: Per-cycle feeds, and the endsystem card's request periods (shares
 #: 1:1:2:4) and shape, where the Python rank must win.
-CYCLE_FEEDS = ("winner", "block", "endsystem")
+CYCLE_FEEDS = ("winner", "block", "endsystem", "campaign")
 ENDSYSTEM_PERIODS = (4, 4, 2, 1)
 ENDSYSTEM_SHAPE = (1, 4)
 
@@ -117,8 +126,9 @@ def bench_records():
         "shape_rules",
         records,
         workload="Table 3 winner/block feeds and the endsystem 1:1:2:4 feed "
-        "enqueued and decided per cycle, Python rank vs NumPy rank, per "
-        "(S, N) shape; head-only Table 2 ranking on keys captured from the "
+        "enqueued and decided per cycle, and the campaign workload's "
+        "buckets through run_bucket, Python side vs NumPy side, per (S, N) "
+        "shape; head-only Table 2 ranking on keys captured from the "
         "campaign workload's WR buckets and the aggregation tier, "
         "masked-minimum scan vs lexsort, per (S, N) shape",
     )
@@ -152,6 +162,19 @@ def _feed(kind: str, n: int):
     return arch, streams, consume, kind == "winner"
 
 
+def _campaign_buckets() -> dict[tuple[int, int], list[list]]:
+    """The ``campaign`` workload's buckets, grouped by (S, N)."""
+    buckets: dict[tuple, list] = {}
+    for seed in range(CAMPAIGN_SEEDS):
+        scenario = generate_scenario(seed, n_cycles=CAMPAIGN_CYCLES)
+        buckets.setdefault(bucket_key(scenario), []).append(scenario)
+    by_shape: dict[tuple[int, int], list[list]] = {}
+    for members in buckets.values():
+        shape = (len(members), members[0].n_slots)
+        by_shape.setdefault(shape, []).append(members)
+    return dict(sorted(by_shape.items(), key=lambda kv: (kv[0][0] * kv[0][1], kv[0])))
+
+
 def _unpinned(s_count: int, n: int) -> tensor_engine.CampaignEngine:
     """An S-row, N-slot campaign under the engine's own bound, to ask
     which side ``decision_cycle_all`` picks."""
@@ -159,12 +182,20 @@ def _unpinned(s_count: int, n: int) -> tensor_engine.CampaignEngine:
     return tensor_engine.CampaignEngine(arch, n_scenarios=s_count)
 
 
-def _cycle_rate(monkeypatch, side: str, kind: str, s_count: int, n: int):
-    """Scenario-cycles/s of one enqueue + decide loop on one side, and
-    its final counters."""
+def _cycle_rate(
+    monkeypatch, side: str, kind: str, s_count: int, n: int, buckets=None
+):
+    """Scenario-cycles/s of one run of a feed on one side, and what it
+    computed: the final counters, or the ``campaign`` buckets' traces."""
     monkeypatch.setattr(
         tensor_engine, "DRIVER_MAX_CELLS", _CYCLE_SIDES[side]
     )
+    if kind == "campaign":
+        start = time.perf_counter()
+        traces = [run_bucket(members) for members in buckets]
+        elapsed = time.perf_counter() - start
+        cycles = sum(len(members) * CAMPAIGN_CYCLES for members in buckets)
+        return cycles / elapsed, traces
     cycles = max(SCENARIO_CYCLES // s_count, 1)
     rows = range(s_count)
     if kind == "endsystem":
@@ -221,19 +252,21 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
     misplaced = []
     python_wins_above = []
     speedups: dict[tuple[str, int, int], float] = {}
+    campaign = _campaign_buckets()
     for kind in CYCLE_FEEDS:
-        for s, n in SHAPES:
+        shapes = campaign if kind == "campaign" else dict.fromkeys(SHAPES)
+        for (s, n), buckets in shapes.items():
             picked = _unpinned(s, n).cycle_side
             rates: dict[str, list[float]] = {side: [] for side in _CYCLE_SIDES}
-            counters = {}
+            computed = {}
             for _ in range(ROUNDS):
                 for side in _CYCLE_SIDES:
                     with monkeypatch.context() as mp:
-                        rate, counters[side] = _cycle_rate(
-                            mp, side, kind, s, n
+                        rate, computed[side] = _cycle_rate(
+                            mp, side, kind, s, n, buckets
                         )
                     rates[side].append(rate)
-            assert counters["python"] == counters["numpy"], (
+            assert computed["python"] == computed["numpy"], (
                 f"sides diverged: {kind} S={s} N={n}"
             )
             python = statistics.median(rates["python"])
@@ -268,14 +301,15 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
                 ),
             ])
             rows.append(
-                f"{kind:<9} S={s:>2} N={n:>2} S*N={s * n:>3}  "
+                f"{kind:<9} S={s:>2} N={n:>3} S*N={s * n:>3}  "
                 f"python {python:>9,.0f}  numpy {numpy_:>9,.0f}  "
                 f"{speedup:>5.2f}x  dispatch={picked}"
                 + ("  (tie)" if tied else "")
             )
     rows.append(
-        f"DRIVER_MAX_CELLS={limit}; enqueue + decide loop; median rate of "
-        f"{ROUNDS} interleaved runs per side, median per-round ratio"
+        f"DRIVER_MAX_CELLS={limit}; enqueue + decide loop (campaign: "
+        f"run_bucket per bucket); median rate of {ROUNDS} interleaved runs "
+        "per side, median per-round ratio"
     )
     rows.append(
         "Python rank faster above DRIVER_MAX_CELLS (not gated): "
@@ -296,7 +330,10 @@ def test_decision_cycle_crossover_sweep(monkeypatch, report, bench_records):
 
 
 def _capture_heads(monkeypatch, run) -> list[dict]:
-    """Operands of the head-only rank calls ``run()`` makes."""
+    """Operands of the head-only rank calls ``run()`` makes with the
+    NumPy side pinned, so that it ranks every row shape with
+    :func:`~repro.core.tensor_engine.table2_rank_order` whatever
+    ``DRIVER_MAX_CELLS`` is."""
     calls: list[dict] = []
     rank = tensor_engine.table2_rank_order
 
@@ -310,6 +347,7 @@ def _capture_heads(monkeypatch, run) -> list[dict]:
 
     with monkeypatch.context() as mp:
         mp.setattr(tensor_engine, "table2_rank_order", recording)
+        mp.setattr(tensor_engine, "DRIVER_MAX_CELLS", 0)
         run()
     return calls
 
@@ -320,22 +358,14 @@ def _sampled(calls: list[dict]) -> list[dict]:
 
 
 def _campaign_heads(monkeypatch) -> dict[tuple[int, int], list[dict]]:
-    """Head calls of the ``campaign`` workload's WR buckets, by (S, N).
-
-    Buckets of at most ``DRIVER_MAX_CELLS`` scenario-slots rank in
-    plain Python and make no call; buckets of one shape pool theirs.
-    """
-    buckets: dict[tuple, list] = {}
-    for seed in range(CAMPAIGN_SEEDS):
-        scenario = generate_scenario(seed, n_cycles=CAMPAIGN_CYCLES)
-        if scenario.routing is Routing.WR:
-            buckets.setdefault(bucket_key(scenario), []).append(scenario)
+    """Head calls of the ``campaign`` workload's WR buckets, by (S, N);
+    buckets of one shape pool theirs."""
     by_shape: dict[tuple[int, int], list[dict]] = {}
-    for members in buckets.values():
-        calls = _capture_heads(monkeypatch, lambda: run_bucket(members))
-        if calls:
-            shape = (len(members), members[0].n_slots)
-            by_shape.setdefault(shape, []).extend(calls)
+    for shape, buckets in _campaign_buckets().items():
+        for members in buckets:
+            if members[0].routing is Routing.WR:
+                calls = _capture_heads(monkeypatch, lambda: run_bucket(members))
+                by_shape.setdefault(shape, []).extend(calls)
     return {shape: _sampled(calls) for shape, calls in sorted(by_shape.items())}
 
 
@@ -347,9 +377,6 @@ def _aggregation_heads(monkeypatch, n: int) -> list[dict]:
     rng = random.Random(n)
     population = 16 * n
     left: set[int] = set()
-    tier = AggregationTier(n, engine="tensor", strict=False)
-    for sid in range(population):
-        tier.join(sid)
 
     def live() -> int:
         while True:
@@ -358,7 +385,11 @@ def _aggregation_heads(monkeypatch, n: int) -> list[dict]:
                 return sid
 
     def replay():
+        # Built here, where the capture pins the engine's side.
         nonlocal population
+        tier = AggregationTier(n, engine="tensor", strict=False)
+        for sid in range(population):
+            tier.join(sid)
         for t in range(HEAD_CYCLES):
             if rng.random() < 0.15:
                 tier.join(population)

@@ -20,9 +20,29 @@ regenerates.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
-__all__ = ["ControlState", "TimelineEntry", "ControlUnit"]
+__all__ = ["ControlState", "TimelineEntry", "ControlUnit", "cycle_count"]
+
+
+def cycle_count(count, name: str = "cycle count") -> int:
+    """``count`` as a non-negative ``int``, else a ``ValueError`` naming it.
+
+    Every bulk count of decision cycles passes this check before any
+    state changes.  ``operator.index`` refuses a fractional count, which
+    would otherwise be accounted as a fraction of a cycle; a ``bool`` is
+    refused too, though Python treats ``True`` as the integer 1.
+    """
+    try:
+        if isinstance(count, bool):
+            raise TypeError
+        count = operator.index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 class ControlState(enum.Enum):
@@ -106,10 +126,10 @@ class ControlUnit:
         :meth:`schedule` / :meth:`priority_update` pairs would, in O(1)
         when the timeline trace is off.  With tracing on, the
         individual residencies are still recorded so the timeline stays
-        entry-for-entry identical to the unskipped run.
+        entry-for-entry identical to the unskipped run.  ``count`` must
+        be a non-negative integer (:func:`cycle_count`).
         """
-        if count < 0:
-            raise ValueError("cycle count must be non-negative")
+        count = cycle_count(count)
         if count == 0:
             return
         if self.trace:

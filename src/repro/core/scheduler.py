@@ -28,7 +28,15 @@ from repro.core.control import ControlUnit
 from repro.core.register_block import PendingPacket, RegisterBaseBlock
 from repro.core.shuffle import ShuffleExchangeNetwork
 
-__all__ = ["DecisionOutcome", "ShareStreamsScheduler"]
+__all__ = ["DecisionOutcome", "ShareStreamsScheduler", "flag_error"]
+
+
+def flag_error(name: str, value) -> ValueError:
+    """The error both engines raise, before any state changes, for an
+    on/off argument (``count_misses``, ``drop_late``,
+    ``collect_winners``) that is not a ``bool``: read by truthiness,
+    ``"no"`` would switch it on."""
+    return ValueError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,6 +245,10 @@ class ShareStreamsScheduler:
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
+        if count_misses is not True and count_misses is not False:
+            raise flag_error("count_misses", count_misses)
+        if drop_late is not True and drop_late is not False:
+            raise flag_error("drop_late", drop_late)
 
         loaded, drive = self._wiring()
         control = self.control

@@ -3,11 +3,12 @@
 :class:`CampaignEngine` holds every per-slot attribute of S
 *same-shape* scenarios — identical architecture configuration (slot
 count, routing, block mode, sorting schedule, wrap/extended arithmetic)
-but independent stream constraint sets and workloads — as ``(S, N)``
-arrays: latched deadlines/arrivals, DWCS window counters ``(x', y')``,
-EDF winner bias and performance counters.  A whole SCHEDULE +
-PRIORITY_UPDATE pair runs as a handful of batched array ops across the
-*whole campaign* at once:
+but independent stream constraint sets and workloads — one row per
+scenario: latched deadlines/arrivals, DWCS window counters ``(x', y')``,
+EDF winner bias and performance counters.  Campaigns of more than
+:data:`DRIVER_MAX_CELLS` scenario-slots hold them as ``(S, N)`` arrays,
+and a whole SCHEDULE + PRIORITY_UPDATE pair runs as a handful of
+batched array ops across the *whole campaign* at once:
 
 1. **Rank** — the Table 2 key cascade (validity, deadline,
    window-constraint class/ratio, denominator, numerator, arrival,
@@ -69,27 +70,32 @@ lanes) with one final gather back to slot ids.
 
 Queued requests and latched heads are the :class:`PendingPacket`
 objects ``enqueue`` built, as in the object model's Register Base
-blocks; the ``(S, N)`` arrays mirror only what the vectorized paths
-read (head presence and deadline, latched attributes, window counters).
+blocks.
 
-:meth:`CampaignEngine.decision_cycle_all` picks a plain-Python side or a
-NumPy side by shape: on campaigns of at most :data:`DRIVER_MAX_CELLS`
-scenario-slots it ranks each row in plain Python and registers misses
-per slot, above that it runs its NumPy path.  Both sides are
-byte-identical; the bound sits at a crossover measured by
-``benchmarks/test_bench_shape_rules.py``, and
-:attr:`CampaignEngine.cycle_side` says which side a campaign takes.
+Each engine takes one of two sides, fixed when it is built from S×N
+(:attr:`CampaignEngine.cycle_side`).  Campaigns of at most
+:data:`DRIVER_MAX_CELLS` scenario-slots — the S=1 adapter at the
+paper's slot counts, and most differential buckets — keep each row of
+per-slot state as a Python list: :meth:`CampaignEngine.decision_cycle_all`
+ranks each row in plain Python (with each slot's packed window key
+cached beside its window), registers misses per loaded slot, and reads
+or writes no NumPy array of engine state.  Larger campaigns keep the
+``(S, N)`` arrays, with ``(S, N)`` mirrors of head presence and head
+deadline for the vectorized rank and miss paths, and hand the scalar
+latch and service paths one view per array row, so one copy of those
+paths serves both sides.  Both sides are byte-identical; the bound sits
+at a crossover measured by ``benchmarks/test_bench_shape_rules.py``.
 :meth:`CampaignEngine.run_periodic` runs every whole run in one
-plain-Python driver over list copies of the ``(S, N)`` state.  The
-driver and the small per-cycle side share one Table 2 key-tuple ranking
-with the paper schedule replayed on the ranks (:func:`_emit_block`) and
-one scalar DWCS window update (:func:`_win_update`,
-:func:`_loss_update`).
+plain-Python driver, on the row lists themselves or on list copies of
+the arrays.  The driver and the Python side share one Table 2 key-tuple
+ranking with the paper schedule replayed on the ranks
+(:func:`_emit_block`) and one scalar DWCS window update
+(:func:`_win_update`, :func:`_loss_update`).
 """
 
 from __future__ import annotations
 
-import operator
+from bisect import insort
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -98,8 +104,8 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core.attributes import SchedulingMode, StreamConfig
-from repro.core.config import ArchConfig, BlockMode, Routing
-from repro.core.control import ControlUnit
+from repro.core.config import ArchConfig, BlockMode
+from repro.core.control import ControlUnit, cycle_count
 from repro.core.fields import (
     ARRIVAL_FIELD,
     DEADLINE_FIELD,
@@ -112,7 +118,7 @@ from repro.core.register_block import (
     negative_time_error,
     nonpositive_length_error,
 )
-from repro.core.scheduler import DecisionOutcome
+from repro.core.scheduler import DecisionOutcome, flag_error
 from repro.observability.spans import PhaseTimer
 
 __all__ = [
@@ -149,14 +155,17 @@ _WC_SHIFT = 16
 #: Key value of masked-out slots in the head scan.
 _INT64_MAX = np.iinfo(np.int64).max
 
-#: Largest S×N (scenarios × slots) on which
+#: Largest S×N (scenarios × slots) on which a campaign keeps its
+#: per-slot state in Python row lists and
 #: :meth:`CampaignEngine.decision_cycle_all` ranks in plain Python
-#: instead of :func:`table2_rank_order`.  The endsystem feed places it:
-#: in the enqueue + decide loop the Python rank runs at 1.14–1.39× the
-#: NumPy rank there at S×N=4 and 1.05–1.25× at 8, and ties (0.91–1.08×)
-#: at 16; the Table 3 winner and block feeds' crossovers lie higher
-#: (``benchmarks/test_bench_shape_rules.py``).
-DRIVER_MAX_CELLS = 8
+#: instead of with :func:`table2_rank_order` over ``(S, N)`` arrays; the
+#: side is fixed when the engine is built.  The endsystem feed places it
+#: (``benchmarks/test_bench_shape_rules.py``): the Python side runs at
+#: 0.97–1.14× the NumPy side there at S=1 N=64, and at 0.67–0.90× on its
+#: 128-cell rows of 64 and 128 slots, while every other feed and shape up
+#: to 64 cells, the campaign workload's own buckets included, runs at
+#: 1.05× or more.
+DRIVER_MAX_CELLS = 64
 
 #: Shortest row (slot count N) on which :func:`table2_rank_order` finds
 #: each row's head with the O(N) masked-minimum scan instead of column 0
@@ -306,8 +315,8 @@ def _paper_emit(state: tuple) -> tuple:
     return tuple(state)
 
 
-def _emit_block(keys, head_only: bool, paper: bool, n: int) -> list:
-    """One row's emitted block, ranked in plain Python.
+def _emit_block(keys, head_only: bool, paper: bool, n: int) -> tuple:
+    """One row's emitted block of slot ids, ranked in plain Python.
 
     ``keys`` holds one Table 2 key tuple per latched head, ending in the
     slot id (the lexsort's stable tie-break), so ``min`` is the head and
@@ -318,22 +327,28 @@ def _emit_block(keys, head_only: bool, paper: bool, n: int) -> list:
     that clamp, so the heads land where the full ranking puts them.
     """
     if head_only:
-        return [min(keys)[-1]]
+        return (min(keys)[-1],)
     ranked = sorted(keys)
     if not paper:
-        return [key[-1] for key in ranked]
+        return tuple([key[-1] for key in ranked])
     m = len(ranked)
     state = [m] * n
     for rank, key in enumerate(ranked):
         state[key[-1]] = rank
-    return [ranked[rank][-1] for rank in _paper_emit(tuple(state)) if rank < m]
+    return tuple([
+        ranked[rank][-1] for rank in _paper_emit(tuple(state)) if rank < m
+    ])
 
 
-def _win_update(k, x, y, cfg_x, cfg_y, resets) -> None:
-    """DWCS win update of one slot's window ``(x', y')``, in place.
+def _win_update(k, x, y, cfg_x, cfg_y, resets, violations, wc) -> None:
+    """DWCS win update of slot ``k``'s window ``(x', y')``, in place.
 
-    ``k`` indexes every container: ``(s, i)`` on the engine's ``(S, N)``
-    arrays, a slot id on the periodic driver's row lists.
+    The containers are one row's window state, indexed by slot id
+    (Python lists, or views of one row of the NumPy side's ``(S, N)``
+    arrays): the counters ``(x', y')``, the configured ``(x, y)``, the
+    reset and violation counts, and ``wc``, the packed window key of
+    each slot's ``(x', y')``, refreshed here (``None`` where no key is
+    cached).
     """
     yk = y[k]
     if yk > 0:
@@ -343,12 +358,15 @@ def _win_update(k, x, y, cfg_x, cfg_y, resets) -> None:
         x[k] = cfg_x[k]
         y[k] = cfg_y[k]
         resets[k] += 1
+    if wc is not None:
+        wc[k] = _WC_KEY.item(x[k], y[k])
 
 
-def _loss_update(k, x, y, cfg_x, cfg_y, resets, violations) -> None:
-    """DWCS loss update of one slot's window, in place (see
-    :func:`_win_update` for ``k``): spend one unit of loss tolerance, or
-    count a violation and widen the window when none is left."""
+def _loss_update(k, x, y, cfg_x, cfg_y, resets, violations, wc) -> None:
+    """DWCS loss update of slot ``k``'s window, in place (see
+    :func:`_win_update` for the containers): spend one unit of loss
+    tolerance, or count a violation and widen the window when none is
+    left."""
     xk, yk = x[k], y[k]
     if xk > 0:
         xk -= 1
@@ -364,6 +382,8 @@ def _loss_update(k, x, y, cfg_x, cfg_y, resets, violations) -> None:
     else:
         violations[k] += 1
         y[k] = min(yk + 1, _Y_MAX)
+    if wc is not None:
+        wc[k] = _WC_KEY.item(x[k], y[k])
 
 
 def _feed_array(value, name: str, shape: tuple[int, int]) -> np.ndarray:
@@ -393,6 +413,19 @@ def _per_scenario(value, n_scenarios: int, name: str) -> list:
             )
         return list(value)
     return [value] * n_scenarios
+
+
+def _flags(value, n_scenarios: int, name: str) -> list:
+    """An on/off argument as one ``bool`` per scenario; any value that
+    is not a ``bool`` raises :func:`~repro.core.scheduler.flag_error`."""
+    if value is True or value is False:
+        return [value] * n_scenarios
+    values = _per_scenario(value, n_scenarios, name)
+    for flag in values:
+        if flag is not True and flag is not False:
+            raise flag_error(name, flag)
+    return values
+
 
 
 class TensorSlotView:
@@ -436,7 +469,7 @@ class TensorSlotView:
 
 
 class CampaignEngine:
-    """S-scenario tensorized scheduler: ``(S, N)`` state, lockstep cycles.
+    """S-scenario tensorized scheduler: per-slot state by row, lockstep cycles.
 
     Parameters
     ----------
@@ -500,48 +533,91 @@ class CampaignEngine:
         self._n = n
         self._wrap = config.wrap
         self._deadline_only = config.deadline_only
+        # The configuration the per-cycle paths read, derived once.
+        self._winner_only = config.winner_only
+        self._paper = config.schedule != "bitonic"
+        self._max_first = config.block_mode is BlockMode.MAX_FIRST
+        self._sort_passes = config.sort_passes
+        self._update_cycles = config.update_cycles
+        #: Which side :meth:`decision_cycle_all` takes, fixed by S×N
+        #: (:attr:`cycle_side`).
+        self._small = s_count * n <= DRIVER_MAX_CELLS
 
-        shape = (s_count, n)
-        i64 = np.int64
-        # -- per-(scenario, slot) state (idle bundles: valid=False) --
+        # -- per-(scenario, slot) Python state --
         self._configs: list[list[StreamConfig | None]] = [
             [None] * n for _ in range(s_count)
         ]
         self._views: list[list[TensorSlotView | None]] = [
             [None] * n for _ in range(s_count)
         ]
-        # -- pending-request queues and latched heads, as packets --
+        #: Each row's loaded slot ids in slot order: the slots the
+        #: per-slot loops visit.
+        self._slots: list[list[int]] = [[] for _ in range(s_count)]
+        # Pending-request queues and latched heads, as packets.
         self._queues: list[list[deque[PendingPacket]]] = [
             [deque() for _ in range(n)] for _ in range(s_count)
         ]
         self._heads: list[list[PendingPacket | None]] = [
             [None] * n for _ in range(s_count)
         ]
-        # Array mirrors of the heads for the vectorized paths.
-        self._has_head = np.zeros(shape, dtype=bool)
-        self._head_deadline = np.zeros(shape, dtype=i64)
-        self._loaded = np.zeros(shape, dtype=bool)
-        self._attr_deadline = np.zeros(shape, dtype=i64)
-        self._attr_arrival = np.zeros(shape, dtype=i64)
-        self._x = np.zeros(shape, dtype=i64)
-        self._y = np.zeros(shape, dtype=i64)
-        self._cfg_x = np.zeros(shape, dtype=i64)
-        self._cfg_y = np.zeros(shape, dtype=i64)
-        self._edf_bias = np.zeros(shape, dtype=i64)
-        self._period = np.ones(shape, dtype=i64)
-        self._init_deadline = np.zeros(shape, dtype=i64)
-        self._edf = np.zeros(shape, dtype=bool)
-        self._dwcs_like = np.zeros(shape, dtype=bool)
-        self._iota = np.arange(n, dtype=i64)
-
-        # -- performance counters --
-        self._wins = np.zeros(shape, dtype=i64)
-        self._serviced = np.zeros(shape, dtype=i64)
-        self._missed = np.zeros(shape, dtype=i64)
-        self._violations = np.zeros(shape, dtype=i64)
-        self._window_resets = np.zeros(shape, dtype=i64)
         self._loads = [[0] * n for _ in range(s_count)]
+
+        # -- per-slot integer state, one row per scenario --
+        # The Python side holds each row as a list.  The NumPy side holds
+        # (S, N) int64 arrays (``_grid``) for its vectorized rank and miss
+        # paths and gives the scalar paths (latch, service, miss) one view
+        # per array row, so one copy of those paths writes either side.
+        shape = (s_count, n)
+        grid: dict[str, np.ndarray] | None = None
+        if not self._small:
+            grid = {
+                # Array mirrors of the heads and of the slots' modes.
+                "has_head": np.zeros(shape, dtype=bool),
+                "head_deadline": np.zeros(shape, dtype=np.int64),
+                "dwcs_like": np.zeros(shape, dtype=bool),
+                "late": np.empty(shape, dtype=bool),  # per-cycle scratch
+            }
+        self._grid = grid
+
+        def per_row(name: str) -> list:
+            if grid is None:
+                return [[0] * n for _ in range(s_count)]
+            array = grid[name] = np.zeros(shape, dtype=np.int64)
+            return list(array)
+
+        #: Latched attribute deadline (EDF bias included) and arrival.
+        self._attr_deadline = per_row("attr_deadline")
+        self._attr_arrival = per_row("attr_arrival")
+        #: DWCS window counters (x', y') and the configured (x, y).
+        self._x = per_row("x")
+        self._y = per_row("y")
+        self._cfg_x = per_row("cfg_x")
+        self._cfg_y = per_row("cfg_y")
+        self._edf_bias = per_row("edf_bias")
+        # -- performance counters --
+        self._wins = per_row("wins")
+        self._serviced = per_row("serviced")
+        self._missed = per_row("missed")
+        self._violations = per_row("violations")
+        self._window_resets = per_row("window_resets")
+        #: The Python side's packed window key of each slot's (x', y'),
+        #: refreshed by every window update; the NumPy side ranks on
+        #: the table directly.
+        self._wc = per_row("wc") if grid is None else None
+        #: Each row's window state, as :func:`_win_update` and
+        #: :func:`_loss_update` take it.
+        self._windows = [
+            (
+                self._x[s], self._y[s], self._cfg_x[s], self._cfg_y[s],
+                self._window_resets[s], self._violations[s],
+                None if self._wc is None else self._wc[s],
+            )
+            for s in range(s_count)
+        ]
         self._fast_forwarded = 0  # idle decision cycles skipped in bulk
+        # Per-scenario count_misses policies recur across cycles, so the
+        # NumPy miss path memoizes their broadcast masks.
+        self._counting_cache: dict[tuple, np.ndarray] = {}
         self.tracer = tracer
         #: schedule, priority_update and fast_forward timers, in span
         #: order; None = untraced.
@@ -554,20 +630,12 @@ class CampaignEngine:
             else None
         )
 
-        # -- network geometry --
+        # -- network geometry (NumPy side) --
         self._log2n = n.bit_length() - 1
+        self._iota = np.arange(n, dtype=np.int64)
         #: Row index for per-scenario fancy indexing: ``a[self._rows,
         #: cols]`` gathers ``a[s, cols[s, ...]]`` row by row.
         self._rows = np.arange(s_count)[:, None]
-
-        # -- per-cycle scratch, reused across decision cycles --
-        # Hot campaigns run millions of cycles, so decision_cycle_all
-        # clears/overwrites these outcome accumulators and boolean masks
-        # per call instead of rebuilding them.
-        self._cycle_dropped: list[list] = [[] for _ in range(s_count)]
-        self._cycle_misses: list[list[int]] = [[] for _ in range(s_count)]
-        self._counting_cache: dict[tuple, np.ndarray] = {}
-        self._scratch_late = np.empty(shape, dtype=bool)
 
         for s, streams in enumerate(stream_lists):
             if streams:
@@ -597,15 +665,15 @@ class CampaignEngine:
             )
         s, i = scenario, stream.sid
         self._configs[s][i] = stream
-        self._loaded[s, i] = True
-        self._attr_deadline[s, i] = stream.initial_deadline
-        self._attr_arrival[s, i] = 0
-        self._x[s, i] = self._cfg_x[s, i] = stream.loss_numerator
-        self._y[s, i] = self._cfg_y[s, i] = stream.loss_denominator
-        self._period[s, i] = stream.period
-        self._init_deadline[s, i] = stream.initial_deadline
-        self._edf[s, i] = stream.mode is _EDF
-        self._dwcs_like[s, i] = stream.mode in _DWCS_LIKE
+        insort(self._slots[s], i)
+        self._x[s][i] = self._cfg_x[s][i] = stream.loss_numerator
+        self._y[s][i] = self._cfg_y[s][i] = stream.loss_denominator
+        if self._wc is not None:
+            self._wc[s][i] = _WC_KEY.item(
+                stream.loss_numerator, stream.loss_denominator
+            )
+        else:
+            self._grid["dwcs_like"][s, i] = stream.mode in _DWCS_LIKE
         view = self._views[s][i] = TensorSlotView(self, s, i)
         return view
 
@@ -644,7 +712,7 @@ class CampaignEngine:
         if length <= 0:
             raise nonpositive_length_error(length)
         self._queues[scenario][sid].append(
-            PendingPacket(deadline=deadline, arrival=arrival, length=length)
+            PendingPacket(deadline, arrival, length)
         )
         if self._heads[scenario][sid] is None:
             self._latch_next(scenario, sid)
@@ -655,23 +723,25 @@ class CampaignEngine:
 
     def _latch_next(self, s: int, i: int) -> None:
         q = self._queues[s][i]
+        grid = self._grid
         if not q:
             self._heads[s][i] = None
-            self._has_head[s, i] = False
+            if grid is not None:
+                grid["has_head"][s, i] = False
             return
         packet = self._heads[s][i] = q.popleft()
         deadline = packet.deadline
-        self._head_deadline[s, i] = deadline
-        attr_dl = deadline
-        if self._configs[s][i].mode is _EDF:
-            attr_dl += self._edf_bias.item(s, i)
+        # Only EDF slots ever advance their bias; every other slot adds 0.
+        attr_dl = deadline + self._edf_bias[s][i]
         if self._wrap:
-            self._attr_deadline[s, i] = attr_dl & _DL_MASK
-            self._attr_arrival[s, i] = packet.arrival & _ARR_MASK
+            self._attr_deadline[s][i] = attr_dl & _DL_MASK
+            self._attr_arrival[s][i] = packet.arrival & _ARR_MASK
         else:
-            self._attr_deadline[s, i] = attr_dl
-            self._attr_arrival[s, i] = packet.arrival
-        self._has_head[s, i] = True
+            self._attr_deadline[s][i] = attr_dl
+            self._attr_arrival[s][i] = packet.arrival
+        if grid is not None:
+            grid["has_head"][s, i] = True
+            grid["head_deadline"][s, i] = deadline
         self._loads[s][i] += 1
 
     def _head_is_late(self, s: int, i: int, now: int) -> bool:
@@ -682,49 +752,46 @@ class CampaignEngine:
             return ((packet.deadline - now) & _DL_MASK) >= _DL_HALF
         return packet.deadline < now
 
-    def _apply_win_update(self, s: int, i: int) -> None:
-        _win_update(
-            (s, i), self._x, self._y, self._cfg_x, self._cfg_y,
-            self._window_resets,
-        )
-
-    def _apply_loss_update(self, s: int, i: int) -> None:
-        _loss_update(
-            (s, i), self._x, self._y, self._cfg_x, self._cfg_y,
-            self._window_resets, self._violations,
-        )
-
-    def _record_miss(self, s: int, i: int, now: int) -> bool:
-        if not self._head_is_late(s, i, now):
-            return False
-        self._missed[s, i] += 1
+    def _record_miss(self, s: int, i: int) -> None:
+        """Count the late head's miss: a DWCS-like slot takes the loss
+        update."""
+        self._missed[s][i] += 1
         if self._configs[s][i].mode in _DWCS_LIKE:
-            self._apply_loss_update(s, i)
-        return True
+            _loss_update(i, *self._windows[s])
 
     def _service(
         self, s: int, i: int, now: int, *, as_winner: bool | None = None
     ) -> PendingPacket | None:
+        """Consume slot ``i``'s head and latch its next request.
+
+        ``as_winner`` ``None`` takes the win update when the head is on
+        time and the loss update when it is late (the head's own
+        lateness test, inlined), ``True`` the win update, ``False``
+        neither (nor an EDF advance): the miss path already took this
+        head's loss.
+        """
         packet = self._heads[s][i]
         if packet is None:
             return None
-        self._serviced[s, i] += 1
+        self._serviced[s][i] += 1
         cfg = self._configs[s][i]
         if cfg.mode in _DWCS_LIKE:
             if as_winner is None:
-                if self._head_is_late(s, i, now):
-                    self._apply_loss_update(s, i)
+                if self._wrap:
+                    as_winner = ((packet.deadline - now) & _DL_MASK) < _DL_HALF
                 else:
-                    self._apply_win_update(s, i)
-            elif as_winner:
-                self._apply_win_update(s, i)
+                    as_winner = packet.deadline >= now
+                if not as_winner:
+                    _loss_update(i, *self._windows[s])
+            if as_winner:
+                _win_update(i, *self._windows[s])
         elif cfg.mode is _EDF and as_winner is not False:
-            self._edf_bias[s, i] += cfg.period
+            self._edf_bias[s][i] += cfg.period
         self._latch_next(s, i)
         return packet
 
     # ------------------------------------------------------------------
-    # SCHEDULE phase: rank + network emulation, batched over scenarios
+    # SCHEDULE phase: rank + network emulation
     # ------------------------------------------------------------------
 
     def _rank(
@@ -766,7 +833,7 @@ class CampaignEngine:
         the odd lane.  One final gather maps ranks back to slot ids.
         Every op broadcasts across the scenario axis.
         """
-        if self.config.schedule == "bitonic":
+        if not self._paper:
             return order
         rows = self._rows
         half = self._n // 2
@@ -782,97 +849,143 @@ class CampaignEngine:
             state, nxt = nxt, state
         return order[rows, state]
 
-    def _blocks_array(self, now: int) -> list[list[int]]:
+    def _blocks_array(self, now: int) -> list[tuple[int, ...]]:
         """Each row's emitted block, from one batched rank over ``(S, N)``.
 
         WR emits only the winner, so it ranks only each row's head.
         """
-        valid = self._has_head
-        winner_only = self.config.winner_only
+        grid = self._grid
+        valid = grid["has_head"]
+        winner_only = self._winner_only
         ranked = self._rank(
-            now, valid, self._attr_deadline, self._attr_arrival,
-            self._x, self._y, head_only=winner_only,
+            now, valid, grid["attr_deadline"], grid["attr_arrival"],
+            grid["x"], grid["y"], head_only=winner_only,
         )
         if winner_only:
             head_valid = valid[self._rows[:, 0], ranked]
             return [
-                [w] if ok else []
+                (w,) if ok else ()
                 for w, ok in zip(ranked.tolist(), head_valid.tolist())
             ]
         emitted = self._emit_positions(ranked)
         emitted_valid = valid[self._rows, emitted]
         return [
-            emitted[s][emitted_valid[s]].tolist()
+            tuple(emitted[s][emitted_valid[s]].tolist())
             for s in range(self.n_scenarios)
         ]
 
-    def _blocks_small(self, now: int) -> list[list[int]]:
+    def _blocks_small(self, now: int) -> list[tuple[int, ...]]:
         """Each row's emitted block, ranked in plain Python.
 
         The small side of SCHEDULE (:attr:`cycle_side`): every latched
-        head gets its Table 2 key tuple and :func:`_emit_block` ranks
-        the row.
+        head gets its Table 2 key tuple from the row lists and
+        :func:`_emit_block` ranks the row.
         """
         wrap = self._wrap
         deadline_only = self._deadline_only
-        winner_only = self.config.winner_only
-        paper = self.config.schedule != "bitonic"
-        wc_key = _WC_KEY.item
+        winner_only = self._winner_only
+        paper = self._paper
         n = self._n
         blocks = []
-        for heads, dls, arrs, xs, ys in zip(
-            self._heads,
-            self._attr_deadline.tolist(),
-            self._attr_arrival.tolist(),
-            self._x.tolist(),
-            self._y.tolist(),
+        for heads, slots, dls, arrs, wcs in zip(
+            self._heads, self._slots, self._attr_deadline,
+            self._attr_arrival, self._wc,
         ):
-            keys = []
-            for i, packet in enumerate(heads):
-                if packet is None:
-                    continue
-                dl, arr = dls[i], arrs[i]
-                if wrap:
-                    dl = (dl - now) & _DL_MASK
-                    if dl >= _DL_HALF:
-                        dl -= _DL_MOD
-                    arr = (arr - now) & _ARR_MASK
-                    if arr >= _ARR_HALF:
-                        arr -= _ARR_MOD
-                if deadline_only:
-                    keys.append((dl, arr, i))
-                else:
-                    keys.append((dl, wc_key(xs[i], ys[i]), arr, i))
-            blocks.append(
-                _emit_block(keys, winner_only, paper, n) if keys else []
-            )
+            if wrap:
+                # Serials rebased around now into [-half, half).
+                dls = [((d - now + _DL_HALF) & _DL_MASK) - _DL_HALF for d in dls]
+                arrs = [
+                    ((a - now + _ARR_HALF) & _ARR_MASK) - _ARR_HALF
+                    for a in arrs
+                ]
+            if deadline_only:
+                keys = [
+                    (dls[i], arrs[i], i) for i in slots if heads[i] is not None
+                ]
+            else:
+                keys = [
+                    (dls[i], wcs[i], arrs[i], i)
+                    for i in slots
+                    if heads[i] is not None
+                ]
+            if not keys:
+                blocks.append(())
+            elif winner_only:
+                blocks.append((min(keys)[-1],))
+            else:
+                blocks.append(_emit_block(keys, False, paper, n))
         return blocks
 
     # ------------------------------------------------------------------
-    # batched miss registration and window updates
+    # miss registration
     # ------------------------------------------------------------------
 
+    def _misses_small(self, s: int, now: int) -> tuple[int, ...]:
+        """Register one row's late heads slot by slot; their sids."""
+        heads = self._heads[s]
+        if self._wrap:
+            late = tuple([
+                i for i in self._slots[s]
+                if (p := heads[i]) is not None
+                and ((p.deadline - now) & _DL_MASK) >= _DL_HALF
+            ])
+        else:
+            late = tuple([
+                i for i in self._slots[s]
+                if (p := heads[i]) is not None and p.deadline < now
+            ])
+        for i in late:
+            self._record_miss(s, i)
+        return late
+
+    def _misses_array(self, now: int, count_s) -> list[tuple[int, ...]]:
+        """Register every counting row's late heads in one masked
+        ``(S, N)`` update; each row's sids."""
+        misses: list[tuple[int, ...]] = [()] * self.n_scenarios
+        if not any(count_s):
+            return misses
+        grid = self._grid
+        late = grid["late"]
+        if self._wrap:
+            diff = (grid["head_deadline"] - now) & _DL_MASK
+            np.greater_equal(diff, _DL_HALF, out=late)
+        else:
+            np.less(grid["head_deadline"], now, out=late)
+        np.logical_and(late, grid["has_head"], out=late)
+        count_key = tuple(count_s)
+        counting = self._counting_cache.get(count_key)
+        if counting is None:
+            counting = self._counting_cache[count_key] = np.asarray(
+                count_key, dtype=bool
+            )
+        counted_late = late & counting[:, None]
+        if counted_late.any():
+            for s in np.nonzero(counted_late.any(axis=1))[0]:
+                misses[int(s)] = tuple(np.nonzero(counted_late[s])[0].tolist())
+            self._register_misses(counted_late)
+        return misses
+
     def _register_misses(self, late: np.ndarray) -> None:
-        """Vectorized miss path over all late heads in all scenarios."""
-        self._missed += late
-        dwcs = late & self._dwcs_like
+        """Vectorized miss path over all late heads in all scenarios.
+
+        Writes the arrays in place: the scalar paths hold views of them.
+        """
+        grid = self._grid
+        grid["missed"] += late
+        dwcs = late & grid["dwcs_like"]
         if not np.count_nonzero(dwcs):
             return
-        x, y = self._x, self._y
+        x, y = grid["x"], grid["y"]
         has_loss = dwcs & (x > 0)
-        x = np.where(has_loss, x - 1, x)
-        y = np.where(has_loss & (y > 0), y - 1, y)
-        reset = has_loss & ((y == 0) | (x == y))
+        new_x = np.where(has_loss, x - 1, x)
+        new_y = np.where(has_loss & (y > 0), y - 1, y)
+        reset = has_loss & ((new_y == 0) | (new_x == new_y))
         violated = dwcs & ~has_loss
-        y = np.where(violated, np.minimum(y + 1, _Y_MAX), y)
-        self._x = np.where(reset, self._cfg_x, x)
-        self._y = np.where(reset, self._cfg_y, y)
-        self._window_resets = np.where(
-            reset, self._window_resets + 1, self._window_resets
-        )
-        self._violations = np.where(
-            violated, self._violations + 1, self._violations
-        )
+        new_y = np.where(violated, np.minimum(new_y + 1, _Y_MAX), new_y)
+        np.copyto(x, np.where(reset, grid["cfg_x"], new_x))
+        np.copyto(y, np.where(reset, grid["cfg_y"], new_y))
+        grid["window_resets"] += reset
+        grid["violations"] += violated
 
     # ------------------------------------------------------------------
     # shape rule: which side decision_cycle_all takes
@@ -880,12 +993,11 @@ class CampaignEngine:
 
     @property
     def cycle_side(self) -> str:
-        """``"python"`` when :meth:`decision_cycle_all` ranks in plain
-        Python (at most :data:`DRIVER_MAX_CELLS` scenario-slots), else
+        """``"python"`` when :meth:`decision_cycle_all` runs on the row
+        lists and ranks in plain Python (at most
+        :data:`DRIVER_MAX_CELLS` scenario-slots at construction), else
         ``"numpy"``."""
-        if self.n_scenarios * self._n <= DRIVER_MAX_CELLS:
-            return "python"
-        return "numpy"
+        return "python" if self._small else "numpy"
 
     # ------------------------------------------------------------------
     # decision cycle (SCHEDULE + PRIORITY_UPDATE), lockstep over S
@@ -904,7 +1016,8 @@ class CampaignEngine:
         ``consume``, ``count_misses`` and ``drop_late`` accept either a
         single value for the whole campaign or one value per scenario
         (the differential buckets mix policies freely — only the
-        architecture shape must agree).  Returns one
+        architecture shape must agree); ``count_misses`` and
+        ``drop_late`` values must be ``bool``.  Returns one
         :class:`~repro.core.scheduler.DecisionOutcome` per scenario,
         each identical to what the reference engine produces for that
         scenario in isolation.
@@ -915,30 +1028,33 @@ class CampaignEngine:
         identical results.
         """
         s_count = self.n_scenarios
-        consume_s = _per_scenario(consume, s_count, "consume")
-        count_s = _per_scenario(count_misses, s_count, "count_misses")
-        drop_s = _per_scenario(drop_late, s_count, "drop_late")
-        for c in consume_s:
-            if c not in ("winner", "block", "none"):
-                raise ValueError(f"unknown consume policy {c!r}")
-        if self.config.routing is Routing.WR and "block" in consume_s:
+        policies = ("winner", "block", "none")
+        if consume in policies:
+            consume_s = [consume] * s_count
+        else:
+            consume_s = _per_scenario(consume, s_count, "consume")
+            for c in consume_s:
+                if c not in policies:
+                    raise ValueError(f"unknown consume policy {c!r}")
+        if self._winner_only and "block" in consume_s:
             raise ValueError(
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
             )
-        small = self.cycle_side == "python"
+        count_s = _flags(count_misses, s_count, "count_misses")
+        drop_s = _flags(drop_late, s_count, "drop_late")
         phases = self._phases
         if phases is None:
-            orders = self._schedule(now, small, count_s, drop_s)
+            orders, dropped = self._schedule(now, count_s, drop_s)
             outcomes = self._priority_update(
-                now, small, orders, consume_s, count_s
+                now, orders, dropped, consume_s, count_s
             )
         else:
             with phases[0]:
-                orders = self._schedule(now, small, count_s, drop_s)
+                orders, dropped = self._schedule(now, count_s, drop_s)
             with phases[1]:
                 outcomes = self._priority_update(
-                    now, small, orders, consume_s, count_s
+                    now, orders, dropped, consume_s, count_s
                 )
         if self.observers is not None:
             for s, observer in enumerate(self.observers):
@@ -946,131 +1062,94 @@ class CampaignEngine:
                     observer.on_decision(outcomes[s])
         return outcomes
 
-    def _schedule(self, now: int, small: bool, count_s, drop_s) -> list:
-        """SCHEDULE: shed late heads, then rank every scenario's slots."""
-        s_count = self.n_scenarios
-        # Reused per-cycle accumulators (hoisted to __init__): clearing
-        # in place avoids rebuilding S lists on every decision cycle.
-        dropped = self._cycle_dropped
-        for row in dropped:
-            row.clear()
-        for s in range(s_count):
-            if not drop_s[s]:
-                continue
-            heads = self._heads[s]
-            for i in range(self._n):
-                while self._head_is_late(s, i, now):
-                    if count_s[s]:
-                        self._record_miss(s, i, now)
-                    packet = heads[i]
-                    self._latch_next(s, i)
-                    dropped[s].append((i, packet))
+    def _schedule(self, now: int, count_s, drop_s) -> tuple[list, list]:
+        """SCHEDULE: shed late heads, then rank every scenario's slots.
 
-        # One rank + one network replay for all scenarios.  Small
-        # campaigns rank in plain Python, where the per-call cost of the
-        # array ops would dominate.
-        if small:
-            orders = self._blocks_small(now)
+        Returns each row's emitted block and its shed ``(sid, packet)``
+        pairs.
+        """
+        dropped: list[tuple] = [()] * self.n_scenarios
+        for s, drop in enumerate(drop_s):
+            if drop:
+                dropped[s] = self._drop_late(s, now, count_s[s])
+        orders = self._blocks_small(now) if self._small else self._blocks_array(now)
+        control = self.control
+        if control.trace:
+            control.schedule(self._sort_passes, detail=f"t={now}")
         else:
-            orders = self._blocks_array(now)
-        self.control.schedule(
-            self.config.sort_passes,
-            detail=f"t={now}" if self.control.trace else "",
-        )
-        return orders
+            control.schedule(self._sort_passes)
+        return orders, dropped
+
+    def _drop_late(self, s: int, now: int, count: bool) -> tuple:
+        """Shed every late head of one row, slot by slot, counting each
+        as a miss when ``count``; the shed ``(sid, packet)`` pairs."""
+        heads = self._heads[s]
+        shed = []
+        for i in self._slots[s]:
+            while self._head_is_late(s, i, now):
+                if count:
+                    self._record_miss(s, i)
+                shed.append((i, heads[i]))
+                self._latch_next(s, i)
+        return tuple(shed)
 
     def _priority_update(
-        self, now: int, small: bool, orders, consume_s, count_s
+        self, now: int, orders, dropped, consume_s, count_s
     ) -> list[DecisionOutcome]:
         """PRIORITY_UPDATE: register misses, circulate and consume."""
-        s_count = self.n_scenarios
-        misses = self._cycle_misses
-        for row in misses:
-            row.clear()
-        dropped = self._cycle_dropped
-        # Miss registration: per slot on small campaigns, else batched
-        # over the scenarios that count them.
-        if small:
-            for s in range(s_count):
-                if count_s[s]:
-                    for i in range(self._n):
-                        if self._record_miss(s, i, now):
-                            misses[s].append(i)
-        elif any(count_s):
-            late = self._scratch_late
-            if self._wrap:
-                diff = (self._head_deadline - now) & _DL_MASK
-                np.greater_equal(diff, _DL_HALF, out=late)
-            else:
-                np.less(self._head_deadline, now, out=late)
-            np.logical_and(late, self._has_head, out=late)
-            # Per-scenario count_misses policies recur across cycles, so
-            # the broadcast mask is memoized instead of rebuilt per cycle.
-            count_key = tuple(count_s)
-            counting = self._counting_cache.get(count_key)
-            if counting is None:
-                counting = self._counting_cache[count_key] = np.asarray(
-                    count_key, dtype=bool
-                )
-            counted_late = late & counting[:, None]
-            if counted_late.any():
-                for s in np.nonzero(counted_late.any(axis=1))[0]:
-                    misses[int(s)].extend(
-                        np.nonzero(counted_late[s])[0].tolist()
-                    )
-                self._register_misses(counted_late)
+        if self._small:
+            misses: list[tuple[int, ...]] = [()] * self.n_scenarios
+            for s, count in enumerate(count_s):
+                if count:
+                    misses[s] = self._misses_small(s, now)
+        else:
+            misses = self._misses_array(now, count_s)
 
         # Per-scenario circulate/consume (queue-backed, so the service
         # path stays scalar).
-        passes = self.config.sort_passes
-        update_cycles = self.config.update_cycles
-        max_first = self.config.block_mode is BlockMode.MAX_FIRST
+        max_first = self._max_first
+        hw_cycles = self._sort_passes + self._update_cycles
         outcomes: list[DecisionOutcome] = []
-        any_circulated: int | None = None
-        for s in range(s_count):
-            order = orders[s]
-            circulated: int | None = None
-            serviced: list[tuple[int, PendingPacket]] = []
-            if order:
-                update_sid = order[0]
-                circulated = order[0] if max_first else order[-1]
-                policy = consume_s[s]
-                if policy == "winner":
-                    if count_s[s] and self._head_is_late(s, circulated, now):
-                        packet = self._service(
-                            s, circulated, now, as_winner=False
-                        )
-                    else:
-                        packet = self._service(s, circulated, now)
-                    if packet is not None:
-                        serviced.append((circulated, packet))
-                elif policy == "block":
-                    consume_order = (
-                        order if max_first else list(reversed(order))
-                    )
-                    for sid in consume_order:
-                        packet = self._service(
-                            s, sid, now, as_winner=(sid == update_sid)
-                        )
-                        if packet is not None:
-                            serviced.append((sid, packet))
-                self._wins[s, circulated] += 1
-                any_circulated = circulated
-            outcomes.append(
-                DecisionOutcome(
-                    now=now,
-                    block=tuple(order),
-                    circulated_sid=circulated,
-                    serviced=tuple(serviced),
-                    misses=tuple(misses[s]),
-                    hw_cycles=passes + update_cycles,
-                    dropped=tuple(dropped[s]),
+        circulated: int | None = None
+        for s, order in enumerate(orders):
+            if not order:
+                outcomes.append(DecisionOutcome(
+                    now, (), None, (), misses[s], hw_cycles, dropped[s]
+                ))
+                continue
+            c = order[0] if max_first else order[-1]
+            policy = consume_s[s]
+            serviced: tuple = ()
+            if policy == "winner":
+                # With misses counted, a late winner took the miss path's
+                # loss update: it is consumed without a window update.
+                late = count_s[s] and self._head_is_late(s, c, now)
+                packet = self._service(
+                    s, c, now, as_winner=False if late else None
                 )
+                if packet is not None:
+                    serviced = ((c, packet),)
+            elif policy == "block":
+                # The winner's update always targets the block head.
+                head = order[0]
+                served = []
+                for sid in order if max_first else order[::-1]:
+                    packet = self._service(s, sid, now, as_winner=sid == head)
+                    if packet is not None:
+                        served.append((sid, packet))
+                serviced = tuple(served)
+            self._wins[s][c] += 1
+            circulated = c
+            outcomes.append(DecisionOutcome(
+                now, order, c, serviced, misses[s], hw_cycles, dropped[s]
+            ))
+        control = self.control
+        if control.trace:
+            control.priority_update(
+                self._update_cycles, detail=f"circulate={circulated}"
             )
-        self.control.priority_update(
-            update_cycles,
-            detail=f"circulate={any_circulated}" if self.control.trace else "",
-        )
+        else:
+            control.priority_update(self._update_cycles)
         return outcomes
 
     def advance_idle(self, count: int) -> None:
@@ -1079,18 +1158,18 @@ class CampaignEngine:
         The campaign-level idle fast-forward: callers that *know* no
         scenario has a pending head (and no arrivals land) skip the
         rank/network/update array ops entirely and advance the lockstep
-        control accounting in O(1).  ``count`` must be non-negative; 0
-        is a no-op.
+        control accounting in O(1).  ``count`` must be a non-negative
+        integer (:func:`~repro.core.control.cycle_count`), checked
+        before anything is accounted; 0 is a no-op.
         """
-        if count < 0:
-            raise ValueError("cycle count must be non-negative")
+        count = cycle_count(count)
         if count == 0:
             return
         with self._phases[2] if self._phases else nullcontext():
             self.control.advance_decision_cycles(
                 count,
-                self.config.sort_passes,
-                self.config.update_cycles,
+                self._sort_passes,
+                self._update_cycles,
                 detail="idle fast-forward",
             )
             self._fast_forwarded += count
@@ -1098,18 +1177,14 @@ class CampaignEngine:
     @property
     def has_pending(self) -> bool:
         """True when any scenario has a latched head."""
-        return bool(self._has_head.any())
+        if self._grid is None:
+            return any(p is not None for heads in self._heads for p in heads)
+        return bool(self._grid["has_head"].any())
 
     def idle_outcome(self, now: int) -> DecisionOutcome:
         """The outcome every scenario observes on an idle cycle."""
         return DecisionOutcome(
-            now=now,
-            block=(),
-            circulated_sid=None,
-            serviced=(),
-            misses=(),
-            hw_cycles=self.config.sort_passes + self.config.update_cycles,
-            dropped=(),
+            now, (), None, (), (), self._sort_passes + self._update_cycles, ()
         )
 
     # ------------------------------------------------------------------
@@ -1140,11 +1215,11 @@ class CampaignEngine:
         arithmetic (``wrap=False``) — these runs exceed the 16-bit
         horizon by construction — so negative offsets and steps are
         rejected like negative deadlines at ``enqueue``; ``n_cycles`` is
-        a non-negative integer.  Every input is checked before any state
-        changes.
+        a non-negative integer and ``count_misses``/``collect_winners``
+        are ``bool``.  Every input is checked before any state changes.
 
-        One plain-Python driver runs the whole K-cycle loop over list
-        copies of the ``(S, N)`` state (:meth:`_run_periodic_driver`).
+        One plain-Python driver runs the whole K-cycle loop
+        (:meth:`_run_periodic_driver`).
 
         Returns one :class:`PeriodicRunResult` per scenario.  Each
         equals the per-cycle loop that enqueues request ``k`` of every
@@ -1156,21 +1231,20 @@ class CampaignEngine:
         that condition.  Each observer's ``on_run_summary`` hook, where
         it has one, receives its row's result.
         """
-        try:
-            n_cycles = operator.index(n_cycles)
-        except TypeError:
-            raise ValueError(
-                f"n_cycles must be an integer, got {n_cycles!r}"
-            ) from None
-        if n_cycles < 0:
-            raise ValueError(f"n_cycles must be >= 0, got {n_cycles}")
+        n_cycles = cycle_count(n_cycles, "n_cycles")
+        for name, flag in (
+            ("count_misses", count_misses),
+            ("collect_winners", collect_winners),
+        ):
+            if flag is not True and flag is not False:
+                raise flag_error(name, flag)
         if self._wrap:
             raise ValueError(
                 "run_periodic requires ideal arithmetic (wrap=False)"
             )
         if consume not in ("winner", "block"):
             raise ValueError(f"unknown consume policy {consume!r}")
-        if consume == "block" and self.config.routing is Routing.WR:
+        if consume == "block" and self._winner_only:
             raise ValueError(
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
@@ -1181,12 +1255,19 @@ class CampaignEngine:
                 "with enqueue would be ignored"
             )
         shape = (self.n_scenarios, self._n)
+        configs = self._configs
         if offsets is None:
-            offs = np.where(self._loaded, self._init_deadline, 0)
+            offs = np.array([
+                [0 if c is None else c.initial_deadline for c in row]
+                for row in configs
+            ], dtype=np.int64)
         else:
             offs = _feed_array(offsets, "offsets", shape)
         if step is None:
-            steps = self._period
+            steps = np.array([
+                [1 if c is None else c.period for c in row]
+                for row in configs
+            ], dtype=np.int64)
         else:
             steps = _feed_array(step, "step", shape)
         if (offs < 0).any():
@@ -1195,7 +1276,7 @@ class CampaignEngine:
             raise ValueError("step must be >= 0 (wrap=False)")
 
         results = self._run_periodic_driver(
-            n_cycles, offs, steps,
+            n_cycles, offs.tolist(), steps.tolist(),
             consume=consume, count_misses=count_misses,
             collect_winners=collect_winners,
         )
@@ -1209,8 +1290,8 @@ class CampaignEngine:
     def _run_periodic_driver(
         self,
         n_cycles: int,
-        offs: np.ndarray,
-        steps: np.ndarray,
+        offs: list[list[int]],
+        steps: list[list[int]],
         *,
         consume: str,
         count_misses: bool,
@@ -1218,54 +1299,73 @@ class CampaignEngine:
     ) -> list[PeriodicRunResult]:
         """The plain-Python driver: K periodic decision cycles in one loop.
 
-        Copies the ``(S, N)`` state to lists once, runs every cycle's
-        rank (:func:`_emit_block`), miss registration, DWCS window
-        updates (:func:`_win_update`, :func:`_loss_update`), EDF bias
-        advance and consumption on them, and writes the state back once.
-        Every consumed request is a serviced one, so the consumption
-        counts join the serviced counters once, at the end.  The K
+        Runs every cycle's rank (:func:`_emit_block`), miss
+        registration, DWCS window updates (:func:`_win_update`,
+        :func:`_loss_update`), EDF bias advance and consumption on row
+        lists: the engine's own on the Python side, on the NumPy side
+        list copies of its arrays, written back once at the end.  Every
+        consumed request is a serviced one, so the consumption counts
+        join the serviced counters once, at the end.  The K
         SCHEDULE/PRIORITY_UPDATE pairs are replayed on the control unit
         in bulk: with tracing off it is a pure counter, and with tracing
         on the bulk replay records one timeline pair per cycle.
         """
         s_count, n = self.n_scenarios, self._n
-        head_only = (
-            self.config.winner_only
-            or self.config.block_mode is BlockMode.MAX_FIRST
-        )
+        head_only = self._winner_only or self._max_first
         block = consume == "block"
-        paper = self.config.schedule != "bitonic"
+        paper = self._paper
         deadline_only = self._deadline_only
-        wc_key = _WC_KEY.item
-        x, y = self._x.tolist(), self._y.tolist()
-        bias = self._edf_bias.tolist()
-        wins = self._wins.tolist()
-        missed = self._missed.tolist()
-        violations = self._violations.tolist()
-        resets = self._window_resets.tolist()
+        grid = self._grid
+        fields = (
+            "x", "y", "cfg_x", "cfg_y", "edf_bias", "wins", "missed",
+            "violations", "window_resets", "serviced",
+        )
+        if grid is None:
+            state = (
+                self._x, self._y, self._cfg_x, self._cfg_y, self._edf_bias,
+                self._wins, self._missed, self._violations,
+                self._window_resets, self._serviced,
+            )
+        else:
+            state = tuple(grid[name].tolist() for name in fields)
+        (
+            x, y, cfg_x, cfg_y, bias, wins, missed, violations, resets,
+            serviced,
+        ) = state
         consumed = [[0] * n for _ in range(s_count)]
         ring = (
             [[-1] * n_cycles for _ in range(s_count)]
             if collect_winners
             else None
         )
-        # Each scenario's loaded slot ids and row lists; ``wc`` caches
-        # each slot's packed window key, refreshed after every window
-        # update.
+        # Each scenario's loaded slot ids, row lists and window state
+        # (:func:`_win_update`); the window key cache is the Python
+        # side's own, else built here.
+        if grid is None:
+            windows = self._windows
+        else:
+            wc_key = _WC_KEY.item
+            windows = [
+                (xr, yr, cxr, cyr, rr, vr, [wc_key(a, b) for a, b in zip(xr, yr)])
+                for xr, yr, cxr, cyr, rr, vr in zip(
+                    x, y, cfg_x, cfg_y, resets, violations
+                )
+            ]
         rows = list(zip(
-            ([i for i in range(n) if row[i]] for row in self._loaded.tolist()),
-            offs.tolist(), steps.tolist(),
-            self._edf.tolist(), self._dwcs_like.tolist(),
-            x, y, self._cfg_x.tolist(), self._cfg_y.tolist(), bias,
-            wins, missed, violations, resets, consumed,
-            ([wc_key(a, b) for a, b in zip(xr, yr)] for xr, yr in zip(x, y)),
+            self._slots, offs, steps,
+            ([c is not None and c.mode is _EDF for c in row]
+             for row in self._configs),
+            ([c is not None and c.mode in _DWCS_LIKE for c in row]
+             for row in self._configs),
+            windows, bias, wins, missed, consumed,
         ))
         for t in range(n_cycles):
             for s, row in enumerate(rows):
                 (
-                    slots, off, step, edf, dwcs, xs, ys, cfg_x, cfg_y,
-                    edf_bias, won, miss, viol, reset, used, wc,
+                    slots, off, step, edf, dwcs, window, edf_bias, won,
+                    miss, used,
                 ) = row
+                wc = window[-1]
                 if not slots:
                     continue
                 # SCHEDULE keys of the heads: attribute deadline =
@@ -1290,14 +1390,12 @@ class CampaignEngine:
                     for i in late:
                         miss[i] += 1
                         if dwcs[i]:
-                            _loss_update(i, xs, ys, cfg_x, cfg_y, reset, viol)
-                            wc[i] = wc_key(xs[i], ys[i])
+                            _loss_update(i, *window)
                 # PRIORITY_UPDATE: winner consume updates the circulated
                 # slot; block consume services every head.
                 if block:
                     if dwcs[w]:
-                        _win_update(w, xs, ys, cfg_x, cfg_y, reset)
-                        wc[w] = wc_key(xs[w], ys[w])
+                        _win_update(w, *window)
                     if edf[w]:
                         edf_bias[w] += step[w]
                     for i in slots:
@@ -1308,10 +1406,9 @@ class CampaignEngine:
                         # With misses counted, a late winner took the
                         # miss path's loss update above.
                         if not late_c:
-                            _win_update(c, xs, ys, cfg_x, cfg_y, reset)
+                            _win_update(c, *window)
                         elif not count_misses:
-                            _loss_update(c, xs, ys, cfg_x, cfg_y, reset, viol)
-                        wc[c] = wc_key(xs[c], ys[c])
+                            _loss_update(c, *window)
                     if edf[c] and not (count_misses and late_c):
                         edf_bias[c] += step[c]
                     used[c] += 1
@@ -1319,27 +1416,25 @@ class CampaignEngine:
                 if ring is not None:
                     ring[s][t] = c
 
-        self._x[...] = x
-        self._y[...] = y
-        self._edf_bias[...] = bias
-        self._wins[...] = wins
-        self._missed[...] = missed
-        self._violations[...] = violations
-        self._window_resets[...] = resets
-        self._serviced += consumed
+        for served, used in zip(serviced, consumed):
+            for i, k in enumerate(used):
+                served[i] += k
+        if grid is not None:
+            for name, lists in zip(fields, state):
+                grid[name][...] = lists
         self.control.advance_decision_cycles(
-            n_cycles, self.config.sort_passes, self.config.update_cycles
+            n_cycles, self._sort_passes, self._update_cycles
         )
         return [
             PeriodicRunResult(
-                n_streams=int(self._loaded[s].sum()),
+                n_streams=len(self._slots[s]),
                 decision_cycles=n_cycles,
-                wins=self._wins[s].copy(),
-                misses=self._missed[s].copy(),
-                serviced=self._serviced[s].copy(),
-                frames_scheduled=int(self._serviced[s].sum()),
+                wins=np.array(wins[s], dtype=np.int64),
+                misses=np.array(missed[s], dtype=np.int64),
+                serviced=np.array(serviced[s], dtype=np.int64),
+                frames_scheduled=int(sum(serviced[s])),
                 winners=(
-                    np.asarray(ring[s], dtype=np.int64)
+                    np.array(ring[s], dtype=np.int64)
                     if ring is not None
                     else None
                 ),
@@ -1354,7 +1449,7 @@ class CampaignEngine:
     @property
     def cycles_per_decision(self) -> int:
         """Hardware cycles one decision cycle consumes."""
-        return self.config.sort_passes + self.config.update_cycles
+        return self._sort_passes + self._update_cycles
 
     @property
     def fast_forwarded(self) -> int:
@@ -1363,21 +1458,17 @@ class CampaignEngine:
 
     def _slot_counters(self, s: int, i: int) -> SlotCounters:
         return SlotCounters(
-            wins=int(self._wins[s, i]),
-            serviced=int(self._serviced[s, i]),
-            missed_deadlines=int(self._missed[s, i]),
-            violations=int(self._violations[s, i]),
-            window_resets=int(self._window_resets[s, i]),
+            wins=int(self._wins[s][i]),
+            serviced=int(self._serviced[s][i]),
+            missed_deadlines=int(self._missed[s][i]),
+            violations=int(self._violations[s][i]),
+            window_resets=int(self._window_resets[s][i]),
             loads=self._loads[s][i],
         )
 
     def counters(self, scenario: int) -> dict[int, SlotCounters]:
         """Per-stream performance counters for one scenario."""
-        return {
-            i: self._slot_counters(scenario, i)
-            for i in range(self._n)
-            if self._configs[scenario][i] is not None
-        }
+        return {i: self._slot_counters(scenario, i) for i in self._slots[scenario]}
 
     def record_phases(self) -> None:
         """Record each timed phase as one aggregated span on the tracer.
@@ -1437,12 +1528,16 @@ class TensorScheduler:
 
     def slot(self, sid: int) -> TensorSlotView:
         """View of the slot bound to stream ``sid``."""
-        return self._engine.slot(0, sid)
+        views = self._engine._views[0]
+        if 0 <= sid < len(views) and views[sid] is not None:
+            return views[sid]
+        return self._engine.slot(0, sid)  # raises the engine's KeyError
 
     @property
     def active_slots(self) -> list[TensorSlotView]:
         """All populated stream-slots, in slot order."""
-        return [view for view in self._engine._views[0] if view is not None]
+        engine = self._engine
+        return [engine._views[0][i] for i in engine._slots[0]]
 
     def enqueue(
         self, sid: int, deadline: int, arrival: int, length: int = 1500

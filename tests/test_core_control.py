@@ -34,6 +34,29 @@ class TestFSM:
         with pytest.raises(ValueError):
             unit.schedule(-1)
 
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            (2.5, "cycle count must be an integer, got 2.5"),
+            (True, "cycle count must be an integer, got True"),
+            ("3", "cycle count must be an integer, got '3'"),
+            (-1, "cycle count must be non-negative, got -1"),
+        ],
+        ids=["fraction", "bool", "str", "negative"],
+    )
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_bulk_count_must_be_a_non_negative_integer(
+        self, count, message, trace
+    ):
+        """2.5 bulk cycles used to be accounted as 2.5 and ``True`` as one."""
+        unit = ControlUnit(trace=trace)
+        unit.load(1)
+        with pytest.raises(ValueError, match=message):
+            unit.advance_decision_cycles(count, 2)
+        assert (unit.hw_cycle, unit.decision_cycles) == (1, 0)
+        assert unit.state is ControlState.LOAD
+        assert len(unit.timeline) == trace
+
     def test_elapsed_seconds(self):
         unit = ControlUnit()
         unit.schedule(100)

@@ -12,7 +12,10 @@ every :class:`~repro.core.scheduler.DecisionOutcome` (packets
 included), the counters, the control accounting and the recorded
 phase spans' canonical tags (their call counts), and each row must
 equal its own :class:`~repro.core.scheduler.ShareStreamsScheduler`
-replay.
+replay.  The side is fixed when the engine is built, so a pinned engine
+keeps its side after the pin is lifted: :class:`TestRowStateAcrossTheSurface`
+drives both sides and the oracle rows in lockstep through the calls
+that meet the per-slot state from outside a decision cycle.
 """
 
 from __future__ import annotations
@@ -329,11 +332,253 @@ class TestShapeDispatch:
     @pytest.mark.parametrize("routing", list(Routing))
     def test_constant_splits_the_shapes(self, rank_calls, routing):
         limit = tensor_engine.DRIVER_MAX_CELLS
-        arch = ArchConfig(n_slots=limit, routing=routing, wrap=False)
-        streams = [StreamConfig(sid=i, period=1) for i in range(limit)]
+        extended = limit > 32
+        arch = ArchConfig(
+            n_slots=limit, routing=routing, wrap=False, extended=extended
+        )
+        streams = [
+            StreamConfig(sid=i, period=1, extended=extended)
+            for i in range(limit)
+        ]
         for s_count in (1, 2):
             engine = CampaignEngine(arch, [streams] * s_count)
             for s in range(s_count):
                 engine.enqueue(s, 0, deadline=3, arrival=0)
             engine.decision_cycle_all(0)
         assert rank_calls == [(2, limit)]
+
+    def test_side_is_fixed_at_construction(self, rank_calls):
+        """Moving the bound after construction moves no engine."""
+        arch = ArchConfig(n_slots=4, wrap=False)
+        streams = [StreamConfig(sid=i, period=1) for i in range(4)]
+        engines = {side: _pinned(side, arch, [streams]) for side in SIDES}
+        for side, engine in engines.items():
+            assert engine.cycle_side == side
+            engine.enqueue(0, 0, deadline=3, arrival=0)
+            engine.decision_cycle_all(0)
+        assert rank_calls == [(1, 4)]
+
+
+def _pinned(side: str, arch, rows, **kwargs) -> CampaignEngine:
+    """A campaign built with ``side`` forced; it keeps that side."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_engine, "DRIVER_MAX_CELLS", SIDES[side])
+        return CampaignEngine(arch, rows, **kwargs)
+
+
+class _Lockstep:
+    """Both sides of one campaign and each row's oracle, driven
+    together; every call checks that they agree."""
+
+    def __init__(self, arch, rows):
+        self.engines = {
+            side: _pinned(side, arch, rows, tracer=SpanTracer(side))
+            for side in SIDES
+        }
+        self.oracles = [ShareStreamsScheduler(arch, streams) for streams in rows]
+        self.rows = [list(streams) for streams in rows]
+        self.cycles = 0
+        self.idle_calls = 0
+        self.idle_cycles = 0
+
+    @property
+    def has_pending(self) -> bool:
+        pending = {side: e.has_pending for side, e in self.engines.items()}
+        assert pending["python"] == pending["numpy"]
+        return pending["python"]
+
+    def load(self, s: int, stream: StreamConfig) -> None:
+        for engine in self.engines.values():
+            engine.load_stream(s, stream)
+        self.oracles[s].load_stream(stream)
+        self.rows[s].append(stream)
+
+    def enqueue(self, s, sid, deadline, arrival, length) -> None:
+        for engine in self.engines.values():
+            engine.enqueue(s, sid, deadline, arrival, length)
+        self.oracles[s].enqueue(sid, deadline, arrival, length)
+
+    def decide(self, now, consume, count_misses, drop_late) -> None:
+        expected = [
+            oracle.decision_cycle(
+                now,
+                consume=consume[s],
+                count_misses=count_misses[s],
+                drop_late=drop_late[s],
+            )
+            for s, oracle in enumerate(self.oracles)
+        ]
+        for side, engine in self.engines.items():
+            outcomes = engine.decision_cycle_all(
+                now,
+                consume=consume,
+                count_misses=count_misses,
+                drop_late=drop_late,
+            )
+            assert outcomes == expected, f"{side} side at now={now}"
+        self.cycles += 1
+
+    def advance_idle(self, now: int, count: int) -> None:
+        """The engines skip ``count`` idle cycles in bulk; each oracle
+        decides them one by one."""
+        assert not self.has_pending
+        for engine in self.engines.values():
+            engine.advance_idle(count)
+            idle = [engine.idle_outcome(now + k) for k in range(count)]
+        for oracle in self.oracles:
+            assert [oracle.decision_cycle(now + k) for k in range(count)] == idle
+        self.idle_calls += 1
+        self.idle_cycles += count
+
+    def check_state(self) -> None:
+        """Counters, slot views and control accounting, read mid-run."""
+        for s, oracle in enumerate(self.oracles):
+            expected = oracle.counters()
+            for side, engine in self.engines.items():
+                assert engine.counters(s) == expected, f"{side} row {s}"
+                for sid, counters in expected.items():
+                    view, block = engine.slot(s, sid), oracle.slot(sid)
+                    assert view.counters == counters
+                    assert view.head == block.head
+                    assert view.pending == list(block.pending)
+                assert engine.control.hw_cycle == oracle.control.hw_cycle
+                assert (
+                    engine.control.decision_cycles
+                    == oracle.control.decision_cycles
+                )
+
+    def run_periodic(self, n_cycles: int, consume: str, count_misses: bool):
+        """``run_periodic`` on both sides after the per-cycle run; each
+        oracle replays the feed per cycle from its own state."""
+        results = {
+            side: engine.run_periodic(
+                n_cycles, consume=consume, count_misses=count_misses,
+                collect_winners=True,
+            )
+            for side, engine in self.engines.items()
+        }
+        for s, oracle in enumerate(self.oracles):
+            streams = sorted(self.rows[s], key=lambda stream: stream.sid)
+            winners = []
+            for t in range(n_cycles):
+                for stream in streams:
+                    oracle.enqueue(
+                        stream.sid,
+                        deadline=stream.initial_deadline + t * stream.period,
+                        arrival=t,
+                    )
+                outcome = oracle.decision_cycle(
+                    t, consume=consume, count_misses=count_misses
+                )
+                winners.append(outcome.circulated_sid)
+            # The periodic feed latches nothing, so ``loads`` stays put.
+            expected = {
+                sid: replace(counters, loads=0)
+                for sid, counters in oracle.counters().items()
+            }
+            for side, engine in self.engines.items():
+                result = results[side][s]
+                assert result.winners.tolist() == winners, f"{side} row {s}"
+                assert {
+                    sid: replace(counters, loads=0)
+                    for sid, counters in engine.counters(s).items()
+                } == expected
+                for sid, counters in expected.items():
+                    assert result.wins[sid] == counters.wins
+                    assert result.misses[sid] == counters.missed_deadlines
+                    assert result.serviced[sid] == counters.serviced
+
+    def check_phases(self) -> None:
+        """Both sides record the same phase spans, with one schedule and
+        one priority_update call per decision cycle."""
+        calls = {}
+        for side, engine in self.engines.items():
+            engine.record_phases()
+            calls[side] = [
+                (r.name, r.tags)
+                for r in engine.tracer.records()
+                if r.kind == "phase"
+            ]
+        assert calls["python"] == calls["numpy"] == [
+            ("schedule", {"calls": self.cycles}),
+            ("priority_update", {"calls": self.cycles}),
+            ("fast_forward", {"calls": self.idle_calls, "cycles": self.idle_cycles}),
+        ]
+
+
+class TestRowStateAcrossTheSurface:
+    """The per-slot state is row lists on the Python side and ``(S, N)``
+    arrays on the NumPy side.  One run reaches it from every call that
+    meets it outside a decision cycle: ``load_stream`` after decision
+    cycles, ``counters()`` and ``slot(i).counters`` read after every
+    cycle, ``advance_idle`` between decisions, ``run_periodic`` after
+    drained per-cycle decisions, all under a tracer.  Both sides must
+    match each row's oracle at every step."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        s_count=st.sampled_from([1, 2]),
+        n=st.sampled_from([4, 8]),
+        routing=st.sampled_from(list(Routing)),
+        block_mode=st.sampled_from(list(BlockMode)),
+        schedule=st.sampled_from(["paper", "bitonic"]),
+        deadline_only=st.booleans(),
+    )
+    def test_lifecycle(
+        self, seed, s_count, n, routing, block_mode, schedule, deadline_only
+    ):
+        rng = random.Random(seed)
+        arch = ArchConfig(
+            n_slots=n,
+            routing=routing,
+            block_mode=block_mode,
+            schedule=schedule,
+            deadline_only=deadline_only,
+            wrap=False,
+        )
+        full = [_streams(rng, n) for _ in range(s_count)]
+        # Each row holds one stream back, to load after decision cycles.
+        held = [streams.pop(rng.randrange(len(streams))) for streams in full]
+        rows = [streams or [held[s]] for s, streams in enumerate(full)]
+        run = _Lockstep(arch, rows)
+        legal = ("winner", "none") if arch.winner_only else (
+            "winner", "block", "none"
+        )
+        policies = (
+            [rng.choice(legal) for _ in rows],
+            [rng.choice((True, False)) for _ in rows],
+        )
+
+        def play(times):
+            for now, enqueues, drops in _script(rng, run.rows, times, 0.3):
+                for s, row in enumerate(enqueues):
+                    for request in row:
+                        run.enqueue(s, *request)
+                run.decide(now, *policies, drops)
+                run.check_state()
+
+        def drain(now):
+            while run.has_pending:
+                run.decide(now, ["winner"] * s_count, policies[1], [False] * s_count)
+                run.check_state()
+                now += 1
+            return now
+
+        play(range(0, 40))
+        for s, stream in enumerate(held):
+            if stream not in run.rows[s]:
+                run.load(s, stream)
+        play(range(40, 80))
+        now = drain(80)
+        run.advance_idle(now, rng.randint(1, 5))
+        run.check_state()
+        play(range(now + 10, now + 30))
+        now = drain(now + 30)
+        run.advance_idle(now, rng.randint(1, 5))
+        run.check_phases()
+        run.run_periodic(
+            60,
+            "winner" if arch.winner_only else rng.choice(("winner", "block")),
+            rng.choice((True, False)),
+        )

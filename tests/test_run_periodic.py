@@ -216,14 +216,18 @@ def _table3_engine() -> CampaignEngine:
 
 
 def _state(engine: CampaignEngine) -> tuple:
-    """Everything a rejected call must leave as it found it."""
+    """Everything a rejected call must leave as it found it.
+
+    The window counters and EDF bias are per-scenario rows: lists on the
+    Python side, array row views on the NumPy side.
+    """
     return (
         [engine.counters(s) for s in range(engine.n_scenarios)],
         engine.control.hw_cycle,
         engine.control.decision_cycles,
-        engine._x.tolist(),
-        engine._y.tolist(),
-        engine._edf_bias.tolist(),
+        np.array(engine._x).tolist(),
+        np.array(engine._y).tolist(),
+        np.array(engine._edf_bias).tolist(),
     )
 
 
@@ -272,11 +276,25 @@ class TestInputChecks:
         assert _state(engine) == before
 
     def test_non_integer_cycle_count_rejected(self):
-        """10.5 cycles would run 11 and report 10.5."""
+        """10.5 cycles would run 11 and report 10.5; ``True`` would run
+        one."""
         engine = _table3_engine()
         before = _state(engine)
-        with pytest.raises(ValueError, match="n_cycles must be an integer"):
-            engine.run_periodic(10.5)
+        for n_cycles in (10.5, True):
+            with pytest.raises(ValueError, match="n_cycles must be an integer"):
+                engine.run_periodic(n_cycles)
+            assert _state(engine) == before
+
+    @pytest.mark.parametrize("flag", ["count_misses", "collect_winners"])
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_non_bool_flags_rejected(self, flag, value):
+        """``count_misses="no"`` used to count misses ([98, 99, 99, 99]
+        over 100 cycles here) and ``collect_winners="no"`` to collect
+        winners; any value but a ``bool`` raises, naming the flag."""
+        engine = _table3_engine()
+        before = _state(engine)
+        with pytest.raises(ValueError, match=f"{flag} must be a bool"):
+            engine.run_periodic(100, **{flag: value})
         assert _state(engine) == before
 
     def test_queued_packets_rejected(self):

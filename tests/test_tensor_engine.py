@@ -392,17 +392,46 @@ def test_advance_idle_rejects_negative_count():
     assert engine.fast_forwarded == 0
 
 
-@pytest.mark.parametrize("target", ["reference", "tensor"])
-def test_wr_block_consume_rejected_before_state_change(target):
-    """WR emits only the winner, so block consumption is refused before
-    the SCHEDULE passes are charged or any miss is registered."""
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_advance_idle_rejects_non_integer_counts(count):
+    """An idle count that is not an integer raises like the control unit
+    it feeds, before the control unit, the fast-forward counter or the
+    phase timer move (``advance_idle(2.5)`` used to account 2.5 cycles,
+    and ``True`` one)."""
+    from repro.observability import SpanTracer
+
+    arch, streams = _random_arch_streams(3, 4)
+    engine = CampaignEngine(arch, [streams] * 2, tracer=SpanTracer("idle"))
+
+    def state():
+        control = engine.control
+        return (
+            control.hw_cycle, control.decision_cycles, control.state,
+            engine.fast_forwarded,
+            [engine.counters(s) for s in range(engine.n_scenarios)],
+        )
+
+    before = state()
+    with pytest.raises(ValueError, match="cycle count must be an integer"):
+        engine.advance_idle(count)
+    assert state() == before
+    engine.record_phases()
+    fast_forward = [
+        r for r in engine.tracer.records() if r.name == "fast_forward"
+    ]
+    assert fast_forward[0].tags == {"calls": 0, "cycles": 0}
+
+
+def _late_head_arch(target: str):
+    """A WR scheduler with a head late at now=5 and one on time, and a
+    snapshot of everything a rejected decision must leave untouched."""
     arch = ArchConfig(n_slots=4, routing=Routing.WR, wrap=False)
     streams = [
         StreamConfig(sid=i, period=1, loss_numerator=1, loss_denominator=2)
         for i in range(4)
     ]
     sched = make_scheduler(arch, streams, engine=target)
-    sched.enqueue(0, deadline=1, arrival=0)  # late at now=5
+    sched.enqueue(0, deadline=1, arrival=0)
     sched.enqueue(1, deadline=9, arrival=0)
 
     def snapshot():
@@ -413,9 +442,80 @@ def test_wr_block_consume_rejected_before_state_change(target):
             [sched.slot(sid).head for sid in range(4)],
         )
 
+    return sched, snapshot
+
+
+@pytest.mark.parametrize("target", ["reference", "tensor"])
+def test_wr_block_consume_rejected_before_state_change(target):
+    """WR emits only the winner, so block consumption is refused before
+    the SCHEDULE passes are charged or any miss is registered."""
+    sched, snapshot = _late_head_arch(target)
     before = snapshot()
     with pytest.raises(ValueError, match="block consumption requires BA"):
         sched.decision_cycle(5, consume="block", count_misses=True)
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(False)])
+@pytest.mark.parametrize("flag", ["count_misses", "drop_late"])
+@pytest.mark.parametrize("target", ["reference", "tensor"])
+def test_decision_cycle_rejects_non_bool_flags(target, flag, value):
+    """``decision_cycle``'s ``count_misses`` and ``drop_late`` are
+    switches: anything but a ``bool`` raises the same named
+    ``ValueError`` on both engines before any state changes
+    (``count_misses="no"`` used to count the miss)."""
+    sched, snapshot = _late_head_arch(target)
+    before = snapshot()
+    message = f"{flag} must be a bool, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sched.decision_cycle(5, **{flag: value})
+    assert snapshot() == before
+
+
+@pytest.mark.parametrize("side", ["python", "numpy"])
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(count_misses="no"), "count_misses must be a bool, got 'no'"),
+        (dict(count_misses=[True, 0]), "count_misses must be a bool, got 0"),
+        (dict(drop_late=[False, "yes"]), "drop_late must be a bool, got 'yes'"),
+        (dict(drop_late=1), "drop_late must be a bool, got 1"),
+    ],
+    ids=["count-scalar", "count-row", "drop-row", "drop-scalar"],
+)
+def test_decision_cycle_all_rejects_non_bool_flags(
+    monkeypatch, side, kwargs, message
+):
+    """``decision_cycle_all`` takes each flag as one ``bool`` or one per
+    scenario; any entry that is not a ``bool`` raises, naming the flag,
+    before any row changes (``count_misses="no"`` used to count the
+    miss)."""
+    from repro.core import tensor_engine
+
+    monkeypatch.setattr(
+        tensor_engine, "DRIVER_MAX_CELLS", 1 << 30 if side == "python" else 0
+    )
+    arch = ArchConfig(n_slots=4, routing=Routing.WR, wrap=False)
+    streams = [
+        StreamConfig(sid=i, period=1, loss_numerator=1, loss_denominator=2)
+        for i in range(4)
+    ]
+    engine = CampaignEngine(arch, [streams, streams])
+    assert engine.cycle_side == side
+    for s in range(2):
+        engine.enqueue(s, 0, deadline=1, arrival=0)  # late at now=5
+
+    def snapshot():
+        return (
+            engine.control.hw_cycle,
+            engine.control.decision_cycles,
+            [engine.counters(s) for s in range(2)],
+            [engine.slot(s, 0).head for s in range(2)],
+        )
+
+    before = snapshot()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        engine.decision_cycle_all(5, **kwargs)
     assert snapshot() == before
 
 
