@@ -339,9 +339,9 @@ class AggregationKind(Kind):
     def bucket_key(self, scenario: AggregationScenario) -> tuple:
         return (scenario.n_aggregates, scenario.discipline, scenario.salt)
 
-    def cache_payload(self, scenario: AggregationScenario, mode: str) -> dict:
+    def cache_payload(self, scenario: AggregationScenario) -> dict:
         return {
-            "mode": mode,
+            "mode": "outcome",
             "engines": ["reference", "tensor"],
             "scenario": scenario.cache_payload(),
         }
@@ -352,10 +352,10 @@ class AggregationKind(Kind):
             "aggregates": (str(scenario.n_aggregates),),
         }
 
-    def run_oracle(self, scenario: AggregationScenario, mode: str) -> dict:
+    def run_oracle(self, scenario: AggregationScenario) -> dict:
         return run_aggregation(scenario, engine="reference")
 
-    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
+    def run_array(self, scenarios: list, *, stats, tracer) -> list:
         return run_aggregation_bucket(scenarios)
 
     def compare(self, scenario, oracle: dict, array: dict) -> Divergence | None:

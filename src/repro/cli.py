@@ -913,10 +913,12 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for parallelizable runs (table3 "
-        "configurations, --sweep points, the pifo and aggregation "
-        "--validate campaigns' buckets; 0 = all cores; results are "
-        "identical for any value)",
+        help="worker processes for parallelizable runs: table3 "
+        "configurations without telemetry flags (telemetry needs "
+        "--workers 1), --sweep points, and the buckets of a campaign "
+        "(the pifo and aggregation --validate campaigns are one bucket "
+        "each, so they run on one worker); 0 = all cores; results are "
+        "identical for any value",
     )
     parser.add_argument(
         "--sweep",
@@ -954,12 +956,22 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         print("trace")
         return 0
+    monitoring = (
+        args.slo or args.flight_recorder is not None
+        or args.experiment == "monitor"
+    )
+    # Each sink is built only when some flag reads it: --trace prints
+    # the decision ring, the phase profile and the metrics.
+    metrics = bool(
+        args.trace or args.metrics_out or args.serve_metrics is not None
+    )
+    telemetry = metrics or monitoring
     if args.sweep is not None:
         if args.experiment not in _SWEEPABLE:
             parser.error(
                 f"--sweep supported for: {', '.join(sorted(_SWEEPABLE))}"
             )
-        if args.trace or args.slo or args.flight_recorder or args.metrics_out:
+        if telemetry:
             parser.error(
                 "--sweep points run headless; telemetry flags apply to "
                 "single runs only"
@@ -969,14 +981,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return 0
-    monitoring = (
-        args.slo or args.flight_recorder is not None
-        or args.experiment == "monitor"
-    )
-    telemetry = (
-        args.trace or args.metrics_out or monitoring
-        or args.serve_metrics is not None
-    )
     args.observability = None
     if telemetry:
         if args.experiment not in _OBSERVABLE:
@@ -985,9 +989,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"--serve-metrics supported for: "
                 f"{', '.join(sorted(_OBSERVABLE))}"
             )
+        if args.experiment == "table3" and args.workers != 1:
+            parser.error(
+                "table3 telemetry flags need --workers 1: decisions are "
+                "observed in the process that makes them"
+            )
         from repro.observability import Observability
 
-        args.observability = Observability()
+        args.observability = Observability(
+            trace=args.trace, metrics=metrics, profile=args.trace
+        )
         if monitoring:
             from repro.observability import ConformanceMonitor
 

@@ -19,11 +19,10 @@ checked on its own (:func:`work_conservation`).  Scenarios are
 generated from a single integer seed, so any divergence is reproducible
 from the seed alone.  See ``docs/ENGINES.md`` for the contract.
 
-A second mode turns the observability layer itself into a correctness
-oracle: :func:`cross_validate_traces` attaches a structured
-:class:`~repro.observability.TraceRecorder` to each engine and compares
-the *telemetry event streams* event-by-event (and their canonical byte
-serializations).
+Both engines hand an attached observer the very
+:class:`~repro.core.scheduler.DecisionOutcome` they return, so equal
+cycle records imply equal telemetry: decision events, metrics and SLO
+rollups are all functions of the outcome stream compared here.
 
 :func:`campaign` is the one validation driver, over a scenario
 :class:`Kind`: :class:`SchedulerKind` (default),
@@ -36,7 +35,6 @@ evaluation, cross-validated per scenario against the oracle.
 ``--cache-dir`` memoizes already-validated scenarios on disk::
 
     PYTHONPATH=src python -m repro.core.differential --count 200
-    PYTHONPATH=src python -m repro.core.differential --count 60 --trace-equivalence
     PYTHONPATH=src python -m repro.core.differential \\
         --count 200 --cycles 1000 --workers 4 --cache-dir .diffcache
 """
@@ -52,7 +50,6 @@ from typing import Any, ClassVar
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.batch_engine import make_scheduler
 from repro.core.config import ArchConfig, BlockMode, Routing
-from repro.observability.events import TraceRecorder
 from repro.observability.spans import SpanTracer, activate_tracer, current_tracer
 
 __all__ = [
@@ -73,7 +70,6 @@ __all__ = [
     "compare_summaries",
     "work_conservation",
     "cross_validate",
-    "cross_validate_traces",
     "cross_validate_bucket",
     "validate_bucket",
     "campaign",
@@ -373,28 +369,6 @@ def _compare_traces(
     return None
 
 
-def _compare_event_streams(
-    scenario: Scenario, ref_rec: TraceRecorder, fast_rec: TraceRecorder
-) -> Divergence | None:
-    """First telemetry-event disagreement between two recorders."""
-    ref_events = ref_rec.events()
-    fast_events = fast_rec.events()
-    for i, (r, b) in enumerate(zip(ref_events, fast_events)):
-        if r != b:
-            return Divergence(scenario, i, "trace_event", r, b)
-    if len(ref_events) != len(fast_events):
-        return Divergence(
-            scenario, None, "trace_length", len(ref_events), len(fast_events)
-        )
-    # Event equality implies serialization equality; assert it anyway so
-    # the canonical byte format itself stays deterministic.
-    if ref_rec.serialize() != fast_rec.serialize():
-        return Divergence(
-            scenario, None, "trace_serialization", "<bytes>", "<bytes>"
-        )
-    return None
-
-
 def compare_summaries(
     scenario, reference: dict, tensor: dict, *, label: str = ""
 ) -> Divergence | None:
@@ -467,23 +441,6 @@ def cross_validate(scenario: Scenario) -> Divergence | None:
     )
 
 
-def cross_validate_traces(scenario: Scenario) -> Divergence | None:
-    """Run both engines under telemetry; compare the trace streams.
-
-    Attaches a fresh :class:`~repro.observability.TraceRecorder` to
-    each engine and asserts the structured decision-trace event streams
-    are identical event-by-event *and* byte-identical under canonical
-    serialization, then checks the oracle's :func:`work_conservation`.
-    """
-    ref_rec = TraceRecorder()
-    fast_rec = TraceRecorder()
-    ref = run_engine(scenario, "reference", observer=ref_rec)
-    run_engine(scenario, "tensor", observer=fast_rec)
-    return _compare_event_streams(
-        scenario, ref_rec, fast_rec
-    ) or work_conservation(scenario, ref)
-
-
 # ---------------------------------------------------------------------------
 # same-shape bucketing: whole-bucket tensorized execution
 # ---------------------------------------------------------------------------
@@ -524,7 +481,9 @@ def run_bucket(
     pending head and none receives an arrival are fast-forwarded: the
     control accounting advances in bulk and the per-cycle idle records
     (identical by construction) are synthesized without touching the
-    array pipeline.  ``stats`` (optional dict) receives
+    array pipeline.  ``observers`` (one per scenario, ``None`` entries
+    allowed) get every outcome of their row, synthesized idle ones
+    included.  ``stats`` (optional dict) receives
     ``fast_forwarded`` and ``cycles`` totals for telemetry; ``tracer``
     receives the engine's ``schedule``, ``priority_update`` and
     ``fast_forward`` phase spans.
@@ -633,7 +592,6 @@ class Kind(ABC):
 
     name: ClassVar[str]
     axes: ClassVar[tuple[str, ...]]
-    modes: ClassVar[tuple[str, ...]] = ("outcome",)
 
     @abstractmethod
     def generate(self, seed: int, n_cycles: int) -> Any: ...
@@ -642,16 +600,16 @@ class Kind(ABC):
     def bucket_key(self, scenario) -> tuple: ...
 
     @abstractmethod
-    def cache_payload(self, scenario, mode: str) -> dict: ...
+    def cache_payload(self, scenario) -> dict: ...
 
     @abstractmethod
     def coverage(self, scenario) -> dict[str, tuple[str, ...]]: ...
 
     @abstractmethod
-    def run_oracle(self, scenario, mode: str) -> Any: ...
+    def run_oracle(self, scenario) -> Any: ...
 
     @abstractmethod
-    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list: ...
+    def run_array(self, scenarios: list, *, stats, tracer) -> list: ...
 
     @abstractmethod
     def compare(self, scenario, oracle, array) -> Divergence | None: ...
@@ -659,8 +617,11 @@ class Kind(ABC):
     @abstractmethod
     def invariants(self, scenario, oracle) -> Divergence | None: ...
 
-    def namespace(self, mode: str) -> str:
-        return f"differential-{mode}-{self.name}"
+    # "outcome" in cache namespaces, key payloads and the summary names
+    # the one comparison a campaign makes; it stays so that existing
+    # cache entries and summary digests keep matching.
+    def namespace(self) -> str:
+        return f"differential-outcome-{self.name}"
 
     def encode(self, outcome: SeedOutcome) -> dict:
         """JSON cache value for a *passing* seed."""
@@ -689,13 +650,12 @@ class SchedulerKind(Kind):
 
     Bucketed by architecture shape (:func:`bucket_key`) and run through
     this module's :func:`run_engine` and :func:`run_bucket`; compared
-    record for record (``mode="outcome"``) or event for event
-    (``mode="trace"``); the invariant is :func:`work_conservation`.
+    record for record and on the final counters; the invariant is
+    :func:`work_conservation`.
     """
 
     name: ClassVar[str] = "scheduler"
     axes: ClassVar[tuple[str, ...]] = ("routings", "block_modes", "modes")
-    modes: ClassVar[tuple[str, ...]] = ("outcome", "trace")
 
     def generate(self, seed: int, n_cycles: int) -> Scenario:
         return generate_scenario(seed, n_cycles=n_cycles)
@@ -703,12 +663,12 @@ class SchedulerKind(Kind):
     def bucket_key(self, scenario: Scenario) -> tuple:
         return bucket_key(scenario)
 
-    def namespace(self, mode: str) -> str:
-        return f"differential-{mode}-tensor"
+    def namespace(self) -> str:
+        return "differential-outcome-tensor"
 
-    def cache_payload(self, scenario: Scenario, mode: str) -> dict:
-        """The *resolved* scenario config, engine pair and mode: a
-        generator change that alters what a seed means changes the key."""
+    def cache_payload(self, scenario: Scenario) -> dict:
+        """The *resolved* scenario config and engine pair: a generator
+        change that alters what a seed means changes the key."""
         config = {name: getattr(scenario, name) for name in _SCENARIO_PAYLOAD}
         config.update(
             routing=scenario.routing.value,
@@ -718,7 +678,7 @@ class SchedulerKind(Kind):
                 for s in scenario.streams
             ],
         )
-        return {"mode": mode, "engines": ["reference", "tensor"], "scenario": config}
+        return {"mode": "outcome", "engines": ["reference", "tensor"], "scenario": config}
 
     def coverage(self, scenario: Scenario) -> dict[str, tuple[str, ...]]:
         return {
@@ -727,26 +687,17 @@ class SchedulerKind(Kind):
             "modes": tuple(sorted({s.mode.value for s in scenario.streams})),
         }
 
-    def run_oracle(self, scenario: Scenario, mode: str):
-        """``(trace, recorder)``; the recorder only in trace mode."""
-        recorder = TraceRecorder() if mode == "trace" else None
-        return run_engine(scenario, "reference", observer=recorder), recorder
+    def run_oracle(self, scenario: Scenario) -> EngineTrace:
+        return run_engine(scenario, "reference")
 
-    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
-        if mode == "outcome":
-            return run_bucket(scenarios, stats=stats, tracer=tracer)
-        recorders = [TraceRecorder() for _ in scenarios]
-        run_bucket(scenarios, observers=recorders, stats=stats, tracer=tracer)
-        return recorders
+    def run_array(self, scenarios: list, *, stats, tracer) -> list:
+        return run_bucket(scenarios, stats=stats, tracer=tracer)
 
     def compare(self, scenario: Scenario, oracle, array) -> Divergence | None:
-        trace, recorder = oracle
-        if recorder is None:
-            return _compare_traces(scenario, trace, array)
-        return _compare_event_streams(scenario, recorder, array)
+        return _compare_traces(scenario, oracle, array)
 
     def invariants(self, scenario: Scenario, oracle) -> Divergence | None:
-        return work_conservation(scenario, oracle[0])
+        return work_conservation(scenario, oracle)
 
     # The cached value keeps the flat layout it had before kinds, so an
     # entry written then still decodes to the same outcome.
@@ -772,13 +723,13 @@ class SchedulerKind(Kind):
         )
 
 
-def _scenario_cache_payload(seed: int, n_cycles: int, mode: str) -> dict:
+def _scenario_cache_payload(seed: int, n_cycles: int) -> dict:
     scenario = generate_scenario(seed, n_cycles=n_cycles)
-    return SchedulerKind().cache_payload(scenario, mode)
+    return SchedulerKind().cache_payload(scenario)
 
 
 def cross_validate_bucket(
-    scenarios, mode: str = "outcome", *, kind: Kind = SchedulerKind(),
+    scenarios, *, kind: Kind = SchedulerKind(),
     stats: dict | None = None, tracer: SpanTracer | None = None,
 ) -> list[Divergence | None]:
     """Cross-validate a same-shape bucket: oracle vs array engine.
@@ -788,10 +739,10 @@ def cross_validate_bucket(
     the engines agree, checked against the kind's invariants.
     """
     scenarios = list(scenarios)
-    arrays = kind.run_array(scenarios, mode, stats=stats, tracer=tracer)
+    arrays = kind.run_array(scenarios, stats=stats, tracer=tracer)
     results: list[Divergence | None] = []
     for scenario, array in zip(scenarios, arrays):
-        oracle = kind.run_oracle(scenario, mode)
+        oracle = kind.run_oracle(scenario)
         results.append(
             kind.compare(scenario, oracle, array)
             or kind.invariants(scenario, oracle)
@@ -814,8 +765,7 @@ class BucketOutcome:
 
 
 def validate_bucket(
-    seeds, n_cycles: int = 1000, mode: str = "outcome",
-    kind: Kind = SchedulerKind(),
+    seeds, n_cycles: int = 1000, kind: Kind = SchedulerKind(),
 ) -> BucketOutcome:
     """Cross-validate one same-shape bucket of seeds tensorized.
 
@@ -830,16 +780,14 @@ def validate_bucket(
     stats: dict = {}
     tracer = current_tracer()
     if tracer is None:
-        divergences = cross_validate_bucket(
-            scenarios, mode, kind=kind, stats=stats
-        )
+        divergences = cross_validate_bucket(scenarios, kind=kind, stats=stats)
     else:
         with tracer.span(
             "engine_run", kind="engine-run",
             scenarios=len(scenarios), n_cycles=n_cycles, engine="tensor",
         ) as sp:
             divergences = cross_validate_bucket(
-                scenarios, mode, kind=kind, stats=stats, tracer=tracer
+                scenarios, kind=kind, stats=stats, tracer=tracer
             )
             # Fast-forward attribution: bulk-skipped idle cycles are a
             # pure function of the workload, so they are canonical tags.
@@ -877,7 +825,6 @@ class CampaignResult:
     divergences: list[Divergence] = field(default_factory=list)
     #: Coverage axis -> the values the folded seeds exercised.
     coverage: dict[str, set[str]] = field(default_factory=dict)
-    mode: str = "outcome"
     n_cycles: int = 1000
     #: Shard/item failures (:class:`repro.runner.ShardFailure`): seeds
     #: that *died* (as opposed to diverging) without sinking the run.
@@ -912,7 +859,7 @@ class CampaignResult:
         byte-identical JSON.
         """
         return {
-            "mode": self.mode,
+            "mode": "outcome",
             "n_cycles": self.n_cycles,
             "scenarios": self.scenarios,
             "passed": self.passed,
@@ -953,7 +900,7 @@ class CampaignResult:
             f"{axis}={values}" for axis, values in self.summary()["coverage"].items()
         )
         print(
-            f"{self.mode} mode: {self.scenarios} scenarios x {self.n_cycles} "
+            f"outcome mode: {self.scenarios} scenarios x {self.n_cycles} "
             f"cycles, {len(self.divergences)} divergences, {coverage}"
         )
         for divergence in self.divergences:
@@ -976,7 +923,6 @@ def campaign(
     *,
     kind: Kind = SchedulerKind(),
     n_cycles: int = 1000,
-    mode: str = "outcome",
     engine: str = "tensor",
     workers: int | None = 1,
     cache_dir=None,
@@ -989,15 +935,14 @@ def campaign(
     Every seed's scenario runs on the oracle and, bucketed by the
     kind's shape key, on the array engine; the first engine
     disagreement or, failing none, the first broken invariant of the
-    oracle's run is the seed's divergence (see :class:`Kind`).  For the
-    scheduler kind ``mode="outcome"`` compares per-cycle
-    :class:`CycleRecord` streams and final counters and ``mode="trace"``
-    the engines' telemetry event streams; the other kinds compare
-    canonical run summaries (``"outcome"`` only).  ``engine`` names the
-    array engine under test; ``"tensor"`` is the only one.
+    oracle's run is the seed's divergence (see :class:`Kind`).  The
+    scheduler kind compares per-cycle :class:`CycleRecord` streams and
+    final counters; the other kinds compare canonical run summaries.
+    ``engine`` names the array engine under test; ``"tensor"`` is the
+    only one.
 
     Seeds are first resolved against the on-disk scenario cache
-    (``cache_dir``, one namespace per kind and mode; divergent seeds
+    (``cache_dir``, one namespace per kind; divergent seeds
     are never cached; ``use_cache=False`` keeps the directory
     untouched).  The misses are bucketed in first-seen order and each
     bucket runs as one :func:`validate_bucket` task (``_task`` replaces
@@ -1014,22 +959,20 @@ def campaign(
     spans → engine runs → engine phases — merged index-ordered, so the
     canonical tree is byte-identical for any worker count.
     """
-    if mode not in kind.modes:
-        raise ValueError(f"unknown campaign mode {mode!r} for kind {kind.name!r}")
     if engine != "tensor":
         raise ValueError(f"unknown campaign engine {engine!r}")
     seeds = list(seeds)
     if tracer is not None:
         with tracer.span(
             "campaign", kind="campaign",
-            mode=mode, engine=engine, n_cycles=n_cycles, seeds=len(seeds),
+            mode="outcome", engine=engine, n_cycles=n_cycles, seeds=len(seeds),
         ), activate_tracer(tracer):
             return _campaign_body(
-                seeds, kind, n_cycles, mode,
+                seeds, kind, n_cycles,
                 workers, cache_dir, use_cache, tracer, _task,
             )
     return _campaign_body(
-        seeds, kind, n_cycles, mode,
+        seeds, kind, n_cycles,
         workers, cache_dir, use_cache, None, _task,
     )
 
@@ -1038,7 +981,6 @@ def _campaign_body(
     seeds: list,
     kind: Kind,
     n_cycles: int,
-    mode: str,
     workers,
     cache_dir,
     use_cache: bool,
@@ -1050,11 +992,11 @@ def _campaign_body(
     from repro.runner import ResultCache, run_sharded
 
     result = CampaignResult(
-        mode=mode, n_cycles=n_cycles, coverage={a: set() for a in kind.axes}
+        n_cycles=n_cycles, coverage={a: set() for a in kind.axes}
     )
     cache = None
     if cache_dir is not None and use_cache:
-        cache = ResultCache(cache_dir, namespace=kind.namespace(mode))
+        cache = ResultCache(cache_dir, namespace=kind.namespace())
     outcomes: dict[int, SeedOutcome] = {}
     keys: dict[int, str] = {}
 
@@ -1065,7 +1007,7 @@ def _campaign_body(
         for seed in seeds:
             scenario = kind.generate(seed, n_cycles)
             if cache is not None:
-                keys[seed] = cache.key(kind.cache_payload(scenario, mode))
+                keys[seed] = cache.key(kind.cache_payload(scenario))
                 hit, value = cache.get(keys[seed])
                 if hit:
                     outcomes[seed] = kind.decode(value)
@@ -1090,7 +1032,7 @@ def _campaign_body(
         _task if _task is not None else validate_bucket,
         items,
         workers=workers,
-        task_args=(n_cycles, mode, kind),
+        task_args=(n_cycles, kind),
         tracer=tracer,
         span_name="bucket",
         span_kind="bucket",
@@ -1133,11 +1075,6 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--cycles", type=int, default=1000)
     parser.add_argument(
-        "--trace-equivalence", action="store_true",
-        help="compare structured telemetry event streams instead of "
-        "cycle outcomes (observability as a correctness oracle)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes to shard the campaign across "
         "(0 = all cores; merged summary is identical for any value)",
@@ -1162,7 +1099,6 @@ def main(argv=None) -> int:  # pragma: no cover - CLI convenience
     result = campaign(
         range(args.base_seed, args.base_seed + args.count),
         n_cycles=args.cycles,
-        mode="trace" if args.trace_equivalence else "outcome",
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,

@@ -892,12 +892,12 @@ class RankKind(Kind):
     def bucket_key(self, scenario: PifoScenario) -> tuple:
         return (scenario.n_slots, scenario.n_cycles)
 
-    def cache_payload(self, scenario: PifoScenario, mode: str) -> dict:
+    def cache_payload(self, scenario: PifoScenario) -> dict:
         """The workload and each function's whole definition (its
         expression trees too), so an edited function never hits an
         entry cached under its name."""
         return {
-            "mode": mode,
+            "mode": "outcome",
             "engines": ["reference", "tensor"],
             "rank_functions": [asdict(fn) for fn in self.functions],
             "scenario": {
@@ -916,10 +916,10 @@ class RankKind(Kind):
             ),
         }
 
-    def run_oracle(self, scenario: PifoScenario, mode: str) -> list[dict]:
+    def run_oracle(self, scenario: PifoScenario) -> list[dict]:
         return [run_pifo(fn, scenario) for fn in self.functions]
 
-    def run_array(self, scenarios: list, mode: str, *, stats, tracer) -> list:
+    def run_array(self, scenarios: list, *, stats, tracer) -> list:
         return list(zip(*(run_pifo_bucket(fn, scenarios) for fn in self.functions)))
 
     def compare(self, scenario: PifoScenario, oracle, array) -> Divergence | None:

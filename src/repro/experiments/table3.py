@@ -248,31 +248,20 @@ CONFIGS = ("max_finding", "block_max_first", "block_min_first")
 
 
 def _run_config(
-    key: str, frames_per_stream: int, engine: str, spec
-) -> tuple[Table3Result, dict | None]:
-    """One configuration as a sharded-runner task (module-level, picklable).
-
-    ``spec`` is the parent's picklable monitor recipe
-    (:func:`repro.runner.monitor_spec`); the worker rebuilds a private
-    observability facade from it and ships its telemetry back alongside
-    the result so the parent can merge shards in configuration order.
-    """
-    from repro.runner import build_worker_observability, telemetry_shard
-
-    obs = build_worker_observability(spec)
+    key: str, frames_per_stream: int, engine: str, observer
+) -> Table3Result:
+    """One configuration by name (module-level, so pool workers can run it)."""
     if key == "max_finding":
-        result = run_max_finding(frames_per_stream, engine=engine, observer=obs)
-    elif key == "block_max_first":
-        result = run_block(
-            BlockMode.MAX_FIRST, frames_per_stream, engine=engine, observer=obs
+        return run_max_finding(frames_per_stream, engine=engine, observer=observer)
+    if key == "block_max_first":
+        return run_block(
+            BlockMode.MAX_FIRST, frames_per_stream, engine=engine, observer=observer
         )
-    elif key == "block_min_first":
-        result = run_block(
-            BlockMode.MIN_FIRST, frames_per_stream, engine=engine, observer=obs
+    if key == "block_min_first":
+        return run_block(
+            BlockMode.MIN_FIRST, frames_per_stream, engine=engine, observer=observer
         )
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown Table 3 configuration {key!r}")
-    return result, telemetry_shard(obs)
+    raise ValueError(f"unknown Table 3 configuration {key!r}")  # pragma: no cover
 
 
 def run_table3(
@@ -282,51 +271,37 @@ def run_table3(
     observer=None,
     workers: int | None = 1,
 ) -> dict[str, Table3Result]:
-    """Run all three Table 3 configurations.
+    """Run all three Table 3 configurations, in :data:`CONFIGS` order.
 
-    ``workers > 1`` runs the independent configurations in parallel
-    processes (:func:`repro.runner.run_sharded`).  The counters are
-    identical either way; telemetry differs in one documented respect:
-    parallel workers observe each configuration in isolation (fresh
-    registry + monitor per config, merged back in configuration
-    order), while the sequential path threads one shared observer
-    through all three runs.  A worker that dies raises ``RuntimeError``
-    naming the configurations it took down.
+    ``workers != 1`` runs the independent configurations in parallel
+    processes (:func:`repro.runner.run_sharded`); the counters are
+    identical either way, and a worker that dies raises
+    ``RuntimeError`` naming the configurations it took down.  An
+    ``observer`` sees decisions only in the process that makes them, so
+    it needs ``workers=1`` (anything else raises ``ValueError`` before
+    a configuration runs); it then sees the three runs back to back.
     """
+    if observer is not None and workers != 1:
+        raise ValueError(
+            f"run_table3: an observer needs workers=1, got workers={workers!r} "
+            "(telemetry is recorded in the process that makes the decisions)"
+        )
     if workers == 1:
         return {
-            "max_finding": run_max_finding(
-                frames_per_stream, engine=engine, observer=observer
-            ),
-            "block_max_first": run_block(
-                BlockMode.MAX_FIRST, frames_per_stream, engine=engine,
-                observer=observer,
-            ),
-            "block_min_first": run_block(
-                BlockMode.MIN_FIRST, frames_per_stream, engine=engine,
-                observer=observer,
-            ),
+            key: _run_config(key, frames_per_stream, engine, observer)
+            for key in CONFIGS
         }
-    from repro.runner import absorb_telemetry, monitor_spec, run_sharded
+    from repro.runner import run_sharded
 
-    spec = (
-        {"monitor": monitor_spec(observer)} if observer is not None else None
-    )
     pool = run_sharded(
         _run_config,
         CONFIGS,
         workers=workers,
-        task_args=(frames_per_stream, engine, spec),
+        task_args=(frames_per_stream, engine, None),
     )
     if pool.failures:
         raise RuntimeError(
             "table3 worker failure: "
             + "; ".join(f.describe() for f in pool.failures)
         )
-    absorb_telemetry(
-        observer, (shard for _result, shard in pool.results)
-    )
-    return {
-        key: result
-        for key, (result, _shard) in zip(CONFIGS, pool.results)
-    }
+    return dict(zip(CONFIGS, pool.results))

@@ -53,14 +53,12 @@ from repro.observability.monitor import (
     StreamSlo,
     slos_from_shares,
     slos_from_streams,
-    violation_from_dict,
 )
 from repro.observability.rollup import (
     GapSketch,
     RollupObserver,
     StreamWindowStats,
     WindowRollup,
-    rollup_from_dict,
 )
 from repro.observability.server import TelemetryServer
 from repro.observability.spans import (
@@ -119,11 +117,9 @@ __all__ = [
     "events_from_outcome",
     "merge_snapshots",
     "parse_prometheus_text",
-    "rollup_from_dict",
     "serialize_events",
     "slos_from_shares",
     "slos_from_streams",
-    "violation_from_dict",
 ]
 
 

@@ -12,11 +12,12 @@ records:
 * one ``miss`` event per missed-deadline registration;
 * one ``drop`` event per packet shed by the drop-late policy.
 
-The flattening is *engine-agnostic and deterministic*, so two engines
-that agree on every outcome produce **byte-identical** serialized
-traces — which is exactly what the trace-equivalence differential mode
-(:func:`repro.core.differential.cross_validate_traces`) asserts, and
-what the golden trace vector under ``tests/golden/`` pins.
+The flattening is *engine-agnostic and deterministic*, and reads only
+outcome fields the differential campaign's cycle records compare, so
+two engines that agree on every outcome
+(:func:`repro.core.differential.cross_validate`) produce
+**byte-identical** serialized traces; the golden trace vector under
+``tests/golden/`` pins the format.
 
 Recording keeps each cycle's outcome in a bounded :class:`DecisionRing`
 (old cycles evicted FIFO) and flattens it only when read, so telemetry

@@ -11,8 +11,8 @@ flattened into canonical
 :class:`~repro.observability.events.DecisionEvent` records and frozen
 into an immutable :class:`FlightDump` — the serialized JSONL is the
 same canonical format as :meth:`TraceRecorder.serialize`, so a dump
-replays through either engine and compares byte-for-byte
-(``cross_validate_traces`` style).  Flattening only on a freeze keeps
+replays through either engine and compares byte-for-byte (see
+``tests/test_flight_recorder.py``).  Flattening only on a freeze keeps
 the always-on ring to one append per cycle.
 
 Dump cadence is debounced per rollup window: a window that breaches

@@ -406,115 +406,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric._series.clear()
 
-    # -- mergeable snapshots -------------------------------------------
-
-    def absorb(self, snapshot: dict[str, dict[str, Any]]) -> None:
-        """Fold a :meth:`snapshot`-shaped dict into this registry.
-
-        The workhorse of multi-process telemetry: worker shards export
-        their registries as snapshots (picklable, JSON-able) and the
-        parent absorbs them *in shard order* — counters and histograms
-        accumulate, gauges keep last-write-wins semantics, so absorbing
-        per-shard snapshots in input order reproduces the registry a
-        single process observing the same stream would have built.
-        Existing metrics keep their help text; new ones are created on
-        demand.  Type conflicts and histogram-bucket mismatches raise
-        ``ValueError``.
-        """
-        for name, data in snapshot.items():
-            kind = data["type"]
-            samples = data["samples"]
-            if kind == "counter":
-                self._absorb_counter(name, samples)
-            elif kind == "gauge":
-                self._absorb_gauge(name, samples)
-            elif kind == "histogram":
-                self._absorb_histogram(name, samples)
-            else:
-                raise ValueError(f"metric {name!r}: unknown type {kind!r}")
-
-    def _absorb_counter(self, name: str, samples: dict[str, float]) -> None:
-        counter = self.counter(name)
-        for sample_key, value in samples.items():
-            _, labels = _split_sample_key(sample_key)
-            counter._series_for(labels).value += value
-
-    def _absorb_gauge(self, name: str, samples: dict[str, float]) -> None:
-        gauge = self.gauge(name)
-        for sample_key, value in samples.items():
-            _, labels = _split_sample_key(sample_key)
-            gauge._series_for(labels).set(value)
-
-    def _absorb_histogram(self, name: str, samples: dict[str, float]) -> None:
-        # Regroup the flat sample rows by label set.
-        buckets: dict[tuple, dict[str, float]] = {}
-        sums: dict[tuple, float] = {}
-        totals: dict[tuple, float] = {}
-        bounds: set[str] = set()
-        for sample_key, value in samples.items():
-            sample_name, labels = _split_sample_key(sample_key)
-            if sample_name == f"{name}_bucket":
-                le = dict(labels)["le"]
-                key = tuple(kv for kv in labels if kv[0] != "le")
-                buckets.setdefault(key, {})[le] = value
-                if le != "+Inf":
-                    bounds.add(le)
-            elif sample_name == f"{name}_sum":
-                sums[labels] = value
-            elif sample_name == f"{name}_count":
-                totals[labels] = value
-            else:
-                raise ValueError(
-                    f"histogram {name!r}: unexpected sample {sample_key!r}"
-                )
-        if name in self:
-            hist = self._metrics[name]
-            if not isinstance(hist, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as {hist.kind}"
-                )
-            if bounds and tuple(sorted(float(b) for b in bounds)) != hist.buckets:
-                raise ValueError(
-                    f"histogram {name!r}: bucket bounds differ from the "
-                    f"registered metric's"
-                )
-        else:
-            hist = self.histogram(
-                name,
-                buckets=(
-                    sorted(float(b) for b in bounds)
-                    if bounds
-                    else DEFAULT_BUCKETS
-                ),
-            )
-        for key, per_bound in buckets.items():
-            # Un-cumulate the exported buckets back into cells; the
-            # overflow cell takes ``_count`` minus the last bucket.
-            series = hist._series_for(key)
-            cells = series.cells
-            below = 0
-            for i, bound in enumerate(hist.buckets):
-                cumulative = int(per_bound.get(_fmt(bound), 0))
-                cells[i] += cumulative - below
-                below = cumulative
-            cells[-1] += int(totals.get(key, 0)) - below
-            series.sum += sums.get(key, 0.0)
-
-
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"')
-
-
-def _split_sample_key(
-    sample_key: str,
-) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """Invert ``sample_name + _label_suffix(labels)`` rendering."""
-    brace = sample_key.find("{")
-    if brace < 0:
-        return sample_key, ()
-    name = sample_key[:brace]
-    labels = tuple(_LABEL_RE.findall(sample_key[brace:]))
-    return name, labels
-
 
 def merge_snapshots(
     snapshots: Iterable[dict[str, dict[str, Any]]],

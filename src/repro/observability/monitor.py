@@ -54,7 +54,6 @@ __all__ = [
     "ConformanceMonitor",
     "slos_from_shares",
     "slos_from_streams",
-    "violation_from_dict",
 ]
 
 
@@ -150,20 +149,6 @@ class SloViolation:
             f"stream {self.sid}: {self.objective} observed={self.observed:g} "
             f"threshold={self.threshold:g} burn={burn}x"
         )
-
-
-def violation_from_dict(data: dict[str, Any]) -> SloViolation:
-    """Reconstruct a :class:`SloViolation` from its :meth:`~SloViolation.to_dict` form."""
-    return SloViolation(
-        sid=int(data["sid"]),
-        objective=str(data["objective"]),
-        observed=float(data["observed"]),
-        threshold=float(data["threshold"]),
-        burn_rate=float(data["burn_rate"]),
-        window_index=int(data["window_index"]),
-        window_start=int(data["window_start"]),
-        window_end=int(data["window_end"]),
-    )
 
 
 def _burn(observed: float, threshold: float) -> float:
@@ -497,70 +482,6 @@ class ConformanceMonitor:
         self.slo.clear()
         if self.flight is not None:
             self.flight.clear()
-
-    # -- mergeable state (multi-process runs) --------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        """Picklable/JSON-able conformance state for cross-process merge.
-
-        Captures the finished-window history, the evaluation count and
-        the violation list.  Flight-recorder dumps are file-backed and
-        intentionally excluded (each worker writes its own).
-        """
-        return {
-            "windows_closed": self.rollup.windows_closed,
-            "windows": [w.to_dict() for w in self.rollup.history],
-            "windows_evaluated": self.slo.windows_evaluated,
-            "violations": [v.to_dict() for v in self.slo.violations],
-        }
-
-    def absorb_state(self, state: dict[str, Any]) -> None:
-        """Fold one worker's :meth:`state_dict` into this monitor.
-
-        Window indices are re-based onto this monitor's counter so a
-        sequence of absorbed shards yields the same monotonic window
-        numbering a single monitor observing the shards back-to-back
-        would assign; violations keep their window linkage (whole-run
-        evaluations, index ``-1``, are not re-based).  Metric counters
-        and burn gauges are *not* touched — those travel in the metrics
-        registry snapshot and are merged by
-        :meth:`~repro.observability.metrics.MetricsRegistry.absorb`,
-        so absorbing both never double-counts.
-        """
-        from repro.observability.rollup import rollup_from_dict
-
-        offset = self.rollup.windows_closed
-        for data in state["windows"]:
-            rollup = rollup_from_dict(data)
-            self.rollup.history.append(
-                WindowRollup(
-                    index=rollup.index + offset,
-                    start_cycle=rollup.start_cycle,
-                    end_cycle=rollup.end_cycle,
-                    cycles=rollup.cycles,
-                    idle_cycles=rollup.idle_cycles,
-                    total_serviced=rollup.total_serviced,
-                    total_misses=rollup.total_misses,
-                    total_drops=rollup.total_drops,
-                    streams=rollup.streams,
-                )
-            )
-        self.rollup.windows_closed += int(state["windows_closed"])
-        self.slo.windows_evaluated += int(state["windows_evaluated"])
-        for data in state["violations"]:
-            violation = violation_from_dict(data)
-            if violation.window_index >= 0:
-                violation = SloViolation(
-                    sid=violation.sid,
-                    objective=violation.objective,
-                    observed=violation.observed,
-                    threshold=violation.threshold,
-                    burn_rate=violation.burn_rate,
-                    window_index=violation.window_index + offset,
-                    window_start=violation.window_start,
-                    window_end=violation.window_end,
-                )
-            self.slo.violations.append(violation)
 
 
 # ----------------------------------------------------------------------

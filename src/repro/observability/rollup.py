@@ -44,7 +44,6 @@ __all__ = [
     "StreamWindowStats",
     "WindowRollup",
     "RollupObserver",
-    "rollup_from_dict",
 ]
 
 #: Default sketch bounds: powers of two in decision cycles, matching
@@ -193,28 +192,6 @@ class WindowRollup:
                 for sid, stats in sorted(self.streams.items())
             },
         }
-
-
-def rollup_from_dict(data: dict[str, Any]) -> WindowRollup:
-    """Reconstruct a :class:`WindowRollup` from its :meth:`~WindowRollup.to_dict` form.
-
-    Inverse of the JSON payload shape, used to merge rollup histories
-    across worker-process boundaries (``repro.runner``).
-    """
-    return WindowRollup(
-        index=int(data["index"]),
-        start_cycle=int(data["start_cycle"]),
-        end_cycle=int(data["end_cycle"]),
-        cycles=int(data["cycles"]),
-        idle_cycles=int(data["idle_cycles"]),
-        total_serviced=int(data["total_serviced"]),
-        total_misses=int(data["total_misses"]),
-        total_drops=int(data["total_drops"]),
-        streams={
-            int(sid): StreamWindowStats(**stats)
-            for sid, stats in data["streams"].items()
-        },
-    )
 
 
 class RollupObserver:

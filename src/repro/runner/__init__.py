@@ -20,15 +20,13 @@ Entry points: :func:`run_sharded` (generic),
 :func:`~repro.core.differential.campaign` (``workers=`` /
 ``cache_dir=``), the sweep drivers in :mod:`repro.experiments.sweeps`,
 and the ``--workers`` / ``--cache-dir`` / ``--no-cache`` CLI flags.
+
+Only results and spans cross the process boundary.  A decision
+observer (trace ring, metrics, SLO monitor) runs in the process that
+makes the decisions, so a run with one attached runs on one worker.
 """
 
 from repro.runner.cache import CACHE_SCHEMA, CacheStats, ResultCache
-from repro.runner.merge import (
-    absorb_telemetry,
-    build_worker_observability,
-    monitor_spec,
-    telemetry_shard,
-)
 from repro.runner.pool import (
     PoolResult,
     ShardFailure,
@@ -44,12 +42,8 @@ __all__ = [
     "PoolResult",
     "ResultCache",
     "ShardFailure",
-    "absorb_telemetry",
     "available_parallelism",
-    "build_worker_observability",
-    "monitor_spec",
     "resolve_workers",
     "run_sharded",
     "start_method",
-    "telemetry_shard",
 ]

@@ -112,6 +112,59 @@ class TestCLITelemetry:
         with pytest.raises(SystemExit):
             main(["table1", "--trace"])
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--trace", "--slo", "--flight-recorder", "--metrics-out", "--serve-metrics"],
+    )
+    def test_table3_telemetry_needs_one_worker(self, flag, capsys, tmp_path):
+        args = {
+            "--flight-recorder": [flag, str(tmp_path / "dumps")],
+            "--metrics-out": [flag, str(tmp_path / "m.json")],
+            "--serve-metrics": [flag, "0"],
+        }.get(flag, [flag])
+        with pytest.raises(SystemExit) as exc:
+            main(["table3", "--frames", "200", "--workers", "3", *args])
+        assert exc.value.code == 2
+        assert "--workers 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, sinks",
+        [
+            # (recorder, metrics, phase timers, monitor)
+            (["--trace"], (True, True, True, False)),
+            (["--metrics-out", "m.json"], (False, True, False, False)),
+            (["--serve-metrics", "0"], (False, True, False, False)),
+            (["--slo"], (False, False, False, True)),
+            (["--slo", "--metrics-out", "m.json"], (False, True, False, True)),
+            (["--flight-recorder", "dumps"], (False, False, False, True)),
+        ],
+    )
+    def test_builds_only_the_sinks_a_flag_reads(
+        self, flags, sinks, monkeypatch, tmp_path
+    ):
+        from repro import observability
+
+        built = []
+
+        class Spy(observability.Observability):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(observability, "Observability", Spy)
+        monkeypatch.chdir(tmp_path)
+        assert main(["table3", "--frames", "50", *flags]) == 0
+        (obs,) = built
+        assert (
+            obs.recorder is not None,
+            obs.metrics is not None,
+            obs.tracer is not None,
+            obs.monitor is not None,
+        ) == sinks
+        if obs.monitor is not None and obs.metrics is not None:
+            assert "sharestreams_slo_violations_total" in obs.metrics.names()
+
 
 class TestCLIMonitoring:
     def test_monitor_subcommand_draws_dashboard_and_report(self, capsys):
@@ -158,6 +211,12 @@ class TestCLIMonitoring:
             ["figure8", "--frames", "400", "--serve-metrics", "0"]
         ) == 0
         assert "serving telemetry at http://" in capsys.readouterr().out
+
+    def test_serve_metrics_rejected_with_sweep(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure8", "--sweep", "400", "--serve-metrics", "0"])
+        assert exc.value.code == 2
+        assert "run headless" in capsys.readouterr().err
 
     def test_slo_rejected_for_unsupported_command(self):
         with pytest.raises(SystemExit):

@@ -25,7 +25,6 @@ from repro.core.config import BlockMode, Routing
 from repro.core.differential import (
     campaign,
     cross_validate,
-    cross_validate_traces,
     generate_scenario,
     run_engine,
     work_conservation,
@@ -69,25 +68,6 @@ class TestCampaign:
                 _assert_agrees(scenario)
                 checked += 1
             seed += 1
-
-
-class TestTraceEquivalence:
-    def test_fifty_scenarios_byte_identical_telemetry(self):
-        """The trace-equivalence acceptance campaign: >= 50 randomized
-        scenarios where both engines' structured telemetry event
-        streams (and their canonical serializations) are identical,
-        with zero divergences."""
-        result = campaign(range(50), n_cycles=200, mode="trace")
-        assert result.scenarios == 50
-        assert result.coverage["routings"] == {Routing.BA.value, Routing.WR.value}
-        assert result.coverage["block_modes"] == {
-            BlockMode.MAX_FIRST.value, BlockMode.MIN_FIRST.value,
-        }
-        assert result.passed, "\n\n".join(str(d) for d in result.divergences)
-
-    def test_single_scenario_validator(self):
-        scenario = generate_scenario(11, n_cycles=200)
-        assert cross_validate_traces(scenario) is None
 
 
 class TestPropertyBased:

@@ -217,7 +217,7 @@ class TestThreeWayByteIdentity:
         )
         scenario = generate_pifo_scenario(0, n_cycles=20)
         payloads = [
-            RankKind((fn,)).cache_payload(scenario, "outcome")
+            RankKind((fn,)).cache_payload(scenario)
             for fn in (rank_function("sfq"), edited)
         ]
         assert payloads[0] != payloads[1]

@@ -1,9 +1,10 @@
-"""Unit tests for the sharded runner: pool, cache and telemetry merge.
+"""Unit tests for the sharded runner: pool, cache and snapshot merge.
 
 The load-bearing property throughout is *worker-count independence*:
-``run_sharded`` must merge per-item results (and telemetry shards)
-into output identical to a sequential run, for any worker count, with
-failures isolated to exactly the items they took down.
+``run_sharded`` must merge per-item results into output identical to
+a sequential run, for any worker count, with failures isolated to
+exactly the items they took down.  Campaign buckets ship their metric
+snapshots back as plain results, folded by ``merge_snapshots``.
 """
 
 import json
@@ -11,26 +12,16 @@ import os
 
 import pytest
 
-from repro.observability import (
-    ConformanceMonitor,
-    MetricsRegistry,
-    Observability,
-    StreamSlo,
-    merge_snapshots,
-)
+from repro.observability import MetricsRegistry, merge_snapshots
 from repro.runner import (
     CacheStats,
     PoolResult,
     ResultCache,
     ShardFailure,
-    absorb_telemetry,
     available_parallelism,
-    build_worker_observability,
-    monitor_spec,
     resolve_workers,
     run_sharded,
     start_method,
-    telemetry_shard,
 )
 
 
@@ -255,7 +246,7 @@ def _fill(registry, *, runs):
         counter.inc(3, stream=0)
         counter.inc(1, stream=1)
         # Gauges merge last-write-wins, so the fill must leave the same
-        # final level whether it ran as one whole or as absorbed halves.
+        # final level whether it ran as one whole or as merged halves.
         gauge.set(42, stream=0)
         hist.observe(0.5)
         hist.observe(2.0)
@@ -263,36 +254,15 @@ def _fill(registry, *, runs):
 
 
 class TestMetricsMerge:
-    def test_absorbed_halves_equal_the_whole(self):
+    def test_merged_parts_equal_the_whole(self):
         whole = MetricsRegistry()
         _fill(whole, runs=4)
-        merged = MetricsRegistry()
-        for _ in range(2):
-            half = MetricsRegistry()
-            _fill(half, runs=2)
-            merged.absorb(half.snapshot())
-        assert merged.snapshot() == whole.snapshot()
-
-    def test_absorb_into_live_registry(self):
-        target = MetricsRegistry()
-        _fill(target, runs=1)
-        shard = MetricsRegistry()
-        _fill(shard, runs=3)
-        target.absorb(shard.snapshot())
-        whole = MetricsRegistry()
-        _fill(whole, runs=4)
-        assert target.snapshot() == whole.snapshot()
-
-    def test_merge_snapshots_matches_absorb(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        _fill(a, runs=1)
-        _fill(b, runs=2)
-        via_absorb = MetricsRegistry()
-        via_absorb.absorb(a.snapshot())
-        via_absorb.absorb(b.snapshot())
-        assert merge_snapshots([a.snapshot(), b.snapshot()]) == (
-            via_absorb.snapshot()
-        )
+        parts = []
+        for runs in (1, 3):
+            part = MetricsRegistry()
+            _fill(part, runs=runs)
+            parts.append(part.snapshot())
+        assert merge_snapshots(parts) == whole.snapshot()
 
     def test_gauges_last_write_wins(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -307,101 +277,3 @@ class TestMetricsMerge:
         b.gauge("t_x").set(1.0)
         with pytest.raises(ValueError):
             merge_snapshots([a.snapshot(), b.snapshot()])
-
-
-def _drive_monitor(monitor, *, cycles):
-    """Feed ``cycles`` synthetic decision outcomes through a monitor."""
-    from repro.experiments.table3 import run_max_finding
-
-    # A real (reduced) Table 3 run: every stream requests each cycle,
-    # one winner serviced, misses accumulate — guaranteed window
-    # traffic and (with a zero miss budget) guaranteed violations.
-    obs = Observability(trace=False, profile=False, metrics=False)
-    obs.monitor = monitor
-    run_max_finding(cycles, observer=obs)
-
-
-class TestMonitorMerge:
-    def _monitor(self):
-        return ConformanceMonitor(
-            [StreamSlo(sid=i, miss_budget=0) for i in range(4)],
-            window_cycles=16,
-            flight_recorder=False,
-        )
-
-    def test_absorb_rebases_window_indices(self):
-        first, second = self._monitor(), self._monitor()
-        _drive_monitor(first, cycles=16)
-        _drive_monitor(second, cycles=16)
-        closed_first = first.rollup.windows_closed
-        closed_second = second.rollup.windows_closed
-        assert closed_first > 0
-        first.absorb_state(second.state_dict())
-        assert first.rollup.windows_closed == closed_first + closed_second
-        indices = [w.index for w in first.rollup.history]
-        assert indices == sorted(set(indices))  # monotonic, no collisions
-
-    def test_absorb_rebases_violation_linkage(self):
-        first, second = self._monitor(), self._monitor()
-        _drive_monitor(first, cycles=16)
-        _drive_monitor(second, cycles=16)
-        offset = first.rollup.windows_closed
-        shard_violations = [
-            v for v in second.slo.violations if v.window_index >= 0
-        ]
-        assert shard_violations  # zero miss budget under overload
-        before = len(first.slo.violations)
-        first.absorb_state(second.state_dict())
-        absorbed = first.slo.violations[before:]
-        windowed = [v for v in absorbed if v.window_index >= 0]
-        assert [v.window_index for v in windowed] == [
-            v.window_index + offset for v in shard_violations
-        ]
-
-    def test_whole_run_violations_keep_sentinel_index(self):
-        first, second = self._monitor(), self._monitor()
-        _drive_monitor(first, cycles=16)
-        _drive_monitor(second, cycles=16)
-        second.finalize()
-        state = second.state_dict()
-        first.absorb_state(state)
-        finals = [v for v in first.slo.violations if v.window_index == -1]
-        for violation in finals:
-            assert violation.window_index == -1
-
-    def test_state_dict_is_json_safe(self):
-        monitor = self._monitor()
-        _drive_monitor(monitor, cycles=16)
-        state = monitor.state_dict()
-        assert json.loads(json.dumps(state)) == state
-
-
-class TestTelemetryShards:
-    def test_round_trip_through_spec_and_shard(self):
-        parent = Observability(trace=False, profile=False)
-        parent.monitor = ConformanceMonitor(
-            [StreamSlo(sid=i, miss_budget=0) for i in range(4)],
-            window_cycles=16,
-            registry=parent.metrics,
-        )
-        spec = {"monitor": monitor_spec(parent)}
-        worker = build_worker_observability(spec)
-        assert worker.recorder is None and worker.tracer is None
-        assert worker.monitor.rollup.window_cycles == 16
-        assert sorted(worker.monitor.slo.slos) == [0, 1, 2, 3]
-        _drive_monitor(worker.monitor, cycles=16)
-        shard = telemetry_shard(worker)
-        assert set(shard) == {"metrics", "monitor"}
-        absorb_telemetry(parent, [shard])
-        assert parent.monitor.rollup.windows_closed == (
-            worker.monitor.rollup.windows_closed
-        )
-
-    def test_none_observability_round_trip(self):
-        assert telemetry_shard(None) is None
-        assert build_worker_observability(None) is None
-        absorb_telemetry(None, [None])  # no-op
-        absorb_telemetry(Observability(trace=False, profile=False), [None])
-
-    def test_monitor_spec_without_monitor(self):
-        assert monitor_spec(Observability(trace=False, profile=False)) is None

@@ -51,10 +51,9 @@ KINDS = {
 
 
 class TestCampaignParallelEquality:
-    @pytest.mark.parametrize("mode", ["outcome", "trace"])
-    def test_summary_is_byte_identical_across_worker_counts(self, mode):
-        sequential = campaign(SEEDS, n_cycles=CYCLES, mode=mode, workers=1)
-        sharded = campaign(SEEDS, n_cycles=CYCLES, mode=mode, workers=4)
+    def test_summary_is_byte_identical_across_worker_counts(self):
+        sequential = campaign(SEEDS, n_cycles=CYCLES, workers=1)
+        sharded = campaign(SEEDS, n_cycles=CYCLES, workers=4)
         assert sequential.passed and sharded.passed
         assert sharded.summary_json() == sequential.summary_json()
         assert sharded.scenarios == len(list(SEEDS))
@@ -62,7 +61,7 @@ class TestCampaignParallelEquality:
         assert set(sharded.coverage) == {"routings", "block_modes", "modes"}
 
     def test_validate_bucket_matches_inline_fold(self):
-        (outcome,) = validate_bucket((3,), CYCLES, "outcome").outcomes
+        (outcome,) = validate_bucket((3,), CYCLES).outcomes
         assert isinstance(outcome, SeedOutcome)
         assert outcome.seed == 3
         assert outcome.divergence is None
@@ -95,16 +94,12 @@ class TestCampaignCache:
         )
         assert list(tmp_path.iterdir()) == []
 
-    def test_cache_keys_separate_modes_and_cycles(self, tmp_path):
+    def test_cache_keys_separate_cycles(self, tmp_path):
         campaign(SEEDS, n_cycles=CYCLES, cache_dir=tmp_path)
         relitigated = campaign(
             SEEDS, n_cycles=CYCLES + 1, cache_dir=tmp_path
         )
         assert relitigated.cached == 0  # different resolved scenarios
-        other_mode = campaign(
-            SEEDS, n_cycles=CYCLES, mode="trace", cache_dir=tmp_path
-        )
-        assert other_mode.cached == 0  # different namespace
 
 
 @pytest.mark.skipif(
@@ -181,12 +176,6 @@ class TestKindsShareTheRunner:
         assert summary["failures"][0]["seeds"] == list(range(8))
         assert "bucket with seed 5 failed" in summary["failures"][0]["error"]
 
-    @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_trace_mode_is_scheduler_only(self, name):
-        kind, cycles = KINDS[name]
-        with pytest.raises(ValueError, match="unknown campaign mode"):
-            campaign(range(2), kind=kind, n_cycles=cycles, mode="trace")
-
 
 class TestTable3Parallel:
     def test_workers_do_not_change_the_table(self):
@@ -201,33 +190,27 @@ class TestTable3Parallel:
             frames, engine="tensor", workers=1
         )
 
-    def test_parallel_telemetry_is_merged(self):
+    def test_parallel_telemetry_is_rejected(self):
+        """An observer sees decisions only in the process making them,
+        so parallel table3 refuses one before any configuration runs."""
         from repro.observability import (
             ConformanceMonitor,
             Observability,
             StreamSlo,
         )
 
-        def observed(workers):
-            obs = Observability(trace=False, profile=False)
-            obs.monitor = ConformanceMonitor(
-                [StreamSlo(sid=i, miss_budget=0) for i in range(4)],
-                window_cycles=64,
-                registry=obs.metrics,
-                flight_recorder=False,
-            )
-            run_table3(100, observer=obs, workers=workers)
-            return obs
-
-        merged = observed(workers=3)
-        # All three configurations' windows arrived, in config order.
-        assert merged.monitor.rollup.windows_closed > 0
-        indices = [w.index for w in merged.monitor.rollup.history]
-        assert indices == sorted(set(indices))
-        # The overloaded max-finding configuration violates the zero
-        # miss budget; the violations survived the merge.
-        assert merged.monitor.slo.violations
-        assert merged.metrics.names()
+        obs = Observability()
+        obs.monitor = ConformanceMonitor(
+            [StreamSlo(sid=i, miss_budget=0) for i in range(4)],
+            window_cycles=64,
+            registry=obs.metrics,
+        )
+        with pytest.raises(ValueError, match="workers=1"):
+            run_table3(100, observer=obs, workers=3)
+        assert obs.recorder.recorded == 0
+        assert all(not f["samples"] for f in obs.metrics.snapshot().values())
+        assert obs.monitor.rollup.windows_closed == 0
+        assert not obs.monitor.violations and not obs.monitor.dumps
 
 
 class TestSweepParallelEquality:
@@ -258,10 +241,6 @@ class TestSweepParallelEquality:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             sweep_figures("table3", [1])
-
-    def test_campaign_mode_validation(self):
-        with pytest.raises(ValueError):
-            campaign([1], mode="nonsense")
 
     def test_campaign_result_defaults(self):
         result = CampaignResult()
