@@ -665,7 +665,15 @@ def _trace_main(argv: list[str]) -> int:
         "--critical-path", action="store_true",
         help="print the longest root-to-leaf wall-time chain",
     )
+    parser.add_argument(
+        "--summary-json", metavar="PATH", default=None,
+        help="write the campaign's canonical summary to PATH (the bytes "
+        "python -m repro.core.differential --summary-json writes for the "
+        "same --count and --cycles)",
+    )
     args = parser.parse_args(argv)
+    if args.input is not None and args.summary_json is not None:
+        parser.error("--summary-json needs a campaign run, not --input")
 
     import json as _json
     from pathlib import Path
@@ -705,6 +713,10 @@ def _trace_main(argv: list[str]) -> int:
             f"cached={result.cached}, passed={result.passed}"
         )
         code = 0 if result.passed else 1
+        if args.summary_json:
+            with open(args.summary_json, "w", encoding="utf-8") as fh:
+                fh.write(result.summary_json())
+            print(f"summary written to {args.summary_json}")
 
     rows = []
     for g in summarize_spans(records):
@@ -981,6 +993,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         return 0
+    if telemetry and args.experiment == "aggregation" and args.validate:
+        parser.error(
+            "--trace/--metrics-out/--slo/--flight-recorder/--serve-metrics "
+            "apply to the aggregation demo run only: --validate runs a "
+            "validation campaign, which records no telemetry"
+        )
     args.observability = None
     if telemetry:
         if args.experiment not in _OBSERVABLE:

@@ -119,15 +119,17 @@ class ControlUnit:
         update_cycles: int = 1,
         detail: str = "",
     ) -> None:
-        """Account ``count`` idle SCHEDULE + PRIORITY_UPDATE pairs at once.
+        """Account ``count`` SCHEDULE + PRIORITY_UPDATE pairs at once.
 
-        The bulk path of the idle-cycle fast-forward: ``hw_cycle`` and
-        ``decision_cycles`` advance exactly as ``count`` individual
-        :meth:`schedule` / :meth:`priority_update` pairs would, in O(1)
-        when the timeline trace is off.  With tracing on, the
-        individual residencies are still recorded so the timeline stays
-        entry-for-entry identical to the unskipped run.  ``count`` must
-        be a non-negative integer (:func:`cycle_count`).
+        The bulk path of the idle-cycle fast-forward, and with
+        ``count=1`` the oracle's one call per untraced decision cycle:
+        ``hw_cycle`` and ``decision_cycles`` advance exactly as
+        ``count`` individual :meth:`schedule` / :meth:`priority_update`
+        pairs would, in O(1) when the timeline trace is off.  With
+        tracing on, the individual residencies are still recorded so
+        the timeline stays entry-for-entry identical to the unskipped
+        run.  ``count`` must be a non-negative integer
+        (:func:`cycle_count`).
         """
         count = cycle_count(count)
         if count == 0:

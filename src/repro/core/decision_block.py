@@ -66,14 +66,19 @@ class DecisionBlock:
     ``fires`` counts decisions per signed rule code: ``fires[code]``
     for each code :func:`~repro.core.rules.decision_code` returned, so
     ``fires[k]`` and ``fires[-k]`` together count ``RULES[k - 1]``
-    (entry 0 stays zero).  :attr:`rule_counts` reads them per rule.
+    (entry 0 stays zero).  :attr:`rule_counts` reads them per rule and
+    :attr:`decisions` sums them.
     """
 
     index: int = 0
     wrap: bool = True
     deadline_only: bool = False
-    decisions: int = field(default=0, init=False)
     fires: list[int] = field(default_factory=_no_fires, init=False)
+
+    @property
+    def decisions(self) -> int:
+        """Pairwise decisions made: every decision fires one rule code."""
+        return sum(self.fires)
 
     @property
     def rule_counts(self) -> dict[Rule, int]:
@@ -92,13 +97,11 @@ class DecisionBlock:
         call the same comparator and charge these counters in place.
         """
         code = decision_code(a, b, self.wrap, self.deadline_only)
-        self.decisions += 1
         self.fires[code] += 1
         if code < 0:
             return DecisionResult(a, b, RULES[-code - 1])
         return DecisionResult(b, a, RULES[code - 1])
 
     def reset_counters(self) -> None:
-        """Clear the decision and per-rule fire counters."""
-        self.decisions = 0
+        """Clear the per-rule fire counters (and so the decision count)."""
         self.fires[:] = _no_fires()

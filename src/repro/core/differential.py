@@ -45,7 +45,7 @@ import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar
+from typing import Any, ClassVar, NamedTuple
 
 from repro.core.attributes import SchedulingMode, StreamConfig
 from repro.core.batch_engine import make_scheduler
@@ -122,9 +122,11 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CycleRecord:
-    """Observable outcome of one decision cycle, engine-agnostic."""
+class CycleRecord(NamedTuple):
+    """Observable outcome of one decision cycle, engine-agnostic.
+
+    A named tuple: a campaign builds one per scenario per cycle.
+    """
 
     now: int
     block: tuple[int, ...]
@@ -292,18 +294,16 @@ def _arrival_schedule(scenario: Scenario):
 def _cycle_record(outcome) -> CycleRecord:
     """Flatten a :class:`DecisionOutcome` into an engine-agnostic record."""
     return CycleRecord(
-        now=outcome.now,
-        block=outcome.block,
-        circulated=outcome.circulated_sid,
-        serviced=tuple(
+        outcome.now,
+        outcome.block,
+        outcome.circulated_sid,
+        tuple(
             (sid, p.deadline, p.arrival, p.length)
             for sid, p in outcome.serviced
         ),
-        misses=outcome.misses,
-        hw_cycles=outcome.hw_cycles,
-        dropped=tuple(
-            (sid, p.deadline, p.arrival) for sid, p in outcome.dropped
-        ),
+        outcome.misses,
+        outcome.hw_cycles,
+        tuple((sid, p.deadline, p.arrival) for sid, p in outcome.dropped),
     )
 
 

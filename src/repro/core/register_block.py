@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.attributes import HardwareAttributes, SchedulingMode, StreamConfig
 from repro.core.fields import (
@@ -90,13 +91,15 @@ class SlotCounters:
     loads: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class PendingPacket:
+class PendingPacket(NamedTuple):
     """One queued request: head-of-line candidate for the slot.
 
     ``deadline`` and ``arrival`` are absolute times in scheduler units;
     they are wrapped into the 16-bit hardware fields when latched.
     ``length`` (bytes) only matters to the endsystem/link simulation.
+    Both engines build one per enqueued request, so it is a named tuple
+    (the cheapest immutable record); like any named tuple it compares
+    equal to a plain tuple of the same field values.
     """
 
     deadline: int
@@ -122,6 +125,12 @@ class RegisterBaseBlock:
     def __init__(self, config: StreamConfig, *, wrap: bool = True) -> None:
         self.config = config
         self.wrap = wrap
+        # The mode's update logic, read once from the frozen config.
+        self._windowed = config.mode in (
+            SchedulingMode.DWCS,
+            SchedulingMode.FAIR_SHARE,
+        )
+        self._edf = config.mode is SchedulingMode.EDF
         self.attributes = HardwareAttributes.from_config(config)
         self.attributes.valid = False
         self.pending: deque[PendingPacket] = deque()
@@ -150,7 +159,7 @@ class RegisterBaseBlock:
 
     def enqueue_request(self, deadline: int, arrival: int, length: int = 1500) -> None:
         """Convenience wrapper building the :class:`PendingPacket`."""
-        self.enqueue(PendingPacket(deadline=deadline, arrival=arrival, length=length))
+        self.enqueue(PendingPacket(deadline, arrival, length))
 
     def _latch_next(self) -> None:
         """Latch the next pending request into the attribute registers."""
@@ -161,7 +170,7 @@ class RegisterBaseBlock:
         packet = self.pending.popleft()
         self._current = packet
         deadline = packet.deadline
-        if self.config.mode is SchedulingMode.EDF:
+        if self._edf:
             deadline += self._edf_bias
         if self.wrap:
             # Hardware registers hold 16-bit offsets.
@@ -210,10 +219,18 @@ class RegisterBaseBlock:
         adjustment; in EDF / static / service-tag modes only the counter
         moves (those mappings bypass attribute updates).
         """
-        if not self.head_is_late(now):
+        # :meth:`head_is_late`, inlined: the scheduler calls this for
+        # every loaded slot on every decision cycle.
+        packet = self._current
+        if packet is None:
+            return False
+        if self.wrap:
+            if not serial_lt(packet.deadline & _DL_MASK, now & _DL_MASK):
+                return False
+        elif packet.deadline >= now:
             return False
         self.counters.missed_deadlines += 1
-        if self.config.mode in (SchedulingMode.DWCS, SchedulingMode.FAIR_SHARE):
+        if self._windowed:
             self._apply_loss_update()
         return True
 
@@ -239,8 +256,7 @@ class RegisterBaseBlock:
         if packet is None:
             return None
         self.counters.serviced += 1
-        mode = self.config.mode
-        if mode in (SchedulingMode.DWCS, SchedulingMode.FAIR_SHARE):
+        if self._windowed:
             if as_winner is None:
                 if self.head_is_late(now):
                     # Serviced late: the window still saw a late packet.
@@ -249,7 +265,7 @@ class RegisterBaseBlock:
                     self._apply_win_update()
             elif as_winner:
                 self._apply_win_update()
-        elif mode is SchedulingMode.EDF and as_winner is not False:
+        elif self._edf and as_winner is not False:
             # EDF winner update: the circulated stream's effective
             # deadline moves one request period later, rotating service
             # among deadline-contending streams.

@@ -20,10 +20,10 @@ Section 5 evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.attributes import StreamConfig
-from repro.core.config import ArchConfig, BlockMode, Routing
+from repro.core.config import ArchConfig, BlockMode
 from repro.core.control import ControlUnit
 from repro.core.register_block import PendingPacket, RegisterBaseBlock
 from repro.core.shuffle import ShuffleExchangeNetwork
@@ -39,9 +39,12 @@ def flag_error(name: str, value) -> ValueError:
     return ValueError(f"{name} must be a bool, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionOutcome:
+class DecisionOutcome(NamedTuple):
     """Result of one decision cycle.
+
+    Both engines build one per decision, so it is a named tuple (the
+    cheapest immutable record); like any named tuple it compares equal
+    to a plain tuple of the same field values.
 
     Attributes
     ----------
@@ -110,6 +113,11 @@ class ShareStreamsScheduler:
         observer=None,
     ) -> None:
         self.config = config
+        # Per-decision constants, read once from the frozen config.
+        self._n_slots = config.n_slots
+        self._winner_only = config.winner_only
+        self._update_cycles = config.update_cycles
+        self._max_first = config.block_mode is BlockMode.MAX_FIRST
         self.network = ShuffleExchangeNetwork(
             config.n_slots,
             wrap=config.wrap,
@@ -177,14 +185,19 @@ class ShareStreamsScheduler:
         """Deposit one packet request into a slot's pending queue.
 
         Models the streaming unit writing a 16-bit arrival-time offset
-        into the slot's card-SRAM queue.
+        into the slot's card-SRAM queue.  Raises ``ValueError`` for an
+        out-of-range ``sid`` and ``KeyError`` for an unloaded slot,
+        before anything is queued.
         """
-        if not 0 <= sid < self.config.n_slots:
+        if not 0 <= sid < self._n_slots:
             raise ValueError(
                 f"sid {sid} out of range for "
-                f"{self.config.n_slots}-slot scheduler"
+                f"{self._n_slots}-slot scheduler"
             )
-        self.slot(sid).enqueue_request(deadline, arrival, length)
+        slot = self.slots[sid]
+        if slot is None:
+            raise KeyError(f"no stream loaded in slot {sid}")
+        slot.enqueue(PendingPacket(deadline, arrival, length))
 
     # ------------------------------------------------------------------
     # decision cycle (SCHEDULE + PRIORITY_UPDATE)
@@ -240,7 +253,7 @@ class ShareStreamsScheduler:
         """
         if consume not in ("winner", "block", "none"):
             raise ValueError(f"unknown consume policy {consume!r}")
-        if consume == "block" and self.config.routing is Routing.WR:
+        if consume == "block" and self._winner_only:
             raise ValueError(
                 "block consumption requires BA routing "
                 "(WR emits only the winner)"
@@ -250,13 +263,13 @@ class ShareStreamsScheduler:
         if drop_late is not True and drop_late is not False:
             raise flag_error("drop_late", drop_late)
 
-        loaded, drive = self._wiring()
-        control = self.control
+        loaded, drive = self._wired or self._wiring()
+        slots = self.slots
         dropped: list[tuple[int, PendingPacket]] = []
         if drop_late:
             for slot in loaded:
                 while True:
-                    if count_misses and slot.head_is_late(now):
+                    if count_misses:
                         slot.record_miss(now)
                     packet = slot.drop_late_head(now)
                     if packet is None:
@@ -264,13 +277,8 @@ class ShareStreamsScheduler:
                     dropped.append((slot.config.sid, packet))
 
         # SCHEDULE: recirculate the attribute bundles.
-        result = self.network.run(drive, winner_only=self.config.winner_only)
-        if control.trace:
-            control.schedule(result.passes, detail=f"t={now}")
-        else:
-            control.schedule(result.passes)
-
-        order = [b.sid for b in result.order if b.valid]
+        emitted, passes, _ = self.network.run(drive, winner_only=self._winner_only)
+        order = [b.sid for b in emitted if b.valid]
 
         # Miss registration (performance counters, Table 3).
         misses: list[int] = []
@@ -289,13 +297,9 @@ class ShareStreamsScheduler:
             # block is circulated out during PRIORITY_UPDATE (and hence
             # consumed first / counted as the cycle's winner): max-first
             # circulates the head, min-first the tail (Section 5.1).
-            update_sid = order[0]
-            if self.config.block_mode is BlockMode.MAX_FIRST:
-                circulated = order[0]
-            else:
-                circulated = order[-1]
+            circulated = order[0] if self._max_first else order[-1]
+            slot = slots[circulated]
             if consume == "winner":
-                slot = self.slot(circulated)
                 if count_misses and slot.head_is_late(now):
                     # The miss path above already applied this head's
                     # loss adjustment; just consume the packet.
@@ -305,33 +309,32 @@ class ShareStreamsScheduler:
                 if packet is not None:
                     serviced.append((circulated, packet))
             elif consume == "block":
-                consume_order = (
-                    order
-                    if self.config.block_mode is BlockMode.MAX_FIRST
-                    else tuple(reversed(order))
-                )
-                for sid in consume_order:
-                    packet = self.slot(sid).service(
+                update_sid = order[0]
+                for sid in order if self._max_first else reversed(order):
+                    packet = slots[sid].service(
                         now, as_winner=(sid == update_sid)
                     )
                     if packet is not None:
                         serviced.append((sid, packet))
-            self.slot(circulated).record_win()
+            slot.record_win()
+        update_cycles = self._update_cycles
+        control = self.control
         if control.trace:
+            control.schedule(passes, detail=f"t={now}")
             control.priority_update(
-                self.config.update_cycles, detail=f"circulate={circulated}"
+                update_cycles, detail=f"circulate={circulated}"
             )
         else:
-            control.priority_update(self.config.update_cycles)
+            control.advance_decision_cycles(1, passes, update_cycles)
 
         outcome = DecisionOutcome(
-            now=now,
-            block=tuple(order),
-            circulated_sid=circulated,
-            serviced=tuple(serviced),
-            misses=tuple(misses),
-            hw_cycles=result.passes + self.config.update_cycles,
-            dropped=tuple(dropped),
+            now,
+            tuple(order),
+            circulated,
+            tuple(serviced),
+            tuple(misses),
+            passes + update_cycles,
+            tuple(dropped),
         )
         if self.observer is not None:
             self.observer.on_decision(outcome)

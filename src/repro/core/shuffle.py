@@ -28,7 +28,7 @@ See DESIGN.md ("Known interpretation points") for why both exist.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.attributes import HardwareAttributes
 from repro.core.decision_block import DecisionBlock
@@ -60,9 +60,10 @@ def perfect_shuffle(items: list) -> list:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkResult:
+class NetworkResult(NamedTuple):
     """Outcome of one full recirculation (one SCHEDULE phase).
+
+    A named tuple, built once per decision cycle.
 
     Attributes
     ----------
@@ -128,10 +129,12 @@ class ShuffleExchangeNetwork:
 
     One pass is one loop over the ``N/2`` blocks, each making one
     :func:`~repro.core.rules.decision_code` call and counting the code
-    it returned.  A paper pass lets block ``j`` order bundles ``j`` and
-    ``j + N/2`` of the previous pass (the pair :func:`perfect_shuffle`
-    wires onto positions ``2j``/``2j + 1``); the bitonic passes read
-    their pairs from stage tables built once per slot count.
+    it returned in the block's ``fires`` list, which also gives the
+    block's decision count.  A paper pass lets block ``j`` order
+    bundles ``j`` and ``j + N/2`` of the previous pass (the pair
+    :func:`perfect_shuffle` wires onto positions ``2j``/``2j + 1``);
+    the bitonic passes read their pairs from stage tables built once
+    per slot count.
     """
 
     def __init__(
@@ -157,6 +160,9 @@ class ShuffleExchangeNetwork:
             DecisionBlock(index=i, wrap=wrap, deadline_only=deadline_only)
             for i in range(n_slots // 2)
         ]
+        # The blocks' rule-fire counters, charged in place by every pass.
+        self._fires = [block.fires for block in self.blocks]
+        self._paper_passes = n_slots.bit_length() - 1
         self._bitonic = _bitonic_stages(n_slots) if schedule == "bitonic" else ()
 
     # ------------------------------------------------------------------
@@ -164,14 +170,11 @@ class ShuffleExchangeNetwork:
     @property
     def passes_per_decision(self) -> int:
         """Network passes one SCHEDULE phase consumes."""
-        k = self.n_slots.bit_length() - 1
-        if self.schedule == "paper":
-            return k
-        return k * (k + 1) // 2
+        return len(self._bitonic) or self._paper_passes
 
     def _run_paper(
         self, bundles: list[HardwareAttributes]
-    ) -> tuple[list[HardwareAttributes], int]:
+    ) -> list[HardwareAttributes]:
         """``log2(N)`` passes of perfect shuffle + pairwise exchange.
 
         After the shuffle, block ``j`` compares bundles ``j`` and
@@ -179,11 +182,10 @@ class ShuffleExchangeNetwork:
         loser onto positions ``2j`` and ``2j + 1``.
         """
         wrap, deadline_only = self.wrap, self.deadline_only
-        fires = [block.fires for block in self.blocks]
+        fires = self._fires
         half = len(fires)
         state = bundles
-        passes = self.n_slots.bit_length() - 1
-        for _ in range(passes):
+        for _ in range(self._paper_passes):
             out: list[HardwareAttributes] = []
             push = out.append
             for a, b, counts in zip(state, state[half:], fires):
@@ -196,11 +198,11 @@ class ShuffleExchangeNetwork:
                     push(b)
                     push(a)
             state = out
-        return state, passes
+        return state
 
     def _run_bitonic(
         self, bundles: list[HardwareAttributes]
-    ) -> tuple[list[HardwareAttributes], int]:
+    ) -> list[HardwareAttributes]:
         """Batcher bitonic sort using the same comparator pool.
 
         Each stage maps onto one recirculation pass of the ``N/2``
@@ -208,7 +210,7 @@ class ShuffleExchangeNetwork:
         routing).
         """
         wrap, deadline_only = self.wrap, self.deadline_only
-        fires = [block.fires for block in self.blocks]
+        fires = self._fires
         state = list(bundles)
         for stage in self._bitonic:
             for j, i, partner, ascending in stage:
@@ -219,7 +221,7 @@ class ShuffleExchangeNetwork:
                 if (code < 0) != ascending:
                     state[i] = b
                     state[partner] = a
-        return state, len(self._bitonic)
+        return state
 
     # ------------------------------------------------------------------
 
@@ -246,18 +248,16 @@ class ShuffleExchangeNetwork:
             raise ValueError(
                 f"expected {self.n_slots} bundles, got {len(bundles)}"
             )
-        if self.schedule == "bitonic" and not winner_only:
-            order, passes = self._run_bitonic(bundles)
+        if self._bitonic and not winner_only:
+            order = self._run_bitonic(bundles)
+            passes = len(self._bitonic)
         else:
-            order, passes = self._run_paper(bundles)
+            order = self._run_paper(bundles)
+            passes = self._paper_passes
+            if winner_only:
+                order = order[:1]
         # Every pass fires each of the N/2 blocks exactly once.
-        for block in self.blocks:
-            block.decisions += passes
-        if winner_only:
-            order = [order[0]]
-        return NetworkResult(
-            order=order, passes=passes, comparisons=passes * len(self.blocks)
-        )
+        return NetworkResult(order, passes, passes * len(self._fires))
 
     def reference_order(
         self, bundles: list[HardwareAttributes]

@@ -253,6 +253,7 @@ class EndsystemRouter:
 
     def _on_arrival(self, sid: int, arrival_us: float) -> None:
         self.qm.produce(sid, arrival_us)
+        self.streaming.wake(sid)
         self._pending_arrivals -= 1
 
     def _service(self) -> None:
@@ -285,6 +286,7 @@ class EndsystemRouter:
                 return
             return  # workload drained: stop the service chain
         sid = outcome.circulated_sid
+        self.streaming.wake(sid)  # the serviced head left card room
         if self._phase is None:
             frame, done = self.te.transmit(sid, now)
         else:

@@ -77,6 +77,13 @@ class StreamingUnit:
         # How many of each stream's frames have had their arrival times
         # shipped to the card already.
         self._shipped: dict[int, int] = {sid: 0 for sid in qm.stream_ids}
+        # Slots :meth:`refill_all` visits, in ID order, and whether each
+        # may have something to move: every slot to begin with, then
+        # only slots that gained arrived frames or card room since
+        # their last refill (:meth:`wake`) or whose last refill moved a
+        # full batch.  Any other slot's refill would move nothing.
+        self._sids = qm.stream_ids
+        self._awake: dict[int, bool] = {sid: True for sid in self._sids}
 
     def card_backlog(self, sid: int) -> int:
         """Requests currently on the card for one slot (incl. latched)."""
@@ -125,12 +132,31 @@ class StreamingUnit:
             self._shipped[sid] += 1
         return count, pci_time
 
+    def wake(self, sid: int) -> None:
+        """Note that slot ``sid`` gained arrived frames (a QM produce)
+        or card room (a serviced head), so the next :meth:`refill_all`
+        refills it."""
+        self._awake[sid] = True
+
     def refill_all(self, now_us: float) -> tuple[int, float]:
-        """Refill every slot once; returns (total moved, total pci time)."""
+        """Refill every slot that may have something to move, in ID order;
+        returns (total moved, total pci time).
+
+        A slot is refilled when it was woken (:meth:`wake`) since its
+        last refill, or when that refill moved a full batch.  A slot's
+        refill moves nothing otherwise: its last refill stopped short of
+        a batch because it ran out of arrived frames or of card room,
+        and neither came back.  So the moves, the PCI transfers and the
+        SRAM traffic are those of refilling every slot.
+        """
         moved = 0
         pci_time = 0.0
-        for sid in self.qm.stream_ids:
-            n, t = self.refill_slot(sid, now_us)
-            moved += n
-            pci_time += t
+        awake = self._awake
+        batch = self.batch_size
+        for sid in self._sids:
+            if awake[sid]:
+                n, t = self.refill_slot(sid, now_us)
+                awake[sid] = n == batch
+                moved += n
+                pci_time += t
         return moved, pci_time

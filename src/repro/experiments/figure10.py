@@ -48,14 +48,12 @@ class Figure10Result:
         Uses a single window covering the phase so departures after it
         (when some slots have drained) do not skew the attribution.
         """
-        keyed = {}
-        for packed in self.streamlet_bw.stream_ids:
-            key = _unpack(packed)
-            series = self.streamlet_bw.series(
-                packed, self.elapsed_us, t_end=self.elapsed_us
-            )
-            keyed[key] = float(series.mbps[0]) if len(series.mbps) else 0.0
-        return keyed
+        return {
+            _unpack(packed): mbps
+            for packed, mbps in self.streamlet_bw.window_mbps(
+                self.elapsed_us
+            ).items()
+        }
 
     def representative_mbps(self) -> dict[str, float]:
         """One representative streamlet per (slot, set) — what the

@@ -4,6 +4,20 @@ import pytest
 
 from repro.cli import main
 
+#: The telemetry flags, each of which makes the CLI build an observer.
+TELEMETRY_FLAGS = [
+    "--trace", "--slo", "--flight-recorder", "--metrics-out", "--serve-metrics",
+]
+
+
+def _flag_args(flag, tmp_path):
+    """``flag`` with the argument it takes, writing under ``tmp_path``."""
+    return {
+        "--flight-recorder": [flag, str(tmp_path / "dumps")],
+        "--metrics-out": [flag, str(tmp_path / "m.json")],
+        "--serve-metrics": [flag, "0"],
+    }.get(flag, [flag])
+
 
 class TestCLI:
     def test_list(self, capsys):
@@ -112,20 +126,26 @@ class TestCLITelemetry:
         with pytest.raises(SystemExit):
             main(["table1", "--trace"])
 
-    @pytest.mark.parametrize(
-        "flag",
-        ["--trace", "--slo", "--flight-recorder", "--metrics-out", "--serve-metrics"],
-    )
+    @pytest.mark.parametrize("flag", TELEMETRY_FLAGS)
     def test_table3_telemetry_needs_one_worker(self, flag, capsys, tmp_path):
-        args = {
-            "--flight-recorder": [flag, str(tmp_path / "dumps")],
-            "--metrics-out": [flag, str(tmp_path / "m.json")],
-            "--serve-metrics": [flag, "0"],
-        }.get(flag, [flag])
+        args = _flag_args(flag, tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["table3", "--frames", "200", "--workers", "3", *args])
         assert exc.value.code == 2
         assert "--workers 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", TELEMETRY_FLAGS)
+    def test_aggregation_validate_rejects_telemetry(self, flag, capsys, tmp_path):
+        """The validation campaign runs no observer, so a telemetry flag
+        would report empty telemetry after a passing campaign."""
+        args = _flag_args(flag, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregation", "--validate", "--frames", "2", *args])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "--validate" in captured.err
+        assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -270,3 +290,25 @@ class TestCLITrace:
     def test_trace_listed(self, capsys):
         assert main(["list"]) == 0
         assert "trace" in capsys.readouterr().out.splitlines()
+
+    def test_trace_summary_json_matches_differential_cli(self, capsys, tmp_path):
+        from repro.core import differential
+
+        traced = tmp_path / "trace-summary.json"
+        plain = tmp_path / "differential-summary.json"
+        assert main(
+            ["trace", "--count", "20", "--cycles", "200",
+             "--summary-json", str(traced)]
+        ) == 0
+        assert differential.main(
+            ["--count", "20", "--cycles", "200", "--summary-json", str(plain)]
+        ) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        assert '"scenarios": 20' in traced.read_text()
+
+    def test_trace_summary_json_needs_a_campaign(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--input", "spans.jsonl",
+                  "--summary-json", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []

@@ -114,14 +114,14 @@ def _drop_service(record):
     """One serviced packet removed from a busy cycle."""
     if not record.serviced:
         return None
-    return replace(record, serviced=record.serviced[1:])
+    return record._replace(serviced=record.serviced[1:])
 
 
 def _make_idle(record):
     """A backlogged cycle recorded as idle: no block, winner or service."""
     if record.circulated is None:
         return None
-    return replace(record, block=(), circulated=None, serviced=())
+    return record._replace(block=(), circulated=None, serviced=())
 
 
 def _doctor(trace, mutate):
